@@ -12,7 +12,7 @@ from rulemine import (
     MinerConfig,
     ModelArtifact,
     PsoConfig,
-    classify,
+    classify_dataset,
     encode,
     evaluate,
     generate,
@@ -61,11 +61,10 @@ reloaded = load_model(model_path)
 print(f"\nmodel round-tripped through {model_path}")
 
 labels = reloaded.schema.class_labels
-layout = test.layout
 print("\nfirst five test applicants, with the rule that decided each:")
-for row in test.X[:5]:
-    class_index, fired = classify(reloaded.rule_list, row, layout)
-    if fired is None:
+predicted, fired_rules = classify_dataset(reloaded.rule_list, test)
+for class_index, fired in zip(predicted[:5], fired_rules[:5]):
+    if fired == 0:
         why = "default class (no rule matched)"
     else:
         why = render_rule(reloaded.rule_list.rules[fired - 1],

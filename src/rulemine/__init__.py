@@ -34,10 +34,8 @@ from .rules import (
     Provenance,
     Rule,
     RuleList,
-    classify,
     classify_dataset,
     confidence,
-    matches,
     render_rule,
     render_rule_list,
     support,
@@ -86,7 +84,6 @@ __all__ = [
     "accuracy_from_matrix",
     "allocate_per_class",
     "binarize",
-    "classify",
     "classify_dataset",
     "confidence",
     "decode",
@@ -99,7 +96,6 @@ __all__ = [
     "init_network",
     "load_model",
     "load_schema",
-    "matches",
     "mine",
     "mine_greedy_baseline",
     "min_support",

@@ -15,21 +15,20 @@ import csv
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .errors import ConfigError, DataError, RulemineError, SchemaError
 from .evaluation import evaluate, mine_greedy_baseline
 from .miner import MinerConfig, mine
 from .model_io import ModelArtifact, load_model, save_model
-from .rules import classify, render_rule, render_rule_list
+from .rules import classify_dataset, render_rule, render_rule_list
 from .schema import (
-    coerce_row,
+    RawDataset,
     encode,
-    encode_row,
-    layout_for,
     load_schema,
     parse_csv,
-    read_header,
+    read_rows,
     save_schema,
     stratified_split,
 )
@@ -39,6 +38,10 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_CONFIG = 2
 EXIT_NO_RULES = 3
+
+# predict scores this many input rows at a time: enough for the array work
+# to dominate, few enough that memory stays flat however long the input is
+PREDICT_CHUNK_ROWS = 4096
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -120,59 +123,45 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     artifact = load_model(args.model)
     schema = artifact.schema
-    layout = layout_for(schema)
+    ranges = artifact.numeric_ranges
+    rule_list = artifact.rule_list
+    labels = schema.class_labels
+    # the output row for each fired value: 0 is the default class, i is rule i
+    outcomes = [[labels[rule_list.default_class], "default", "-"]] + [
+        [labels[rule.class_index], i, render_rule(rule, schema, ranges)]
+        for i, rule in enumerate(rule_list.rules, start=1)
+    ]
+    rows = read_rows(args.input, schema, require_class=False)
 
+    out_fh = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    writer = csv.writer(out_fh, lineterminator="\n")
+    writer.writerow(["prediction", "fired_rule", "rule"])
+    total = errors = defaults = 0
     try:
-        fh = open(args.input, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read input file: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("input CSV is empty (no header row)") from None
-        predictor_pos, _ = read_header(header, schema, require_class=False)
-        width = len(header)
-
-        out_fh = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-        writer = csv.writer(out_fh, lineterminator="\n")
-        writer.writerow(["prediction", "fired_rule", "rule"])
-        scored = 0
-        total = 0
-        try:
-            for row_number, fields in enumerate(reader, start=1):
-                if not fields:
-                    continue
-                total += 1
-                try:
-                    if len(fields) != width:
-                        raise DataError(
-                            f"row {row_number}: expected {width} fields, "
-                            f"found {len(fields)}"
-                        )
-                    record = {name: fields[pos] for name, pos in predictor_pos.items()}
-                    row = coerce_row(schema, record, row_number)
-                    x = encode_row(schema, artifact.numeric_ranges, row)
-                    class_index, fired = classify(artifact.rule_list, x, layout)
-                    label = schema.class_labels[class_index]
-                    if fired is None:
-                        writer.writerow([label, "default", "-"])
-                    else:
-                        rule = artifact.rule_list.rules[fired - 1]
-                        writer.writerow(
-                            [label, fired, render_rule(rule, schema, artifact.numeric_ranges)]
-                        )
-                    scored += 1
-                except DataError as exc:
-                    writer.writerow(["ERROR", "-", str(exc)])
-        finally:
-            if args.out:
-                out_fh.close()
+        while chunk := list(islice(rows, PREDICT_CHUNK_ROWS)):
+            valid = [row for _, row, _ in chunk if not isinstance(row, DataError)]
+            fired: list[int] = []
+            if valid:
+                data = encode(RawDataset(schema, valid, []), ranges_from=ranges)
+                fired = classify_dataset(rule_list, data)[1].tolist()
+            fired_iter = iter(fired)
+            writer.writerows(
+                ["ERROR", "-", str(row)] if isinstance(row, DataError)
+                else outcomes[next(fired_iter)]
+                for _, row, _ in chunk
+            )
+            total += len(chunk)
+            errors += len(chunk) - len(valid)
+            defaults += fired.count(0)
+    finally:
+        if args.out:
+            out_fh.close()
 
     if total == 0:
         print("error: input contains no data rows", file=sys.stderr)
         return EXIT_DATA
+    scored = total - errors
+    print(f"scored {scored} rows, {errors} ERROR, {defaults} default", file=sys.stderr)
     return EXIT_OK if scored > 0 else EXIT_DATA
 
 

@@ -15,7 +15,7 @@ failed attempts in a row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -86,35 +86,7 @@ class MinerConfig:
             raise ConfigError(f"bad config document: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "support_factor": self.support_factor,
-            "min_confidence": self.min_confidence,
-            "max_attempts_per_class": self.max_attempts_per_class,
-            "min_represented": self.min_represented,
-            "lvq": {
-                "centroid_count": self.lvq.centroid_count,
-                "adapt_rate": self.lvq.adapt_rate,
-                "max_epochs": self.lvq.max_epochs,
-                "stability_threshold": self.lvq.stability_threshold,
-                "repulsion_ratio": self.lvq.repulsion_ratio,
-                "seed": self.lvq.seed,
-            },
-            "pso": {
-                "swarm_size": self.pso.swarm_size,
-                "max_iterations": self.pso.max_iterations,
-                "inertia": self.pso.inertia,
-                "cognitive": self.pso.cognitive,
-                "social": self.pso.social,
-                "veloc1_bounds": list(self.pso.veloc1_bounds),
-                "veloc2_bounds": list(self.pso.veloc2_bounds),
-                "weight_confidence": self.pso.weight_confidence,
-                "weight_support": self.pso.weight_support,
-                "weight_length": self.pso.weight_length,
-                "stagnation_limit": self.pso.stagnation_limit,
-                "seed": self.pso.seed,
-            },
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def min_support(uncovered_count: int, total_train: int, support_factor: float) -> float:

@@ -20,7 +20,6 @@ from .schema import (
     AttributeSchema,
     ColumnLayout,
     EncodedDataset,
-    layout_for,
     unscale_numeric,
 )
 
@@ -137,11 +136,6 @@ def match_mask(
     return mask
 
 
-def matches(rule: Rule, x: np.ndarray, layout: ColumnLayout) -> bool:
-    """Does a single encoded example satisfy the rule's antecedent?"""
-    return bool(match_mask(rule.antecedent, x.reshape(1, -1), layout)[0])
-
-
 def support(rule: Rule, data: EncodedDataset) -> float:
     """Fraction of the dataset matched by the rule and carrying its class."""
     if len(data) == 0:
@@ -161,20 +155,6 @@ def confidence(rule: Rule, data: EncodedDataset) -> float:
         return 0.0
     correct = int(np.count_nonzero(mask & (data.y == rule.class_index)))
     return correct / matched
-
-
-def classify(
-    rule_list: RuleList, x: np.ndarray, layout: ColumnLayout
-) -> tuple[int, int | None]:
-    """First-match classification of one encoded example.
-
-    Returns (class index, 1-based index of the rule that fired); the index is
-    None when the default class answered.
-    """
-    for i, rule in enumerate(rule_list.rules, start=1):
-        if matches(rule, x, layout):
-            return rule.class_index, i
-    return rule_list.default_class, None
 
 
 def classify_dataset(

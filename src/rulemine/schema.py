@@ -11,13 +11,11 @@ metric works across mixed attribute kinds.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -208,19 +206,18 @@ class ColumnLayout:
         return self._numeric_col[name]
 
 
-@lru_cache(maxsize=None)
-def layout_for(schema: AttributeSchema) -> ColumnLayout:
-    return ColumnLayout(schema)
-
-
 @dataclass
 class EncodedDataset:
-    """Dummy-coded, min-max scaled examples in [0, 1]^d with class indices."""
+    """Dummy-coded, min-max scaled examples in [0, 1]^d with class indices.
+
+    ``y`` is empty when the rows were encoded without class labels (rows
+    to be scored).
+    """
 
     schema: AttributeSchema
     X: np.ndarray
     y: np.ndarray
-    column_map: tuple[tuple[str, str | None], ...]
+    layout: ColumnLayout
     numeric_ranges: dict[str, tuple[float, float]]
 
     def __len__(self) -> int:
@@ -229,10 +226,6 @@ class EncodedDataset:
     @property
     def dimension(self) -> int:
         return int(self.X.shape[1])
-
-    @property
-    def layout(self) -> ColumnLayout:
-        return layout_for(self.schema)
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.y, minlength=len(self.schema.class_labels))
@@ -243,7 +236,7 @@ class EncodedDataset:
             schema=self.schema,
             X=self.X[indices],
             y=self.y[indices],
-            column_map=self.column_map,
+            layout=self.layout,
             numeric_ranges=self.numeric_ranges,
         )
 
@@ -283,12 +276,14 @@ def coerce_row(
     return tuple(out)
 
 
-def _open_csv(source) -> Iterable[list[str]]:
+def _open_csv(source) -> Iterator[list[str]]:
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(source, "r", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise DataError(f"cannot read input file: {exc}") from exc
+        with fh:
             yield from csv.reader(fh)
-    elif isinstance(source, io.TextIOBase):
-        yield from csv.reader(source)
     else:
         yield from csv.reader(source)
 
@@ -317,6 +312,44 @@ def read_header(header: list[str], schema: AttributeSchema, require_class: bool)
     return {n: positions[n] for n in schema.attribute_names}, class_pos
 
 
+def read_rows(
+    source, schema: AttributeSchema, require_class: bool = True
+) -> Iterator[tuple[int, tuple[str, ...] | DataError, str | None]]:
+    """Read a header-first CSV row by row: ``(row number, row, label)``.
+
+    The header is read and matched against the schema (order-insensitive)
+    before the first row is returned, so a bad header raises at once. Blank
+    lines are skipped but still counted in the 1-based row numbers. ``row``
+    is the predictor values checked by ``coerce_row``, or the DataError that
+    rejected the row, so a caller can raise it or report it and go on.
+    ``label`` is the stripped class field, or None when the header has no
+    class column; it is not checked here.
+    """
+    reader = _open_csv(source)
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError("CSV is empty (no header row)")
+    predictor_pos, class_pos = read_header(header, schema, require_class)
+    return _rows(reader, schema, predictor_pos, class_pos, len(header))
+
+
+def _rows(reader, schema, predictor_pos, class_pos, width):
+    for row_number, fields in enumerate(reader, start=1):
+        if not fields:
+            continue
+        try:
+            if len(fields) != width:
+                raise DataError(
+                    f"row {row_number}: expected {width} fields, found {len(fields)}"
+                )
+            record = {name: fields[pos] for name, pos in predictor_pos.items()}
+            row = coerce_row(schema, record, row_number)
+        except DataError as exc:
+            yield row_number, exc, None
+            continue
+        yield row_number, row, None if class_pos is None else fields[class_pos].strip()
+
+
 def parse_csv(source, schema: AttributeSchema, require_class: bool = True) -> RawDataset:
     """Parse a header-first CSV into a validated RawDataset.
 
@@ -324,34 +357,18 @@ def parse_csv(source, schema: AttributeSchema, require_class: bool = True) -> Ra
     checked: undeclared nominal values, unparsable numerics, and missing
     fields raise DataError naming the offending 1-based data row.
     """
-    reader = _open_csv(source)
-    try:
-        header = next(iter(reader))
-    except StopIteration:
-        raise SchemaError("CSV is empty (no header row)") from None
-    predictor_pos, class_pos = read_header(header, schema, require_class)
-    width = len(header)
-
     rows: list[tuple[str, ...]] = []
     classes: list[str] = []
-    for row_number, fields in enumerate(reader, start=1):
-        if not fields:
-            continue
-        if len(fields) != width:
-            raise DataError(
-                f"row {row_number}: expected {width} fields, found {len(fields)}"
-            )
-        record = {name: fields[pos] for name, pos in predictor_pos.items()}
-        rows.append(coerce_row(schema, record, row_number))
-        if class_pos is not None:
-            label = fields[class_pos].strip()
+    for row_number, row, label in read_rows(source, schema, require_class):
+        if isinstance(row, DataError):
+            raise row
+        rows.append(row)
+        if label is not None:
             if label not in schema.class_labels:
                 raise DataError(
                     f"row {row_number}: class label {label!r} is not declared"
                 )
             classes.append(label)
-    if class_pos is None:
-        classes = []
     return RawDataset(schema=schema, rows=rows, classes=classes)
 
 
@@ -367,14 +384,17 @@ def numeric_ranges_of(raw: RawDataset) -> dict[str, tuple[float, float]]:
     return ranges
 
 
-def scale_numeric(value: float, lo: float, hi: float) -> float:
+def scale_numeric(values, lo: float, hi: float):
     """Min-max scale into [0, 1], clamping out-of-range values.
 
-    A constant training column (lo == hi) maps everything to 0.0.
+    Works on a float or an array of them. A constant training column
+    (lo == hi) maps everything to 0.0. A NaN quotient (only reachable when
+    ``value - lo`` and ``hi - lo`` both overflow) clamps to 0.0 as well.
     """
     if hi <= lo:
-        return 0.0
-    return min(1.0, max(0.0, (value - lo) / (hi - lo)))
+        return np.zeros_like(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.minimum(1.0, np.fmax(0.0, (np.asarray(values) - lo) / (hi - lo)))
 
 
 def unscale_numeric(scaled: float, lo: float, hi: float) -> float:
@@ -383,55 +403,45 @@ def unscale_numeric(scaled: float, lo: float, hi: float) -> float:
     return lo + scaled * (hi - lo)
 
 
-def encode_row(
-    schema: AttributeSchema,
-    numeric_ranges: Mapping[str, tuple[float, float]],
-    row: Sequence[str],
-) -> np.ndarray:
-    layout = layout_for(schema)
-    x = np.zeros(layout.dimension, dtype=np.float64)
-    for a, value in zip(schema.attributes, row):
-        if a.kind == NOMINAL:
-            start = layout.nominal_columns(a.name).start
-            x[start + a.values.index(value)] = 1.0
-        else:
-            lo, hi = numeric_ranges[a.name]
-            x[layout.numeric_column(a.name)] = scale_numeric(float(value), lo, hi)
-    return x
-
-
 def encode(
     raw: RawDataset,
     ranges_from: RawDataset | Mapping[str, tuple[float, float]] | None = None,
 ) -> EncodedDataset:
-    """Dummy-code and scale a RawDataset.
+    """Dummy-code and scale a RawDataset, one attribute column at a time.
 
     Scaling ranges come from ``ranges_from`` when given (either another
     dataset or precomputed {attribute: (min, max)} ranges, so that test data
     reuses training ranges and out-of-range values clamp to the [0, 1]
-    boundary), otherwise from ``raw`` itself.
+    boundary), otherwise from ``raw`` itself. Rows without class labels
+    (``raw.classes`` empty) encode with an empty ``y``.
     """
-    if len(raw) == 0:
+    n = len(raw)
+    if n == 0:
         raise DataError("cannot encode an empty dataset")
-    if len(raw.classes) != len(raw.rows):
+    if raw.classes and len(raw.classes) != n:
         raise DataError("dataset rows are missing class labels")
-    layout = layout_for(raw.schema)
+    schema = raw.schema
+    layout = ColumnLayout(schema)
     if ranges_from is None:
         ranges = numeric_ranges_of(raw)
     elif isinstance(ranges_from, RawDataset):
         ranges = numeric_ranges_of(ranges_from)
     else:
         ranges = {name: (float(lo), float(hi)) for name, (lo, hi) in ranges_from.items()}
-    X = np.empty((len(raw), layout.dimension), dtype=np.float64)
-    for i, row in enumerate(raw.rows):
-        X[i] = encode_row(raw.schema, ranges, row)
-    y = np.array([raw.schema.class_index(c) for c in raw.classes], dtype=np.int64)
+    X = np.zeros((n, layout.dimension), dtype=np.float64)
+    for j, a in enumerate(schema.attributes):
+        if a.kind == NOMINAL:
+            start = layout.nominal_columns(a.name).start
+            column_of = {v: start + i for i, v in enumerate(a.values)}
+            hot = np.fromiter((column_of[r[j]] for r in raw.rows), np.intp, count=n)
+            X[np.arange(n), hot] = 1.0
+        else:
+            values = np.fromiter((float(r[j]) for r in raw.rows), np.float64, count=n)
+            lo, hi = ranges[a.name]
+            X[:, layout.numeric_column(a.name)] = scale_numeric(values, lo, hi)
+    y = np.array([schema.class_index(c) for c in raw.classes], dtype=np.int64)
     return EncodedDataset(
-        schema=raw.schema,
-        X=X,
-        y=y,
-        column_map=layout.columns,
-        numeric_ranges=ranges,
+        schema=schema, X=X, y=y, layout=layout, numeric_ranges=ranges
     )
 
 

@@ -9,25 +9,32 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rulemine.schema import Attribute, AttributeSchema, EncodedDataset
+from rulemine.rules import match_mask
+from rulemine.schema import Attribute, AttributeSchema, ColumnLayout, EncodedDataset
 
 
 def build_encoded(schema: AttributeSchema, X, y) -> EncodedDataset:
-    """Wrap raw arrays in an EncodedDataset with a consistent column_map."""
-    column_map = []
-    for attr in schema.attributes:
-        if attr.kind == "nominal":
-            column_map.extend((attr.name, v) for v in attr.values)
-        else:
-            column_map.append((attr.name, None))
+    """Wrap raw arrays in an EncodedDataset with the schema's column layout."""
     ranges = {a.name: (0.0, 1.0) for a in schema.attributes if a.kind == "numeric"}
     return EncodedDataset(
         schema=schema,
         X=np.asarray(X, dtype=np.float64),
         y=np.asarray(y, dtype=np.int64),
-        column_map=tuple(column_map),
+        layout=ColumnLayout(schema),
         numeric_ranges=ranges,
     )
+
+
+def first_match(rule_list, x, layout):
+    """Per-row first-match oracle for ``classify_dataset``.
+
+    Returns (class index, 1-based index of the rule that fired), the index
+    being None when the default class answered.
+    """
+    for i, rule in enumerate(rule_list.rules, start=1):
+        if match_mask(rule.antecedent, x.reshape(1, -1), layout)[0]:
+            return rule.class_index, i
+    return rule_list.default_class, None
 
 
 @pytest.fixture

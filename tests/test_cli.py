@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from rulemine import cli
+from rulemine.errors import DataError
 from rulemine.evaluation import evaluate
 from rulemine.model_io import load_model
+from rulemine.rules import classify_dataset, render_rule
 from rulemine.schema import encode, parse_csv
 
 GOLDEN_SEPARABLE_SHA256 = (
@@ -200,6 +202,14 @@ class TestTrain:
         assert code == cli.EXIT_CONFIG
         assert "support_fraction" in err
 
+    def test_missing_data_file_is_data_error(self, workdir, tmp_path, capsys):
+        code = cli.main(["train", "--data", str(tmp_path / "absent.csv"),
+                         "--schema", str(workdir / "sep.schema.json"),
+                         "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert "cannot read input file" in err
+
     def test_no_rules_exit_code_still_writes_model(self, tmp_path, capsys):
         csv_path, schema_path, config_path = _write_interleaved(tmp_path)
         code = cli.main(["train", "--data", str(csv_path), "--schema", str(schema_path),
@@ -290,6 +300,107 @@ class TestPredict:
         err = capsys.readouterr().err
         assert code == cli.EXIT_DATA
         assert "no data rows" in err
+
+    def test_summary_line_on_stderr(self, workdir, capsys, tmp_path):
+        score = tmp_path / "score.csv"
+        score.write_text(
+            "sector,band,score\n"
+            "sector_a,band_1,0.5\n"
+            "sector_z,band_1,0.5\n"
+            "\n"
+            "sector_c,band_4,0.25\n"
+        )
+        dest = tmp_path / "scored.csv"
+        code = cli.main(["predict", "--model", str(workdir / "fmodel.json"),
+                         "--input", str(score), "--out", str(dest)])
+        captured = capsys.readouterr()
+        lines = dest.read_text().splitlines()
+        assert code == 0
+        assert captured.out == ""
+        assert len(lines) == 4  # the summary is not part of the CSV
+        defaults = sum(line.split(",")[1] == "default" for line in lines[1:])
+        assert captured.err == f"scored 2 rows, 1 ERROR, {defaults} default\n"
+
+    def test_all_rows_bad_is_data_error_with_summary(self, workdir, capsys, tmp_path):
+        score = tmp_path / "score.csv"
+        score.write_text("sector,band,score\nsector_z,band_1,0.5\nsector_a,band_1,\n")
+        code = cli.main(["predict", "--model", str(workdir / "fmodel.json"),
+                         "--input", str(score)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DATA
+        assert captured.out.splitlines()[1].startswith("ERROR,-,row 1:")
+        assert captured.err == "scored 0 rows, 2 ERROR, 0 default\n"
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_chunked_output_matches_per_row_oracle(
+        self, workdir, capsys, tmp_path, monkeypatch, labeled
+    ):
+        monkeypatch.setattr(cli, "PREDICT_CHUNK_ROWS", 7)
+        header, *rows = (workdir / "frag.csv").read_text().splitlines()[:61]
+        if not labeled:
+            header = header.rsplit(",", 1)[0]
+            rows = [row.rsplit(",", 1)[0] for row in rows]
+        # the four kinds of malformed row, alone and in a run longer than a chunk
+        breakers = [
+            lambda f: ["sector_z", *f[1:]],          # undeclared nominal value
+            lambda f: [*f[:2], "12.5.0", *f[3:]],    # unparsable numeric
+            lambda f: [*f, "extra"],                 # wrong field count
+            lambda f: [*f[:2], "", *f[3:]],          # missing value
+        ]
+        for n, i in enumerate([3, 8, 13, 19, *range(25, 41)]):
+            rows[i] = ",".join(breakers[n % 4](rows[i].split(",")))
+        for i in (0, 10, 11, 33, 52):
+            rows.insert(i, "")
+        points = tmp_path / "points.csv"
+        points.write_text(header + "\n" + "\n".join(rows) + "\n")
+
+        code = cli.main(["predict", "--model", str(workdir / "fmodel.json"),
+                         "--input", str(points)])
+        out = capsys.readouterr().out
+        assert code == 0
+        got = [csv_fields(line) for line in out.splitlines()[1:]]
+        expected = _per_row_oracle(workdir / "fmodel.json", header, rows)
+        assert sum(line[0] == "ERROR" for line in expected) == 20
+        assert got == expected
+
+    def test_bad_header_writes_nothing(self, workdir, capsys, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("x1,x3\n0.9,0.1\n")
+        code = cli.main(["predict", "--model", str(workdir / "model.json"),
+                         "--input", str(points)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DATA
+        assert captured.out == ""
+        assert "missing column 'x2'" in captured.err
+
+
+def _per_row_oracle(model_path, header, rows):
+    """Expected predict output rows, scoring each input row on its own.
+
+    A row is parsed behind as many blank lines as there are rows before it,
+    so parse_csv names the same row number predict does.
+    """
+    artifact = load_model(model_path)
+    schema, ranges = artifact.schema, artifact.numeric_ranges
+    expected = []
+    for k, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        text = header + "\n" * k + row + "\n"
+        try:
+            raw = parse_csv(io.StringIO(text), schema, require_class=False)
+        except DataError as exc:
+            expected.append(["ERROR", "-", str(exc)])
+            continue
+        predicted, fired = classify_dataset(
+            artifact.rule_list, encode(raw, ranges_from=ranges))
+        label, f = schema.class_labels[predicted[0]], int(fired[0])
+        if f == 0:
+            expected.append([label, "default", "-"])
+        else:
+            rule = artifact.rule_list.rules[f - 1]
+            expected.append([label, str(f), render_rule(rule, schema, ranges)])
+    return expected
 
 
 class TestEvaluate:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_encoded
+from conftest import build_encoded, first_match
 from rulemine.errors import DataError
 from rulemine.evaluation import (
     ConfusionMatrix,
@@ -12,7 +12,7 @@ from rulemine.evaluation import (
     mine_greedy_baseline,
     type_i_error_from_matrix,
 )
-from rulemine.rules import NominalMembership, NumericInterval, Rule, RuleList, classify
+from rulemine.rules import NominalMembership, NumericInterval, Rule, RuleList
 from rulemine.schema import encode
 from rulemine.synth import generate
 
@@ -116,7 +116,7 @@ class TestEvaluate:
         hits = 0
         fires = [0, 0, 0]  # default, rule 1, rule 2
         for i in range(len(tiny)):
-            label, fired = classify(two_rule_list, tiny.X[i], tiny.layout)
+            label, fired = first_match(two_rule_list, tiny.X[i], tiny.layout)
             hits += label == tiny.y[i]
             fires[0 if fired is None else fired] += 1
         assert rep.accuracy == pytest.approx(hits / len(tiny))

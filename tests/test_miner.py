@@ -14,7 +14,7 @@ from rulemine.miner import (
     min_support,
 )
 from rulemine.pso import PsoConfig
-from rulemine.rules import classify, classify_dataset
+from rulemine.rules import classify_dataset
 from rulemine.schema import Attribute, AttributeSchema
 
 SMALL = MinerConfig(
@@ -319,9 +319,10 @@ class TestScatteredMinority:
     def test_minority_rows_fall_to_default(self, scattered_minority):
         data, rule_list, _ = scattered_minority
         assert rule_list.default_class == 0
-        for i in np.flatnonzero(data.y == 1):
-            label, fired = classify(rule_list, data.X[i], data.layout)
-            assert (label, fired) == (0, None)
+        predicted, fired = classify_dataset(rule_list, data)
+        minority = data.y == 1
+        assert np.all(predicted[minority] == 0)
+        assert np.all(fired[minority] == 0)
 
 
 class TestRandomDatasets:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_counts, build_encoded
+from conftest import brute_force_counts, build_encoded, first_match
 from rulemine.errors import DataError, SchemaError
 from rulemine.rules import (
     NominalMembership,
@@ -11,10 +11,8 @@ from rulemine.rules import (
     Rule,
     RuleList,
     choose_default_class,
-    classify,
     classify_dataset,
     confidence,
-    matches,
     render_rule,
     render_rule_list,
     rule_list_from_dict,
@@ -104,24 +102,28 @@ class TestConditionValidity:
             validate_rule(rule, credit_schema)
 
 
+def fires(rule, data):
+    """Per-row flags: does ``rule`` fire when it is the only rule in the list?"""
+    return classify_dataset(RuleList(rules=(rule,), default_class=0), data)[1] == 1
+
+
 class TestMatches:
     def test_empty_antecedent_matches_everything(self, tiny):
         rule = Rule(antecedent=(), class_index=0)
-        assert all(matches(rule, tiny.X[i], tiny.layout) for i in range(len(tiny)))
+        assert all(fires(rule, tiny))
 
     def test_closed_interval_boundary(self, tiny):
         rule = Rule(antecedent=(NumericInterval("salary", 0.3, 0.7),), class_index=0)
-        x = tiny.X[1]  # salary exactly 0.4; adjust to the boundary
-        x = x.copy()
-        x[tiny.layout.numeric_column("salary")] = 0.3
-        assert matches(rule, x, tiny.layout)
+        row = tiny.subset(np.array([1]))  # salary exactly 0.4; adjust to the boundary
+        row.X[0, tiny.layout.numeric_column("salary")] = 0.3
+        assert fires(rule, row)[0]
 
     def test_membership_exclusion(self, tiny):
         rule = Rule(
             antecedent=(NominalMembership("marital_status", frozenset({"married"})),),
             class_index=0,
         )
-        assert not matches(rule, tiny.X[4], tiny.layout)  # single row
+        assert not fires(rule, tiny)[4]  # single row
 
 
 class TestSupportConfidence:
@@ -156,28 +158,28 @@ class TestSupportConfidence:
 class TestClassify:
     def test_empty_list_gives_default(self, tiny):
         rl = RuleList(rules=(), default_class=1)
-        cls, fired = classify(rl, tiny.X[0], tiny.layout)
-        assert cls == 1 and fired is None
+        predicted, fired = classify_dataset(rl, tiny)
+        assert predicted[0] == 1 and fired[0] == 0
 
     def test_first_match_wins(self, tiny, married_rule):
         second = Rule(antecedent=(), class_index=0)
         rl = RuleList(rules=(married_rule, second), default_class=0)
-        cls, fired = classify(rl, tiny.X[0], tiny.layout)
-        assert cls == 1 and fired == 1
+        predicted, fired = classify_dataset(rl, tiny)
+        assert predicted[0] == 1 and fired[0] == 1
 
     def test_fired_index_is_one_based_list_position(self, tiny, married_rule):
         blocker = Rule(
             antecedent=(NumericInterval("salary", 0.95, 1.0),), class_index=0
         )
         rl = RuleList(rules=(blocker, married_rule), default_class=0)
-        cls, fired = classify(rl, tiny.X[0], tiny.layout)
-        assert cls == 1 and fired == 2
+        predicted, fired = classify_dataset(rl, tiny)
+        assert predicted[0] == 1 and fired[0] == 2
 
     def test_classify_dataset_matches_loop(self, tiny, married_rule):
         rl = RuleList(rules=(married_rule,), default_class=0)
         predicted, fired = classify_dataset(rl, tiny)
         for i in range(len(tiny)):
-            c, f = classify(rl, tiny.X[i], tiny.layout)
+            c, f = first_match(rl, tiny.X[i], tiny.layout)
             assert predicted[i] == c
             assert fired[i] == (0 if f is None else f)
 
@@ -186,10 +188,11 @@ class TestClassify:
         extended = RuleList(
             rules=(married_rule, Rule(antecedent=(), class_index=0)), default_class=1
         )
-        for i in range(len(tiny)):
-            before = classify(rl, tiny.X[i], tiny.layout)
-            if before[1] is not None:
-                assert classify(extended, tiny.X[i], tiny.layout) == before
+        before = classify_dataset(rl, tiny)
+        after = classify_dataset(extended, tiny)
+        decided = before[1] != 0
+        assert np.array_equal(after[0][decided], before[0][decided])
+        assert np.array_equal(after[1][decided], before[1][decided])
 
 
 class TestDefaultClass:

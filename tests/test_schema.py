@@ -9,8 +9,9 @@ from rulemine.errors import ConfigError, DataError, SchemaError
 from rulemine.schema import (
     Attribute,
     AttributeSchema,
+    ColumnLayout,
+    RawDataset,
     encode,
-    layout_for,
     load_schema,
     parse_csv,
     save_schema,
@@ -168,6 +169,57 @@ class TestEncode:
             assert col.min() == 0.0 and col.max() == 1.0
 
 
+def _encode_row_reference(schema, ranges, row):
+    """The per-row encoding, scalar min-max scaling one value at a time."""
+    layout = ColumnLayout(schema)
+    x = np.zeros(layout.dimension)
+    for a, value in zip(schema.attributes, row):
+        if a.kind == "nominal":
+            x[layout.nominal_columns(a.name).start + a.values.index(value)] = 1.0
+        else:
+            lo, hi = ranges[a.name]
+            scaled = 0.0 if hi <= lo else min(1.0, max(0.0, (float(value) - lo) / (hi - lo)))
+            x[layout.numeric_column(a.name)] = scaled
+    return x
+
+
+class TestEncodeMatchesPerRowFormula:
+    """The column-wise encode is bit-identical to the per-row formula."""
+
+    # salary spans the range below, at and above [10, 20]; age is a constant
+    # training column; the last range makes value - lo and hi - lo overflow
+    @pytest.mark.parametrize("ranges", [
+        {"salary": (10.0, 20.0), "age": (30.0, 30.0)},
+        {"salary": (10.0, 20.0), "age": (-1e308, 1e308)},
+    ])
+    def test_fixed_values(self, credit_schema, ranges):
+        salaries = ["-1e308", "-3", "9.999999999", "10", "10.000000001", "13.7",
+                    "15", "19.99999999", "20", "20.000001", "55", "1e308"]
+        ages = ["29", "30", "31", "1e308", "-1e308", "0"]
+        statuses = credit_schema.attribute("marital_status").values
+        rows = [(statuses[i % 3], s, ages[i % len(ages)]) for i, s in enumerate(salaries)]
+        self._check(credit_schema, rows, ranges)
+
+    def test_random_values_and_own_ranges(self, credit_schema):
+        rng = np.random.default_rng(5)
+        statuses = credit_schema.attribute("marital_status").values
+        rows = [
+            (statuses[int(rng.integers(0, 3))], repr(float(s)), repr(float(a)))
+            for s, a in rng.uniform(-50.0, 150.0, (300, 2))
+        ]
+        self._check(credit_schema, rows, None)
+        self._check(credit_schema, rows, {"salary": (0.0, 100.0), "age": (20.0, 60.0)})
+
+    @staticmethod
+    def _check(schema, rows, ranges):
+        raw = RawDataset(schema, rows, [])
+        enc = encode(raw, ranges_from=ranges)
+        expected = np.vstack(
+            [_encode_row_reference(schema, enc.numeric_ranges, r) for r in rows])
+        assert enc.X.dtype == np.float64 and enc.y.size == 0
+        assert enc.X.tobytes() == expected.tobytes()
+
+
 # random schemas for the structural laws
 _names = st.lists(
     st.text(alphabet="abcdefgh", min_size=1, max_size=6),
@@ -196,7 +248,7 @@ def test_width_law(schema):
     width = sum(
         len(a.values) if a.kind == "nominal" else 1 for a in schema.attributes
     )
-    assert layout_for(schema).dimension == width
+    assert ColumnLayout(schema).dimension == width
 
 
 @given(schemas(), st.randoms(use_true_random=False))
