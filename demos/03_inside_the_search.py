@@ -26,21 +26,23 @@ print(f"{len(data)} rows, {data.dimension} encoded columns, classes {labels}")
 
 # stage 1: prototypes. Centroids per class are allocated proportionally.
 network = fit_network(data, LvqConfig(centroid_count=12, max_epochs=30, seed=4))
-print(f"\nfitted {len(network.centroids)} centroids:")
-for c in network.centroids:
-    print(f"  class {labels[c.class_index]:8s} represents {c.represented_count:4d} rows, "
-          f"mean deviation {float(np.mean(c.deviation)):.3f}")
+print(f"\nfitted {len(network.positions)} centroids:")
+for c, count, deviation in zip(
+    network.class_indices, network.represented_counts, network.deviations
+):
+    print(f"  class {labels[c]:8s} represents {count:4d} rows, "
+          f"mean deviation {float(np.mean(deviation)):.3f}")
 
 # stage 2: the swarm hunts a rule for the rarer class
 target = 1
 config = PsoConfig(swarm_size=30, max_iterations=150, stagnation_limit=25, seed=4)
 swarm = seed_swarm(network, target, 2, data, config)
-print(f"\nswarm of {len(swarm.particles)} particles seeded for class {labels[target]!r}")
-print(f"initial best fitness: {swarm.best_fitness:.4f}")
+print(f"\nswarm of {len(swarm.position)} particles seeded for class {labels[target]!r}")
+print(f"initial best fitness: {swarm.gbest_fitness:.4f}")
 
 best_rule = evolve(swarm, data, config)
 trace = swarm.trace
-print(f"searched {len(trace)} iterations; best fitness {swarm.best_fitness:.4f}")
+print(f"searched {len(trace)} iterations; best fitness {swarm.gbest_fitness:.4f}")
 
 # the trace is monotone: the global best can only improve
 marks = [trace[0]] + [t for prev, t in zip(trace, trace[1:]) if t > prev]

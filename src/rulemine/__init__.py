@@ -16,7 +16,6 @@ from .evaluation import (
     type_i_error_from_matrix,
 )
 from .lvq import (
-    Centroid,
     LvqConfig,
     LvqNetwork,
     allocate_per_class,
@@ -27,7 +26,7 @@ from .lvq import (
 from .lvq import train as train_network
 from .miner import MinerConfig, MiningReport, RuleRecord, mine, min_support
 from .model_io import ModelArtifact, load_model, save_model
-from .pso import Particle, PsoConfig, Swarm, binarize, decode, evolve, fitness, seed_swarm, step
+from .pso import PsoConfig, Swarm, binarize, evolve, fitness, seed_swarm, step
 from .rules import (
     NominalMembership,
     NumericInterval,
@@ -35,10 +34,8 @@ from .rules import (
     Rule,
     RuleList,
     classify_dataset,
-    confidence,
     render_rule,
     render_rule_list,
-    support,
 )
 from .schema import (
     Attribute,
@@ -58,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Attribute",
     "AttributeSchema",
-    "Centroid",
     "ConfigError",
     "ConfusionMatrix",
     "DataError",
@@ -71,7 +67,6 @@ __all__ = [
     "ModelArtifact",
     "NominalMembership",
     "NumericInterval",
-    "Particle",
     "Provenance",
     "PsoConfig",
     "RawDataset",
@@ -85,8 +80,6 @@ __all__ = [
     "allocate_per_class",
     "binarize",
     "classify_dataset",
-    "confidence",
-    "decode",
     "encode",
     "evaluate",
     "evolve",
@@ -108,7 +101,6 @@ __all__ = [
     "seed_swarm",
     "step",
     "stratified_split",
-    "support",
     "train_network",
     "type_i_error_from_matrix",
 ]

@@ -41,26 +41,15 @@ class LvqConfig:
 
 
 @dataclass
-class Centroid:
-    position: np.ndarray
-    class_index: int
-    represented_count: int = 0
-    deviation: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
-@dataclass
 class LvqNetwork:
-    centroids: list[Centroid]
+    """Centroids as arrays, one row per centroid."""
+
+    positions: np.ndarray  # (k, d)
+    class_indices: np.ndarray  # (k,)
+    represented_counts: np.ndarray  # (k,) training examples nearest each centroid
+    deviations: np.ndarray  # (k, d) per-dimension spread of those examples
     allocation: dict[int, int]
     trace: list[float] = field(default_factory=list)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.stack([c.position for c in self.centroids])
-
-    @property
-    def class_indices(self) -> np.ndarray:
-        return np.array([c.class_index for c in self.centroids], dtype=np.int64)
 
 
 def move_toward(position: np.ndarray, example: np.ndarray, rate: float) -> np.ndarray:
@@ -124,21 +113,18 @@ def init_network(train: EncodedDataset, config: LvqConfig) -> LvqNetwork:
         raise DataError("cannot initialize a network from an empty dataset")
     rng, _ = _seed_pair(config.seed)
     alloc = allocate_per_class(train.class_counts(), config.centroid_count)
-    centroids: list[Centroid] = []
-    d = train.dimension
+    rows = []
     for class_index, count in alloc.items():
         members = np.flatnonzero(train.y == class_index)
-        chosen = rng.choice(members, size=count, replace=members.size < count)
-        for row in chosen:
-            centroids.append(
-                Centroid(
-                    position=train.X[int(row)].copy(),
-                    class_index=class_index,
-                    represented_count=0,
-                    deviation=np.zeros(d),
-                )
-            )
-    return LvqNetwork(centroids=centroids, allocation=alloc)
+        rows.append(rng.choice(members, size=count, replace=members.size < count))
+    k = config.centroid_count
+    return LvqNetwork(
+        positions=train.X[np.concatenate(rows)],
+        class_indices=np.repeat(list(alloc), list(alloc.values())),
+        represented_counts=np.zeros(k, dtype=np.int64),
+        deviations=np.zeros((k, train.dimension)),
+        allocation=alloc,
+    )
 
 
 def nearest_two(network: LvqNetwork, point: np.ndarray) -> tuple[tuple[int, float], tuple[int, float]]:
@@ -146,10 +132,9 @@ def nearest_two(network: LvqNetwork, point: np.ndarray) -> tuple[tuple[int, floa
 
     Ties resolve to the lowest centroid index.
     """
-    if len(network.centroids) < 2:
+    if len(network.positions) < 2:
         raise ConfigError("nearest_two needs at least 2 centroids")
-    positions = network.positions
-    diff = positions - point
+    diff = network.positions - point
     d2 = np.einsum("kd,kd->k", diff, diff)
     first = int(np.argmin(d2))  # argmin returns the first (lowest) index on ties
     d_first = float(np.sqrt(d2[first]))
@@ -169,15 +154,11 @@ def _final_statistics(
         + np.einsum("kd,kd->k", positions, positions)[None, :]
     )
     assign = np.argmin(d2, axis=1)
-    d = train.dimension
-    for k, centroid in enumerate(network.centroids):
-        members = np.flatnonzero(assign == k)
-        centroid.position = positions[k]
-        centroid.represented_count = int(members.size)
-        if members.size >= 2:
-            centroid.deviation = np.std(train.X[members], axis=0)
-        else:
-            centroid.deviation = np.zeros(d)
+    network.positions = positions
+    network.represented_counts = np.bincount(assign, minlength=len(positions))
+    network.deviations = np.zeros_like(positions)
+    for k in np.flatnonzero(network.represented_counts >= 2):
+        network.deviations[k] = np.std(train.X[assign == k], axis=0)
 
 
 def train(network: LvqNetwork, train_data: EncodedDataset, config: LvqConfig) -> LvqNetwork:

@@ -15,7 +15,7 @@ failed attempts in a row.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .rules import (
     Rule,
     RuleList,
     choose_default_class,
-    match_mask,
+    rule_quality,
     rule_to_dict,
 )
 from .schema import AttributeSchema, EncodedDataset
@@ -59,24 +59,12 @@ class MinerConfig:
     @staticmethod
     def from_dict(doc: dict) -> "MinerConfig":
         """Build a config from a JSON-style dict of overrides."""
-        known = {
-            "support_factor",
-            "min_confidence",
-            "max_attempts_per_class",
-            "min_represented",
-            "lvq",
-            "pso",
-            "seed",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-        kwargs = {k: v for k, v in doc.items() if k not in ("lvq", "pso")}
+        kwargs = _checked_fields(MinerConfig, doc)
         try:
             if "lvq" in doc:
-                kwargs["lvq"] = LvqConfig(**doc["lvq"])
+                kwargs["lvq"] = LvqConfig(**_checked_fields(LvqConfig, doc["lvq"]))
             if "pso" in doc:
-                pso_doc = dict(doc["pso"])
+                pso_doc = _checked_fields(PsoConfig, doc["pso"])
                 for bounds_key in ("veloc1_bounds", "veloc2_bounds"):
                     if bounds_key in pso_doc:
                         pso_doc[bounds_key] = tuple(pso_doc[bounds_key])
@@ -87,6 +75,23 @@ class MinerConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _checked_fields(cls: type, doc: dict) -> dict:
+    """Copy of ``doc`` after checking its keys against the fields of the
+    config dataclass ``cls``; integer fields take integers only (not bools)."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{cls.__name__} section must be a JSON object")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(doc) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
+    for key, value in doc.items():
+        if types[key] in ("int", int) and (
+            isinstance(value, bool) or not isinstance(value, int)
+        ):
+            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return dict(doc)
 
 
 def min_support(uncovered_count: int, total_train: int, support_factor: float) -> float:
@@ -218,19 +223,18 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
             break
         target = min(viable, key=lambda c: (-int(uncovered_counts[c]), c))
         iteration += 1
-        assert iteration <= iteration_bound, "mining loop exceeded its iteration bound"
+        if iteration > iteration_bound:
+            raise RuntimeError("mining loop exceeded its iteration bound")
 
         sub = train.subset(uncovered_idx)
         swarm_config = replace(config.pso, seed=draw_seed())
         swarm = seed_swarm(network, target, config.min_represented, sub, swarm_config)
         candidate = evolve(swarm, sub, swarm_config)
 
-        mask = match_mask(candidate.antecedent, sub.X, sub.layout)
-        matched = int(np.count_nonzero(mask))
-        correct_mask = mask & (sub.y == target)
+        support_value, confidence_value, correct_mask = rule_quality(
+            candidate.antecedent, target, sub
+        )
         correct = int(np.count_nonzero(correct_mask))
-        support_value = correct / len(sub)
-        confidence_value = correct / matched if matched else 0.0
         # the floor and the gate share the full-training-size denominator, so
         # the gate reduces to: covered count >= support_factor * uncovered_c.
         # support_value itself is kept on the uncovered snapshot (same

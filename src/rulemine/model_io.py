@@ -17,10 +17,10 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DataError
-from .lvq import Centroid, LvqNetwork
+from .lvq import LvqNetwork
 from .miner import MinerConfig
 from .rules import RuleList, rule_list_from_dict, rule_list_to_dict
-from .schema import AttributeSchema
+from .schema import AttributeSchema, ColumnLayout
 
 FORMAT_VERSION = 1
 
@@ -41,12 +41,17 @@ def _network_to_dict(network: LvqNetwork, schema: AttributeSchema) -> dict:
         "allocation": {labels[c]: n for c, n in sorted(network.allocation.items())},
         "centroids": [
             {
-                "position": c.position.tolist(),
-                "class": labels[c.class_index],
-                "represented_count": c.represented_count,
-                "deviation": c.deviation.tolist(),
+                "position": position.tolist(),
+                "class": labels[class_index],
+                "represented_count": int(count),
+                "deviation": deviation.tolist(),
             }
-            for c in network.centroids
+            for position, class_index, count, deviation in zip(
+                network.positions,
+                network.class_indices,
+                network.represented_counts,
+                network.deviations,
+            )
         ],
     }
 
@@ -54,19 +59,27 @@ def _network_to_dict(network: LvqNetwork, schema: AttributeSchema) -> dict:
 def _network_from_dict(doc: Mapping, schema: AttributeSchema) -> LvqNetwork:
     label_index = {label: i for i, label in enumerate(schema.class_labels)}
     try:
-        centroids = [
-            Centroid(
-                position=np.asarray(entry["position"], dtype=np.float64),
-                class_index=label_index[entry["class"]],
-                represented_count=int(entry["represented_count"]),
-                deviation=np.asarray(entry["deviation"], dtype=np.float64),
-            )
-            for entry in doc["centroids"]
-        ]
-        allocation = {label_index[k]: int(v) for k, v in doc["allocation"].items()}
-    except (KeyError, TypeError) as exc:
+        entries = doc["centroids"]
+        network = LvqNetwork(
+            positions=np.array([e["position"] for e in entries], dtype=np.float64),
+            class_indices=np.array(
+                [label_index[e["class"]] for e in entries], dtype=np.int64
+            ),
+            represented_counts=np.array(
+                [int(e["represented_count"]) for e in entries], dtype=np.int64
+            ),
+            deviations=np.array([e["deviation"] for e in entries], dtype=np.float64),
+            allocation={label_index[k]: int(v) for k, v in doc["allocation"].items()},
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed network section: {exc}") from exc
-    return LvqNetwork(centroids=centroids, allocation=allocation)
+    shape = (len(entries), ColumnLayout(schema).dimension)
+    if network.positions.shape != shape or network.deviations.shape != shape:
+        raise DataError(
+            f"network positions and deviations must have shape {shape}, got "
+            f"{network.positions.shape} and {network.deviations.shape}"
+        )
+    return network
 
 
 def model_to_dict(artifact: ModelArtifact) -> dict:

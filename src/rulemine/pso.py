@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .lvq import LvqNetwork
-from .rules import NominalMembership, NumericInterval, Rule, match_mask
+from .rules import NominalMembership, NumericInterval, Rule, rule_quality
 from .schema import ColumnLayout, EncodedDataset
 
 _PERTURB_VELOC_SCALE = 0.1  # fraction of the veloc2 span, for perturbed copies
@@ -64,27 +64,24 @@ class PsoConfig:
 
 
 @dataclass
-class Particle:
-    position: np.ndarray  # bits, stored as 0.0/1.0 for velocity arithmetic
-    veloc1: np.ndarray
-    veloc2: np.ndarray
-    genes: np.ndarray  # (num numeric attributes, 2) rows of (lo, hi)
-    gene_veloc: np.ndarray
-    fitness: float
-    best_position: np.ndarray
-    best_genes: np.ndarray
-    best_fitness: float
-
-
-@dataclass
 class Swarm:
-    particles: list[Particle]
+    """Particle state as arrays, one row per particle (S particles, d encoded
+    columns, a numeric attributes); the gbest_* fields hold the global best."""
+
+    position: np.ndarray  # (S, d) bits, stored as 0.0/1.0 for velocity arithmetic
+    veloc1: np.ndarray  # (S, d)
+    veloc2: np.ndarray  # (S, d)
+    genes: np.ndarray  # (S, a, 2) rows of (lo, hi)
+    gene_veloc: np.ndarray  # (S, a, 2)
+    best_position: np.ndarray  # (S, d) personal bests
+    best_genes: np.ndarray  # (S, a, 2)
+    best_fitness: np.ndarray  # (S,)
+    gbest_position: np.ndarray  # (d,)
+    gbest_genes: np.ndarray  # (a, 2)
+    gbest_fitness: float
     class_index: int
     rng: np.random.Generator
     iteration: int = 0
-    best_position: np.ndarray | None = None
-    best_genes: np.ndarray | None = None
-    best_fitness: float = -np.inf
     trace: list[float] = field(default_factory=list)
 
 
@@ -133,24 +130,9 @@ def decode_state(
     return Rule(antecedent=tuple(conditions), class_index=class_index)
 
 
-def decode(particle: Particle, data: EncodedDataset, class_index: int) -> Rule:
-    return decode_state(particle.position, particle.genes, data.layout, class_index)
-
-
 def fitness_from_rule(rule: Rule, data: EncodedDataset, config: PsoConfig) -> float:
-    """Weighted confidence + support + shortness of a decoded rule.
-
-    Uses the same count-then-divide arithmetic as rules.support and
-    rules.confidence, so recomputing fitness from the decoded Rule matches
-    this value exactly.
-    """
-    if len(data) == 0:
-        raise DataError("fitness is undefined on an empty dataset")
-    mask = match_mask(rule.antecedent, data.X, data.layout)
-    matched = int(np.count_nonzero(mask))
-    correct = int(np.count_nonzero(mask & (data.y == rule.class_index)))
-    support = correct / len(data)
-    confidence = correct / matched if matched else 0.0
+    """Weighted confidence + support + shortness of a decoded rule."""
+    support, confidence, _ = rule_quality(rule.antecedent, rule.class_index, data)
     total_attributes = len(data.schema.attributes)
     shortness = 1.0 - len(rule.antecedent) / total_attributes
     return (
@@ -161,46 +143,35 @@ def fitness_from_rule(rule: Rule, data: EncodedDataset, config: PsoConfig) -> fl
 
 
 def fitness(
-    particle: Particle, class_index: int, data: EncodedDataset, config: PsoConfig
-) -> float:
-    return fitness_from_rule(decode(particle, data, class_index), data, config)
-
-
-def _rescale_to(values: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
-    lo, hi = bounds
-    return lo + values * (hi - lo)
-
-
-def _seed_veloc2(
-    centroid_position: np.ndarray,
-    centroid_deviation: np.ndarray,
-    numeric_mask: np.ndarray,
+    position: np.ndarray,
+    genes: np.ndarray,
+    class_index: int,
+    data: EncodedDataset,
     config: PsoConfig,
 ) -> np.ndarray:
-    """Centroid-derived accumulator start values.
-
-    Nominal columns reuse the centroid coordinate directly; numeric columns
-    use 1 - 1.5 * deviation (clamped to [0, 1]) so that a dimension the
-    centroid represents tightly is likely to participate. Both are then
-    rescaled into the veloc2 bounds.
-    """
-    raw = np.where(
-        numeric_mask,
-        np.clip(1.0 - 1.5 * centroid_deviation, 0.0, 1.0),
-        centroid_position,
+    """Fitness of every particle: (S, d) bits and (S, a, 2) genes -> (S,)."""
+    return np.array(
+        [
+            fitness_from_rule(decode_state(p, g, data.layout, class_index), data, config)
+            for p, g in zip(position, genes)
+        ]
     )
-    return _rescale_to(raw, config.veloc2_bounds)
 
 
-def _seed_genes(
-    centroid_position: np.ndarray,
-    centroid_deviation: np.ndarray,
-    numeric_cols: np.ndarray,
-) -> np.ndarray:
-    center = centroid_position[numeric_cols]
-    spread = 1.5 * centroid_deviation[numeric_cols]
-    genes = np.stack([center - spread, center + spread], axis=1)
-    return np.clip(genes, 0.0, 1.0)
+def _update_bests(swarm: Swarm, fit: np.ndarray) -> None:
+    """Adopt strictly better personal bests, then the global best, and extend
+    the trace. argmax takes the first particle on ties, as an in-order scan
+    with strict improvement would."""
+    improved = fit > swarm.best_fitness
+    swarm.best_fitness[improved] = fit[improved]
+    swarm.best_position[improved] = swarm.position[improved]
+    swarm.best_genes[improved] = swarm.genes[improved]
+    top = int(np.argmax(swarm.best_fitness))
+    if swarm.best_fitness[top] > swarm.gbest_fitness:
+        swarm.gbest_fitness = float(swarm.best_fitness[top])
+        swarm.gbest_position = swarm.best_position[top].copy()
+        swarm.gbest_genes = swarm.best_genes[top].copy()
+    swarm.trace.append(swarm.gbest_fitness)
 
 
 def seed_swarm(
@@ -227,62 +198,68 @@ def seed_swarm(
     )
     numeric_mask = np.zeros(d, dtype=bool)
     numeric_mask[numeric_cols] = True
+    S, a = config.swarm_size, numeric_cols.size
 
-    seeds = [
-        c
-        for c in network.centroids
-        if c.class_index == class_index and c.represented_count >= min_represented
-    ]
-    if not seeds:
-        seeds = [c for c in network.centroids if c.class_index == class_index]
+    of_class = network.class_indices == class_index
+    seeds = np.flatnonzero(of_class & (network.represented_counts >= min_represented))
+    if not seeds.size:
+        seeds = np.flatnonzero(of_class)
 
     rng = np.random.default_rng(config.seed)
     lb1, ub1 = config.veloc1_bounds
     lb2, ub2 = config.veloc2_bounds
-    particles: list[Particle] = []
-    for s in range(config.swarm_size):
-        if seeds:
-            base = seeds[s % len(seeds)]
-            veloc2 = _seed_veloc2(base.position, base.deviation, numeric_mask, config)
-            genes = _seed_genes(base.position, base.deviation, numeric_cols)
-            if s >= len(seeds):
-                veloc2 = np.clip(
-                    veloc2 + rng.normal(0.0, _PERTURB_VELOC_SCALE * (ub2 - lb2), d),
-                    lb2,
-                    ub2,
-                )
-                genes = np.sort(
-                    np.clip(genes + rng.normal(0.0, _PERTURB_GENE_SCALE, genes.shape), 0.0, 1.0),
-                    axis=1,
-                )
-        else:
-            veloc2 = rng.uniform(lb2, ub2, d)
-            genes = np.sort(rng.uniform(0.0, 1.0, (numeric_cols.size, 2)), axis=1)
-        veloc1 = rng.uniform(lb1, ub1, d)
-        gene_veloc = rng.uniform(lb1, ub1, genes.shape)
-        position = binarize(veloc2, rng)
-        particle = Particle(
-            position=position,
-            veloc1=veloc1,
-            veloc2=veloc2,
-            genes=genes,
-            gene_veloc=gene_veloc,
-            fitness=-np.inf,
-            best_position=position.copy(),
-            best_genes=genes.copy(),
-            best_fitness=-np.inf,
+    if seeds.size:
+        # particle s starts from seed s mod |seeds|. Accumulators: nominal
+        # columns reuse the centroid coordinate; numeric columns use
+        # 1 - 1.5 * deviation (clamped to [0, 1]), so a dimension the centroid
+        # represents tightly is likely to participate; both are rescaled into
+        # the veloc2 bounds. Genes span center +- 1.5 * deviation.
+        base = seeds[np.arange(S) % seeds.size]
+        centers, deviations = network.positions[base], network.deviations[base]
+        raw = np.where(
+            numeric_mask, np.clip(1.0 - 1.5 * deviations, 0.0, 1.0), centers
         )
-        particle.fitness = fitness(particle, class_index, data, config)
-        particle.best_fitness = particle.fitness
-        particles.append(particle)
+        veloc2 = lb2 + raw * (ub2 - lb2)
+        center = centers[:, numeric_cols]
+        spread = 1.5 * deviations[:, numeric_cols]
+        genes = np.clip(np.stack([center - spread, center + spread], axis=2), 0.0, 1.0)
+    else:
+        veloc2, genes = np.empty((S, d)), np.empty((S, a, 2))
+    veloc1, gene_veloc, position = np.empty((S, d)), np.empty((S, a, 2)), np.empty((S, d))
+    for s in range(S):
+        if not seeds.size:
+            veloc2[s] = rng.uniform(lb2, ub2, d)
+            genes[s] = np.sort(rng.uniform(0.0, 1.0, (a, 2)), axis=1)
+        elif s >= seeds.size:  # perturbed copy of a seed
+            veloc2[s] = np.clip(
+                veloc2[s] + rng.normal(0.0, _PERTURB_VELOC_SCALE * (ub2 - lb2), d),
+                lb2,
+                ub2,
+            )
+            genes[s] = np.sort(
+                np.clip(genes[s] + rng.normal(0.0, _PERTURB_GENE_SCALE, (a, 2)), 0.0, 1.0),
+                axis=1,
+            )
+        veloc1[s] = rng.uniform(lb1, ub1, d)
+        gene_veloc[s] = rng.uniform(lb1, ub1, (a, 2))
+        position[s] = binarize(veloc2[s], rng)
 
-    swarm = Swarm(particles=particles, class_index=class_index, rng=rng)
-    for p in particles:
-        if p.best_fitness > swarm.best_fitness:
-            swarm.best_fitness = p.best_fitness
-            swarm.best_position = p.best_position.copy()
-            swarm.best_genes = p.best_genes.copy()
-    swarm.trace.append(swarm.best_fitness)
+    swarm = Swarm(
+        position=position,
+        veloc1=veloc1,
+        veloc2=veloc2,
+        genes=genes,
+        gene_veloc=gene_veloc,
+        best_position=position.copy(),
+        best_genes=genes.copy(),
+        best_fitness=np.full(S, -np.inf),
+        gbest_position=position[0],  # placeholders until the first update
+        gbest_genes=genes[0],
+        gbest_fitness=-np.inf,
+        class_index=class_index,
+        rng=rng,
+    )
+    _update_bests(swarm, fitness(position, genes, class_index, data, config))
     return swarm
 
 
@@ -290,54 +267,43 @@ def step(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> None:
     """Advance the swarm one iteration (synchronous update).
 
     All particles move against the current global best, then fitness,
-    personal bests, and the global best are updated in particle order.
-    Best updates require strict improvement.
+    personal bests, and the global best are updated. Best updates require
+    strict improvement. Particle s takes its random numbers from row s of one
+    block, in the order r1, r2, bit draw, g1, g2.
     """
-    rng = swarm.rng
+    S, d = swarm.position.shape
+    g = swarm.genes[0].size
+    draws = swarm.rng.random((S, 3 * d + 2 * g))
+    r1, r2, bit_draw = draws[:, :d], draws[:, d : 2 * d], draws[:, 2 * d : 3 * d]
+    g1 = draws[:, 3 * d : 3 * d + g].reshape(swarm.genes.shape)
+    g2 = draws[:, 3 * d + g :].reshape(swarm.genes.shape)
     lb1, ub1 = config.veloc1_bounds
     lb2, ub2 = config.veloc2_bounds
     w, c1, c2 = config.inertia, config.cognitive, config.social
-    gbest_position = swarm.best_position
-    gbest_genes = swarm.best_genes
 
-    for p in swarm.particles:
-        r1 = rng.random(p.position.shape)
-        r2 = rng.random(p.position.shape)
-        p.veloc1 = np.clip(
-            w * p.veloc1
-            + c1 * r1 * (p.best_position - p.position)
-            + c2 * r2 * (gbest_position - p.position),
-            lb1,
-            ub1,
-        )
-        p.veloc2 = np.clip(p.veloc2 + p.veloc1, lb2, ub2)
-        p.position = binarize(p.veloc2, rng)
-        if p.genes.size:
-            g1 = rng.random(p.genes.shape)
-            g2 = rng.random(p.genes.shape)
-            p.gene_veloc = np.clip(
-                w * p.gene_veloc
-                + c1 * g1 * (p.best_genes - p.genes)
-                + c2 * g2 * (gbest_genes - p.genes),
-                lb1,
-                ub1,
-            )
-            # clamp to the unit interval, then swap-repair lo > hi
-            p.genes = np.sort(np.clip(p.genes + p.gene_veloc, 0.0, 1.0), axis=1)
-
-    for p in swarm.particles:
-        p.fitness = fitness(p, swarm.class_index, data, config)
-        if p.fitness > p.best_fitness:
-            p.best_fitness = p.fitness
-            p.best_position = p.position.copy()
-            p.best_genes = p.genes.copy()
-        if p.best_fitness > swarm.best_fitness:
-            swarm.best_fitness = p.best_fitness
-            swarm.best_position = p.best_position.copy()
-            swarm.best_genes = p.best_genes.copy()
+    swarm.veloc1 = np.clip(
+        w * swarm.veloc1
+        + c1 * r1 * (swarm.best_position - swarm.position)
+        + c2 * r2 * (swarm.gbest_position - swarm.position),
+        lb1,
+        ub1,
+    )
+    swarm.veloc2 = np.clip(swarm.veloc2 + swarm.veloc1, lb2, ub2)
+    swarm.position = (bit_draw < sigmoid(swarm.veloc2)).astype(np.float64)
+    swarm.gene_veloc = np.clip(
+        w * swarm.gene_veloc
+        + c1 * g1 * (swarm.best_genes - swarm.genes)
+        + c2 * g2 * (swarm.gbest_genes - swarm.genes),
+        lb1,
+        ub1,
+    )
+    # clamp to the unit interval, then swap-repair lo > hi
+    swarm.genes = np.sort(np.clip(swarm.genes + swarm.gene_veloc, 0.0, 1.0), axis=2)
 
     swarm.iteration += 1
-    swarm.trace.append(swarm.best_fitness)
+    _update_bests(
+        swarm, fitness(swarm.position, swarm.genes, swarm.class_index, data, config)
+    )
 
 
 def evolve(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> Rule:
@@ -348,9 +314,9 @@ def evolve(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> Rule:
     """
     stale = 0
     while swarm.iteration < config.max_iterations and stale < config.stagnation_limit:
-        before = swarm.best_fitness
+        before = swarm.gbest_fitness
         step(swarm, data, config)
-        stale = 0 if swarm.best_fitness > before else stale + 1
+        stale = 0 if swarm.gbest_fitness > before else stale + 1
     return decode_state(
-        swarm.best_position, swarm.best_genes, data.layout, swarm.class_index
+        swarm.gbest_position, swarm.gbest_genes, data.layout, swarm.class_index
     )

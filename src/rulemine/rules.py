@@ -136,25 +136,22 @@ def match_mask(
     return mask
 
 
-def support(rule: Rule, data: EncodedDataset) -> float:
-    """Fraction of the dataset matched by the rule and carrying its class."""
-    if len(data) == 0:
-        raise DataError("support is undefined on an empty dataset")
-    mask = match_mask(rule.antecedent, data.X, data.layout)
-    correct = int(np.count_nonzero(mask & (data.y == rule.class_index)))
-    return correct / len(data)
+def rule_quality(
+    conditions: Sequence[Condition], class_index: int, data: EncodedDataset
+) -> tuple[float, float, np.ndarray]:
+    """Support and confidence of a rule on ``data``, plus its correct-match mask.
 
-
-def confidence(rule: Rule, data: EncodedDataset) -> float:
-    """Fraction of matched examples carrying the rule's class; 0.0 if none match."""
+    Support is the fraction of all rows the rule matches and whose class is
+    ``class_index``; confidence is that count over the rows matched, 0.0 when
+    nothing matches. The mask flags the matched rows of ``class_index``.
+    """
     if len(data) == 0:
-        raise DataError("confidence is undefined on an empty dataset")
-    mask = match_mask(rule.antecedent, data.X, data.layout)
+        raise DataError("support and confidence are undefined on an empty dataset")
+    mask = match_mask(conditions, data.X, data.layout)
     matched = int(np.count_nonzero(mask))
-    if matched == 0:
-        return 0.0
-    correct = int(np.count_nonzero(mask & (data.y == rule.class_index)))
-    return correct / matched
+    correct_mask = mask & (data.y == class_index)
+    correct = int(np.count_nonzero(correct_mask))
+    return correct / len(data), (correct / matched if matched else 0.0), correct_mask
 
 
 def classify_dataset(

@@ -122,11 +122,8 @@ class AttributeSchema:
         extra = set(doc) - required
         if extra:
             raise SchemaError(f"schema document has unknown key {sorted(extra)[0]!r}")
-        raw_attrs = doc["attributes"]
-        if not isinstance(raw_attrs, Sequence) or isinstance(raw_attrs, (str, bytes)):
-            raise SchemaError("'attributes' must be a list")
         attrs = []
-        for entry in raw_attrs:
+        for entry in _json_list(doc["attributes"], "'attributes'"):
             if not isinstance(entry, Mapping):
                 raise SchemaError("each attribute entry must be a JSON object")
             allowed = {"name", "kind", "values"}
@@ -137,16 +134,20 @@ class AttributeSchema:
                 )
             if "name" not in entry or "kind" not in entry:
                 raise SchemaError("attribute entry needs 'name' and 'kind'")
-            values = tuple(entry.get("values", ()))
-            attrs.append(Attribute(str(entry["name"]), str(entry["kind"]), values))
-        labels = doc["class_labels"]
-        if not isinstance(labels, Sequence) or isinstance(labels, (str, bytes)):
-            raise SchemaError("'class_labels' must be a list")
+            values = _json_list(entry.get("values", ()), f"'values' of {entry['name']!r}")
+            attrs.append(Attribute(str(entry["name"]), str(entry["kind"]), tuple(values)))
+        labels = _json_list(doc["class_labels"], "'class_labels'")
         return AttributeSchema(
             attributes=tuple(attrs),
             class_attribute=str(doc["class_attribute"]),
             class_labels=tuple(str(v) for v in labels),
         )
+
+
+def _json_list(value, what: str) -> Sequence:
+    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
+        raise SchemaError(f"{what} must be a list")
+    return value
 
 
 def load_schema(path: str | Path) -> AttributeSchema:

@@ -202,6 +202,49 @@ class TestTrain:
         assert code == cli.EXIT_CONFIG
         assert "support_fraction" in err
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            (None, "max_attempts_per_class"),
+            (None, "min_represented"),
+            ("lvq", "centroid_count"),
+            ("lvq", "max_epochs"),
+            ("lvq", "seed"),
+            ("pso", "swarm_size"),
+            ("pso", "max_iterations"),
+            ("pso", "stagnation_limit"),
+            ("pso", "seed"),
+        ],
+    )
+    def test_non_integer_config_value_is_config_error(
+        self, workdir, tmp_path, capsys, section, key, value
+    ):
+        # the top-level seed comes from --seed / RULEMINE_SEED, not the file
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps({key: value} if section is None else {section: {key: value}}))
+        code = cli.main(["train", "--data", str(workdir / "sep.csv"),
+                         "--schema", str(workdir / "sep.schema.json"),
+                         "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert f"{key!r} must be an integer" in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_string_values_in_schema_is_data_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "bad.schema.json"
+        bad.write_text(json.dumps({
+            "attributes": [{"name": "x1", "kind": "nominal", "values": "yes"},
+                           {"name": "x2", "kind": "numeric"}],
+            "class_attribute": "label",
+            "class_labels": ["a", "b"],
+        }))
+        code = cli.main(["train", "--data", str(workdir / "sep.csv"),
+                         "--schema", str(bad), "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert "must be a list" in err
+
     def test_missing_data_file_is_data_error(self, workdir, tmp_path, capsys):
         code = cli.main(["train", "--data", str(tmp_path / "absent.csv"),
                          "--schema", str(workdir / "sep.schema.json"),
@@ -300,6 +343,21 @@ class TestPredict:
         err = capsys.readouterr().err
         assert code == cli.EXIT_DATA
         assert "no data rows" in err
+
+    @pytest.mark.parametrize("rows", ["one", "all"])
+    def test_wrong_width_network_is_data_error(self, workdir, capsys, tmp_path, rows):
+        doc = json.loads((workdir / "fmodel.json").read_text())
+        centroids = doc["network"]["centroids"]
+        for entry in centroids[:1] if rows == "one" else centroids:
+            entry["position"] = entry["position"][:3]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = cli.main(["predict", "--model", str(model),
+                         "--input", str(workdir / "frag.csv")])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DATA
+        assert "network" in captured.err
+        assert captured.out == ""
 
     def test_summary_line_on_stderr(self, workdir, capsys, tmp_path):
         score = tmp_path / "score.csv"

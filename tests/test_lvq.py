@@ -88,7 +88,7 @@ class TestInit:
         data = build_encoded(numeric_schema, X, [0] * 5)
         cfg = LvqConfig(centroid_count=3, seed=1)
         net = init_network(data, cfg)
-        rows = {tuple(c.position) for c in net.centroids}
+        rows = {tuple(position) for position in net.positions}
         assert len(rows) == 3
         assert rows <= {tuple(r) for r in X}
 
@@ -99,16 +99,13 @@ class TestInit:
         # force class 1 (2 examples) to hold 3 centroids
         cfg = LvqConfig(centroid_count=6, seed=0)
         net = init_network(data, cfg)
-        assert sum(1 for c in net.centroids if c.class_index == 1) >= 1
+        assert np.count_nonzero(net.class_indices == 1) >= 1
 
     def test_determinism(self, numeric_schema):
         data = _uniform_data(numeric_schema, 50, 4)
         a = init_network(data, LvqConfig(centroid_count=8, seed=11))
         b = init_network(data, LvqConfig(centroid_count=8, seed=11))
-        assert all(
-            np.array_equal(x.position, y.position)
-            for x, y in zip(a.centroids, b.centroids)
-        )
+        assert np.array_equal(a.positions, b.positions)
 
     def test_empty_data_rejected(self, numeric_schema):
         data = build_encoded(numeric_schema, np.zeros((0, 2)), [])
@@ -131,7 +128,7 @@ class TestNearestTwo:
 
     def test_hand_computed_distances(self, numeric_schema):
         net = self._net(numeric_schema, [[0.0, 0.0], [1.0, 0.0]], [0, 1])
-        by_pos = sorted(range(2), key=lambda i: net.centroids[i].position[0])
+        by_pos = sorted(range(2), key=lambda i: net.positions[i][0])
         (i1, d1), (i2, d2) = nearest_two(net, np.array([0.2, 0.0]))
         assert i1 == by_pos[0] and d1 == pytest.approx(0.2)
         assert i2 == by_pos[1] and d2 == pytest.approx(0.8)
@@ -184,39 +181,35 @@ class TestTraining:
     def test_positions_stay_in_unit_cube(self, numeric_schema):
         data = _uniform_data(numeric_schema, 200, 8)
         net = fit_network(data, LvqConfig(centroid_count=10, seed=5))
-        for c in net.centroids:
-            assert np.all(c.position >= 0.0) and np.all(c.position <= 1.0)
+        assert np.all(net.positions >= 0.0) and np.all(net.positions <= 1.0)
 
     def test_represented_counts_sum_to_train_size(self, numeric_schema):
         data = _uniform_data(numeric_schema, 137, 2)
         net = fit_network(data, LvqConfig(centroid_count=7, seed=1))
-        assert sum(c.represented_count for c in net.centroids) == 137
+        assert net.represented_counts.sum() == 137
 
     def test_single_member_deviation_is_zero(self, numeric_schema):
         # three far-apart one-class examples, three centroids: a stable 1-1 map
         X = np.array([[0.05, 0.05], [0.5, 0.95], [0.95, 0.05]])
         data = build_encoded(numeric_schema, X, [0, 0, 0])
         net = fit_network(data, LvqConfig(centroid_count=3, seed=0))
-        singles = [c for c in net.centroids if c.represented_count == 1]
-        assert len(singles) == 3
-        for c in singles:
-            assert np.all(c.deviation == 0.0)
+        singles = net.represented_counts == 1
+        assert np.count_nonzero(singles) == 3
+        assert np.all(net.deviations[singles] == 0.0)
 
     def test_deviation_nonnegative(self, numeric_schema):
         data = _uniform_data(numeric_schema, 90, 12)
         net = fit_network(data, LvqConfig(centroid_count=4, seed=2))
-        for c in net.centroids:
-            assert np.all(c.deviation >= 0.0)
+        assert np.all(net.deviations >= 0.0)
 
     def test_bitwise_determinism(self, numeric_schema):
         data = _uniform_data(numeric_schema, 120, 6)
         cfg = LvqConfig(centroid_count=8, seed=21)
         a = fit_network(data, cfg)
         b = fit_network(data, cfg)
-        for ca, cb in zip(a.centroids, b.centroids):
-            assert np.array_equal(ca.position, cb.position)
-            assert np.array_equal(ca.deviation, cb.deviation)
-            assert ca.represented_count == cb.represented_count
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.deviations, b.deviations)
+        assert np.array_equal(a.represented_counts, b.represented_counts)
         assert a.trace == b.trace
 
     def test_max_epochs_bounds_trace(self, numeric_schema):
@@ -230,5 +223,5 @@ class TestTraining:
         cfg = LvqConfig(centroid_count=6, seed=7)
         net = init_network(data, cfg)
         trained = train(net, data, cfg)
-        assert len(trained.centroids) == 6
+        assert len(trained.positions) == 6
         assert sum(trained.allocation.values()) == 6

@@ -98,8 +98,38 @@ class TestConfig:
         with pytest.raises(ConfigError):
             MinerConfig.from_dict({"lvq": {"centroid_count": 0}})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"seed": 1.5},
+            {"min_represented": True},
+            {"lvq": {"centroid_count": 2.0}},
+            {"pso": {"seed": False}},
+        ],
+    )
+    def test_integer_fields_reject_floats_and_bools(self, doc):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            MinerConfig.from_dict(doc)
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="JSON object"):
+            MinerConfig.from_dict({"pso": [10]})
+
     def test_empty_dict_gives_defaults(self):
         assert MinerConfig.from_dict({}) == MinerConfig()
+
+
+def test_no_assert_statements_in_package():
+    # assert statements vanish under python -O, taking their checks with them
+    import ast
+    import pathlib
+
+    import rulemine
+
+    for path in pathlib.Path(rulemine.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        asserts = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not asserts, f"{path.name} asserts on lines {asserts}"
 
 
 class TestSeparable:
@@ -216,7 +246,7 @@ class TestRecordInvariants:
 
     def test_network_represents_whole_training_set(self, mined):
         _, _, report = mined
-        total = sum(c.represented_count for c in report.network.centroids)
+        total = report.network.represented_counts.sum()
         assert total == report.train_size
 
     def test_report_serializes_to_json(self, mined):

@@ -70,12 +70,12 @@ class TestRoundTrip:
         path = tmp_path / "model.json"
         save_model(artifact, path)
         loaded = load_model(path)
-        assert len(loaded.network.centroids) == len(artifact.network.centroids)
-        for a, b in zip(artifact.network.centroids, loaded.network.centroids):
-            assert np.array_equal(a.position, b.position)
-            assert np.array_equal(a.deviation, b.deviation)
-            assert a.class_index == b.class_index
-            assert a.represented_count == b.represented_count
+        a, b = artifact.network, loaded.network
+        assert len(b.positions) == len(a.positions)
+        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a.deviations, b.deviations)
+        assert np.array_equal(a.class_indices, b.class_indices)
+        assert np.array_equal(a.represented_counts, b.represented_counts)
         assert loaded.network.allocation == artifact.network.allocation
 
     def test_saving_twice_is_byte_identical(self, trained, tmp_path):
@@ -129,6 +129,35 @@ class TestValidation:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["position", "deviation"])
+    def test_truncated_network_rows_rejected(self, trained, tmp_path, key):
+        # every row one coordinate short: rectangular, but not the encoded width
+        doc = self._doc(trained)
+        for entry in doc["network"]["centroids"]:
+            entry[key] = entry[key][:-1]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="shape"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["position", "deviation"])
+    def test_ragged_network_rows_rejected(self, trained, tmp_path, key):
+        doc = self._doc(trained)
+        entry = doc["network"]["centroids"][1]
+        entry[key] = entry[key] + [0.5]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="network"):
+            load_model(path)
+
+    def test_non_numeric_represented_count_rejected(self, trained, tmp_path):
+        doc = self._doc(trained)
+        doc["network"]["centroids"][0]["represented_count"] = "many"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="network"):
             load_model(path)
 
     def test_unreadable_and_malformed_files(self, tmp_path):

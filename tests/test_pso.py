@@ -3,11 +3,10 @@ import pytest
 
 from conftest import build_encoded
 from rulemine.errors import ConfigError, DataError
-from rulemine.lvq import Centroid, LvqConfig, LvqNetwork, fit_network
+from rulemine.lvq import LvqConfig, LvqNetwork, fit_network
 from rulemine.pso import (
     PsoConfig,
     binarize,
-    decode,
     decode_state,
     evolve,
     fitness,
@@ -20,8 +19,7 @@ from rulemine.rules import (
     NominalMembership,
     NumericInterval,
     Rule,
-    confidence,
-    support,
+    rule_quality,
     validate_rule,
 )
 from rulemine.schema import Attribute, AttributeSchema
@@ -206,9 +204,10 @@ class TestFitness:
             genes = np.sort(rng.random((2, 2)), axis=1)
             rule = decode_state(position, genes, data.layout, 1)
             direct = fitness_from_rule(rule, data, cfg)
+            support, confidence, _ = rule_quality(rule.antecedent, 1, data)
             recomputed = (
-                cfg.weight_confidence * confidence(rule, data)
-                + cfg.weight_support * support(rule, data)
+                cfg.weight_confidence * confidence
+                + cfg.weight_support * support
                 + cfg.weight_length
                 * (1 - len(rule.antecedent) / len(credit_schema.attributes))
             )
@@ -220,19 +219,35 @@ class TestFitness:
         with pytest.raises(DataError):
             fitness_from_rule(Rule((), 0), data, PsoConfig())
 
+    def test_batch_fitness_scores_each_particle(self, credit_schema):
+        data = _credit_data(credit_schema, n=60, seed=3)
+        cfg = PsoConfig()
+        rng = np.random.default_rng(6)
+        position = (rng.random((9, 5)) < 0.5).astype(float)
+        genes = np.sort(rng.random((9, 2, 2)), axis=2)
+        got = fitness(position, genes, 1, data, cfg)
+        assert got.shape == (9,)
+        for s in range(9):
+            rule = decode_state(position[s], genes[s], data.layout, 1)
+            assert got[s] == fitness_from_rule(rule, data, cfg)
+
+
+def _network(positions, deviations, represented, class_indices):
+    return LvqNetwork(
+        positions=np.array(positions, dtype=np.float64),
+        class_indices=np.array(class_indices, dtype=np.int64),
+        represented_counts=np.array(represented, dtype=np.int64),
+        deviations=np.array(deviations, dtype=np.float64),
+        allocation={c: class_indices.count(c) for c in set(class_indices)},
+    )
+
 
 def _hand_network(position, numeric_deviation, represented=5, class_index=0):
     # deviation spans every encoded column; only the last two (salary, age)
     # matter for the credit layout's numeric seeding
     deviation = np.zeros(len(position))
     deviation[3:] = numeric_deviation
-    c = Centroid(
-        position=np.asarray(position, dtype=np.float64),
-        class_index=class_index,
-        represented_count=represented,
-        deviation=deviation,
-    )
-    return LvqNetwork(centroids=[c], allocation={class_index: 1})
+    return _network([position], [deviation], [represented], [class_index])
 
 
 class TestSeeding:
@@ -241,7 +256,7 @@ class TestSeeding:
         data = _credit_data(credit_schema)
         net = _hand_network([1.0, 0.0, 0.0, 0.4, 0.5], [0.0, 0.2])
         swarm = seed_swarm(net, 0, 1, data, PsoConfig(swarm_size=1, seed=0))
-        v2 = swarm.particles[0].veloc2
+        v2 = swarm.veloc2[0]
         assert v2[3] == 4.0  # salary: deviation 0
         assert v2[0] == 4.0  # nominal coordinate 1.0
         assert v2[1] == -4.0  # nominal coordinate 0.0
@@ -250,7 +265,7 @@ class TestSeeding:
         data = _credit_data(credit_schema)
         net = _hand_network([0.0, 1.0, 0.0, 0.5, 0.5], [0.8, 0.25])
         swarm = seed_swarm(net, 0, 1, data, PsoConfig(swarm_size=1, seed=0))
-        v2 = swarm.particles[0].veloc2
+        v2 = swarm.veloc2[0]
         assert v2[3] == -4.0  # 1 - 1.5*0.8 clamps to 0
         assert v2[4] == pytest.approx(-4.0 + (1 - 1.5 * 0.25) * 8.0, abs=1e-12)
 
@@ -258,36 +273,34 @@ class TestSeeding:
         data = _credit_data(credit_schema)
         net = _hand_network([0.0, 1.0, 0.0, 0.4, 0.9], [0.2, 0.2])
         swarm = seed_swarm(net, 0, 1, data, PsoConfig(swarm_size=1, seed=0))
-        genes = swarm.particles[0].genes
+        genes = swarm.genes[0]
         assert genes[0] == pytest.approx([0.1, 0.7], abs=1e-12)
         assert genes[1] == pytest.approx([0.6, 1.0], abs=1e-12)  # clipped at 1
 
     def test_representation_filter_picks_heavy_centroids(self, credit_schema):
         data = _credit_data(credit_schema)
-        heavy = Centroid(np.array([1.0, 0.0, 0.0, 0.3, 0.3]), 0, 9, np.zeros(5))
-        light = Centroid(np.array([0.0, 0.0, 1.0, 0.9, 0.9]), 0, 1, np.zeros(5))
-        net = LvqNetwork(centroids=[light, heavy], allocation={0: 2})
+        light = [0.0, 0.0, 1.0, 0.9, 0.9]
+        heavy = [1.0, 0.0, 0.0, 0.3, 0.3]
+        net = _network([light, heavy], np.zeros((2, 5)), [1, 9], [0, 0])
         swarm = seed_swarm(net, 0, 3, data, PsoConfig(swarm_size=1, seed=0))
         # only the heavy centroid qualifies, so particle 0 mirrors it exactly
-        assert np.array_equal(swarm.particles[0].genes[0], [0.3, 0.3])
+        assert np.array_equal(swarm.genes[0][0], [0.3, 0.3])
 
     def test_filter_falls_back_to_all_class_centroids(self, credit_schema):
         data = _credit_data(credit_schema)
-        light = Centroid(np.array([0.0, 0.0, 1.0, 0.9, 0.9]), 0, 1, np.zeros(5))
-        net = LvqNetwork(centroids=[light], allocation={0: 1})
+        net = _network([[0.0, 0.0, 1.0, 0.9, 0.9]], np.zeros((1, 5)), [1], [0])
         swarm = seed_swarm(net, 0, 5, data, PsoConfig(swarm_size=1, seed=0))
-        assert np.array_equal(swarm.particles[0].genes[0], [0.9, 0.9])
+        assert np.array_equal(swarm.genes[0][0], [0.9, 0.9])
 
     def test_class_without_centroids_seeds_randomly(self, credit_schema):
         data = _credit_data(credit_schema)
         net = _hand_network([1.0, 0.0, 0.0, 0.4, 0.5], [0.0, 0.2], class_index=0)
         cfg = PsoConfig(swarm_size=6, seed=2)
         swarm = seed_swarm(net, 1, 1, data, cfg)
-        assert len(swarm.particles) == 6
+        assert len(swarm.position) == 6
         lb2, ub2 = cfg.veloc2_bounds
-        for p in swarm.particles:
-            assert np.all(p.veloc2 >= lb2) and np.all(p.veloc2 <= ub2)
-            assert np.isfinite(p.fitness)
+        assert np.all(swarm.veloc2 >= lb2) and np.all(swarm.veloc2 <= ub2)
+        assert np.all(np.isfinite(fitness(swarm.position, swarm.genes, 1, data, cfg)))
 
     def test_initial_invariants(self, credit_schema):
         data = _credit_data(credit_schema)
@@ -295,13 +308,14 @@ class TestSeeding:
         cfg = PsoConfig(swarm_size=12, seed=4)
         swarm = seed_swarm(net, 0, 1, data, cfg)
         lb1, ub1 = cfg.veloc1_bounds
-        for p in swarm.particles:
-            assert np.all(p.veloc1 >= lb1) and np.all(p.veloc1 <= ub1)
-            assert np.all(p.genes[:, 0] <= p.genes[:, 1])
-            assert set(np.unique(p.position)) <= {0.0, 1.0}
-            assert p.best_fitness == p.fitness
-        assert swarm.best_fitness == max(p.best_fitness for p in swarm.particles)
-        assert swarm.trace == [swarm.best_fitness]
+        assert np.all(swarm.veloc1 >= lb1) and np.all(swarm.veloc1 <= ub1)
+        assert np.all(swarm.genes[:, :, 0] <= swarm.genes[:, :, 1])
+        assert set(np.unique(swarm.position)) <= {0.0, 1.0}
+        assert np.array_equal(
+            swarm.best_fitness, fitness(swarm.position, swarm.genes, 0, data, cfg)
+        )
+        assert swarm.gbest_fitness == swarm.best_fitness.max()
+        assert swarm.trace == [swarm.gbest_fitness]
 
     def test_empty_dataset_rejected(self, credit_schema):
         empty = build_encoded(credit_schema, np.zeros((0, 5)), [])
@@ -320,9 +334,9 @@ class TestStep:
         cfg = PsoConfig(swarm_size=10, seed=3)
         swarm = self._swarm(data, cfg)
         for _ in range(30):
-            before = swarm.best_fitness
+            before = swarm.gbest_fitness
             step(swarm, data, cfg)
-            assert swarm.best_fitness >= before
+            assert swarm.gbest_fitness >= before
         assert swarm.iteration == 30
         assert len(swarm.trace) == 31
         assert swarm.trace == sorted(swarm.trace)
@@ -335,30 +349,28 @@ class TestStep:
             step(swarm, data, cfg)
         lb1, ub1 = cfg.veloc1_bounds
         lb2, ub2 = cfg.veloc2_bounds
-        for p in swarm.particles:
-            assert np.all(p.veloc1 >= lb1) and np.all(p.veloc1 <= ub1)
-            assert np.all(p.veloc2 >= lb2) and np.all(p.veloc2 <= ub2)
-            assert np.all(p.genes >= 0.0) and np.all(p.genes <= 1.0)
-            assert np.all(p.genes[:, 0] <= p.genes[:, 1])
+        assert np.all(swarm.veloc1 >= lb1) and np.all(swarm.veloc1 <= ub1)
+        assert np.all(swarm.veloc2 >= lb2) and np.all(swarm.veloc2 <= ub2)
+        assert np.all(swarm.genes >= 0.0) and np.all(swarm.genes <= 1.0)
+        assert np.all(swarm.genes[:, :, 0] <= swarm.genes[:, :, 1])
 
     def test_rest_state_generates_no_velocity(self, credit_schema):
         # cognitive and social terms vanish when position == pbest == gbest
         data = _credit_data(credit_schema, n=30, seed=4)
         cfg = PsoConfig(swarm_size=1, seed=5)
         swarm = self._swarm(data, cfg)
-        p = swarm.particles[0]
-        p.veloc1 = np.zeros_like(p.veloc1)
-        p.gene_veloc = np.zeros_like(p.gene_veloc)
-        p.best_position = p.position.copy()
-        p.best_genes = p.genes.copy()
-        swarm.best_position = p.position.copy()
-        swarm.best_genes = p.genes.copy()
-        v2_before = p.veloc2.copy()
-        genes_before = p.genes.copy()
+        swarm.veloc1 = np.zeros_like(swarm.veloc1)
+        swarm.gene_veloc = np.zeros_like(swarm.gene_veloc)
+        swarm.best_position = swarm.position.copy()
+        swarm.best_genes = swarm.genes.copy()
+        swarm.gbest_position = swarm.position[0].copy()
+        swarm.gbest_genes = swarm.genes[0].copy()
+        v2_before = swarm.veloc2.copy()
+        genes_before = swarm.genes.copy()
         step(swarm, data, cfg)
-        assert np.all(p.veloc1 == 0.0)
-        assert np.array_equal(p.veloc2, v2_before)
-        assert np.array_equal(p.genes, genes_before)
+        assert np.all(swarm.veloc1 == 0.0)
+        assert np.array_equal(swarm.veloc2, v2_before)
+        assert np.array_equal(swarm.genes, genes_before)
 
     def test_determinism(self, credit_schema):
         data = _credit_data(credit_schema, n=40, seed=6)
@@ -369,8 +381,8 @@ class TestStep:
             step(a, data, cfg)
             step(b, data, cfg)
         assert a.trace == b.trace
-        assert np.array_equal(a.best_position, b.best_position)
-        assert np.array_equal(a.best_genes, b.best_genes)
+        assert np.array_equal(a.gbest_position, b.gbest_position)
+        assert np.array_equal(a.gbest_genes, b.gbest_genes)
 
 
 class TestEvolve:
@@ -383,7 +395,7 @@ class TestEvolve:
         validate_rule(rule, credit_schema)
         assert rule.class_index == 1
         # the reported best is the fitness of the rule actually returned
-        assert fitness_from_rule(rule, data, cfg) == swarm.best_fitness
+        assert fitness_from_rule(rule, data, cfg) == swarm.gbest_fitness
 
     def test_stagnation_stops_early(self, credit_schema):
         data = _credit_data(credit_schema, n=30, seed=9)

@@ -12,12 +12,11 @@ from rulemine.rules import (
     RuleList,
     choose_default_class,
     classify_dataset,
-    confidence,
     render_rule,
     render_rule_list,
     rule_list_from_dict,
     rule_list_to_dict,
-    support,
+    rule_quality,
     validate_rule,
 )
 
@@ -126,6 +125,14 @@ class TestMatches:
         assert not fires(rule, tiny)[4]  # single row
 
 
+def support(rule, data):
+    return rule_quality(rule.antecedent, rule.class_index, data)[0]
+
+
+def confidence(rule, data):
+    return rule_quality(rule.antecedent, rule.class_index, data)[1]
+
+
 class TestSupportConfidence:
     def test_support_three_of_ten(self, tiny, married_rule):
         # matches rows 0-3; rows 0,1,2 carry class 1 -> support 0.3
@@ -133,6 +140,10 @@ class TestSupportConfidence:
 
     def test_confidence_three_of_four(self, tiny, married_rule):
         assert confidence(married_rule, tiny) == pytest.approx(0.75)
+
+    def test_correct_mask_flags_matched_rows_of_the_class(self, tiny, married_rule):
+        _, _, correct_mask = rule_quality(married_rule.antecedent, 1, tiny)
+        assert np.flatnonzero(correct_mask).tolist() == [0, 1, 2]
 
     def test_empty_antecedent_is_class_frequency(self, tiny):
         rule = Rule(antecedent=(), class_index=1)
@@ -329,6 +340,7 @@ def test_brute_force_oracle_agreement(payload):
     X, y, rule = payload
     data = build_encoded(_schema(), X, y)
     matched, correct = brute_force_counts(rule, data)
+    assert np.count_nonzero(rule_quality(rule.antecedent, rule.class_index, data)[2]) == correct
     assert support(rule, data) == correct / len(data)
     assert confidence(rule, data) == (correct / matched if matched else 0.0)
     if matched:

@@ -95,6 +95,14 @@ class TestSchemaJson:
         with pytest.raises(SchemaError, match="class_labels"):
             AttributeSchema.from_dict(doc)
 
+    @pytest.mark.parametrize("values", ["yes", {"y": 1}, 3])
+    def test_values_must_be_a_list(self, credit_schema, values):
+        # a string would otherwise split into its characters
+        doc = credit_schema.to_dict()
+        doc["attributes"][0]["values"] = values
+        with pytest.raises(SchemaError, match="'values' of 'marital_status' must be a list"):
+            AttributeSchema.from_dict(doc)
+
     def test_nominal_needs_two_values(self):
         with pytest.raises(SchemaError):
             Attribute("a", "nominal", ("only",))

@@ -1,0 +1,234 @@
+"""The array swarm against a per-particle reference.
+
+The reference below seeds and steps one particle object at a time, taking
+each particle's random numbers in turn, the way the swarm was written before
+its state became arrays. Given the same seed and data, the array swarm must
+reproduce it bit for bit: every trace value, the global best, the returned
+rule and the final state of every particle.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from conftest import build_encoded
+from rulemine.lvq import LvqConfig, fit_network
+from rulemine.pso import (
+    PsoConfig,
+    binarize,
+    decode_state,
+    evolve,
+    fitness_from_rule,
+    seed_swarm,
+)
+from rulemine.schema import Attribute, AttributeSchema
+
+
+@dataclass
+class RefParticle:
+    position: np.ndarray
+    veloc1: np.ndarray
+    veloc2: np.ndarray
+    genes: np.ndarray
+    gene_veloc: np.ndarray
+    fitness: float
+    best_position: np.ndarray
+    best_genes: np.ndarray
+    best_fitness: float
+
+
+@dataclass
+class RefSwarm:
+    particles: list[RefParticle]
+    class_index: int
+    rng: np.random.Generator
+    iteration: int = 0
+    best_position: np.ndarray | None = None
+    best_genes: np.ndarray | None = None
+    best_fitness: float = -np.inf
+    trace: list[float] | None = None
+
+
+def _ref_fitness(p, class_index, data, config):
+    rule = decode_state(p.position, p.genes, data.layout, class_index)
+    return fitness_from_rule(rule, data, config)
+
+
+def ref_seed_swarm(network, class_index, min_represented, data, config):
+    layout = data.layout
+    d = layout.dimension
+    numeric_cols = np.array(
+        [layout.numeric_column(n) for n in layout.numeric_names], dtype=np.int64
+    )
+    numeric_mask = np.zeros(d, dtype=bool)
+    numeric_mask[numeric_cols] = True
+    of_class = [k for k in range(len(network.positions))
+                if network.class_indices[k] == class_index]
+    seeds = [k for k in of_class if network.represented_counts[k] >= min_represented]
+    if not seeds:
+        seeds = of_class
+
+    rng = np.random.default_rng(config.seed)
+    lb1, ub1 = config.veloc1_bounds
+    lb2, ub2 = config.veloc2_bounds
+    particles = []
+    for s in range(config.swarm_size):
+        if seeds:
+            k = seeds[s % len(seeds)]
+            position, deviation = network.positions[k], network.deviations[k]
+            raw = np.where(
+                numeric_mask, np.clip(1.0 - 1.5 * deviation, 0.0, 1.0), position
+            )
+            veloc2 = lb2 + raw * (ub2 - lb2)
+            center = position[numeric_cols]
+            spread = 1.5 * deviation[numeric_cols]
+            genes = np.clip(np.stack([center - spread, center + spread], axis=1), 0.0, 1.0)
+            if s >= len(seeds):
+                veloc2 = np.clip(veloc2 + rng.normal(0.0, 0.1 * (ub2 - lb2), d), lb2, ub2)
+                genes = np.sort(
+                    np.clip(genes + rng.normal(0.0, 0.05, genes.shape), 0.0, 1.0), axis=1
+                )
+        else:
+            veloc2 = rng.uniform(lb2, ub2, d)
+            genes = np.sort(rng.uniform(0.0, 1.0, (numeric_cols.size, 2)), axis=1)
+        veloc1 = rng.uniform(lb1, ub1, d)
+        gene_veloc = rng.uniform(lb1, ub1, genes.shape)
+        position = binarize(veloc2, rng)
+        p = RefParticle(position, veloc1, veloc2, genes, gene_veloc, -np.inf,
+                        position.copy(), genes.copy(), -np.inf)
+        p.fitness = _ref_fitness(p, class_index, data, config)
+        p.best_fitness = p.fitness
+        particles.append(p)
+
+    swarm = RefSwarm(particles=particles, class_index=class_index, rng=rng, trace=[])
+    for p in particles:
+        if p.best_fitness > swarm.best_fitness:
+            swarm.best_fitness = p.best_fitness
+            swarm.best_position = p.best_position.copy()
+            swarm.best_genes = p.best_genes.copy()
+    swarm.trace.append(swarm.best_fitness)
+    return swarm
+
+
+def ref_step(swarm, data, config):
+    rng = swarm.rng
+    lb1, ub1 = config.veloc1_bounds
+    lb2, ub2 = config.veloc2_bounds
+    w, c1, c2 = config.inertia, config.cognitive, config.social
+    gbest_position, gbest_genes = swarm.best_position, swarm.best_genes
+    for p in swarm.particles:
+        r1 = rng.random(p.position.shape)
+        r2 = rng.random(p.position.shape)
+        p.veloc1 = np.clip(
+            w * p.veloc1
+            + c1 * r1 * (p.best_position - p.position)
+            + c2 * r2 * (gbest_position - p.position),
+            lb1,
+            ub1,
+        )
+        p.veloc2 = np.clip(p.veloc2 + p.veloc1, lb2, ub2)
+        p.position = binarize(p.veloc2, rng)
+        if p.genes.size:
+            g1 = rng.random(p.genes.shape)
+            g2 = rng.random(p.genes.shape)
+            p.gene_veloc = np.clip(
+                w * p.gene_veloc
+                + c1 * g1 * (p.best_genes - p.genes)
+                + c2 * g2 * (gbest_genes - p.genes),
+                lb1,
+                ub1,
+            )
+            p.genes = np.sort(np.clip(p.genes + p.gene_veloc, 0.0, 1.0), axis=1)
+    for p in swarm.particles:
+        p.fitness = _ref_fitness(p, swarm.class_index, data, config)
+        if p.fitness > p.best_fitness:
+            p.best_fitness = p.fitness
+            p.best_position = p.position.copy()
+            p.best_genes = p.genes.copy()
+        if p.best_fitness > swarm.best_fitness:
+            swarm.best_fitness = p.best_fitness
+            swarm.best_position = p.best_position.copy()
+            swarm.best_genes = p.best_genes.copy()
+    swarm.iteration += 1
+    swarm.trace.append(swarm.best_fitness)
+
+
+def ref_evolve(swarm, data, config):
+    stale = 0
+    while swarm.iteration < config.max_iterations and stale < config.stagnation_limit:
+        before = swarm.best_fitness
+        ref_step(swarm, data, config)
+        stale = 0 if swarm.best_fitness > before else stale + 1
+    return decode_state(swarm.best_position, swarm.best_genes, data.layout, swarm.class_index)
+
+
+SCHEMAS = {
+    "mixed": (
+        Attribute("colour", "nominal", ("red", "green", "blue")),
+        Attribute("size", "numeric"),
+        Attribute("weight", "numeric"),
+    ),
+    "nominal_only": (
+        Attribute("colour", "nominal", ("red", "green", "blue")),
+        Attribute("shape", "nominal", ("round", "square")),
+    ),
+    "numeric_only": (Attribute("size", "numeric"), Attribute("weight", "numeric")),
+}
+
+
+def _dataset(kind, seed, n=80):
+    schema = AttributeSchema(SCHEMAS[kind], "cls", ("neg", "pos"))
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for attr in schema.attributes:
+        if attr.kind == "nominal":
+            block = np.zeros((n, len(attr.values)))
+            block[np.arange(n), rng.integers(0, len(attr.values), n)] = 1.0
+        else:
+            block = rng.uniform(0.0, 1.0, (n, 1))
+        blocks.append(block)
+    X = np.hstack(blocks)
+    # class 1 follows the first encoded column, with 10% label noise
+    y = (X[:, 0] > 0.5).astype(np.int64)
+    flip = rng.uniform(0.0, 1.0, n) < 0.1
+    y[flip] = 1 - y[flip]
+    y[:2] = [0, 1]
+    return build_encoded(schema, X, y)
+
+
+@pytest.mark.parametrize("pso_seed", [3, 8])
+@pytest.mark.parametrize("seeding", ["centroids", "fallback", "random"])
+@pytest.mark.parametrize("swarm_size", [1, 7, 25])
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_array_swarm_matches_per_particle_reference(kind, swarm_size, seeding, pso_seed):
+    data = _dataset(kind, seed=swarm_size + pso_seed)
+    target = 1
+    if seeding == "random":
+        # a network with no centroid of the target class
+        fit_on = data.subset(np.flatnonzero(data.y == 0))
+    else:
+        fit_on = data
+    network = fit_network(fit_on, LvqConfig(centroid_count=4, max_epochs=5, seed=pso_seed))
+    # "fallback": no centroid represents that many rows, so all of the class seed
+    min_represented = len(data) + 1 if seeding == "fallback" else 1
+    config = PsoConfig(swarm_size=swarm_size, max_iterations=25, stagnation_limit=8,
+                       seed=pso_seed)
+
+    swarm = seed_swarm(network, target, min_represented, data, config)
+    ref = ref_seed_swarm(network, target, min_represented, data, config)
+    rule = evolve(swarm, data, config)
+    ref_rule = ref_evolve(ref, data, config)
+
+    assert swarm.trace == ref.trace
+    assert swarm.iteration == ref.iteration
+    assert swarm.gbest_fitness == ref.best_fitness
+    assert np.array_equal(swarm.gbest_position, ref.best_position)
+    assert np.array_equal(swarm.gbest_genes, ref.best_genes)
+    assert rule == ref_rule
+    for name in ("position", "veloc1", "veloc2", "genes", "gene_veloc",
+                 "best_position", "best_genes", "best_fitness"):
+        expected = np.array([getattr(p, name) for p in ref.particles])
+        assert np.array_equal(getattr(swarm, name), expected), name
