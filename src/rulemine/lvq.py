@@ -178,40 +178,48 @@ def train(network: LvqNetwork, train_data: EncodedDataset, config: LvqConfig) ->
             f"data dimension {train_data.dimension}"
         )
     _, rng = _seed_pair(config.seed)
-    classes = network.class_indices
-    X, y = train_data.X, train_data.y
+    # Python lists and in-place row updates: per presentation, only the
+    # distance, argmin, move and clamp calls touch numpy
+    classes = network.class_indices.tolist()
+    labels = train_data.y.tolist()
+    rows = list(train_data.X)
     n = len(train_data)
     ratio_sq = config.repulsion_ratio**2
-    prev_assign: np.ndarray | None = None
+    prev_assign: list[int] | None = None
     network.trace = []
 
     for epoch in range(config.max_epochs):
         rate = config.adapt_rate * (1.0 - epoch / config.max_epochs)
         start = positions.copy()
-        assign = np.empty(n, dtype=np.int64)
-        for i in rng.permutation(n):
-            x = X[i]
+        assign = [0] * n
+        for i in rng.permutation(n).tolist():
+            x = rows[i]
             diff = positions - x
-            d2 = np.einsum("kd,kd->k", diff, diff)
-            first = int(np.argmin(d2))
+            d2 = np.einsum("kd,kd->k", diff, diff)  # (diff * diff).sum(1) rounds differently
+            first = int(d2.argmin())  # the lowest index on ties
             d2_first = d2[first]
             d2[first] = np.inf
-            second = int(np.argmin(d2))
-            d2_second = d2[second]
+            second = int(d2.argmin())
             assign[i] = first
-            if classes[first] == y[i]:
-                positions[first] = move_toward(positions[first], x, rate)
+            label = labels[i]
+            # move_toward / move_away, in place, then clamp to [0, 1]
+            p = positions[first]
+            if classes[first] == label:
+                p += rate * (x - p)
             else:
-                positions[first] = move_away(positions[first], x, rate)
-            np.clip(positions[first], 0.0, 1.0, out=positions[first])
-            if classes[second] != y[i] and d2_second < ratio_sq * d2_first:
-                positions[second] = move_away(positions[second], x, rate)
-                np.clip(positions[second], 0.0, 1.0, out=positions[second])
+                p -= rate * (x - p)
+            np.maximum(p, 0.0, out=p)
+            np.minimum(p, 1.0, out=p)
+            if classes[second] != label and d2[second] < ratio_sq * d2_first:
+                q = positions[second]
+                q -= rate * (x - q)
+                np.maximum(q, 0.0, out=q)
+                np.minimum(q, 1.0, out=q)
         movement = float(np.mean(np.sqrt(((positions - start) ** 2).sum(axis=1))))
         network.trace.append(movement)
         if movement < config.stability_threshold:
             break
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
+        if assign == prev_assign:
             break
         prev_assign = assign
 

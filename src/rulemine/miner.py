@@ -67,7 +67,7 @@ class MinerConfig:
                 pso_doc = _checked_fields(PsoConfig, doc["pso"])
                 for bounds_key in ("veloc1_bounds", "veloc2_bounds"):
                     if bounds_key in pso_doc:
-                        pso_doc[bounds_key] = tuple(pso_doc[bounds_key])
+                        pso_doc[bounds_key] = _bounds_pair(bounds_key, pso_doc[bounds_key])
                 kwargs["pso"] = PsoConfig(**pso_doc)
             return MinerConfig(**kwargs)
         except TypeError as exc:
@@ -75,6 +75,16 @@ class MinerConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _bounds_pair(key: str, value) -> tuple[float, float]:
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    ):
+        raise ConfigError(f"{key!r} must be a [low, high] pair of numbers")
+    return tuple(value)
 
 
 def _checked_fields(cls: type, doc: dict) -> dict:

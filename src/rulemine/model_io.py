@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .lvq import LvqNetwork
 from .miner import MinerConfig
 from .rules import RuleList, rule_list_from_dict, rule_list_to_dict
@@ -71,7 +71,7 @@ def _network_from_dict(doc: Mapping, schema: AttributeSchema) -> LvqNetwork:
             deviations=np.array([e["deviation"] for e in entries], dtype=np.float64),
             allocation={label_index[k]: int(v) for k, v in doc["allocation"].items()},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed network section: {exc}") from exc
     shape = (len(entries), ColumnLayout(schema).dimension)
     if network.positions.shape != shape or network.deviations.shape != shape:
@@ -108,20 +108,30 @@ def model_from_dict(doc: Mapping) -> ModelArtifact:
         if key not in doc:
             raise DataError(f"model document missing key {key!r}")
     schema = AttributeSchema.from_dict(doc["schema"])
-    ranges = {
-        str(name): (float(pair[0]), float(pair[1]))
-        for name, pair in doc["numeric_ranges"].items()
-    }
+    try:
+        ranges = {
+            str(name): (float(lo), float(hi))
+            for name, (lo, hi) in doc["numeric_ranges"].items()
+        }
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed numeric_ranges: {exc}") from exc
     declared_numeric = {a.name for a in schema.numeric_attributes}
     if set(ranges) != declared_numeric:
         raise DataError("numeric_ranges do not match the schema's numeric attributes")
+    try:
+        miner_config = MinerConfig.from_dict(doc["miner_config"])
+    except ConfigError as exc:
+        raise DataError(f"malformed miner_config: {exc}") from exc
+    seed = doc["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise DataError(f"seed {seed!r} is not an integer")
     return ModelArtifact(
         schema=schema,
         numeric_ranges=ranges,
         network=_network_from_dict(doc["network"], schema),
         rule_list=rule_list_from_dict(doc["rule_list"], schema),
-        miner_config=MinerConfig.from_dict(dict(doc["miner_config"])),
-        seed=int(doc["seed"]),
+        miner_config=miner_config,
+        seed=seed,
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .lvq import LvqNetwork
-from .rules import NominalMembership, NumericInterval, Rule, rule_quality
+from .rules import NominalMembership, NumericInterval, Rule, match_masks, rule_quality
 from .schema import ColumnLayout, EncodedDataset
 
 _PERTURB_VELOC_SCALE = 0.1  # fraction of the veloc2 span, for perturbed copies
@@ -149,12 +149,39 @@ def fitness(
     data: EncodedDataset,
     config: PsoConfig,
 ) -> np.ndarray:
-    """Fitness of every particle: (S, d) bits and (S, a, 2) genes -> (S,)."""
-    return np.array(
-        [
-            fitness_from_rule(decode_state(p, g, data.layout, class_index), data, config)
-            for p, g in zip(position, genes)
-        ]
+    """Fitness of every particle: (S, d) bits and (S, a, 2) genes -> (S,).
+
+    Scores the swarm in one pass without decoding it, with the rules of
+    decode_state: a nominal attribute places a condition when some but not
+    all of its bits are set (none set admits every value), a numeric one when
+    its column bit is set. Equal, bit for bit, to fitness_from_rule of each
+    particle's decoded rule.
+    """
+    if len(data) == 0:
+        raise DataError("support and confidence are undefined on an empty dataset")
+    layout = data.layout
+    allowed = position >= 0.5
+    lengths = np.zeros(len(position), dtype=np.int64)
+    for attr in data.schema.nominal_attributes:
+        cols = layout.nominal_columns(attr.name)
+        block = allowed[:, cols.start : cols.stop]
+        chosen = np.count_nonzero(block, axis=1)
+        lengths += (chosen > 0) & (chosen < len(cols))
+        block[chosen == 0] = True
+    numeric = allowed[:, layout.numeric_columns]
+    lengths += np.count_nonzero(numeric, axis=1)
+    lo = np.where(numeric, genes[:, :, 0], -np.inf)
+    hi = np.where(numeric, genes[:, :, 1], np.inf)
+    mask = match_masks(allowed, lo, hi, data)
+    matched = np.count_nonzero(mask, axis=1)
+    correct = np.count_nonzero(mask[:, data.y == class_index], axis=1)
+    support = correct / len(data)
+    confidence = np.divide(correct, matched, out=np.zeros(len(mask)), where=matched > 0)
+    shortness = 1.0 - lengths / len(data.schema.attributes)
+    return (
+        config.weight_confidence * confidence
+        + config.weight_support * support
+        + config.weight_length * shortness
     )
 
 
@@ -193,9 +220,7 @@ def seed_swarm(
         raise DataError("cannot seed a swarm against an empty dataset")
     layout = data.layout
     d = layout.dimension
-    numeric_cols = np.array(
-        [layout.numeric_column(n) for n in layout.numeric_names], dtype=np.int64
-    )
+    numeric_cols = layout.numeric_columns
     numeric_mask = np.zeros(d, dtype=bool)
     numeric_mask[numeric_cols] = True
     S, a = config.swarm_size, numeric_cols.size

@@ -18,7 +18,6 @@ from .errors import DataError
 from .schema import (
     NOMINAL,
     AttributeSchema,
-    ColumnLayout,
     EncodedDataset,
     unscale_numeric,
 )
@@ -118,22 +117,48 @@ def validate_rule(rule: Rule, schema: AttributeSchema) -> None:
         raise ValueError(f"class index {rule.class_index} out of range")
 
 
-def match_mask(
-    conditions: Sequence[Condition], X: np.ndarray, layout: ColumnLayout
+def match_masks(
+    allowed: np.ndarray, lo: np.ndarray, hi: np.ndarray, data: EncodedDataset
 ) -> np.ndarray:
-    """Boolean mask of rows matching every condition (vectorized)."""
-    mask = np.ones(X.shape[0], dtype=bool)
+    """Rows of ``data`` matched by each of S antecedents given as arrays:
+    an (S, n) boolean mask.
+
+    ``allowed`` (S, d) flags the encoded nominal columns whose values each
+    antecedent admits, a whole attribute block being True where it places no
+    condition. ``lo`` and ``hi`` (S, a) bound each numeric attribute in
+    ``layout.numeric_names`` order, -inf and inf where it places none.
+    Attributes no antecedent restricts are skipped (``X`` holds no NaN).
+    """
+    layout = data.layout
+    table = np.ascontiguousarray(allowed.T)  # (d, S): each gather copies whole rows
+    nominal = np.ones((len(data), len(allowed)), dtype=bool)
+    for attr, codes in zip(layout.schema.nominal_attributes, data.value_index.T):
+        cols = layout.nominal_columns(attr.name)
+        if not table[cols.start : cols.stop].all():
+            nominal &= table[codes]
+    mask = np.ascontiguousarray(nominal.T)
+    for col, low, high in zip(layout.numeric_columns, lo.T, hi.T):
+        if (low > -np.inf).any() or (high < np.inf).any():
+            values = np.ascontiguousarray(data.X[:, col])
+            mask &= (values >= low[:, None]) & (values <= high[:, None])
+    return mask
+
+
+def match_mask(conditions: Sequence[Condition], data: EncodedDataset) -> np.ndarray:
+    """Boolean mask of the rows of ``data`` matching every condition."""
+    layout = data.layout
+    allowed = np.ones((1, layout.dimension), dtype=bool)
+    lo = np.full((1, len(layout.numeric_names)), -np.inf)
+    hi = np.full_like(lo, np.inf)
     for cond in conditions:
         if isinstance(cond, NominalMembership):
             attr = layout.schema.attribute(cond.attribute)
             cols = layout.nominal_columns(cond.attribute)
-            picked = [cols.start + i for i, v in enumerate(attr.values) if v in cond.allowed]
-            mask &= X[:, picked].sum(axis=1) > 0.5
+            allowed[0, cols.start : cols.stop] = [v in cond.allowed for v in attr.values]
         else:
-            col = layout.numeric_column(cond.attribute)
-            values = X[:, col]
-            mask &= (values >= cond.lo) & (values <= cond.hi)
-    return mask
+            i = layout.numeric_names.index(cond.attribute)
+            lo[0, i], hi[0, i] = cond.lo, cond.hi
+    return match_masks(allowed, lo, hi, data)[0]
 
 
 def rule_quality(
@@ -147,7 +172,7 @@ def rule_quality(
     """
     if len(data) == 0:
         raise DataError("support and confidence are undefined on an empty dataset")
-    mask = match_mask(conditions, data.X, data.layout)
+    mask = match_mask(conditions, data)
     matched = int(np.count_nonzero(mask))
     correct_mask = mask & (data.y == class_index)
     correct = int(np.count_nonzero(correct_mask))
@@ -169,7 +194,7 @@ def classify_dataset(
     for i, rule in enumerate(rule_list.rules, start=1):
         if not undecided.any():
             break
-        mask = match_mask(rule.antecedent, data.X, data.layout) & undecided
+        mask = match_mask(rule.antecedent, data) & undecided
         predicted[mask] = rule.class_index
         fired[mask] = i
         undecided &= ~mask
@@ -256,11 +281,20 @@ def condition_to_dict(cond: Condition, schema: AttributeSchema) -> dict:
 
 
 def condition_from_dict(doc: Mapping) -> Condition:
+    if not isinstance(doc, Mapping):
+        raise DataError("each condition must be a JSON object")
     kind = doc.get("kind")
-    if kind == "membership":
-        return NominalMembership(doc["attribute"], frozenset(doc["allowed"]))
-    if kind == "interval":
-        return NumericInterval(doc["attribute"], float(doc["lo"]), float(doc["hi"]))
+    try:
+        if kind == "membership":
+            if not isinstance(doc["allowed"], list):
+                raise DataError("a membership condition's 'allowed' must be a list")
+            return NominalMembership(doc["attribute"], frozenset(doc["allowed"]))
+        if kind == "interval":
+            return NumericInterval(doc["attribute"], float(doc["lo"]), float(doc["hi"]))
+    except KeyError as exc:
+        raise DataError(f"{kind} condition is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed {kind} condition: {exc}") from exc
     raise DataError(f"unknown condition kind {kind!r}")
 
 
@@ -279,19 +313,21 @@ def rule_to_dict(rule: Rule, schema: AttributeSchema) -> dict:
 
 
 def rule_from_dict(doc: Mapping, schema: AttributeSchema) -> Rule:
-    antecedent = tuple(condition_from_dict(c) for c in doc["antecedent"])
-    prov = None
-    if "provenance" in doc and doc["provenance"] is not None:
-        p = doc["provenance"]
-        prov = Provenance(
+    if not isinstance(doc, Mapping):
+        raise DataError("each rule must be a JSON object")
+    try:
+        antecedent = tuple(condition_from_dict(c) for c in doc["antecedent"])
+        p = doc.get("provenance")
+        prov = None if p is None else Provenance(
             emission_order=int(p["emission_order"]),
             support=float(p["support"]),
             confidence=float(p["confidence"]),
         )
-    rule = Rule(antecedent=antecedent, class_index=int(doc["class_index"]), provenance=prov)
-    try:
+        rule = Rule(antecedent=antecedent, class_index=int(doc["class_index"]), provenance=prov)
         validate_rule(rule, schema)
-    except ValueError as exc:
+    except KeyError as exc:
+        raise DataError(f"invalid rule in document: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise DataError(f"invalid rule in document: {exc}") from exc
     return rule
 
@@ -304,11 +340,13 @@ def rule_list_to_dict(rule_list: RuleList, schema: AttributeSchema) -> dict:
 
 
 def rule_list_from_dict(doc: Mapping, schema: AttributeSchema) -> RuleList:
+    if not isinstance(doc, Mapping) or not isinstance(doc.get("rules"), list):
+        raise DataError("a rule list must be a JSON object with a 'rules' list")
     rules = tuple(rule_from_dict(r, schema) for r in doc["rules"])
     try:
-        default = int(doc["default_class"])
+        default = int(doc.get("default_class"))
     except (TypeError, ValueError) as exc:
-        raise DataError(f"default class {doc['default_class']!r} is not an index") from exc
+        raise DataError(f"default class {doc.get('default_class')!r} is not an index") from exc
     if not 0 <= default < len(schema.class_labels):
         raise DataError(f"default class index {default} out of range")
     return RuleList(rules=rules, default_class=default)

@@ -134,7 +134,10 @@ class AttributeSchema:
                 )
             if "name" not in entry or "kind" not in entry:
                 raise SchemaError("attribute entry needs 'name' and 'kind'")
-            values = _json_list(entry.get("values", ()), f"'values' of {entry['name']!r}")
+            what = f"'values' of {entry['name']!r}"
+            values = _json_list(entry.get("values", ()), what)
+            if not all(isinstance(v, str) for v in values):
+                raise SchemaError(f"{what} must be strings")
             attrs.append(Attribute(str(entry["name"]), str(entry["kind"]), tuple(values)))
         labels = _json_list(doc["class_labels"], "'class_labels'")
         return AttributeSchema(
@@ -198,6 +201,9 @@ class ColumnLayout:
         self.columns: tuple[tuple[str, str | None], ...] = tuple(columns)
         self.dimension = len(columns)
         self.numeric_names = tuple(a.name for a in schema.numeric_attributes)
+        self.numeric_columns = np.array(
+            [self._numeric_col[name] for name in self.numeric_names], dtype=np.intp
+        )
 
     def nominal_columns(self, name: str) -> range:
         start = self._nominal_start[name]
@@ -212,7 +218,9 @@ class EncodedDataset:
     """Dummy-coded, min-max scaled examples in [0, 1]^d with class indices.
 
     ``y`` is empty when the rows were encoded without class labels (rows
-    to be scored).
+    to be scored). ``value_index`` holds, per row and nominal attribute (in
+    schema order), the encoded column of the row's value: the one column of
+    the attribute's block that is 1 in ``X``.
     """
 
     schema: AttributeSchema
@@ -220,6 +228,7 @@ class EncodedDataset:
     y: np.ndarray
     layout: ColumnLayout
     numeric_ranges: dict[str, tuple[float, float]]
+    value_index: np.ndarray  # (n, nominal attributes) int32
 
     def __len__(self) -> int:
         return int(self.X.shape[0])
@@ -239,6 +248,7 @@ class EncodedDataset:
             y=self.y[indices],
             layout=self.layout,
             numeric_ranges=self.numeric_ranges,
+            value_index=self.value_index[indices],
         )
 
 
@@ -430,19 +440,29 @@ def encode(
     else:
         ranges = {name: (float(lo), float(hi)) for name, (lo, hi) in ranges_from.items()}
     X = np.zeros((n, layout.dimension), dtype=np.float64)
+    # int32: half the memory of intp, and gathers through it are no slower
+    value_index = np.empty((n, len(schema.nominal_attributes)), dtype=np.int32)
+    k = 0  # next value_index column
     for j, a in enumerate(schema.attributes):
         if a.kind == NOMINAL:
             start = layout.nominal_columns(a.name).start
             column_of = {v: start + i for i, v in enumerate(a.values)}
             hot = np.fromiter((column_of[r[j]] for r in raw.rows), np.intp, count=n)
             X[np.arange(n), hot] = 1.0
+            value_index[:, k] = hot
+            k += 1
         else:
             values = np.fromiter((float(r[j]) for r in raw.rows), np.float64, count=n)
             lo, hi = ranges[a.name]
             X[:, layout.numeric_column(a.name)] = scale_numeric(values, lo, hi)
     y = np.array([schema.class_index(c) for c in raw.classes], dtype=np.int64)
     return EncodedDataset(
-        schema=schema, X=X, y=y, layout=layout, numeric_ranges=ranges
+        schema=schema,
+        X=X,
+        y=y,
+        layout=layout,
+        numeric_ranges=ranges,
+        value_index=value_index,
     )
 
 

@@ -14,26 +14,39 @@ from rulemine.schema import Attribute, AttributeSchema, ColumnLayout, EncodedDat
 
 
 def build_encoded(schema: AttributeSchema, X, y) -> EncodedDataset:
-    """Wrap raw arrays in an EncodedDataset with the schema's column layout."""
+    """Wrap raw arrays in an EncodedDataset with the schema's column layout.
+
+    Each nominal block of ``X`` must be one-hot; its hot column becomes the
+    row's entry in ``value_index``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    layout = ColumnLayout(schema)
     ranges = {a.name: (0.0, 1.0) for a in schema.attributes if a.kind == "numeric"}
+    blocks = [layout.nominal_columns(a.name) for a in schema.nominal_attributes]
+    value_index = np.array(
+        [X[:, b.start : b.stop].argmax(axis=1) + b.start for b in blocks], dtype=np.int32
+    ).reshape(len(blocks), X.shape[0]).T
     return EncodedDataset(
         schema=schema,
-        X=np.asarray(X, dtype=np.float64),
+        X=X,
         y=np.asarray(y, dtype=np.int64),
-        layout=ColumnLayout(schema),
+        layout=layout,
         numeric_ranges=ranges,
+        value_index=value_index,
     )
 
 
-def first_match(rule_list, x, layout):
-    """Per-row first-match oracle for ``classify_dataset``.
+def first_match(rule_list, data, i):
+    """Per-row first-match oracle for ``classify_dataset``: row ``i`` of
+    ``data`` on its own.
 
     Returns (class index, 1-based index of the rule that fired), the index
     being None when the default class answered.
     """
-    for i, rule in enumerate(rule_list.rules, start=1):
-        if match_mask(rule.antecedent, x.reshape(1, -1), layout)[0]:
-            return rule.class_index, i
+    row = data.subset(np.array([i]))
+    for k, rule in enumerate(rule_list.rules, start=1):
+        if match_mask(rule.antecedent, row)[0]:
+            return rule.class_index, k
     return rule_list.default_class, None
 
 

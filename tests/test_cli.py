@@ -2,10 +2,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rulemine
 from rulemine import cli
 from rulemine.errors import DataError
 from rulemine.evaluation import evaluate
@@ -16,6 +21,8 @@ from rulemine.schema import encode, parse_csv
 GOLDEN_SEPARABLE_SHA256 = (
     "8c1e5afd314395a1b7fef6fe6c2ad26f6de378bd2bd4c7124294cfef2115e950"
 )
+
+_DELETE = object()  # marks a key to remove from a saved model
 
 SMALL_CONFIG = {
     "max_attempts_per_class": 2,
@@ -245,6 +252,28 @@ class TestTrain:
         assert code == cli.EXIT_DATA
         assert "must be a list" in err
 
+    def test_numeric_values_in_schema_is_data_error(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "frag.schema.json").read_text())
+        doc["attributes"][0]["values"] = list(range(len(doc["attributes"][0]["values"])))
+        bad = tmp_path / "bad.schema.json"
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["train", "--data", str(workdir / "frag.csv"),
+                         "--schema", str(bad), "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert "must be strings" in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_malformed_bounds_pair_is_config_error(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "bounds.json"
+        cfg.write_text(json.dumps({"pso": {"veloc1_bounds": "abc"}}))
+        code = cli.main(["train", "--data", str(workdir / "sep.csv"),
+                         "--schema", str(workdir / "sep.schema.json"),
+                         "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "veloc1_bounds" in err
+
     def test_missing_data_file_is_data_error(self, workdir, tmp_path, capsys):
         code = cli.main(["train", "--data", str(tmp_path / "absent.csv"),
                          "--schema", str(workdir / "sep.schema.json"),
@@ -358,6 +387,56 @@ class TestPredict:
         assert code == cli.EXIT_DATA
         assert "network" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("rule_list", "rules", 0, "class_index"), "abc"),
+            (("numeric_ranges", "score"), 5),
+            (("rule_list", "rules", 0, "antecedent"), _DELETE),
+            (("rule_list", "rules"), 5),
+            (("rule_list", "rules", 0, "antecedent", 0, "attribute"), _DELETE),
+            (("rule_list", "rules", 0, "antecedent", 0, "allowed"), 5),
+            (("rule_list",), []),
+            (("rule_list", "default_class"), _DELETE),
+            (("rule_list", "rules", 0, "provenance"), "abc"),
+            pytest.param(("rule_list", "rules", 0, "antecedent", 0),
+                         {"kind": "interval", "attribute": "score", "lo": 0.9, "hi": 0.1},
+                         id="interval-lo-above-hi"),
+            (("seed",), "abc"),
+            (("miner_config",), "abc"),
+            (("miner_config", "pso", "veloc1_bounds"), "abc"),
+            (("network", "allocation"), 5),
+            (("schema", "attributes", 0, "values", 0), 5),
+        ],
+        ids=lambda v: (
+            "/".join(map(str, v)) if isinstance(v, tuple)
+            else "deleted" if v is _DELETE else repr(v)
+        ),
+    )
+    def test_malformed_model_is_data_error_without_traceback(
+        self, workdir, tmp_path, path, value
+    ):
+        doc = json.loads((workdir / "fmodel.json").read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        env = {**os.environ, "PYTHONPATH": str(Path(rulemine.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rulemine.cli", "predict", "--model", str(model),
+             "--input", str(workdir / "frag.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == cli.EXIT_DATA, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stdout == ""
 
     def test_summary_line_on_stderr(self, workdir, capsys, tmp_path):
         score = tmp_path / "score.csv"

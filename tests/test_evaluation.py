@@ -116,7 +116,7 @@ class TestEvaluate:
         hits = 0
         fires = [0, 0, 0]  # default, rule 1, rule 2
         for i in range(len(tiny)):
-            label, fired = first_match(two_rule_list, tiny.X[i], tiny.layout)
+            label, fired = first_match(two_rule_list, tiny, i)
             hits += label == tiny.y[i]
             fires[0 if fired is None else fired] += 1
         assert rep.accuracy == pytest.approx(hits / len(tiny))

@@ -232,6 +232,106 @@ class TestFitness:
             assert got[s] == fitness_from_rule(rule, data, cfg)
 
 
+ORACLE_SCHEMAS = {
+    "mixed": (
+        Attribute("colour", "nominal", ("red", "green", "blue")),
+        Attribute("size", "numeric"),
+        Attribute("shape", "nominal", ("round", "square")),
+        Attribute("weight", "numeric"),
+    ),
+    "nominal_only": (
+        Attribute("colour", "nominal", ("red", "green", "blue")),
+        Attribute("shape", "nominal", ("round", "square")),
+    ),
+    "numeric_only": (Attribute("size", "numeric"), Attribute("weight", "numeric")),
+}
+
+
+def _oracle_data(kind, seed, n=70):
+    """Random rows that never take the value 'blue' and keep numeric values
+    in [0, 0.6], so a particle can ask for what no row has."""
+    schema = AttributeSchema(ORACLE_SCHEMAS[kind], "cls", ("neg", "pos", "other"))
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for attr in schema.attributes:
+        if attr.kind == "nominal":
+            block = np.zeros((n, len(attr.values)))
+            block[np.arange(n), rng.integers(0, 2, n)] = 1.0
+        else:
+            block = rng.uniform(0.0, 0.6, (n, 1))
+        blocks.append(block)
+    return build_encoded(schema, np.hstack(blocks), rng.integers(0, 3, n))
+
+
+class TestBatchFitnessOracle:
+    """``fitness`` scores a swarm in one pass; it must equal, byte for byte,
+    ``fitness_from_rule`` of each particle's decoded rule."""
+
+    @staticmethod
+    def _check(position, genes, class_index, data, cfg=PsoConfig()):
+        got = fitness(position, genes, class_index, data, cfg)
+        expected = np.array([
+            fitness_from_rule(decode_state(p, g, data.layout, class_index), data, cfg)
+            for p, g in zip(position, genes)
+        ])
+        assert got.shape == (len(position),)
+        assert got.tobytes() == expected.tobytes()
+        return got
+
+    @staticmethod
+    def _genes(rng, S, data):
+        """Random interval genes; about half end exactly on row values."""
+        a = len(data.layout.numeric_names)
+        genes = rng.random((S, a, 2))
+        on_rows = rng.random((S, a, 2)) < 0.5
+        for i, col in enumerate(data.layout.numeric_columns):
+            values = rng.choice(data.X[:, col], (S, 2))
+            genes[:, i] = np.where(on_rows[:, i], values, genes[:, i])
+        return np.sort(genes, axis=2)
+
+    @pytest.mark.parametrize("swarm_size", [1, 2, 40])
+    @pytest.mark.parametrize("kind", sorted(ORACLE_SCHEMAS))
+    def test_random_swarms(self, kind, swarm_size):
+        data = _oracle_data(kind, seed=swarm_size)
+        rng = np.random.default_rng(swarm_size + 1)
+        cfg = PsoConfig(weight_confidence=0.5, weight_support=0.3, weight_length=0.2)
+        for class_index in range(3):
+            for density in (0.2, 0.5, 0.8):
+                position = (rng.random((swarm_size, data.dimension)) < density).astype(float)
+                self._check(position, self._genes(rng, swarm_size, data), class_index,
+                            data, cfg)
+
+    @pytest.mark.parametrize("bit", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", sorted(ORACLE_SCHEMAS))
+    def test_all_bits_equal(self, kind, bit):
+        data = _oracle_data(kind, seed=7)
+        rng = np.random.default_rng(8)
+        position = np.full((5, data.dimension), bit)
+        self._check(position, self._genes(rng, 5, data), 1, data)
+
+    @pytest.mark.parametrize("kind", sorted(ORACLE_SCHEMAS))
+    def test_particle_matching_no_row(self, kind):
+        data = _oracle_data(kind, seed=9)
+        layout = data.layout
+        position = np.zeros((3, data.dimension))
+        genes = np.tile([0.0, 1.0], (3, len(layout.numeric_names), 1))
+        if kind == "numeric_only":
+            position[0, layout.numeric_column("size")] = 1.0
+            genes[0, 0] = [0.9, 1.0]  # above every row's value
+        else:
+            position[0, layout.nominal_columns("colour")[2]] = 1.0  # only 'blue'
+        got = self._check(position, genes, 1, data)
+        rule = decode_state(position[0], genes[0], layout, 1)
+        assert len(rule) == 1
+        assert rule_quality(rule.antecedent, 1, data)[:2] == (0.0, 0.0)
+        assert got[0] == PsoConfig().weight_length * (1 - 1 / len(data.schema.attributes))
+
+    def test_empty_dataset_rejected(self, numeric_schema):
+        data = build_encoded(numeric_schema, np.zeros((0, 2)), [])
+        with pytest.raises(DataError):
+            fitness(np.ones((2, 2)), np.zeros((2, 2, 2)), 0, data, PsoConfig())
+
+
 def _network(positions, deviations, represented, class_indices):
     return LvqNetwork(
         positions=np.array(positions, dtype=np.float64),

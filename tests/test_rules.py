@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_counts, build_encoded, first_match
+from conftest import brute_force_counts, build_encoded, first_match, random_mixed_dataset
 from rulemine.errors import DataError, SchemaError
+from rulemine.schema import encode
+from rulemine.synth import generate
 from rulemine.rules import (
     NominalMembership,
     NumericInterval,
@@ -12,6 +14,7 @@ from rulemine.rules import (
     RuleList,
     choose_default_class,
     classify_dataset,
+    match_mask,
     render_rule,
     render_rule_list,
     rule_list_from_dict,
@@ -190,7 +193,7 @@ class TestClassify:
         rl = RuleList(rules=(married_rule,), default_class=0)
         predicted, fired = classify_dataset(rl, tiny)
         for i in range(len(tiny)):
-            c, f = first_match(rl, tiny.X[i], tiny.layout)
+            c, f = first_match(rl, tiny, i)
             assert predicted[i] == c
             assert fired[i] == (0 if f is None else f)
 
@@ -347,3 +350,51 @@ def test_brute_force_oracle_agreement(payload):
         assert support(rule, data) <= confidence(rule, data)
     class_freq = float(np.mean(data.y == rule.class_index))
     assert support(rule, data) <= class_freq + 1e-12
+
+
+def _dummy_column_mask(conditions, data):
+    """The membership test as first written: a row matches when the sum of
+    its allowed dummy columns exceeds one half."""
+    layout = data.layout
+    mask = np.ones(len(data), dtype=bool)
+    for cond in conditions:
+        if isinstance(cond, NominalMembership):
+            attr = layout.schema.attribute(cond.attribute)
+            cols = layout.nominal_columns(cond.attribute)
+            picked = [cols.start + i for i, v in enumerate(attr.values) if v in cond.allowed]
+            mask &= data.X[:, picked].sum(axis=1) > 0.5
+        else:
+            values = data.X[:, layout.numeric_column(cond.attribute)]
+            mask &= (values >= cond.lo) & (values <= cond.hi)
+    return mask
+
+
+def _random_conditions(rng, data):
+    """Random conditions; half the intervals end exactly on row values."""
+    conds = []
+    for attr in data.schema.attributes:
+        if rng.random() < 0.4:
+            continue
+        if attr.kind == "nominal":
+            k = int(rng.integers(1, len(attr.values)))
+            picked = rng.choice(len(attr.values), size=k, replace=False)
+            conds.append(NominalMembership(attr.name, frozenset(attr.values[i] for i in picked)))
+        else:
+            column = data.X[:, data.layout.numeric_column(attr.name)]
+            ends = rng.choice(column, 2) if rng.random() < 0.5 else rng.random(2)
+            lo, hi = np.sort(ends)
+            conds.append(NumericInterval(attr.name, float(lo), float(hi)))
+    return [conds[i] for i in rng.permutation(len(conds))]
+
+
+@pytest.mark.parametrize("source", ["random", "credit3", "fragmented"])
+@pytest.mark.parametrize("seed", range(8))
+def test_match_mask_gather_agrees_with_dummy_column_sum(source, seed):
+    rng = np.random.default_rng(seed)
+    if source == "random":
+        data = random_mixed_dataset(rng)
+    else:  # the value index as encode builds it
+        data = encode(generate(source, 300, seed).to_raw())
+    for _ in range(25):
+        conds = _random_conditions(rng, data)
+        assert np.array_equal(match_mask(conds, data), _dummy_column_mask(conds, data))

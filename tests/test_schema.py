@@ -103,6 +103,14 @@ class TestSchemaJson:
         with pytest.raises(SchemaError, match="'values' of 'marital_status' must be a list"):
             AttributeSchema.from_dict(doc)
 
+    @pytest.mark.parametrize("values", [[1, 2], ["single", 2], ["a", None], [["a"], ["b"]]])
+    def test_values_must_be_strings(self, credit_schema, values):
+        # JSON numbers would load and then match no CSV field
+        doc = credit_schema.to_dict()
+        doc["attributes"][0]["values"] = values
+        with pytest.raises(SchemaError, match="'values' of 'marital_status' must be strings"):
+            AttributeSchema.from_dict(doc)
+
     def test_nominal_needs_two_values(self):
         with pytest.raises(SchemaError):
             Attribute("a", "nominal", ("only",))
@@ -124,6 +132,19 @@ class TestEncode:
         # married -> (0, 1, 0) in declared value order
         assert list(enc.X[0, cols]) == [0.0, 1.0, 0.0]
         assert list(enc.X[1, cols]) == [1.0, 0.0, 0.0]
+
+    def test_value_index_names_the_hot_column(self, credit_schema):
+        raw = parse_csv(io.StringIO(CSV_OK), credit_schema)
+        enc = encode(raw)
+        start = enc.layout.nominal_columns("marital_status").start
+        # married, single: one entry per row and nominal attribute
+        assert enc.value_index.tolist() == [[start + 1], [start]]
+        assert (enc.X[np.arange(len(enc))[:, None], enc.value_index] == 1.0).all()
+        assert enc.subset(np.array([1])).value_index.tolist() == [[start]]
+
+    def test_value_index_without_nominal_attributes(self, numeric_schema):
+        raw = parse_csv(io.StringIO("x,y,cls\n0.1,0.2,neg\n0.3,0.4,pos\n"), numeric_schema)
+        assert encode(raw).value_index.shape == (2, 0)
 
     def test_numeric_midpoint(self, credit_schema):
         text = (
