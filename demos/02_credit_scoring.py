@@ -37,7 +37,7 @@ config = MinerConfig(
     max_attempts_per_class=3,
     pso=PsoConfig(swarm_size=60, max_iterations=400, stagnation_limit=60),
 )
-rule_list, report = mine(train, config)
+rule_list, _ = mine(train, config)
 
 print("\nmined rule list:")
 print(render_rule_list(rule_list, data.schema, data.numeric_ranges))
@@ -51,7 +51,6 @@ model_path = Path("credit_model.json")
 artifact = ModelArtifact(
     schema=data.schema,
     numeric_ranges=data.numeric_ranges,
-    network=report.network,
     rule_list=rule_list,
     miner_config=config,
     seed=1,

@@ -7,26 +7,11 @@ the results into an ordered rule list with a default class.
 """
 
 from .errors import ConfigError, DataError, RulemineError, SchemaError
-from .evaluation import (
-    ConfusionMatrix,
-    EvalReport,
-    accuracy_from_matrix,
-    evaluate,
-    mine_greedy_baseline,
-    type_i_error_from_matrix,
-)
-from .lvq import (
-    LvqConfig,
-    LvqNetwork,
-    allocate_per_class,
-    fit_network,
-    init_network,
-    nearest_two,
-)
-from .lvq import train as train_network
-from .miner import MinerConfig, MiningReport, RuleRecord, mine, min_support
+from .evaluation import ConfusionMatrix, EvalReport, evaluate, mine_greedy_baseline
+from .lvq import LvqConfig, LvqNetwork, fit_network
+from .miner import MinerConfig, MiningReport, RuleRecord, mine
 from .model_io import ModelArtifact, load_model, save_model
-from .pso import PsoConfig, Swarm, binarize, evolve, fitness, seed_swarm, step
+from .pso import PsoConfig, Swarm, evolve, seed_swarm, step
 from .rules import (
     NominalMembership,
     NumericInterval,
@@ -76,23 +61,16 @@ __all__ = [
     "RulemineError",
     "SchemaError",
     "Swarm",
-    "accuracy_from_matrix",
-    "allocate_per_class",
-    "binarize",
     "classify_dataset",
     "encode",
     "evaluate",
     "evolve",
     "fit_network",
-    "fitness",
     "generate",
-    "init_network",
     "load_model",
     "load_schema",
     "mine",
     "mine_greedy_baseline",
-    "min_support",
-    "nearest_two",
     "parse_csv",
     "render_rule",
     "render_rule_list",
@@ -101,6 +79,4 @@ __all__ = [
     "seed_swarm",
     "step",
     "stratified_split",
-    "train_network",
-    "type_i_error_from_matrix",
 ]

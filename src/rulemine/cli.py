@@ -1,8 +1,9 @@
 """Command line interface: train, predict, evaluate, synth.
 
-Exit codes: 0 success, 1 schema/parse/data problems, 2 configuration
-problems, 3 training finished without emitting any rules (the model file is
-still written, carrying only the default class).
+Exit codes: 0 success, 1 schema/parse/data problems (undecodable input and
+unwritable output paths among them), 2 configuration problems, 3 training
+finished without emitting any rules (the model file is still written,
+carrying only the default class).
 
 Every command that uses randomness takes --seed; when absent, the
 RULEMINE_SEED environment variable is used, then 0.
@@ -18,7 +19,7 @@ import sys
 from itertools import islice
 from pathlib import Path
 
-from .errors import ConfigError, DataError, RulemineError, SchemaError
+from .errors import ConfigError, DataError, RulemineError
 from .evaluation import evaluate, mine_greedy_baseline
 from .miner import MinerConfig, mine
 from .model_io import ModelArtifact, load_model, save_model
@@ -28,6 +29,7 @@ from .schema import (
     encode,
     load_schema,
     parse_csv,
+    read_json,
     read_rows,
     save_schema,
     stratified_split,
@@ -59,13 +61,7 @@ def _resolve_seed(value: int | None) -> int:
 def _load_miner_config(path: str | None, seed: int) -> MinerConfig:
     doc: dict = {}
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        doc = read_json(path, ConfigError, "config")
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
     doc["seed"] = seed
@@ -95,7 +91,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     artifact = ModelArtifact(
         schema=schema,
         numeric_ranges=data.numeric_ranges,
-        network=report.network,
         rule_list=rule_list,
         miner_config=config,
         seed=seed,
@@ -261,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SchemaError, DataError, RulemineError) as exc:
+    except (RulemineError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

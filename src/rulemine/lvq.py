@@ -48,8 +48,7 @@ class LvqNetwork:
     class_indices: np.ndarray  # (k,)
     represented_counts: np.ndarray  # (k,) training examples nearest each centroid
     deviations: np.ndarray  # (k, d) per-dimension spread of those examples
-    allocation: dict[int, int]
-    trace: list[float] = field(default_factory=list)
+    trace: list[float] = field(default_factory=list)  # mean movement per epoch
 
 
 def move_toward(position: np.ndarray, example: np.ndarray, rate: float) -> np.ndarray:
@@ -123,25 +122,7 @@ def init_network(train: EncodedDataset, config: LvqConfig) -> LvqNetwork:
         class_indices=np.repeat(list(alloc), list(alloc.values())),
         represented_counts=np.zeros(k, dtype=np.int64),
         deviations=np.zeros((k, train.dimension)),
-        allocation=alloc,
     )
-
-
-def nearest_two(network: LvqNetwork, point: np.ndarray) -> tuple[tuple[int, float], tuple[int, float]]:
-    """Indices and Euclidean distances of the two nearest centroids.
-
-    Ties resolve to the lowest centroid index.
-    """
-    if len(network.positions) < 2:
-        raise ConfigError("nearest_two needs at least 2 centroids")
-    diff = network.positions - point
-    d2 = np.einsum("kd,kd->k", diff, diff)
-    first = int(np.argmin(d2))  # argmin returns the first (lowest) index on ties
-    d_first = float(np.sqrt(d2[first]))
-    d2[first] = np.inf
-    second = int(np.argmin(d2))
-    d_second = float(np.sqrt(d2[second]))
-    return (first, d_first), (second, d_second)
 
 
 def _final_statistics(

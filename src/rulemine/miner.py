@@ -87,9 +87,15 @@ def _bounds_pair(key: str, value) -> tuple[float, float]:
     return tuple(value)
 
 
+# what a JSON value of each scalar config field type may be; bools are not
+# numbers here, although Python counts them as ints
+_NUMBER_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number")}
+
+
 def _checked_fields(cls: type, doc: dict) -> dict:
     """Copy of ``doc`` after checking its keys against the fields of the
-    config dataclass ``cls``; integer fields take integers only (not bools)."""
+    config dataclass ``cls``; integer fields take integers only and float
+    fields numbers only (neither takes a bool)."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{cls.__name__} section must be a JSON object")
     types = {f.name: f.type for f in fields(cls)}
@@ -97,10 +103,9 @@ def _checked_fields(cls: type, doc: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
     for key, value in doc.items():
-        if types[key] in ("int", int) and (
-            isinstance(value, bool) or not isinstance(value, int)
-        ):
-            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+        accepted, noun = _NUMBER_KINDS.get(types[key], (None, ""))
+        if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
+            raise ConfigError(f"config key {key!r} must be {noun}, got {value!r}")
     return dict(doc)
 
 
@@ -145,7 +150,6 @@ class MiningReport:
     network: LvqNetwork
 
     def to_dict(self, schema: AttributeSchema) -> dict:
-        # the fitted network is serialized with the model, not the report
         labels = schema.class_labels
         return {
             "stop_reason": self.stop_reason,
@@ -178,7 +182,33 @@ class MiningReport:
                 }
                 for log in self.swarm_logs
             ],
+            "network": _network_to_dict(self.network, schema),
         }
+
+
+def _network_to_dict(network: LvqNetwork, schema: AttributeSchema) -> dict:
+    """The fitted network as run provenance: scoring never reads it, so it
+    goes in the report, not the model."""
+    labels = schema.class_labels
+    classes, counts = np.unique(network.class_indices, return_counts=True)
+    return {
+        "allocation": {labels[c]: int(n) for c, n in zip(classes, counts)},
+        "centroids": [
+            {
+                "position": position.tolist(),
+                "class": labels[class_index],
+                "represented_count": int(count),
+                "deviation": deviation.tolist(),
+            }
+            for position, class_index, count, deviation in zip(
+                network.positions,
+                network.class_indices,
+                network.represented_counts,
+                network.deviations,
+            )
+        ],
+        "trace": list(network.trace),
+    }
 
 
 def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningReport]:

@@ -1,10 +1,12 @@
 """Versioned JSON model artifacts.
 
-A saved model is self-contained: schema, the numeric scaling ranges observed
-at training time, the fitted centroid network, the mined rule list with
-provenance, the mining configuration, and the seed. Floats serialize at full
-repr precision, and nothing time- or host-dependent is written, so the same
-training run always produces byte-identical files.
+A saved model holds what scoring reads: schema, the numeric scaling ranges
+observed at training time, the mined rule list with provenance, the mining
+configuration, and the seed. The fitted centroid network is run provenance
+and goes in the train report; models written with a ``network`` section
+still load, the section unread. Floats serialize at full repr precision, and
+nothing time- or host-dependent is written, so the same training run always
+produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,13 +16,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-import numpy as np
-
 from .errors import ConfigError, DataError
-from .lvq import LvqNetwork
 from .miner import MinerConfig
 from .rules import RuleList, rule_list_from_dict, rule_list_to_dict
-from .schema import AttributeSchema, ColumnLayout
+from .schema import AttributeSchema, read_json
 
 FORMAT_VERSION = 1
 
@@ -29,57 +28,9 @@ FORMAT_VERSION = 1
 class ModelArtifact:
     schema: AttributeSchema
     numeric_ranges: dict[str, tuple[float, float]]
-    network: LvqNetwork
     rule_list: RuleList
     miner_config: MinerConfig
     seed: int
-
-
-def _network_to_dict(network: LvqNetwork, schema: AttributeSchema) -> dict:
-    labels = schema.class_labels
-    return {
-        "allocation": {labels[c]: n for c, n in sorted(network.allocation.items())},
-        "centroids": [
-            {
-                "position": position.tolist(),
-                "class": labels[class_index],
-                "represented_count": int(count),
-                "deviation": deviation.tolist(),
-            }
-            for position, class_index, count, deviation in zip(
-                network.positions,
-                network.class_indices,
-                network.represented_counts,
-                network.deviations,
-            )
-        ],
-    }
-
-
-def _network_from_dict(doc: Mapping, schema: AttributeSchema) -> LvqNetwork:
-    label_index = {label: i for i, label in enumerate(schema.class_labels)}
-    try:
-        entries = doc["centroids"]
-        network = LvqNetwork(
-            positions=np.array([e["position"] for e in entries], dtype=np.float64),
-            class_indices=np.array(
-                [label_index[e["class"]] for e in entries], dtype=np.int64
-            ),
-            represented_counts=np.array(
-                [int(e["represented_count"]) for e in entries], dtype=np.int64
-            ),
-            deviations=np.array([e["deviation"] for e in entries], dtype=np.float64),
-            allocation={label_index[k]: int(v) for k, v in doc["allocation"].items()},
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed network section: {exc}") from exc
-    shape = (len(entries), ColumnLayout(schema).dimension)
-    if network.positions.shape != shape or network.deviations.shape != shape:
-        raise DataError(
-            f"network positions and deviations must have shape {shape}, got "
-            f"{network.positions.shape} and {network.deviations.shape}"
-        )
-    return network
 
 
 def model_to_dict(artifact: ModelArtifact) -> dict:
@@ -91,7 +42,6 @@ def model_to_dict(artifact: ModelArtifact) -> dict:
             name: [lo, hi] for name, (lo, hi) in sorted(artifact.numeric_ranges.items())
         },
         "miner_config": artifact.miner_config.to_dict(),
-        "network": _network_to_dict(artifact.network, artifact.schema),
         "rule_list": rule_list_to_dict(artifact.rule_list, artifact.schema),
     }
 
@@ -104,7 +54,7 @@ def model_from_dict(doc: Mapping) -> ModelArtifact:
         raise DataError(
             f"unsupported model format version {version!r}; expected {FORMAT_VERSION}"
         )
-    for key in ("schema", "numeric_ranges", "miner_config", "network", "rule_list", "seed"):
+    for key in ("schema", "numeric_ranges", "miner_config", "rule_list", "seed"):
         if key not in doc:
             raise DataError(f"model document missing key {key!r}")
     schema = AttributeSchema.from_dict(doc["schema"])
@@ -128,7 +78,6 @@ def model_from_dict(doc: Mapping) -> ModelArtifact:
     return ModelArtifact(
         schema=schema,
         numeric_ranges=ranges,
-        network=_network_from_dict(doc["network"], schema),
         rule_list=rule_list_from_dict(doc["rule_list"], schema),
         miner_config=miner_config,
         seed=seed,
@@ -143,11 +92,4 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelArtifact:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read model file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file is not valid JSON: {exc}") from exc
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path, DataError, "model"))

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SchemaError
+from .errors import ConfigError, DataError, RulemineError, SchemaError
 
 NOMINAL = "nominal"
 NUMERIC = "numeric"
@@ -153,16 +153,23 @@ def _json_list(value, what: str) -> Sequence:
     return value
 
 
-def load_schema(path: str | Path) -> AttributeSchema:
-    """Read a schema JSON document from disk."""
+def read_json(path: str | Path, error_type: type[RulemineError], what: str):
+    """Parse a JSON file; a file that cannot be read or decoded raises
+    ``error_type`` naming ``what`` the file was meant to hold."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise SchemaError(f"cannot read schema file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"schema file is not valid JSON: {exc}") from exc
-    return AttributeSchema.from_dict(doc)
+        raise error_type(f"cannot read {what} file: {exc}") from exc
+    # ValueError covers JSONDecodeError and UnicodeDecodeError; RecursionError
+    # is what nesting too deep for the decoder raises
+    except (ValueError, RecursionError) as exc:
+        raise error_type(f"{what} file is not valid JSON: {exc}") from exc
+
+
+def load_schema(path: str | Path) -> AttributeSchema:
+    """Read a schema JSON document from disk."""
+    return AttributeSchema.from_dict(read_json(path, SchemaError, "schema"))
 
 
 def save_schema(schema: AttributeSchema, path: str | Path) -> None:
@@ -288,15 +295,18 @@ def coerce_row(
 
 
 def _open_csv(source) -> Iterator[list[str]]:
-    if isinstance(source, (str, Path)):
-        try:
-            fh = open(source, "r", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise DataError(f"cannot read input file: {exc}") from exc
-        with fh:
-            yield from csv.reader(fh)
-    else:
-        yield from csv.reader(source)
+    try:
+        if isinstance(source, (str, Path)):
+            try:
+                fh = open(source, "r", encoding="utf-8", newline="")
+            except OSError as exc:
+                raise DataError(f"cannot read input file: {exc}") from exc
+            with fh:
+                yield from csv.reader(fh)
+        else:
+            yield from csv.reader(source)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read input CSV: {exc}") from exc
 
 
 def read_header(header: list[str], schema: AttributeSchema, require_class: bool):

@@ -1,19 +1,23 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rulemine
 from rulemine import cli
 from rulemine.errors import DataError
 from rulemine.evaluation import evaluate
+from rulemine.miner import MinerConfig
 from rulemine.model_io import load_model
 from rulemine.rules import classify_dataset, render_rule
 from rulemine.schema import encode, parse_csv
@@ -37,6 +41,20 @@ def _silent(argv):
         io.StringIO()
     ):
         return cli.main(argv)
+
+
+def _mutated(doc, path, value):
+    """A copy of a JSON document with the key or index at ``path`` deleted
+    (``value`` is _DELETE) or set to ``value``."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
 
 
 def _write_interleaved(directory):
@@ -157,6 +175,15 @@ class TestTrain:
         report = json.loads((tmp_path / "m.report.json").read_text())
         assert report["mining"]["stop_reason"] == "all_covered"
         assert report["evaluation"]["accuracy_percent"] == pytest.approx(100.0)
+
+    def test_network_goes_to_report_not_model(self, workdir):
+        model = json.loads((workdir / "fmodel.json").read_text())
+        report = json.loads((workdir / "fmodel.report.json").read_text())
+        assert "network" not in model
+        network = report["mining"]["network"]
+        assert sum(network["allocation"].values()) == SMALL_CONFIG["lvq"]["centroid_count"]
+        assert len(network["centroids"]) == SMALL_CONFIG["lvq"]["centroid_count"]
+        assert 1 <= len(network["trace"]) <= SMALL_CONFIG["lvq"]["max_epochs"]
 
     def test_same_seed_same_bytes(self, workdir, tmp_path, capsys):
         args = ["train", "--data", str(workdir / "sep.csv"),
@@ -373,20 +400,20 @@ class TestPredict:
         assert code == cli.EXIT_DATA
         assert "no data rows" in err
 
-    @pytest.mark.parametrize("rows", ["one", "all"])
-    def test_wrong_width_network_is_data_error(self, workdir, capsys, tmp_path, rows):
+    def test_model_with_network_section_predicts_the_same(self, workdir, capsys, tmp_path):
+        # models written before the network moved to the report carry it
         doc = json.loads((workdir / "fmodel.json").read_text())
-        centroids = doc["network"]["centroids"]
-        for entry in centroids[:1] if rows == "one" else centroids:
-            entry["position"] = entry["position"][:3]
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc))
-        code = cli.main(["predict", "--model", str(model),
-                         "--input", str(workdir / "frag.csv")])
-        captured = capsys.readouterr()
-        assert code == cli.EXIT_DATA
-        assert "network" in captured.err
-        assert captured.out == ""
+        network = json.loads((workdir / "fmodel.report.json").read_text())["mining"]["network"]
+        doc["network"] = {k: network[k] for k in ("allocation", "centroids")}
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc, indent=2))
+        outputs = []
+        for model in (workdir / "fmodel.json", old):
+            code = cli.main(["predict", "--model", str(model),
+                             "--input", str(workdir / "frag.csv")])
+            assert code == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "path, value",
@@ -406,7 +433,6 @@ class TestPredict:
             (("seed",), "abc"),
             (("miner_config",), "abc"),
             (("miner_config", "pso", "veloc1_bounds"), "abc"),
-            (("network", "allocation"), 5),
             (("schema", "attributes", 0, "values", 0), 5),
         ],
         ids=lambda v: (
@@ -417,14 +443,7 @@ class TestPredict:
     def test_malformed_model_is_data_error_without_traceback(
         self, workdir, tmp_path, path, value
     ):
-        doc = json.loads((workdir / "fmodel.json").read_text())
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        if value is _DELETE:
-            del node[path[-1]]
-        else:
-            node[path[-1]] = value
+        doc = _mutated(json.loads((workdir / "fmodel.json").read_text()), path, value)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
         env = {**os.environ, "PYTHONPATH": str(Path(rulemine.__file__).parents[1])}
@@ -595,3 +614,141 @@ def csv_fields(line):
     import csv as _csv
 
     return next(_csv.reader([line]))
+
+
+def _latin1_csv(path):
+    path.write_bytes(b"x1,x2,label\n0.5,0.5,pos\n0.1,0.9,n\xe9g\n")
+
+
+def _huge_field_csv(path):
+    # one field past the csv module's 131,072-character limit
+    path.write_text("x1,x2,label\n0.5,0.5,pos\n" + "1" * 200_000 + ",0.5,neg\n")
+
+
+class TestNoTraceback:
+    """Undecodable input and unwritable outputs are data errors (exit 1)."""
+
+    def _assert_data_error(self, code, capsys):
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("make_csv", [_latin1_csv, _huge_field_csv],
+                             ids=["latin1-byte", "huge-field"])
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+    def test_unreadable_csv(self, workdir, tmp_path, capsys, command, make_csv):
+        data = tmp_path / "bad.csv"
+        make_csv(data)
+        model = str(workdir / "model.json")
+        argv = {
+            "train": ["train", "--data", str(data), "--schema",
+                      str(workdir / "sep.schema.json"), "--out", str(tmp_path / "m.json")],
+            "predict": ["predict", "--model", model, "--input", str(data)],
+            "evaluate": ["evaluate", "--model", model, "--data", str(data)],
+        }[command]
+        self._assert_data_error(cli.main(argv), capsys)
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "synth"])
+    def test_out_in_missing_directory(self, workdir, tmp_path, capsys, command):
+        out = str(tmp_path / "missing" / "out")
+        sep, model = str(workdir / "sep.csv"), str(workdir / "model.json")
+        argv = {
+            "train": ["train", "--data", sep, "--schema", str(workdir / "sep.schema.json"),
+                      "--config", str(workdir / "small.json")],
+            "predict": ["predict", "--model", model, "--input", sep],
+            "evaluate": ["evaluate", "--model", model, "--data", sep],
+            "synth": ["synth", "--rows", "80", "--profile", "separable"],
+        }[command]
+        self._assert_data_error(cli.main(argv + ["--out", out]), capsys)
+
+    @pytest.mark.parametrize(
+        "flag, exit_code", [("--model", cli.EXIT_DATA), ("--schema", cli.EXIT_DATA),
+                            ("--config", cli.EXIT_CONFIG)])
+    def test_random_bytes_json_file(self, workdir, tmp_path, capsys, flag, exit_code):
+        junk = tmp_path / "junk.json"
+        junk.write_bytes(random.Random(0).randbytes(100))
+        sep = str(workdir / "sep.csv")
+        files = {"--schema": str(workdir / "sep.schema.json"),
+                 "--config": str(workdir / "small.json"), flag: str(junk)}
+        if flag == "--model":
+            argv = ["predict", "--model", str(junk), "--input", sep]
+        else:
+            argv = ["train", "--data", sep, "--schema", files["--schema"],
+                    "--config", files["--config"], "--out", str(tmp_path / "m.json")]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == exit_code
+        assert err.startswith("error: ") and "file is not valid JSON" in err
+
+
+# a mutation deletes a key (or list item) or sets it to one of these; no
+# large numbers, so a mutated count cannot make a run slow or large
+_FUZZ_VALUES = [_DELETE, -1, 0, 2.5, "x", [], {}, None, True]
+_FUZZ_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None, database=None)
+
+
+def _paths(node, prefix=()):
+    """The path of every key and list index in a JSON document, at any depth."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzzdir(tmp_path_factory):
+    """A 60-row dataset, its schema, the full small config and a model."""
+    d = tmp_path_factory.mktemp("fuzz")
+    assert _silent(["synth", "--rows", "60", "--seed", "4",
+                    "--profile", "fragmented", "--out", str(d / "tiny")]) == 0
+    config = MinerConfig.from_dict(SMALL_CONFIG).to_dict()
+    (d / "config.json").write_text(json.dumps(config))
+    assert _silent(["train", "--data", str(d / "tiny.csv"),
+                    "--schema", str(d / "tiny.schema.json"), "--out", str(d / "model.json"),
+                    "--seed", "2", "--config", str(d / "config.json")]) == 0
+    return d
+
+
+class TestJsonFuzz:
+    """A mutated model, config or schema document ends in an exit code and
+    never in an exception."""
+
+    def _mutate(self, data, path):
+        doc = json.loads(path.read_text())
+        key_path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+        value = data.draw(st.sampled_from(_FUZZ_VALUES), label="value")
+        mutated = path.with_name("mutated.json")
+        mutated.write_text(json.dumps(_mutated(doc, key_path, value)))
+        return str(mutated)
+
+    def _train(self, d, **files):
+        files = {"schema": d / "tiny.schema.json", "config": d / "config.json", **files}
+        return _silent(["train", "--data", str(d / "tiny.csv"),
+                        "--schema", str(files["schema"]), "--config", str(files["config"]),
+                        "--out", str(d / "out.json"), "--seed", "2"])
+
+    @_FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_model(self, fuzzdir, data):
+        model = self._mutate(data, fuzzdir / "model.json")
+        code = _silent(["predict", "--model", model, "--input", str(fuzzdir / "tiny.csv")])
+        assert code in (cli.EXIT_OK, cli.EXIT_DATA)
+
+    @_FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_config(self, fuzzdir, data):
+        code = self._train(fuzzdir, config=self._mutate(data, fuzzdir / "config.json"))
+        assert code in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_CONFIG, cli.EXIT_NO_RULES)
+
+    @_FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_schema(self, fuzzdir, data):
+        code = self._train(fuzzdir, schema=self._mutate(data, fuzzdir / "tiny.schema.json"))
+        assert code in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_CONFIG, cli.EXIT_NO_RULES)

@@ -6,12 +6,12 @@ from conftest import build_encoded
 from rulemine.errors import ConfigError, DataError
 from rulemine.lvq import (
     LvqConfig,
+    LvqNetwork,
     allocate_per_class,
     fit_network,
     init_network,
     move_away,
     move_toward,
-    nearest_two,
     train,
 )
 
@@ -113,39 +113,6 @@ class TestInit:
             init_network(data, LvqConfig(centroid_count=2))
 
 
-class TestNearestTwo:
-    def _net(self, numeric_schema, positions, classes):
-        X = np.array(positions)
-        data = build_encoded(numeric_schema, X, classes)
-        return init_network(
-            data, LvqConfig(centroid_count=len(positions), seed=0)
-        )
-
-    def test_identity_distance_zero(self, numeric_schema):
-        net = self._net(numeric_schema, [[0.0, 0.0], [1.0, 0.0]], [0, 1])
-        (i1, d1), _ = nearest_two(net, np.array([0.0, 0.0]))
-        assert d1 == 0.0
-
-    def test_hand_computed_distances(self, numeric_schema):
-        net = self._net(numeric_schema, [[0.0, 0.0], [1.0, 0.0]], [0, 1])
-        by_pos = sorted(range(2), key=lambda i: net.positions[i][0])
-        (i1, d1), (i2, d2) = nearest_two(net, np.array([0.2, 0.0]))
-        assert i1 == by_pos[0] and d1 == pytest.approx(0.2)
-        assert i2 == by_pos[1] and d2 == pytest.approx(0.8)
-
-    def test_tie_takes_lower_index(self, numeric_schema):
-        net = self._net(numeric_schema, [[0.0, 0.0], [1.0, 0.0]], [0, 1])
-        (i1, _), (i2, _) = nearest_two(net, np.array([0.5, 0.0]))
-        assert i1 == 0 and i2 == 1
-
-    def test_needs_two_centroids(self, numeric_schema):
-        X = np.array([[0.5, 0.5], [0.6, 0.6]])
-        data = build_encoded(numeric_schema, X, [0, 0])
-        net = init_network(data, LvqConfig(centroid_count=1, seed=0))
-        with pytest.raises(ConfigError):
-            nearest_two(net, np.array([0.0, 0.0]))
-
-
 class TestMoveLaws:
     def test_attraction_formula(self):
         c = np.array([0.0, 0.0])
@@ -224,4 +191,20 @@ class TestTraining:
         net = init_network(data, cfg)
         trained = train(net, data, cfg)
         assert len(trained.positions) == 6
-        assert sum(trained.allocation.values()) == 6
+        assert len(trained.class_indices) == 6
+
+    def test_tie_takes_lower_index(self, numeric_schema):
+        # two coincident centroids of the example's class: the lower index
+        # wins and moves; the runner-up shares the class, so it stays put
+        start = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]])
+        net = LvqNetwork(
+            positions=start.copy(),
+            class_indices=np.array([0, 0, 1]),
+            represented_counts=np.zeros(3, dtype=np.int64),
+            deviations=np.zeros((3, 2)),
+        )
+        data = build_encoded(numeric_schema, np.array([[0.9, 0.1]]), [0])
+        trained = train(net, data, LvqConfig(centroid_count=3, max_epochs=1))
+        moved = np.any(trained.positions != start, axis=1)
+        assert moved.tolist() == [True, False, False]
+        assert trained.represented_counts.tolist() == [1, 0, 0]

@@ -32,17 +32,16 @@ def trained():
     artifact = ModelArtifact(
         schema=data.schema,
         numeric_ranges=dict(data.numeric_ranges),
-        network=report.network,
         rule_list=rule_list,
         miner_config=config,
         seed=config.seed,
     )
-    return artifact, test
+    return artifact, test, report
 
 
 class TestRoundTrip:
     def test_evaluation_is_identical_after_reload(self, trained, tmp_path):
-        artifact, test = trained
+        artifact, test, _ = trained
         path = tmp_path / "model.json"
         save_model(artifact, path)
         loaded = load_model(path)
@@ -55,7 +54,7 @@ class TestRoundTrip:
         assert before.default_fire_count == after.default_fire_count
 
     def test_every_field_survives(self, trained, tmp_path):
-        artifact, _ = trained
+        artifact, _, _ = trained
         path = tmp_path / "model.json"
         save_model(artifact, path)
         loaded = load_model(path)
@@ -65,21 +64,31 @@ class TestRoundTrip:
         assert loaded.miner_config == artifact.miner_config
         assert loaded.seed == artifact.seed
 
-    def test_network_positions_bit_exact(self, trained, tmp_path):
-        artifact, _ = trained
-        path = tmp_path / "model.json"
-        save_model(artifact, path)
-        loaded = load_model(path)
-        a, b = artifact.network, loaded.network
-        assert len(b.positions) == len(a.positions)
-        assert np.array_equal(a.positions, b.positions)
-        assert np.array_equal(a.deviations, b.deviations)
-        assert np.array_equal(a.class_indices, b.class_indices)
-        assert np.array_equal(a.represented_counts, b.represented_counts)
-        assert loaded.network.allocation == artifact.network.allocation
+    def test_report_network_survives_json_bit_exact(self, trained):
+        artifact, _, report = trained
+        schema = artifact.schema
+        doc = json.loads(json.dumps(report.to_dict(schema)))["network"]
+        network = report.network
+        entries = doc["centroids"]
+        positions = np.array([e["position"] for e in entries])
+        deviations = np.array([e["deviation"] for e in entries])
+        assert positions.tobytes() == network.positions.tobytes()
+        assert deviations.tobytes() == network.deviations.tobytes()
+        assert [schema.class_labels.index(e["class"]) for e in entries] == (
+            network.class_indices.tolist()
+        )
+        assert [e["represented_count"] for e in entries] == (
+            network.represented_counts.tolist()
+        )
+        assert doc["trace"] == network.trace and len(doc["trace"]) >= 1
+        # allocation is counted from the centroid classes
+        per_class = np.bincount(network.class_indices, minlength=len(schema.class_labels))
+        assert doc["allocation"] == {
+            schema.class_labels[c]: int(n) for c, n in enumerate(per_class) if n
+        }
 
     def test_saving_twice_is_byte_identical(self, trained, tmp_path):
-        artifact, _ = trained
+        artifact, _, _ = trained
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_model(artifact, p1)
         save_model(artifact, p2)
@@ -88,12 +97,13 @@ class TestRoundTrip:
 
 class TestValidation:
     def _doc(self, trained):
-        artifact, _ = trained
+        artifact, _, _ = trained
         return model_to_dict(artifact)
 
     def test_document_carries_version(self, trained):
         doc = self._doc(trained)
         assert doc["format_version"] == FORMAT_VERSION
+        assert "network" not in doc  # provenance: it goes in the train report
         json.dumps(doc)  # plain JSON types only
 
     def test_version_mismatch_rejected(self, trained, tmp_path):
@@ -105,7 +115,7 @@ class TestValidation:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "key", ["schema", "numeric_ranges", "miner_config", "network", "rule_list", "seed"]
+        "key", ["schema", "numeric_ranges", "miner_config", "rule_list", "seed"]
     )
     def test_missing_section_rejected(self, trained, tmp_path, key):
         doc = self._doc(trained)
@@ -131,35 +141,6 @@ class TestValidation:
         with pytest.raises(DataError):
             load_model(path)
 
-    @pytest.mark.parametrize("key", ["position", "deviation"])
-    def test_truncated_network_rows_rejected(self, trained, tmp_path, key):
-        # every row one coordinate short: rectangular, but not the encoded width
-        doc = self._doc(trained)
-        for entry in doc["network"]["centroids"]:
-            entry[key] = entry[key][:-1]
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="shape"):
-            load_model(path)
-
-    @pytest.mark.parametrize("key", ["position", "deviation"])
-    def test_ragged_network_rows_rejected(self, trained, tmp_path, key):
-        doc = self._doc(trained)
-        entry = doc["network"]["centroids"][1]
-        entry[key] = entry[key] + [0.5]
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="network"):
-            load_model(path)
-
-    def test_non_numeric_represented_count_rejected(self, trained, tmp_path):
-        doc = self._doc(trained)
-        doc["network"]["centroids"][0]["represented_count"] = "many"
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="network"):
-            load_model(path)
-
     def test_unreadable_and_malformed_files(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
             load_model(tmp_path / "missing.json")
@@ -167,6 +148,10 @@ class TestValidation:
         bad.write_text("{not json")
         with pytest.raises(DataError, match="JSON"):
             load_model(bad)
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(DataError, match="not valid JSON"):
+            load_model(deep)
 
     def test_non_object_document_rejected(self, tmp_path):
         path = tmp_path / "list.json"

@@ -338,7 +338,6 @@ def _network(positions, deviations, represented, class_indices):
         class_indices=np.array(class_indices, dtype=np.int64),
         represented_counts=np.array(represented, dtype=np.int64),
         deviations=np.array(deviations, dtype=np.float64),
-        allocation={c: class_indices.count(c) for c in set(class_indices)},
     )
 
 

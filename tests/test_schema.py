@@ -76,6 +76,18 @@ class TestParseCsv:
         with pytest.raises(DataError):
             parse_csv(io.StringIO(text), credit_schema)
 
+    @pytest.mark.parametrize(
+        "tail, match",
+        [(b"m\xe9rried,100,30,Accept\n", "codec"),
+         (b"married," + b"1" * 200_000 + b",30,Accept\n", "field limit")],
+        ids=["latin1-byte", "huge-field"],
+    )
+    def test_unreadable_file_object_is_data_error(self, credit_schema, tail, match):
+        # the CLI tests cover paths; this is the file-object branch
+        source = io.TextIOWrapper(io.BytesIO(CSV_OK.encode() + tail), encoding="utf-8")
+        with pytest.raises(DataError, match=match):
+            parse_csv(source, credit_schema)
+
 
 class TestSchemaJson:
     def test_round_trip(self, credit_schema, tmp_path):
