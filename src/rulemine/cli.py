@@ -47,15 +47,19 @@ PREDICT_CHUNK_ROWS = 4096
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("RULEMINE_SEED")
-    if env is not None:
+    source = "--seed"
+    if value is None:
+        env = os.environ.get("RULEMINE_SEED")
+        if env is None:
+            return 0
+        source = "RULEMINE_SEED"
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise ConfigError(f"RULEMINE_SEED must be an integer, got {env!r}") from None
-    return 0
+    if value < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {value}")
+    return value
 
 
 def _load_miner_config(path: str | None, seed: int) -> MinerConfig:

@@ -20,9 +20,20 @@ from .schema import EncodedDataset
 
 @dataclass(frozen=True)
 class LvqConfig:
+    """Settings of the competitive network.
+
+    The learning rate falls linearly from ``adapt_rate`` to 0 over
+    ``max_epochs``, so ``max_epochs`` is the length of the annealing schedule
+    rather than a safety cap: late epochs move centroids little because the
+    rate is small, not because training has converged. The default of 20
+    keeps every acceptance bound on the credit3 and fragmented profiles at a
+    fifth of the cost of 100. Training may stop sooner on stability or on a
+    repeated assignment (see ``train``).
+    """
+
     centroid_count: int = 30
     adapt_rate: float = 0.05
-    max_epochs: int = 100
+    max_epochs: int = 20
     stability_threshold: float = 1e-4
     repulsion_ratio: float = 1.2
     seed: int = 0
@@ -49,18 +60,25 @@ class LvqNetwork:
     represented_counts: np.ndarray  # (k,) training examples nearest each centroid
     deviations: np.ndarray  # (k, d) per-dimension spread of those examples
     trace: list[float] = field(default_factory=list)  # mean movement per epoch
+    # share of rows whose nearest centroid changed, per epoch after the first
+    churn: list[float] = field(default_factory=list)
+    stop_reason: str = ""  # "stability", "repeated_assignment" or "max_epochs"
 
 
-def move_toward(position: np.ndarray, example: np.ndarray, rate: float) -> np.ndarray:
+def move_toward(
+    position: np.ndarray, example: np.ndarray, rate: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Attraction step: the new distance to the example is (1 - rate) times
-    the old one, exactly."""
-    return position + rate * (example - position)
+    the old one, exactly. ``out=position`` moves the row in place."""
+    return np.add(position, rate * (example - position), out=out)
 
 
-def move_away(position: np.ndarray, example: np.ndarray, rate: float) -> np.ndarray:
+def move_away(
+    position: np.ndarray, example: np.ndarray, rate: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Repulsion step: the new distance to the example is (1 + rate) times
-    the old one, exactly."""
-    return position - rate * (example - position)
+    the old one, exactly. ``out=position`` moves the row in place."""
+    return np.subtract(position, rate * (example - position), out=out)
 
 
 def allocate_per_class(class_counts: np.ndarray, total_centroids: int) -> dict[int, int]:
@@ -128,12 +146,13 @@ def init_network(train: EncodedDataset, config: LvqConfig) -> LvqNetwork:
 def _final_statistics(
     network: LvqNetwork, positions: np.ndarray, train: EncodedDataset
 ) -> None:
-    # one clean assignment pass over the final positions
-    d2 = (
-        np.einsum("nd,nd->n", train.X, train.X)[:, None]
-        - 2.0 * train.X @ positions.T
-        + np.einsum("kd,kd->k", positions, positions)[None, :]
-    )
+    # one clean assignment pass over the final positions, with train's
+    # direct-difference distance; one centroid at a time keeps the largest
+    # temporary at (n, d)
+    d2 = np.empty((len(train), len(positions)))
+    for j, position in enumerate(positions):
+        diff = train.X - position
+        d2[:, j] = np.einsum("nd,nd->n", diff, diff)
     assign = np.argmin(d2, axis=1)
     network.positions = positions
     network.represented_counts = np.bincount(assign, minlength=len(positions))
@@ -145,10 +164,14 @@ def _final_statistics(
 def train(network: LvqNetwork, train_data: EncodedDataset, config: LvqConfig) -> LvqNetwork:
     """Fit the network in place and return it.
 
-    Presentation order is reshuffled each epoch from the seeded generator.
-    Training stops when the mean centroid displacement in an epoch falls
-    below the stability threshold, when example-to-centroid assignments
-    repeat across two consecutive epochs, or at max_epochs.
+    Presentation order is reshuffled each epoch from the seeded generator,
+    and the rate anneals linearly to 0 at max_epochs. Training stops when
+    the mean centroid displacement in an epoch falls below the stability
+    threshold, when example-to-centroid assignments repeat across two
+    consecutive epochs, or at max_epochs. The network records which of the
+    three ended it (``stop_reason``), the mean movement per epoch
+    (``trace``) and, for every epoch after the first, the share of examples
+    whose nearest centroid changed (``churn``).
     """
     if len(train_data) == 0:
         raise DataError("cannot train on an empty dataset")
@@ -168,6 +191,8 @@ def train(network: LvqNetwork, train_data: EncodedDataset, config: LvqConfig) ->
     ratio_sq = config.repulsion_ratio**2
     prev_assign: list[int] | None = None
     network.trace = []
+    network.churn = []
+    network.stop_reason = "max_epochs"
 
     for epoch in range(config.max_epochs):
         rate = config.adapt_rate * (1.0 - epoch / config.max_epochs)
@@ -183,24 +208,28 @@ def train(network: LvqNetwork, train_data: EncodedDataset, config: LvqConfig) ->
             second = int(d2.argmin())
             assign[i] = first
             label = labels[i]
-            # move_toward / move_away, in place, then clamp to [0, 1]
+            # move the row in place, then clamp it to [0, 1]
             p = positions[first]
             if classes[first] == label:
-                p += rate * (x - p)
+                move_toward(p, x, rate, out=p)
             else:
-                p -= rate * (x - p)
+                move_away(p, x, rate, out=p)
             np.maximum(p, 0.0, out=p)
             np.minimum(p, 1.0, out=p)
             if classes[second] != label and d2[second] < ratio_sq * d2_first:
                 q = positions[second]
-                q -= rate * (x - q)
+                move_away(q, x, rate, out=q)
                 np.maximum(q, 0.0, out=q)
                 np.minimum(q, 1.0, out=q)
         movement = float(np.mean(np.sqrt(((positions - start) ** 2).sum(axis=1))))
         network.trace.append(movement)
+        if prev_assign is not None:
+            network.churn.append(sum(a != b for a, b in zip(assign, prev_assign)) / n)
         if movement < config.stability_threshold:
+            network.stop_reason = "stability"
             break
         if assign == prev_assign:
+            network.stop_reason = "repeated_assignment"
             break
         prev_assign = assign
 

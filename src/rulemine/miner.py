@@ -208,6 +208,8 @@ def _network_to_dict(network: LvqNetwork, schema: AttributeSchema) -> dict:
             )
         ],
         "trace": list(network.trace),
+        "churn": list(network.churn),
+        "stop_reason": network.stop_reason,
     }
 
 

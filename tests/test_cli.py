@@ -160,6 +160,28 @@ class TestSynth:
         assert "RULEMINE_SEED" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_negative_seed_is_config_error(workdir, tmp_path, capsys, monkeypatch, command, source):
+    argv = {
+        "synth": ["synth", "--rows", "60", "--profile", "fragmented",
+                  "--out", str(tmp_path / "toy")],
+        "train": ["train", "--data", str(workdir / "sep.csv"),
+                  "--schema", str(workdir / "sep.schema.json"),
+                  "--config", str(workdir / "small.json"), "--out", str(tmp_path / "m.json")],
+    }[command]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("RULEMINE_SEED", "-1")
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert ("--seed" if source == "flag" else "RULEMINE_SEED") in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestTrain:
     def test_train_with_holdout(self, workdir, tmp_path, capsys):
         code = cli.main(["train", "--data", str(workdir / "sep.csv"),
@@ -184,6 +206,9 @@ class TestTrain:
         assert sum(network["allocation"].values()) == SMALL_CONFIG["lvq"]["centroid_count"]
         assert len(network["centroids"]) == SMALL_CONFIG["lvq"]["centroid_count"]
         assert 1 <= len(network["trace"]) <= SMALL_CONFIG["lvq"]["max_epochs"]
+        assert len(network["churn"]) == len(network["trace"]) - 1
+        assert all(0.0 <= share <= 1.0 for share in network["churn"])
+        assert network["stop_reason"] in ("stability", "repeated_assignment", "max_epochs")
 
     def test_same_seed_same_bytes(self, workdir, tmp_path, capsys):
         args = ["train", "--data", str(workdir / "sep.csv"),

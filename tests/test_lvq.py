@@ -7,6 +7,7 @@ from rulemine.errors import ConfigError, DataError
 from rulemine.lvq import (
     LvqConfig,
     LvqNetwork,
+    _final_statistics,
     allocate_per_class,
     fit_network,
     init_network,
@@ -134,6 +135,15 @@ class TestMoveLaws:
             assert abs(np.linalg.norm(move_toward(c, x, a) - x) - (1 - a) * base) < 1e-12
             assert abs(np.linalg.norm(move_away(c, x, a) - x) - (1 + a) * base) < 1e-12
 
+    @pytest.mark.parametrize("move", [move_toward, move_away])
+    def test_out_moves_in_place_to_the_same_bytes(self, move):
+        rng = np.random.default_rng(7)
+        c, x = rng.uniform(0, 1, 5), rng.uniform(0, 1, 5)
+        want = move(c, x, 0.3)
+        got = move(c, x, 0.3, out=c)
+        assert got is c
+        assert c.tobytes() == want.tobytes()
+
 
 class TestTraining:
     def test_one_class_trace_never_increases(self, numeric_schema):
@@ -184,6 +194,41 @@ class TestTraining:
         cfg = LvqConfig(centroid_count=4, seed=0, max_epochs=5, stability_threshold=1e-30)
         net = fit_network(data, cfg)
         assert len(net.trace) <= 5
+
+    @pytest.mark.parametrize(
+        "max_epochs, threshold, stop",
+        [(5, 1e-30, "max_epochs"), (40, 1e-30, "repeated_assignment"), (40, 0.02, "stability")],
+    )
+    def test_churn_and_stop_reason(self, numeric_schema, max_epochs, threshold, stop):
+        data = _uniform_data(numeric_schema, 60, 3)
+        cfg = LvqConfig(centroid_count=4, seed=1, max_epochs=max_epochs,
+                        stability_threshold=threshold)
+        net = fit_network(data, cfg)
+        assert net.stop_reason == stop
+        assert len(net.churn) == len(net.trace) - 1
+        # a zero churn before the last epoch would have stopped training there
+        assert all(0.0 < share <= 1.0 for share in net.churn[:-1])
+        assert (net.churn[-1] == 0.0) == (stop == "repeated_assignment")
+
+    def test_final_assignment_uses_the_direct_difference(self, numeric_schema):
+        # a near-tie below the rounding error of |x|^2 - 2x.c + |c|^2: the
+        # row is nearer centroid 0, which the expanded form cannot resolve
+        X = np.array([[0.7, 0.9]])
+        positions = np.array([[0.7 + 3e-9, 0.9], [0.7 - 4e-9, 0.9]])
+        expanded = (
+            np.einsum("nd,nd->n", X, X)[:, None]
+            - 2.0 * X @ positions.T
+            + np.einsum("kd,kd->k", positions, positions)[None, :]
+        )
+        assert int(expanded.argmin()) == 1
+        net = LvqNetwork(
+            positions=positions,
+            class_indices=np.array([0, 1]),
+            represented_counts=np.zeros(2, dtype=np.int64),
+            deviations=np.zeros((2, 2)),
+        )
+        _final_statistics(net, positions, build_encoded(numeric_schema, X, [0]))
+        assert net.represented_counts.tolist() == [1, 0]
 
     def test_train_does_not_grow_network(self, numeric_schema):
         data = _uniform_data(numeric_schema, 40, 9)

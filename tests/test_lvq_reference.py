@@ -118,6 +118,7 @@ def _fit_both(data, config):
     for name in ("positions", "represented_counts", "deviations"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
     assert np.array(got.trace).tobytes() == np.array(ref.trace).tobytes()
+    assert got.stop_reason == stop
     return ref, stop, repulsions
 
 
