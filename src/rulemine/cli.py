@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -63,13 +64,8 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _load_miner_config(path: str | None, seed: int) -> MinerConfig:
-    doc: dict = {}
-    if path is not None:
-        doc = read_json(path, ConfigError, "config")
-        if not isinstance(doc, dict):
-            raise ConfigError("config file must hold a JSON object")
-    doc["seed"] = seed
-    return MinerConfig.from_dict(doc)
+    doc = {} if path is None else read_json(path, ConfigError, "config")
+    return replace(MinerConfig.from_dict(doc), seed=seed)
 
 
 def _report_path(out: str, explicit: str | None) -> Path:

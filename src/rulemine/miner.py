@@ -30,7 +30,7 @@ from .rules import (
     rule_quality,
     rule_to_dict,
 )
-from .schema import AttributeSchema, EncodedDataset
+from .schema import AttributeSchema, EncodedDataset, json_object
 
 STOP_ALL_COVERED = "all_covered"
 STOP_NO_VIABLE_CLASS = "no_viable_class"
@@ -59,54 +59,27 @@ class MinerConfig:
     @staticmethod
     def from_dict(doc: dict) -> "MinerConfig":
         """Build a config from a JSON-style dict of overrides."""
-        kwargs = _checked_fields(MinerConfig, doc)
-        try:
-            if "lvq" in doc:
-                kwargs["lvq"] = LvqConfig(**_checked_fields(LvqConfig, doc["lvq"]))
-            if "pso" in doc:
-                pso_doc = _checked_fields(PsoConfig, doc["pso"])
-                for bounds_key in ("veloc1_bounds", "veloc2_bounds"):
-                    if bounds_key in pso_doc:
-                        pso_doc[bounds_key] = _bounds_pair(bounds_key, pso_doc[bounds_key])
-                kwargs["pso"] = PsoConfig(**pso_doc)
-            return MinerConfig(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad config document: {exc}") from exc
+        return _config_from_dict(MinerConfig, doc, "config")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def _bounds_pair(key: str, value) -> tuple[float, float]:
-    if not (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
-        raise ConfigError(f"{key!r} must be a [low, high] pair of numbers")
-    return tuple(value)
+# the JSON kind of each config field's type (annotations are strings here)
+_FIELD_KINDS = {"int": "int", "float": "number", "tuple[float, float]": "pair",
+                "LvqConfig": "object", "PsoConfig": "object"}
 
 
-# what a JSON value of each scalar config field type may be; bools are not
-# numbers here, although Python counts them as ints
-_NUMBER_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number")}
-
-
-def _checked_fields(cls: type, doc: dict) -> dict:
-    """Copy of ``doc`` after checking its keys against the fields of the
-    config dataclass ``cls``; integer fields take integers only and float
-    fields numbers only (neither takes a bool)."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{cls.__name__} section must be a JSON object")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(doc) - set(types)
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-    for key, value in doc.items():
-        accepted, noun = _NUMBER_KINDS.get(types[key], (None, ""))
-        if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
-            raise ConfigError(f"config key {key!r} must be {noun}, got {value!r}")
-    return dict(doc)
+def _config_from_dict(cls: type, doc, what: str):
+    """A ``cls`` config built from a JSON object of overrides of its fields;
+    a nested config field builds from its own object."""
+    kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
+    kwargs = json_object(doc, ConfigError, what, {}, kinds)
+    for f in fields(cls):
+        if kinds[f.name] == "object" and f.name in kwargs:
+            section = f"config section {f.name!r}"
+            kwargs[f.name] = _config_from_dict(f.default_factory, kwargs[f.name], section)
+    return cls(**kwargs)
 
 
 def min_support(uncovered_count: int, total_train: int, support_factor: float) -> float:

@@ -19,7 +19,7 @@ from typing import Mapping
 from .errors import ConfigError, DataError
 from .miner import MinerConfig
 from .rules import RuleList, rule_list_from_dict, rule_list_to_dict
-from .schema import AttributeSchema, read_json
+from .schema import AttributeSchema, json_object, json_pair, json_value, read_json
 
 FORMAT_VERSION = 1
 
@@ -47,40 +47,33 @@ def model_to_dict(artifact: ModelArtifact) -> dict:
 
 
 def model_from_dict(doc: Mapping) -> ModelArtifact:
-    if not isinstance(doc, Mapping):
-        raise DataError("model document must be a JSON object")
-    version = doc.get("format_version")
+    # the version first, so a newer format is named as such
+    version = json_value(doc, "object", DataError, "model").get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(
             f"unsupported model format version {version!r}; expected {FORMAT_VERSION}"
         )
-    for key in ("schema", "numeric_ranges", "miner_config", "rule_list", "seed"):
-        if key not in doc:
-            raise DataError(f"model document missing key {key!r}")
+    objects = ("schema", "numeric_ranges", "miner_config", "rule_list")
+    sections = {"format_version": "int", "seed": "int", **dict.fromkeys(objects, "object")}
+    # models written before the network moved to the train report carry it
+    doc = json_object(doc, DataError, "model", sections, {"network": None})
     schema = AttributeSchema.from_dict(doc["schema"])
-    try:
-        ranges = {
-            str(name): (float(lo), float(hi))
-            for name, (lo, hi) in doc["numeric_ranges"].items()
-        }
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed numeric_ranges: {exc}") from exc
-    declared_numeric = {a.name for a in schema.numeric_attributes}
-    if set(ranges) != declared_numeric:
+    ranges = {
+        name: json_pair(pair, DataError, f"numeric range {name!r}")
+        for name, pair in doc["numeric_ranges"].items()
+    }
+    if set(ranges) != {a.name for a in schema.numeric_attributes}:
         raise DataError("numeric_ranges do not match the schema's numeric attributes")
     try:
         miner_config = MinerConfig.from_dict(doc["miner_config"])
     except ConfigError as exc:
         raise DataError(f"malformed miner_config: {exc}") from exc
-    seed = doc["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise DataError(f"seed {seed!r} is not an integer")
     return ModelArtifact(
         schema=schema,
         numeric_ranges=ranges,
         rule_list=rule_list_from_dict(doc["rule_list"], schema),
         miner_config=miner_config,
-        seed=seed,
+        seed=doc["seed"],
     )
 
 

@@ -9,7 +9,7 @@ a default class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -19,6 +19,8 @@ from .schema import (
     NOMINAL,
     AttributeSchema,
     EncodedDataset,
+    json_object,
+    json_value,
     unscale_numeric,
 )
 
@@ -281,20 +283,15 @@ def condition_to_dict(cond: Condition, schema: AttributeSchema) -> dict:
 
 
 def condition_from_dict(doc: Mapping) -> Condition:
-    if not isinstance(doc, Mapping):
-        raise DataError("each condition must be a JSON object")
-    kind = doc.get("kind")
-    try:
-        if kind == "membership":
-            if not isinstance(doc["allowed"], list):
-                raise DataError("a membership condition's 'allowed' must be a list")
-            return NominalMembership(doc["attribute"], frozenset(doc["allowed"]))
-        if kind == "interval":
-            return NumericInterval(doc["attribute"], float(doc["lo"]), float(doc["hi"]))
-    except KeyError as exc:
-        raise DataError(f"{kind} condition is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"malformed {kind} condition: {exc}") from exc
+    kind = json_value(doc, "object", DataError, "condition").get("kind")
+    if kind == "membership":
+        keys = {"kind": "string", "attribute": "string", "allowed": "strings"}
+        c = json_object(doc, DataError, "membership condition", keys)
+        return NominalMembership(c["attribute"], frozenset(c["allowed"]))
+    if kind == "interval":
+        keys = {"kind": "string", "attribute": "string", "lo": "number", "hi": "number"}
+        c = json_object(doc, DataError, "interval condition", keys)
+        return NumericInterval(c["attribute"], c["lo"], c["hi"])
     raise DataError(f"unknown condition kind {kind!r}")
 
 
@@ -304,30 +301,23 @@ def rule_to_dict(rule: Rule, schema: AttributeSchema) -> dict:
         "class_index": rule.class_index,
     }
     if rule.provenance is not None:
-        doc["provenance"] = {
-            "emission_order": rule.provenance.emission_order,
-            "support": rule.provenance.support,
-            "confidence": rule.provenance.confidence,
-        }
+        doc["provenance"] = asdict(rule.provenance)
     return doc
 
 
 def rule_from_dict(doc: Mapping, schema: AttributeSchema) -> Rule:
-    if not isinstance(doc, Mapping):
-        raise DataError("each rule must be a JSON object")
+    keys = {"antecedent": "list", "class_index": "int"}
+    fields = json_object(doc, DataError, "rule", keys, {"provenance": "object"})
+    provenance = fields.get("provenance")
+    if provenance is not None:
+        keys = {"emission_order": "int", "support": "number", "confidence": "number"}
+        provenance = Provenance(**json_object(provenance, DataError, "provenance", keys))
+    # conditions, rules and validate_rule reject bad values with ValueError
     try:
-        antecedent = tuple(condition_from_dict(c) for c in doc["antecedent"])
-        p = doc.get("provenance")
-        prov = None if p is None else Provenance(
-            emission_order=int(p["emission_order"]),
-            support=float(p["support"]),
-            confidence=float(p["confidence"]),
-        )
-        rule = Rule(antecedent=antecedent, class_index=int(doc["class_index"]), provenance=prov)
+        antecedent = tuple(condition_from_dict(c) for c in fields["antecedent"])
+        rule = Rule(antecedent, fields["class_index"], provenance)
         validate_rule(rule, schema)
-    except KeyError as exc:
-        raise DataError(f"invalid rule in document: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"invalid rule in document: {exc}") from exc
     return rule
 
@@ -340,13 +330,10 @@ def rule_list_to_dict(rule_list: RuleList, schema: AttributeSchema) -> dict:
 
 
 def rule_list_from_dict(doc: Mapping, schema: AttributeSchema) -> RuleList:
-    if not isinstance(doc, Mapping) or not isinstance(doc.get("rules"), list):
-        raise DataError("a rule list must be a JSON object with a 'rules' list")
-    rules = tuple(rule_from_dict(r, schema) for r in doc["rules"])
-    try:
-        default = int(doc.get("default_class"))
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"default class {doc.get('default_class')!r} is not an index") from exc
+    keys = {"rules": "list", "default_class": "int"}
+    fields = json_object(doc, DataError, "rule list", keys)
+    rules = tuple(rule_from_dict(r, schema) for r in fields["rules"])
+    default = fields["default_class"]
     if not 0 <= default < len(schema.class_labels):
         raise DataError(f"default class index {default} out of range")
     return RuleList(rules=rules, default_class=default)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -113,44 +114,81 @@ class AttributeSchema:
 
     @staticmethod
     def from_dict(doc: Mapping) -> "AttributeSchema":
-        required = {"attributes", "class_attribute", "class_labels"}
-        if not isinstance(doc, Mapping):
-            raise SchemaError("schema document must be a JSON object")
-        missing = required - set(doc)
-        if missing:
-            raise SchemaError(f"schema document missing key {sorted(missing)[0]!r}")
-        extra = set(doc) - required
-        if extra:
-            raise SchemaError(f"schema document has unknown key {sorted(extra)[0]!r}")
+        keys = {"attributes": "list", "class_attribute": "string", "class_labels": "strings"}
+        fields = json_object(doc, SchemaError, "schema", keys)
         attrs = []
-        for entry in _json_list(doc["attributes"], "'attributes'"):
-            if not isinstance(entry, Mapping):
-                raise SchemaError("each attribute entry must be a JSON object")
-            allowed = {"name", "kind", "values"}
-            unknown = set(entry) - allowed
-            if unknown:
-                raise SchemaError(
-                    f"attribute entry has unknown key {sorted(unknown)[0]!r}"
-                )
-            if "name" not in entry or "kind" not in entry:
-                raise SchemaError("attribute entry needs 'name' and 'kind'")
+        for entry in fields["attributes"]:
+            # 'values' is checked below, where the attribute's name is known
+            keys = {"name": "string", "kind": "string"}
+            entry = json_object(entry, SchemaError, "attribute", keys, {"values": None})
             what = f"'values' of {entry['name']!r}"
-            values = _json_list(entry.get("values", ()), what)
-            if not all(isinstance(v, str) for v in values):
-                raise SchemaError(f"{what} must be strings")
-            attrs.append(Attribute(str(entry["name"]), str(entry["kind"]), tuple(values)))
-        labels = _json_list(doc["class_labels"], "'class_labels'")
-        return AttributeSchema(
-            attributes=tuple(attrs),
-            class_attribute=str(doc["class_attribute"]),
-            class_labels=tuple(str(v) for v in labels),
-        )
+            values = json_strings(entry.get("values", []), SchemaError, what)
+            attrs.append(Attribute(entry["name"], entry["kind"], values))
+        return AttributeSchema(tuple(attrs), fields["class_attribute"], fields["class_labels"])
 
 
-def _json_list(value, what: str) -> Sequence:
-    if not isinstance(value, Sequence) or isinstance(value, (str, bytes)):
-        raise SchemaError(f"{what} must be a list")
+# the Python types json.load gives each JSON kind; a bool is never a number
+_JSON_KINDS = {
+    "int": (int, "an integer"),
+    "number": ((int, float), "a number"),
+    "string": (str, "a string"),
+    "list": ((list, tuple), "a list"),
+    "object": (dict, "a JSON object"),
+}
+
+
+def json_value(value, kind: str, error: type[RulemineError], what: str):
+    """``value`` if it is a JSON ``kind``: int, number, string, list or
+    object; otherwise raise ``error`` naming ``what``."""
+    types, noun = _JSON_KINDS[kind]
+    wrong_type = isinstance(value, bool) or not isinstance(value, types)
+    # NaN, Infinity and integers too large for a float are no numbers here
+    if wrong_type or kind == "number" and not abs(value) <= sys.float_info.max:
+        raise error(f"{what} must be {noun}, got {value!r:.60}")
     return value
+
+
+def json_strings(value, error: type[RulemineError], what: str) -> tuple[str, ...]:
+    """A JSON list of strings, as a tuple."""
+    if not all(isinstance(v, str) for v in json_value(value, "list", error, what)):
+        raise error(f"{what} must be strings")
+    return tuple(value)
+
+
+def json_pair(value, error: type[RulemineError], what: str) -> tuple[float, float]:
+    """A JSON ``[low, high]`` pair of numbers, as a tuple."""
+    if len(json_value(value, "list", error, what)) != 2:
+        raise error(f"{what} must be a [low, high] pair of numbers")
+    return tuple(json_value(v, "number", error, what) for v in value)
+
+
+def json_object(
+    doc,
+    error: type[RulemineError],
+    what: str,
+    required: Mapping[str, str | None],
+    optional: Mapping[str, str | None] = {},
+) -> dict:
+    """The values of a JSON object by key, once every ``required`` key is
+    present, no key is outside ``required`` and ``optional``, and each value
+    is of the kind its key maps to: one of ``json_value``'s, ``"strings"``,
+    ``"pair"`` or None for any value."""
+    json_value(doc, "object", error, what)
+    for key in required:
+        if key not in doc:
+            raise error(f"{what} is missing key {key!r}")
+    kinds = {**required, **optional}
+    checked = {}
+    for key, value in doc.items():
+        if key not in kinds:
+            raise error(f"{what} has unknown key {key!r}")
+        kind, label = kinds[key], f"{what} key {key!r}"
+        if kind in ("strings", "pair"):
+            value = (json_strings if kind == "strings" else json_pair)(value, error, label)
+        elif kind is not None:
+            json_value(value, kind, error, label)
+        checked[key] = value
+    return checked
 
 
 def read_json(path: str | Path, error_type: type[RulemineError], what: str):
@@ -260,16 +298,21 @@ class EncodedDataset:
 
 
 def coerce_row(
-    schema: AttributeSchema, record: Mapping[str, str], row_number: int
+    schema: AttributeSchema,
+    fields: Sequence[str],
+    positions: Sequence[int],
+    row_number: int,
 ) -> tuple[str, ...]:
-    """Validate one record against the schema's predictor attributes.
+    """Validate one CSV row against the schema's predictor attributes.
 
-    ``row_number`` is the 1-based data row used in error messages. Missing
-    values (empty fields) are rejected here rather than silently imputed.
+    ``positions`` holds the column of each predictor attribute in schema
+    order (see ``read_header``). ``row_number`` is the 1-based data row used
+    in error messages. Missing values (empty fields) are rejected here rather
+    than silently imputed.
     """
     out = []
-    for a in schema.attributes:
-        value = record[a.name].strip()
+    for a, pos in zip(schema.attributes, positions):
+        value = fields[pos].strip()
         if value == "":
             raise DataError(f"row {row_number}: missing value for {a.name!r}")
         if a.kind == NOMINAL:
@@ -312,7 +355,8 @@ def _open_csv(source) -> Iterator[list[str]]:
 def read_header(header: list[str], schema: AttributeSchema, require_class: bool):
     """Match a CSV header against the schema, order-insensitively.
 
-    Returns (column position per predictor attribute, class column or None).
+    Returns (column position of each predictor attribute in schema order,
+    class column or None).
     """
     names = [h.strip() for h in header]
     if len(set(names)) != len(names):
@@ -330,7 +374,7 @@ def read_header(header: list[str], schema: AttributeSchema, require_class: bool)
     for name in names:
         if name not in allowed:
             raise SchemaError(f"unexpected column {name!r}")
-    return {n: positions[n] for n in schema.attribute_names}, class_pos
+    return [positions[n] for n in schema.attribute_names], class_pos
 
 
 def read_rows(
@@ -363,8 +407,7 @@ def _rows(reader, schema, predictor_pos, class_pos, width):
                 raise DataError(
                     f"row {row_number}: expected {width} fields, found {len(fields)}"
                 )
-            record = {name: fields[pos] for name, pos in predictor_pos.items()}
-            row = coerce_row(schema, record, row_number)
+            row = coerce_row(schema, fields, predictor_pos, row_number)
         except DataError as exc:
             yield row_number, exc, None
             continue
@@ -393,18 +436,6 @@ def parse_csv(source, schema: AttributeSchema, require_class: bool = True) -> Ra
     return RawDataset(schema=schema, rows=rows, classes=classes)
 
 
-def numeric_ranges_of(raw: RawDataset) -> dict[str, tuple[float, float]]:
-    """Observed (min, max) per numeric attribute."""
-    ranges: dict[str, tuple[float, float]] = {}
-    for a in raw.schema.numeric_attributes:
-        pos = raw.schema.attribute_names.index(a.name)
-        values = [float(r[pos]) for r in raw.rows]
-        if not values:
-            raise DataError("cannot compute numeric ranges of an empty dataset")
-        ranges[a.name] = (min(values), max(values))
-    return ranges
-
-
 def scale_numeric(values, lo: float, hi: float):
     """Min-max scale into [0, 1], clamping out-of-range values.
 
@@ -425,15 +456,14 @@ def unscale_numeric(scaled: float, lo: float, hi: float) -> float:
 
 
 def encode(
-    raw: RawDataset,
-    ranges_from: RawDataset | Mapping[str, tuple[float, float]] | None = None,
+    raw: RawDataset, ranges_from: Mapping[str, tuple[float, float]] | None = None
 ) -> EncodedDataset:
     """Dummy-code and scale a RawDataset, one attribute column at a time.
 
-    Scaling ranges come from ``ranges_from`` when given (either another
-    dataset or precomputed {attribute: (min, max)} ranges, so that test data
-    reuses training ranges and out-of-range values clamp to the [0, 1]
-    boundary), otherwise from ``raw`` itself. Rows without class labels
+    Scaling ranges come from ``ranges_from`` when given ({attribute: (min,
+    max)}, so that test data reuses training ranges and out-of-range values
+    clamp to the [0, 1] boundary), otherwise from the observed (min, max) of
+    each numeric column of ``raw``. Rows without class labels
     (``raw.classes`` empty) encode with an empty ``y``.
     """
     n = len(raw)
@@ -443,12 +473,7 @@ def encode(
         raise DataError("dataset rows are missing class labels")
     schema = raw.schema
     layout = ColumnLayout(schema)
-    if ranges_from is None:
-        ranges = numeric_ranges_of(raw)
-    elif isinstance(ranges_from, RawDataset):
-        ranges = numeric_ranges_of(ranges_from)
-    else:
-        ranges = {name: (float(lo), float(hi)) for name, (lo, hi) in ranges_from.items()}
+    ranges = {} if ranges_from is None else dict(ranges_from)
     X = np.zeros((n, layout.dimension), dtype=np.float64)
     # int32: half the memory of intp, and gathers through it are no slower
     value_index = np.empty((n, len(schema.nominal_attributes)), dtype=np.int32)
@@ -463,6 +488,8 @@ def encode(
             k += 1
         else:
             values = np.fromiter((float(r[j]) for r in raw.rows), np.float64, count=n)
+            if ranges_from is None:
+                ranges[a.name] = (float(values.min()), float(values.max()))
             lo, hi = ranges[a.name]
             X[:, layout.numeric_column(a.name)] = scale_numeric(values, lo, hi)
     y = np.array([schema.class_index(c) for c in raw.classes], dtype=np.int64)

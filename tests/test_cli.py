@@ -708,6 +708,69 @@ class TestNoTraceback:
         assert err.startswith("error: ") and "file is not valid JSON" in err
 
 
+# edits loading must reject, each a value of the wrong JSON type or an
+# unknown key; the schema edits apply to a schema file and to a model's schema
+_RULE, _COND = ("rule_list", "rules", 0), ("rule_list", "rules", 0, "antecedent", 0)
+_SCHEMA_EDITS = [
+    (("class_labels",), [0, 1]),
+    (("class_attribute",), 7),
+    (("attributes", 0, "name"), None),
+]
+_MODEL_EDITS = [
+    (_RULE + ("class_index",), True),
+    (_RULE + ("class_index",), 1.7),
+    (_RULE + ("class_index",), "0"),
+    (("rule_list", "default_class"), 0.9),
+    (("rule_list", "default_class"), "1"),
+    (_COND, {"kind": "interval", "attribute": "score", "lo": "0.5", "hi": 0.9}),
+    (_RULE + ("provenance", "emission_order"), 2.5),
+    (("numeric_ranges", "score"), ["18", "70"]),
+    (("numeric_ranges", "score"), [False, True]),
+    (("numeric_ranges", "score"), [0, 10**400]),  # no float holds it
+    (("seed",), True),
+    (_RULE + ("note",), "unknown key"),
+    (("note",), "unknown key"),
+    (_COND + ("note",), "unknown key"),
+    (_RULE + ("provenance",), None),
+] + [(("schema",) + path, value) for path, value in _SCHEMA_EDITS]
+
+
+def _edit_id(edit):
+    path, value = edit
+    return "/".join(map(str, path)) + "=" + json.dumps(value)[:40]
+
+
+class TestJsonTypeRules:
+    """Schema, config and model files share one set of JSON type rules: a
+    wrong type or an unknown key is an error, never a coerced value."""
+
+    def _assert_data_error(self, argv, capsys):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA, err
+        assert err.startswith("error: ")
+        # the type rule names the fault, not a later mismatch with the data
+        assert " must be " in err or " unknown key " in err, err
+
+    @pytest.mark.parametrize("edit", _MODEL_EDITS, ids=_edit_id)
+    def test_model_edit_is_data_error(self, workdir, tmp_path, capsys, edit):
+        doc = _mutated(json.loads((workdir / "fmodel.json").read_text()), *edit)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        self._assert_data_error(
+            ["predict", "--model", str(model), "--input", str(workdir / "frag.csv")], capsys)
+
+    @pytest.mark.parametrize("edit", _SCHEMA_EDITS, ids=_edit_id)
+    def test_schema_edit_is_data_error(self, workdir, tmp_path, capsys, edit):
+        doc = _mutated(json.loads((workdir / "frag.schema.json").read_text()), *edit)
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(doc))
+        self._assert_data_error(
+            ["train", "--data", str(workdir / "frag.csv"), "--schema", str(schema),
+             "--out", str(tmp_path / "m.json")], capsys)
+        assert not (tmp_path / "m.json").exists()
+
+
 # a mutation deletes a key (or list item) or sets it to one of these; no
 # large numbers, so a mutated count cannot make a run slow or large
 _FUZZ_VALUES = [_DELETE, -1, 0, 2.5, "x", [], {}, None, True]

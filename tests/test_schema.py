@@ -175,7 +175,7 @@ class TestEncode:
         test_text = "marital_status,salary,age,status\nsingle,25,30,Deny\n"
         train_raw = parse_csv(io.StringIO(train_text), credit_schema)
         test_raw = parse_csv(io.StringIO(test_text), credit_schema)
-        enc = encode(test_raw, ranges_from=train_raw)
+        enc = encode(test_raw, ranges_from=encode(train_raw).numeric_ranges)
         assert enc.X[0, enc.layout.numeric_column("salary")] == 1.0
 
     def test_constant_numeric_encodes_to_zero(self, credit_schema):
