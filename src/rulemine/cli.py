@@ -84,7 +84,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     test_data = None
     train_data = data
-    if args.test_fraction > 0.0:
+    # 0 means no hold-out; stratified_split rejects anything else outside (0, 1)
+    if args.test_fraction != 0.0:
         train_data, test_data = stratified_split(data, args.test_fraction, seed)
 
     rule_list, report = mine(train_data, config)

@@ -21,6 +21,8 @@ from .rules import (
     RuleList,
     choose_default_class,
     classify_dataset,
+    match_mask,
+    rule_quality,
 )
 from .schema import EncodedDataset
 
@@ -150,57 +152,38 @@ def evaluate(
 
 
 def _best_numeric_condition(
-    sub: EncodedDataset,
-    cur_mask: np.ndarray,
-    target: int,
-    attribute: str,
+    sub: EncodedDataset, matched: np.ndarray, target: int, attribute: str
 ):
-    """Best (confidence, support, condition, mask) numeric split.
+    """Best ((confidence, support), condition) numeric split of the matched rows.
 
     Split points are midpoints between consecutive distinct values of the
-    currently matched rows; both directions (<= mid and >= mid) compete.
+    matched rows; both directions (<= mid, then >= mid) compete. None when
+    the matched rows share one value.
     """
-    layout = sub.layout
-    col = layout.numeric_column(attribute)
-    rows = np.flatnonzero(cur_mask)
-    values = sub.X[rows, col]
-    correct = (sub.y[rows] == target).astype(np.float64)
+    rows = np.flatnonzero(matched)
+    values = sub.X[rows, sub.layout.numeric_column(attribute)]
     order = np.argsort(values, kind="stable")
     values = values[order]
-    correct = correct[order]
+    cum_correct = np.cumsum(sub.y[rows][order] == target)
     distinct_end = np.flatnonzero(values[:-1] < values[1:])
     if distinct_end.size == 0:
         return None
     mids = 0.5 * (values[distinct_end] + values[distinct_end + 1])
-    cum_correct = np.cumsum(correct)
-    total_correct = cum_correct[-1]
-    m = len(rows)
+    below = cum_correct[distinct_end]
     best = None
-    for direction in ("le", "ge"):
-        if direction == "le":
-            matched = (distinct_end + 1).astype(np.float64)
-            good = cum_correct[distinct_end]
-        else:
-            matched = (m - distinct_end - 1).astype(np.float64)
-            good = total_correct - cum_correct[distinct_end]
-        conf = np.divide(good, matched, out=np.zeros_like(good), where=matched > 0)
-        supp = good / len(sub)
-        top_conf = conf.max()
-        tied = np.flatnonzero(conf == top_conf)
-        pick = tied[np.argmax(supp[tied])]
-        key = (float(conf[pick]), float(supp[pick]))
+    for le, good, count in (
+        (True, below, distinct_end + 1),
+        (False, cum_correct[-1] - below, len(rows) - distinct_end - 1),
+    ):
+        conf = good / count
+        tied = np.flatnonzero(conf == conf.max())
+        pick = tied[np.argmax(good[tied])]
+        key = (float(conf[pick]), float(good[pick] / len(sub)))
         if best is None or key > best[0]:
-            if direction == "le":
-                cond = NumericInterval(attribute, 0.0, float(mids[pick]))
-            else:
-                cond = NumericInterval(attribute, float(mids[pick]), 1.0)
-            best = (key, cond)
-    if best is None:
-        return None
-    key, cond = best
-    full_values = sub.X[:, col]
-    mask = cur_mask & (full_values >= cond.lo) & (full_values <= cond.hi)
-    return key[0], key[1], cond, mask
+            mid = float(mids[pick])
+            lo, hi = (0.0, mid) if le else (mid, 1.0)
+            best = (key, NumericInterval(attribute, lo, hi))
+    return best
 
 
 def mine_greedy_baseline(
@@ -214,7 +197,8 @@ def mine_greedy_baseline(
     improves. Every rule carries at least one condition (a bare always-true
     rule would swallow the remaining data in one bite and say nothing).
     Matched and correctly classified examples are removed; mining stops when
-    no grown rule covers at least one example.
+    no grown rule covers at least one example. The rows a rule matches and
+    its support and confidence come from ``match_mask`` and ``rule_quality``.
     """
     if len(train) == 0:
         raise DataError("cannot mine an empty dataset")
@@ -233,55 +217,47 @@ def mine_greedy_baseline(
             (c for c in range(n_classes) if counts[c] > 0),
             key=lambda c: (-int(counts[c]), c),
         )
-        cur_mask = np.ones(len(sub), dtype=bool)
-        cur_correct = int(np.count_nonzero(sub.y == target))
-        cur_conf = cur_correct / len(sub)
-        cur_supp = cur_correct / len(sub)
+        hit = sub.y == target
         conditions: list = []
-        used: set[str] = set()
+        cur_supp, cur_conf, _ = rule_quality(conditions, target, sub)
 
         while not conditions or cur_conf < min_confidence:
+            matched = match_mask(conditions, sub)
+            # rows matched per encoded nominal column, and those of the target
+            seen, good = (
+                np.bincount(codes.ravel(), minlength=layout.dimension).tolist()
+                for codes in (sub.value_index[matched], sub.value_index[matched & hit])
+            )
+            used = {c.attribute for c in conditions}
             # the first condition is unconditional; later ones must improve
             best_key = (cur_conf, cur_supp) if conditions else (-1.0, -1.0)
             best_cond = None
-            best_mask = None
             for attr in schema.attributes:
                 if attr.name in used:
                     continue
                 if attr.kind == "nominal":
                     cols = layout.nominal_columns(attr.name)
-                    for offset, value in enumerate(attr.values):
-                        mask = cur_mask & (sub.X[:, cols.start + offset] > 0.5)
-                        matched = int(np.count_nonzero(mask))
-                        good = int(np.count_nonzero(mask & (sub.y == target)))
-                        conf = good / matched if matched else 0.0
-                        supp = good / len(sub)
-                        if (conf, supp) > best_key:
-                            best_key = (conf, supp)
+                    for col, value in zip(cols, attr.values):
+                        conf = good[col] / seen[col] if seen[col] else 0.0
+                        key = (conf, good[col] / len(sub))
+                        if key > best_key:
+                            best_key = key
                             best_cond = NominalMembership(attr.name, frozenset({value}))
-                            best_mask = mask
                 else:
-                    found = _best_numeric_condition(sub, cur_mask, target, attr.name)
-                    if found is not None:
-                        conf, supp, cond, mask = found
-                        if (conf, supp) > best_key:
-                            best_key = (conf, supp)
-                            best_cond = cond
-                            best_mask = mask
+                    found = _best_numeric_condition(sub, matched, target, attr.name)
+                    if found is not None and found[0] > best_key:
+                        best_key, best_cond = found
             if best_cond is None:
                 break
             conditions.append(best_cond)
-            used.add(best_cond.attribute)
-            cur_mask = best_mask
             cur_conf, cur_supp = best_key
 
         if not conditions:
             # no condition can be formed at all (remaining rows are exact
             # duplicates on every attribute); leave them to the default class
             break
-        correct_mask = cur_mask & (sub.y == target)
-        covered = int(np.count_nonzero(correct_mask))
-        if covered == 0:
+        cur_supp, cur_conf, correct_mask = rule_quality(conditions, target, sub)
+        if not correct_mask.any():
             break
         rules.append(
             Rule(

@@ -64,6 +64,13 @@ def model_from_dict(doc: Mapping) -> ModelArtifact:
     }
     if set(ranges) != {a.name for a in schema.numeric_attributes}:
         raise DataError("numeric_ranges do not match the schema's numeric attributes")
+    for name, (lo, hi) in ranges.items():
+        # equal ends are a constant training column; reversed ends scale wrongly
+        if lo > hi:
+            raise DataError(
+                f"numeric range {name!r} must be [low, high] with low <= high, "
+                f"got {[lo, hi]}"
+            )
     try:
         miner_config = MinerConfig.from_dict(doc["miner_config"])
     except ConfigError as exc:

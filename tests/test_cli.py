@@ -229,6 +229,19 @@ class TestTrain:
         report = json.loads((tmp_path / "m.report.json").read_text())
         assert report["evaluation"] is None
 
+    @pytest.mark.parametrize("fraction", ["-0.3", "nan"])
+    def test_test_fraction_outside_unit_interval_is_config_error(
+        self, workdir, tmp_path, capsys, fraction
+    ):
+        # only 0 means "no hold-out"; anything else must be a fraction in (0, 1)
+        code = cli.main(["train", "--data", str(workdir / "sep.csv"),
+                         "--schema", str(workdir / "sep.schema.json"),
+                         "--out", str(tmp_path / "m.json"), "--test-fraction", fraction])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG, err
+        assert err.startswith("error: ") and "test_fraction" in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_custom_report_path(self, workdir, tmp_path, capsys):
         code = cli.main(["train", "--data", str(workdir / "sep.csv"),
                          "--schema", str(workdir / "sep.schema.json"),
@@ -769,6 +782,27 @@ class TestJsonTypeRules:
             ["train", "--data", str(workdir / "frag.csv"), "--schema", str(schema),
              "--out", str(tmp_path / "m.json")], capsys)
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("reversed_ends", [True, False], ids=["reversed", "equal"])
+    def test_numeric_range_needs_low_at_most_high(
+        self, workdir, tmp_path, capsys, reversed_ends
+    ):
+        # reversed ends would scale every value to 0.0; equal ends are what a
+        # constant training column gives, so they load
+        doc = json.loads((workdir / "fmodel.json").read_text())
+        lo, hi = doc["numeric_ranges"]["score"]
+        doc["numeric_ranges"]["score"] = [hi, lo] if reversed_ends else [lo, lo]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        argv = ["predict", "--model", str(model), "--input", str(workdir / "frag.csv"),
+                "--out", str(tmp_path / "scored.csv")]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        if reversed_ends:
+            assert code == cli.EXIT_DATA, err
+            assert err.startswith("error: ") and "low <= high" in err
+        else:
+            assert code == 0, err
 
 
 # a mutation deletes a key (or list item) or sets it to one of these; no

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_encoded, first_match
+from conftest import brute_force_counts, build_encoded, first_match, random_mixed_dataset
 from rulemine.errors import DataError
 from rulemine.evaluation import (
     ConfusionMatrix,
@@ -12,8 +12,8 @@ from rulemine.evaluation import (
     mine_greedy_baseline,
     type_i_error_from_matrix,
 )
-from rulemine.rules import NominalMembership, NumericInterval, Rule, RuleList
-from rulemine.schema import encode
+from rulemine.rules import NominalMembership, NumericInterval, Provenance, Rule, RuleList
+from rulemine.schema import encode, stratified_split
 from rulemine.synth import generate
 
 # Three published 2x2 matrices (rows = predicted, columns = actual) with their
@@ -170,6 +170,24 @@ class TestEvaluate:
         assert "mean antecedent" in text
 
 
+def _replay_baseline(rule_list, data):
+    """Walk a baseline rule list the way it was grown, removing the rows each
+    rule matches and classifies correctly: every rule must cover one row at
+    least, and its recorded support and confidence must re-verify by brute
+    force on the rows still uncovered before it."""
+    uncovered = np.arange(len(data))
+    for order, rule in enumerate(rule_list.rules, start=1):
+        rows = data.subset(uncovered)
+        matched, correct = brute_force_counts(rule, rows)
+        assert correct >= 1
+        assert rule.provenance == Provenance(order, correct / len(rows), correct / matched)
+        covered = [
+            brute_force_counts(rule, rows.subset(np.array([i])))[1] == 1
+            for i in range(len(rows))
+        ]
+        uncovered = uncovered[np.logical_not(covered)]
+
+
 class TestGreedyBaseline:
     def test_separable_is_fully_learned(self):
         data = encode(generate("separable", 200, 7).to_raw())
@@ -200,3 +218,30 @@ class TestGreedyBaseline:
         data = build_encoded(numeric_schema, np.zeros((0, 2)), [])
         with pytest.raises(DataError):
             mine_greedy_baseline(data)
+
+    def test_provenance_replays_on_the_uncovered_rows(self):
+        # the baseline's counterpart of acceptance criterion 7
+        datasets = [
+            ("fragmented", 2000, 1, 0.9),
+            ("credit3", 1000, 2, 0.85),
+            ("credit3", 1000, 3, 0.6),
+            ("separable", 200, 4, 0.6),
+        ]
+        for profile, n, seed, min_confidence in datasets:
+            data = encode(generate(profile, n, seed).to_raw())
+            train, _ = stratified_split(data, 0.3, seed)
+            _replay_baseline(mine_greedy_baseline(train, min_confidence), train)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            data = random_mixed_dataset(rng)
+            _replay_baseline(mine_greedy_baseline(data, min_confidence=0.8), data)
+
+    def test_rule_counts_on_criterion_2_protocol(self):
+        # fragmented, 2,000 rows, a 0.3 split, min_confidence 0.9: candidate
+        # order and tie-breaks decide these counts
+        counts = []
+        for seed in (1, 2, 3, 4, 5):
+            data = encode(generate("fragmented", 2000, seed).to_raw())
+            train, _ = stratified_split(data, 0.3, seed)
+            counts.append(len(mine_greedy_baseline(train, min_confidence=0.9).rules))
+        assert counts == [55, 81, 94, 159, 104]
