@@ -128,6 +128,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         for i, rule in enumerate(rule_list.rules, start=1)
     ]
     rows = read_rows(args.input, schema, require_class=False)
+    # opening --out truncates it, so it must not be the file still being read
+    if args.out and os.path.exists(args.out) and os.path.samefile(args.out, args.input):
+        raise ConfigError("--out must not name the --input file")
 
     out_fh = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     writer = csv.writer(out_fh, lineterminator="\n")

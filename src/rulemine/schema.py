@@ -93,12 +93,6 @@ class AttributeSchema:
                 return a
         raise SchemaError(f"unknown attribute {name!r}")
 
-    def class_index(self, label: str) -> int:
-        try:
-            return self.class_labels.index(label)
-        except ValueError:
-            raise DataError(f"unknown class label {label!r}") from None
-
     def to_dict(self) -> dict:
         entries = []
         for a in self.attributes:
@@ -195,7 +189,7 @@ def read_json(path: str | Path, error_type: type[RulemineError], what: str):
     """Parse a JSON file; a file that cannot be read or decoded raises
     ``error_type`` naming ``what`` the file was meant to hold."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return json.load(fh)
     except OSError as exc:
         raise error_type(f"cannot read {what} file: {exc}") from exc
@@ -218,11 +212,12 @@ def save_schema(schema: AttributeSchema, path: str | Path) -> None:
 
 @dataclass
 class RawDataset:
-    """Validated but unencoded rows; values are still strings."""
+    """Checked, unencoded rows as ``coerce_row`` converts them; ``classes``
+    holds each row's class label index, and is empty for rows to score."""
 
     schema: AttributeSchema
-    rows: list[tuple[str, ...]]
-    classes: list[str]
+    rows: list[tuple[int | float, ...]]
+    classes: list[int]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -302,38 +297,39 @@ def coerce_row(
     fields: Sequence[str],
     positions: Sequence[int],
     row_number: int,
-) -> tuple[str, ...]:
-    """Validate one CSV row against the schema's predictor attributes.
+) -> tuple[int | float, ...]:
+    """Check and convert one CSV row: each nominal field becomes the index of
+    its value in the attribute's ``values``, each numeric field its float.
 
     ``positions`` holds the column of each predictor attribute in schema
     order (see ``read_header``). ``row_number`` is the 1-based data row used
     in error messages. Missing values (empty fields) are rejected here rather
     than silently imputed.
     """
-    out = []
+    out: list[int | float] = []
     for a, pos in zip(schema.attributes, positions):
         value = fields[pos].strip()
         if value == "":
             raise DataError(f"row {row_number}: missing value for {a.name!r}")
         if a.kind == NOMINAL:
-            if value not in a.values:
+            try:
+                out.append(a.values.index(value))
+            except ValueError:
                 raise DataError(
                     f"row {row_number}: value {value!r} not declared for "
                     f"nominal attribute {a.name!r}"
-                )
-        else:
-            try:
-                parsed = float(value)
-            except ValueError:
-                raise DataError(
-                    f"row {row_number}: cannot parse {value!r} as numeric "
-                    f"for attribute {a.name!r}"
                 ) from None
-            if not math.isfinite(parsed):
-                raise DataError(
-                    f"row {row_number}: non-finite numeric value for {a.name!r}"
-                )
-        out.append(value)
+            continue
+        try:
+            parsed = float(value)
+        except ValueError:
+            raise DataError(
+                f"row {row_number}: cannot parse {value!r} as numeric "
+                f"for attribute {a.name!r}"
+            ) from None
+        if not math.isfinite(parsed):
+            raise DataError(f"row {row_number}: non-finite numeric value for {a.name!r}")
+        out.append(parsed)
     return tuple(out)
 
 
@@ -341,7 +337,7 @@ def _open_csv(source) -> Iterator[list[str]]:
     try:
         if isinstance(source, (str, Path)):
             try:
-                fh = open(source, "r", encoding="utf-8", newline="")
+                fh = open(source, "r", encoding="utf-8-sig", newline="")
             except OSError as exc:
                 raise DataError(f"cannot read input file: {exc}") from exc
             with fh:
@@ -379,13 +375,13 @@ def read_header(header: list[str], schema: AttributeSchema, require_class: bool)
 
 def read_rows(
     source, schema: AttributeSchema, require_class: bool = True
-) -> Iterator[tuple[int, tuple[str, ...] | DataError, str | None]]:
+) -> Iterator[tuple[int, tuple[int | float, ...] | DataError, str | None]]:
     """Read a header-first CSV row by row: ``(row number, row, label)``.
 
     The header is read and matched against the schema (order-insensitive)
     before the first row is returned, so a bad header raises at once. Blank
     lines are skipped but still counted in the 1-based row numbers. ``row``
-    is the predictor values checked by ``coerce_row``, or the DataError that
+    is the predictor values converted by ``coerce_row``, or the DataError that
     rejected the row, so a caller can raise it or report it and go on.
     ``label`` is the stripped class field, or None when the header has no
     class column; it is not checked here.
@@ -421,18 +417,19 @@ def parse_csv(source, schema: AttributeSchema, require_class: bool = True) -> Ra
     checked: undeclared nominal values, unparsable numerics, and missing
     fields raise DataError naming the offending 1-based data row.
     """
-    rows: list[tuple[str, ...]] = []
-    classes: list[str] = []
+    rows: list[tuple[int | float, ...]] = []
+    classes: list[int] = []
     for row_number, row, label in read_rows(source, schema, require_class):
         if isinstance(row, DataError):
             raise row
         rows.append(row)
         if label is not None:
-            if label not in schema.class_labels:
+            try:
+                classes.append(schema.class_labels.index(label))
+            except ValueError:
                 raise DataError(
                     f"row {row_number}: class label {label!r} is not declared"
-                )
-            classes.append(label)
+                ) from None
     return RawDataset(schema=schema, rows=rows, classes=classes)
 
 
@@ -458,7 +455,7 @@ def unscale_numeric(scaled: float, lo: float, hi: float) -> float:
 def encode(
     raw: RawDataset, ranges_from: Mapping[str, tuple[float, float]] | None = None
 ) -> EncodedDataset:
-    """Dummy-code and scale a RawDataset, one attribute column at a time.
+    """Dummy-code and scale a RawDataset's values, with array operations only.
 
     Scaling ranges come from ``ranges_from`` when given ({attribute: (min,
     max)}, so that test data reuses training ranges and out-of-range values
@@ -474,25 +471,21 @@ def encode(
     schema = raw.schema
     layout = ColumnLayout(schema)
     ranges = {} if ranges_from is None else dict(ranges_from)
-    X = np.zeros((n, layout.dimension), dtype=np.float64)
+    table = np.array(raw.rows, dtype=np.float64)
+    nominal = [j for j, a in enumerate(schema.attributes) if a.kind == NOMINAL]
+    starts = [layout.nominal_columns(a.name).start for a in schema.nominal_attributes]
     # int32: half the memory of intp, and gathers through it are no slower
-    value_index = np.empty((n, len(schema.nominal_attributes)), dtype=np.int32)
-    k = 0  # next value_index column
+    value_index = table[:, nominal].astype(np.int32) + np.array(starts, dtype=np.int32)
+    X = np.zeros((n, layout.dimension), dtype=np.float64)
+    X[np.arange(n)[:, None], value_index] = 1.0
     for j, a in enumerate(schema.attributes):
-        if a.kind == NOMINAL:
-            start = layout.nominal_columns(a.name).start
-            column_of = {v: start + i for i, v in enumerate(a.values)}
-            hot = np.fromiter((column_of[r[j]] for r in raw.rows), np.intp, count=n)
-            X[np.arange(n), hot] = 1.0
-            value_index[:, k] = hot
-            k += 1
-        else:
-            values = np.fromiter((float(r[j]) for r in raw.rows), np.float64, count=n)
+        if a.kind == NUMERIC:
+            values = table[:, j]
             if ranges_from is None:
-                ranges[a.name] = (float(values.min()), float(values.max()))
+                ranges[a.name] = (values.min().item(), values.max().item())
             lo, hi = ranges[a.name]
             X[:, layout.numeric_column(a.name)] = scale_numeric(values, lo, hi)
-    y = np.array([schema.class_index(c) for c in raw.classes], dtype=np.int64)
+    y = np.array(raw.classes, dtype=np.int64)
     return EncodedDataset(
         schema=schema,
         X=X,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .schema import Attribute, AttributeSchema, RawDataset
+from .schema import Attribute, AttributeSchema, RawDataset, parse_csv
 
 PROFILES = ("separable", "credit3", "fragmented")
 MIN_ROWS = 50
@@ -50,7 +50,7 @@ class SyntheticDataset:
     classes: list[str]
 
     def to_raw(self) -> RawDataset:
-        return RawDataset(schema=self.schema, rows=self.rows, classes=self.classes)
+        return parse_csv(io.StringIO(self.csv_text()), self.schema)
 
     def csv_text(self) -> str:
         buf = io.StringIO()

@@ -429,6 +429,24 @@ class TestPredict:
         assert "prediction" not in out  # CSV went to the file, not stdout
         assert dest.read_text().startswith("prediction,fired_rule,rule\n")
 
+    @pytest.mark.parametrize("link", [None, os.symlink, os.link],
+                             ids=["same-path", "symlink", "hard-link"])
+    def test_out_naming_input_is_config_error(self, workdir, capsys, tmp_path, link):
+        # opening --out would truncate the input while it is still being read
+        points = tmp_path / "points.csv"
+        points.write_bytes((workdir / "sep.csv").read_bytes())
+        out = points
+        if link is not None:
+            out = tmp_path / "alias.csv"
+            link(points, out)
+        code = cli.main(["predict", "--model", str(workdir / "model.json"),
+                         "--input", str(points), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert captured.err == "error: --out must not name the --input file\n"
+        assert captured.out == ""
+        assert points.read_bytes() == (workdir / "sep.csv").read_bytes()
+
     def test_header_only_input_is_data_error(self, workdir, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("x1,x2\n")
@@ -646,6 +664,56 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert code == cli.EXIT_DATA
         assert "not declared" in err
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as Excel's "CSV UTF-8" writes, changes no
+    output of any command, on CSV files and on schema, config and model
+    files alike."""
+
+    def _run(self, argv, capsys):
+        code = cli.main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def _both(self, workdir, tmp_path, capsys, make_argv):
+        """(plain run, BOM run) of ``make_argv(files, out)``, where ``files``
+        maps each input's name to its path and ``out`` names a fresh file."""
+        names = ["frag.csv", "frag.schema.json", "small.json", "fmodel.json"]
+        runs = []
+        for kind in ("plain", "bom"):
+            d = tmp_path / kind
+            d.mkdir()
+            bom = b"\xef\xbb\xbf" if kind == "bom" else b""
+            files = {}
+            for name in names:
+                files[name] = d / name
+                files[name].write_bytes(bom + (workdir / name).read_bytes())
+            out = d / "out"
+            result = self._run(make_argv(files, out), capsys)
+            runs.append((result, out.read_bytes() if out.exists() else None))
+        return runs
+
+    def test_train(self, workdir, tmp_path, capsys):
+        plain, bom = self._both(workdir, tmp_path, capsys, lambda f, out: [
+            "train", "--data", f["frag.csv"], "--schema", f["frag.schema.json"],
+            "--config", f["small.json"], "--out", out, "--seed", "2",
+            "--test-fraction", "0.3"])
+        assert plain[0][0] == 0 and plain[1] is not None
+        assert bom == plain
+
+    def test_predict(self, workdir, tmp_path, capsys):
+        plain, bom = self._both(workdir, tmp_path, capsys, lambda f, out: [
+            "predict", "--model", f["fmodel.json"], "--input", f["frag.csv"]])
+        assert plain[0][0] == 0 and plain[0][1].startswith("prediction,")
+        assert bom == plain
+
+    def test_evaluate(self, workdir, tmp_path, capsys):
+        plain, bom = self._both(workdir, tmp_path, capsys, lambda f, out: [
+            "evaluate", "--model", f["fmodel.json"], "--data", f["frag.csv"],
+            "--baseline", "--out", out])
+        assert plain[0][0] == 0 and plain[1] is not None
+        assert bom == plain
 
 
 def csv_fields(line):

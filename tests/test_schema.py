@@ -11,6 +11,7 @@ from rulemine.schema import (
     AttributeSchema,
     ColumnLayout,
     RawDataset,
+    coerce_row,
     encode,
     load_schema,
     parse_csv,
@@ -32,14 +33,19 @@ single,50,40,Deny
 class TestParseCsv:
     def test_two_rows_pass_through(self, credit_schema):
         raw = parse_csv(io.StringIO(CSV_OK), credit_schema)
+        # a nominal value becomes its index among the declared values, a
+        # numeric one its float, a class label its index among the labels
         assert len(raw.rows) == 2
-        assert raw.rows[0] == ("married", "100", "30")
-        assert raw.classes == ["Accept", "Deny"]
+        assert raw.rows[0] == (1, 100.0, 30.0)
+        assert [type(v) for v in raw.rows[0]] == [int, float, float]
+        assert raw.classes == [1, 0]
 
     def test_header_order_insensitive(self, credit_schema):
         text = "age,status,salary,marital_status\n30,Accept,100,married\n"
         raw = parse_csv(io.StringIO(text), credit_schema)
-        assert raw.rows[0] == ("married", "100", "30")
+        assert raw.rows[0] == (1, 100.0, 30.0)
+        assert [type(v) for v in raw.rows[0]] == [int, float, float]
+        assert raw.classes == [1]
 
     def test_undeclared_nominal_names_row(self, credit_schema):
         text = CSV_OK + "widowed,10,20,Deny\n"
@@ -251,14 +257,47 @@ class TestEncodeMatchesPerRowFormula:
         self._check(credit_schema, rows, None)
         self._check(credit_schema, rows, {"salary": (0.0, 100.0), "age": (20.0, 60.0)})
 
+    @pytest.mark.parametrize("kind", ["nominal", "numeric"])
+    def test_one_kind_schema(self, kind):
+        # no nominal column leaves value_index with no columns; no numeric
+        # column leaves the one-hot assignment to fill X on its own
+        rng = np.random.default_rng(9)
+        values = ("lo", "mid", "hi")
+        schema = AttributeSchema(
+            attributes=tuple(
+                Attribute(name, kind, values if kind == "nominal" else ())
+                for name in ("a", "b")
+            ),
+            class_attribute="cls",
+            class_labels=("neg", "pos"),
+        )
+        if kind == "nominal":
+            rows = [tuple(values[i] for i in rng.integers(0, 3, 2)) for _ in range(50)]
+        else:
+            rows = [tuple(repr(float(v)) for v in rng.uniform(-5.0, 5.0, 2))
+                    for _ in range(50)]
+        self._check(schema, rows, None)
+        self._check(schema, rows, {} if kind == "nominal" else
+                    {"a": (-1.0, 1.0), "b": (0.0, 0.0)})
+
     @staticmethod
     def _check(schema, rows, ranges):
-        raw = RawDataset(schema, rows, [])
+        # the rows go through coerce_row, as parse_csv sends every CSV row
+        positions = range(len(schema.attributes))
+        raw = RawDataset(
+            schema, [coerce_row(schema, r, positions, i) for i, r in enumerate(rows, 1)], []
+        )
         enc = encode(raw, ranges_from=ranges)
         expected = np.vstack(
             [_encode_row_reference(schema, enc.numeric_ranges, r) for r in rows])
         assert enc.X.dtype == np.float64 and enc.y.size == 0
         assert enc.X.tobytes() == expected.tobytes()
+        # value_index holds each nominal block's hot column, in schema order
+        blocks = [enc.layout.nominal_columns(a.name) for a in schema.nominal_attributes]
+        assert enc.value_index.dtype == np.int32
+        assert enc.value_index.tolist() == [
+            [b.start + int(np.argmax(x[b.start : b.stop])) for b in blocks] for x in expected
+        ]
 
 
 # random schemas for the structural laws
