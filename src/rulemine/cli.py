@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from dataclasses import replace
@@ -34,6 +33,7 @@ from .schema import (
     read_rows,
     save_schema,
     stratified_split,
+    write_json,
 )
 from .synth import generate
 
@@ -76,6 +76,10 @@ def _report_path(out: str, explicit: str | None) -> Path:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    report_path = _report_path(args.out, args.report)
+    # the report is written after the model, so it would replace it
+    if os.path.realpath(report_path) == os.path.realpath(args.out):
+        raise ConfigError("--report must not name the --out file")
     seed = _resolve_seed(args.seed)
     config = _load_miner_config(args.config, seed)
     schema = load_schema(args.schema)
@@ -105,9 +109,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         report_doc["evaluation"] = eval_report.to_dict()
         print()
         print(eval_report.format_table())
-    with open(_report_path(args.out, args.report), "w", encoding="utf-8") as fh:
-        json.dump(report_doc, fh, indent=2)
-        fh.write("\n")
+    write_json(report_doc, report_path)
 
     if not rule_list.rules:
         print("warning: no rules were emitted; model falls back to the default class",
@@ -187,9 +189,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
               f"accuracy {baseline_report.accuracy_percent:6.2f}%")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        write_json(doc, args.out)
     return EXIT_OK
 
 

@@ -2,8 +2,8 @@
 
 Confusion matrices here are oriented rows = predicted class, columns =
 actual class. The headline accuracy is the diagonal mass over the total;
-the type I error is the mass predicted away from the designated positive
-class while the true class was positive, over the total.
+the type I error is the mass predicted away from the positive class (the
+second class label) while the true class was positive, over the total.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .rules import (
     rule_quality,
 )
 from .schema import EncodedDataset
+
+POSITIVE_CLASS = 1
 
 
 @dataclass
@@ -75,7 +77,6 @@ class EvalReport:
     mean_antecedent_length: float
     rule_fire_counts: list[int]
     default_fire_count: int
-    positive_class: int
 
     @property
     def accuracy_percent(self) -> float:
@@ -94,7 +95,7 @@ class EvalReport:
             "mean_antecedent_length": self.mean_antecedent_length,
             "rule_fire_counts": self.rule_fire_counts,
             "default_fire_count": self.default_fire_count,
-            "positive_class": self.confusion.labels[self.positive_class],
+            "positive_class": self.confusion.labels[POSITIVE_CLASS],
         }
 
     def format_table(self) -> str:
@@ -120,9 +121,7 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def evaluate(
-    rule_list: RuleList, test: EncodedDataset, positive_class: int = 1
-) -> EvalReport:
+def evaluate(rule_list: RuleList, test: EncodedDataset) -> EvalReport:
     """Score a rule list on labeled data."""
     if len(test) == 0:
         raise DataError("cannot evaluate on an empty dataset")
@@ -142,12 +141,11 @@ def evaluate(
     return EvalReport(
         confusion=matrix,
         accuracy=accuracy_from_matrix(matrix),
-        type_i_error=type_i_error_from_matrix(matrix, positive_class),
+        type_i_error=type_i_error_from_matrix(matrix, POSITIVE_CLASS),
         rule_count=rule_count,
         mean_antecedent_length=mean_len,
         rule_fire_counts=[int(c) for c in fire_counts[1:]],
         default_fire_count=int(fire_counts[0]),
-        positive_class=positive_class,
     )
 
 

@@ -10,7 +10,9 @@ denominator, so emission demands a covered count of at least
 ``support_factor`` times the class's remaining examples: the floor shrinks
 as mining progresses, but never so fast that single-digit fragments qualify
 while a class is still broadly uncovered. Classes retire after too many
-failed attempts in a row.
+failed attempts in a row. Mining also stops after a rule with an empty
+antecedent: it matches every row, so no later rule and not the default can
+fire.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .schema import AttributeSchema, EncodedDataset, json_object
 
 STOP_ALL_COVERED = "all_covered"
 STOP_NO_VIABLE_CLASS = "no_viable_class"
+STOP_ALWAYS_TRUE = "always_true"
 
 
 @dataclass(frozen=True)
@@ -92,12 +95,11 @@ def min_support(uncovered_count: int, total_train: int, support_factor: float) -
 @dataclass
 class RuleRecord:
     """Everything recorded about one emitted rule, including the uncovered
-    row indices it was measured against (so the numbers can be re-verified)."""
+    row indices it was measured against (so the numbers can be re-verified).
+    Its class, support and confidence are ``rule.class_index`` and
+    ``rule.provenance``."""
 
     rule: Rule
-    class_index: int
-    support: float
-    confidence: float
     covered_count: int
     iteration: int
     uncovered_before: tuple[int, ...]
@@ -131,9 +133,9 @@ class MiningReport:
             "rules": [
                 {
                     "rule": rule_to_dict(r.rule, schema),
-                    "class": labels[r.class_index],
-                    "support": r.support,
-                    "confidence": r.confidence,
+                    "class": labels[r.rule.class_index],
+                    "support": r.rule.provenance.support,
+                    "confidence": r.rule.provenance.confidence,
                     "covered_count": r.covered_count,
                     "iteration": r.iteration,
                     "uncovered_before": list(r.uncovered_before),
@@ -213,8 +215,6 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
     total_counts = np.bincount(train.y, minlength=n_classes)
     consecutive_failures = {c: 0 for c in range(n_classes)}
     failed_attempts = {c: 0 for c in range(n_classes)}
-    retired: set[int] = set()
-    rules: list[Rule] = []
     records: list[RuleRecord] = []
     swarm_logs: list[SwarmLog] = []
     iteration = 0
@@ -227,11 +227,17 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
         if uncovered_idx.size == 0:
             stop_reason = STOP_ALL_COVERED
             break
+        if records and not records[-1].rule.antecedent:
+            stop_reason = STOP_ALWAYS_TRUE
+            break
         uncovered_counts = np.bincount(train.y[uncovered_idx], minlength=n_classes)
-        # a class stays viable while anything of it is uncovered: a rule
-        # covering all of it always clears the floor (support_factor <= 1)
+        # a class stays viable while anything of it is uncovered (a rule
+        # covering all of it always clears the floor, support_factor <= 1)
+        # and it has failed fewer than max_attempts_per_class times in a row
         viable = [
-            c for c in range(n_classes) if uncovered_counts[c] > 0 and c not in retired
+            c for c in range(n_classes)
+            if uncovered_counts[c] > 0
+            and consecutive_failures[c] < config.max_attempts_per_class
         ]
         if not viable:
             stop_reason = STOP_NO_VIABLE_CLASS
@@ -265,22 +271,10 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
         swarm_logs.append(SwarmLog(iteration, target, list(swarm.trace), emitted))
 
         if emitted:
-            rule = Rule(
-                antecedent=candidate.antecedent,
-                class_index=target,
-                provenance=Provenance(
-                    emission_order=len(rules) + 1,
-                    support=support_value,
-                    confidence=confidence_value,
-                ),
-            )
-            rules.append(rule)
+            provenance = Provenance(len(records) + 1, support_value, confidence_value)
             records.append(
                 RuleRecord(
-                    rule=rule,
-                    class_index=target,
-                    support=support_value,
-                    confidence=confidence_value,
+                    rule=replace(candidate, provenance=provenance),
                     covered_count=correct,
                     iteration=iteration,
                     uncovered_before=tuple(int(i) for i in uncovered_idx),
@@ -291,12 +285,10 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
         else:
             consecutive_failures[target] += 1
             failed_attempts[target] += 1
-            if consecutive_failures[target] >= config.max_attempts_per_class:
-                retired.add(target)
 
     residue_y = train.y[uncovered]
     default = choose_default_class(residue_y, total_counts)
-    rule_list = RuleList(rules=tuple(rules), default_class=default)
+    rule_list = RuleList(rules=tuple(r.rule for r in records), default_class=default)
     residue_counts = np.bincount(residue_y, minlength=n_classes)
     report = MiningReport(
         records=records,

@@ -11,7 +11,6 @@ produces byte-identical files.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -19,7 +18,7 @@ from typing import Mapping
 from .errors import ConfigError, DataError
 from .miner import MinerConfig
 from .rules import RuleList, rule_list_from_dict, rule_list_to_dict
-from .schema import AttributeSchema, json_object, json_pair, json_value, read_json
+from .schema import AttributeSchema, json_object, json_pair, json_value, read_json, write_json
 
 FORMAT_VERSION = 1
 
@@ -85,10 +84,7 @@ def model_from_dict(doc: Mapping) -> ModelArtifact:
 
 
 def save_model(artifact: ModelArtifact, path: str | Path) -> None:
-    text = json.dumps(model_to_dict(artifact), indent=2)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    write_json(model_to_dict(artifact), path)
 
 
 def load_model(path: str | Path) -> ModelArtifact:

@@ -189,18 +189,13 @@ def classify_dataset(
     Returns (predicted class per row, fired rule per row) where fired is the
     1-based rule index or 0 for the default class.
     """
-    n = len(data)
-    fired = np.zeros(n, dtype=np.int64)
-    predicted = np.full(n, rule_list.default_class, dtype=np.int64)
-    undecided = np.ones(n, dtype=bool)
+    fired = np.zeros(len(data), dtype=np.int64)
     for i, rule in enumerate(rule_list.rules, start=1):
-        if not undecided.any():
+        if fired.all():
             break
-        mask = match_mask(rule.antecedent, data) & undecided
-        predicted[mask] = rule.class_index
-        fired[mask] = i
-        undecided &= ~mask
-    return predicted, fired
+        fired[(fired == 0) & match_mask(rule.antecedent, data)] = i
+    classes = [rule_list.default_class] + [rule.class_index for rule in rule_list.rules]
+    return np.array(classes, dtype=np.int64)[fired], fired
 
 
 def choose_default_class(

@@ -199,15 +199,20 @@ def read_json(path: str | Path, error_type: type[RulemineError], what: str):
         raise error_type(f"{what} file is not valid JSON: {exc}") from exc
 
 
+def write_json(doc, path: str | Path) -> None:
+    """Write ``doc`` as UTF-8 JSON indented by 2, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def load_schema(path: str | Path) -> AttributeSchema:
     """Read a schema JSON document from disk."""
     return AttributeSchema.from_dict(read_json(path, SchemaError, "schema"))
 
 
 def save_schema(schema: AttributeSchema, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schema.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(schema.to_dict(), path)
 
 
 @dataclass
@@ -337,15 +342,25 @@ def _open_csv(source) -> Iterator[list[str]]:
     try:
         if isinstance(source, (str, Path)):
             try:
-                fh = open(source, "r", encoding="utf-8-sig", newline="")
+                fh = open(source, "r", encoding="utf-8", newline="")
             except OSError as exc:
                 raise DataError(f"cannot read input file: {exc}") from exc
             with fh:
-                yield from csv.reader(fh)
+                yield from csv.reader(_without_bom(fh))
         else:
-            yield from csv.reader(source)
+            yield from csv.reader(_without_bom(source))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read input CSV: {exc}") from exc
+
+
+def _without_bom(lines) -> Iterator[str]:
+    """The lines of a CSV text less a leading byte-order mark (as Excel's "CSV
+    UTF-8" writes), dropped before parsing so a quoted header still parses."""
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is not None:
+        yield first.removeprefix("\ufeff")
+        yield from lines
 
 
 def read_header(header: list[str], schema: AttributeSchema, require_class: bool):

@@ -198,8 +198,8 @@ def test_criterion_7_coverage_accounting(capsys):
         for rec in report.records:
             sub = data.subset(np.array(rec.uncovered_before))
             matched, correct = brute_force_counts(rec.rule, sub)
-            ok = ok and (matched and correct / matched) == rec.confidence
-            ok = ok and correct / len(sub) == rec.support
+            ok = ok and (matched and correct / matched) == rec.rule.provenance.confidence
+            ok = ok and correct / len(sub) == rec.rule.provenance.support
             rules_checked += 1
         if not ok:
             break

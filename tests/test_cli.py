@@ -253,6 +253,23 @@ class TestTrain:
         assert (tmp_path / "custom-report.json").exists()
         assert not (tmp_path / "m.report.json").exists()
 
+    @pytest.mark.parametrize("report", ["m.json", "./m.json", "link.json"],
+                             ids=["same-path", "dot-slash", "symlink"])
+    def test_report_naming_out_is_config_error(
+        self, tmp_path, capsys, monkeypatch, report
+    ):
+        # the report is written after the model and would replace it; the
+        # inputs do not exist, so the check comes before anything is read
+        monkeypatch.chdir(tmp_path)
+        os.symlink("m.json", "link.json")
+        code = cli.main(["train", "--data", "none.csv", "--schema", "none.json",
+                         "--out", "m.json", "--report", report])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_CONFIG
+        assert captured.err == "error: --report must not name the --out file\n"
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["link.json"]
+
     def test_broken_schema_is_data_error(self, workdir, tmp_path, capsys):
         doc = json.loads((workdir / "sep.schema.json").read_text())
         del doc["class_labels"]

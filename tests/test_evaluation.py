@@ -138,7 +138,7 @@ class TestEvaluate:
     def test_one_class_test_set(self, tiny, two_rule_list, credit_schema):
         X = tiny.X[:4]
         data = build_encoded(credit_schema, X, np.zeros(4, dtype=np.int64))
-        rep = evaluate(two_rule_list, data, positive_class=1)
+        rep = evaluate(two_rule_list, data)
         assert rep.confusion.total == 4
         assert rep.type_i_error == 0.0  # no actual positives at all
 

@@ -8,6 +8,7 @@ from rulemine.errors import ConfigError, DataError
 from rulemine.lvq import LvqConfig
 from rulemine.miner import (
     STOP_ALL_COVERED,
+    STOP_ALWAYS_TRUE,
     STOP_NO_VIABLE_CLASS,
     MinerConfig,
     mine,
@@ -15,7 +16,8 @@ from rulemine.miner import (
 )
 from rulemine.pso import PsoConfig
 from rulemine.rules import classify_dataset
-from rulemine.schema import Attribute, AttributeSchema
+from rulemine.schema import Attribute, AttributeSchema, encode
+from rulemine.synth import generate
 
 SMALL = MinerConfig(
     seed=3,
@@ -148,7 +150,7 @@ class TestSeparable:
         data = _separable(numeric_schema)
         _, report = mine(data, MinerConfig(seed=0))
         counts = np.bincount(data.y)
-        assert report.records[0].class_index == int(np.argmax(counts))
+        assert report.records[0].rule.class_index == int(np.argmax(counts))
 
     def test_determinism(self, numeric_schema):
         data = _separable(numeric_schema)
@@ -194,12 +196,12 @@ class TestRecordInvariants:
         data, _, report = mined
         n = report.train_size
         for rec in report.records:
-            assert rec.confidence >= SMALL.min_confidence
+            assert rec.rule.provenance.confidence >= SMALL.min_confidence
             unc_c = int(
-                np.count_nonzero(data.y[list(rec.uncovered_before)] == rec.class_index)
+                np.count_nonzero(data.y[list(rec.uncovered_before)] == rec.rule.class_index)
             )
             floor = min_support(unc_c, n, SMALL.support_factor)
-            assert rec.support >= floor - 1e-12
+            assert rec.rule.provenance.support >= floor - 1e-12
             assert rec.covered_count >= 1
 
     def test_snapshots_shrink(self, mined):
@@ -219,12 +221,12 @@ class TestRecordInvariants:
         last: dict[int, float] = {}
         for rec in report.records:
             unc_c = int(
-                np.count_nonzero(data.y[list(rec.uncovered_before)] == rec.class_index)
+                np.count_nonzero(data.y[list(rec.uncovered_before)] == rec.rule.class_index)
             )
             floor = min_support(unc_c, report.train_size, SMALL.support_factor)
-            if rec.class_index in last:
-                assert floor <= last[rec.class_index] + 1e-12
-            last[rec.class_index] = floor
+            if rec.rule.class_index in last:
+                assert floor <= last[rec.rule.class_index] + 1e-12
+            last[rec.rule.class_index] = floor
 
     def test_records_verify_against_their_snapshots(self, mined):
         data, _, report = mined
@@ -232,8 +234,8 @@ class TestRecordInvariants:
             sub = data.subset(np.array(rec.uncovered_before))
             matched, correct = brute_force_counts(rec.rule, sub)
             assert rec.covered_count == correct
-            assert rec.support == correct / len(sub)
-            assert rec.confidence == correct / matched
+            assert rec.rule.provenance.support == correct / len(sub)
+            assert rec.rule.provenance.confidence == correct / matched
 
     def test_swarm_logs_align_with_iterations(self, mined):
         _, _, report = mined
@@ -342,7 +344,7 @@ class TestScatteredMinority:
 
     def test_minority_never_emits(self, scattered_minority):
         _, _, report = scattered_minority
-        assert all(r.class_index != 1 for r in report.records)
+        assert all(r.rule.class_index != 1 for r in report.records)
         assert report.failed_attempts[1] == 2
         assert report.uncovered_residue == {0: 100, 1: 20}
 
@@ -353,6 +355,23 @@ class TestScatteredMinority:
         minority = data.y == 1
         assert np.all(predicted[minority] == 0)
         assert np.all(fired[minority] == 0)
+
+
+class TestAlwaysTrueRule:
+    """A rule with an empty antecedent matches every row, so mining stops
+    after it: no later rule, and not the default, could ever fire."""
+
+    def test_mining_stops_after_an_always_true_rule(self):
+        # `synth --rows 200 --seed 3 --profile fragmented`, `train --seed 1`
+        data = encode(generate("fragmented", rows=200, seed=3).to_raw())
+        rule_list, report = mine(data, MinerConfig(seed=1))
+        labels = data.schema.class_labels
+        assert [(len(r), labels[r.class_index]) for r in rule_list.rules] == [
+            (0, "common")
+        ]
+        assert report.stop_reason == STOP_ALWAYS_TRUE
+        assert labels[rule_list.default_class] == "rare"
+        assert report.uncovered_residue[labels.index("rare")] > 0
 
 
 class TestRandomDatasets:
@@ -367,10 +386,11 @@ class TestRandomDatasets:
                 pso=PsoConfig(swarm_size=10, max_iterations=25, stagnation_limit=10),
             )
             rule_list, report = mine(data, cfg)
+            assert all(rule.antecedent for rule in rule_list.rules[:-1])
             covered = sum(r.covered_count for r in report.records)
             assert covered + sum(report.uncovered_residue.values()) == len(data)
             for rec in report.records:
                 sub = data.subset(np.array(rec.uncovered_before))
                 matched, correct = brute_force_counts(rec.rule, sub)
-                assert (matched and correct / matched) == rec.confidence
-                assert correct / len(sub) == rec.support
+                assert (matched and correct / matched) == rec.rule.provenance.confidence
+                assert correct / len(sub) == rec.rule.provenance.support

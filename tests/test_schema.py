@@ -82,6 +82,20 @@ class TestParseCsv:
         with pytest.raises(DataError):
             parse_csv(io.StringIO(text), credit_schema)
 
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain-header", "quoted-header"])
+    @pytest.mark.parametrize("as_path", [False, True], ids=["file-object", "path"])
+    def test_byte_order_mark_is_dropped(self, credit_schema, tmp_path, as_path, quote):
+        # the mark goes before CSV parsing, so quotes around the first name
+        # still delimit it
+        text = CSV_OK.replace("marital_status", f"{quote}marital_status{quote}", 1)
+        source = io.StringIO("\ufeff" + text)
+        if as_path:
+            source = tmp_path / "bom.csv"
+            source.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        raw = parse_csv(source, credit_schema)
+        plain = parse_csv(io.StringIO(CSV_OK), credit_schema)
+        assert (raw.rows, raw.classes) == (plain.rows, plain.classes)
+
     @pytest.mark.parametrize(
         "tail, match",
         [(b"m\xe9rried,100,30,Accept\n", "codec"),
