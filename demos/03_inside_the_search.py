@@ -18,7 +18,7 @@ from rulemine import (
     render_rule,
     seed_swarm,
 )
-from rulemine.pso import fitness_from_rule
+from rulemine.rules import rule_quality
 
 data = encode(generate("fragmented", rows=800, seed=4).to_raw())
 labels = data.schema.class_labels
@@ -49,5 +49,5 @@ marks = [trace[0]] + [t for prev, t in zip(trace, trace[1:]) if t > prev]
 print(f"improvements along the way: {', '.join(f'{t:.4f}' for t in marks)}")
 
 print(f"\nbest rule found: {render_rule(best_rule, data.schema, data.numeric_ranges)}")
-print(f"fitness recomputed from the decoded rule: "
-      f"{fitness_from_rule(best_rule, data, config):.4f}")
+support, confidence, _ = rule_quality(best_rule.antecedent, best_rule.class_index, data)
+print(f"the decoded rule's support {support:.4f}, confidence {confidence:.4f}")

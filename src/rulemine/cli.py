@@ -13,24 +13,24 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from dataclasses import replace
-from itertools import islice
 from pathlib import Path
 
-from .errors import ConfigError, DataError, RulemineError
+from .errors import ConfigError, RulemineError
 from .evaluation import evaluate, mine_greedy_baseline
 from .miner import MinerConfig, mine
 from .model_io import ModelArtifact, load_model, save_model
 from .rules import classify_dataset, render_rule, render_rule_list
 from .schema import (
-    RawDataset,
+    CHUNK_ROWS,
     encode,
     load_schema,
     parse_csv,
+    read_chunks,
     read_json,
-    read_rows,
     save_schema,
     stratified_split,
     write_json,
@@ -42,9 +42,8 @@ EXIT_DATA = 1
 EXIT_CONFIG = 2
 EXIT_NO_RULES = 3
 
-# predict scores this many input rows at a time: enough for the array work
-# to dominate, few enough that memory stays flat however long the input is
-PREDICT_CHUNK_ROWS = 4096
+# predict reads, scores and writes this many input lines at a time
+PREDICT_CHUNK_ROWS = CHUNK_ROWS
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -118,41 +117,45 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _csv_line(fields: list) -> str:
+    """One line of CSV output, as ``csv.writer`` renders it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
     artifact = load_model(args.model)
     schema = artifact.schema
     ranges = artifact.numeric_ranges
     rule_list = artifact.rule_list
     labels = schema.class_labels
-    # the output row for each fired value: 0 is the default class, i is rule i
-    outcomes = [[labels[rule_list.default_class], "default", "-"]] + [
-        [labels[rule.class_index], i, render_rule(rule, schema, ranges)]
+    # the output line for each fired value: 0 is the default class, i is rule i
+    outcomes = [_csv_line([labels[rule_list.default_class], "default", "-"])] + [
+        _csv_line([labels[rule.class_index], i, render_rule(rule, schema, ranges)])
         for i, rule in enumerate(rule_list.rules, start=1)
     ]
-    rows = read_rows(args.input, schema, require_class=False)
+    # reads and matches the header now, so a bad one stops before --out opens
+    chunks = read_chunks(args.input, schema, require_class=False, labels=False,
+                         chunk_rows=PREDICT_CHUNK_ROWS)
     # opening --out truncates it, so it must not be the file still being read
     if args.out and os.path.exists(args.out) and os.path.samefile(args.out, args.input):
         raise ConfigError("--out must not name the --input file")
 
     out_fh = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    writer = csv.writer(out_fh, lineterminator="\n")
-    writer.writerow(["prediction", "fired_rule", "rule"])
     total = errors = defaults = 0
     try:
-        while chunk := list(islice(rows, PREDICT_CHUNK_ROWS)):
-            valid = [row for _, row, _ in chunk if not isinstance(row, DataError)]
+        out_fh.write(_csv_line(["prediction", "fired_rule", "rule"]))
+        for raw, bad in chunks:
             fired: list[int] = []
-            if valid:
-                data = encode(RawDataset(schema, valid, []), ranges_from=ranges)
-                fired = classify_dataset(rule_list, data)[1].tolist()
-            fired_iter = iter(fired)
-            writer.writerows(
-                ["ERROR", "-", str(row)] if isinstance(row, DataError)
-                else outcomes[next(fired_iter)]
-                for _, row, _ in chunk
-            )
-            total += len(chunk)
-            errors += len(chunk) - len(valid)
+            if len(raw):
+                fired = classify_dataset(rule_list, encode(raw, ranges_from=ranges))[1].tolist()
+            lines = list(map(outcomes.__getitem__, fired))
+            for position, exc in bad:
+                lines.insert(position, _csv_line(["ERROR", "-", str(exc)]))
+            out_fh.write("".join(lines))
+            total += len(lines)
+            errors += len(bad)
             defaults += fired.count(0)
     finally:
         if args.out:
@@ -176,15 +179,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(report.format_table())
 
     if args.baseline:
+        # fit on 70% and compare on the other 30%: scored on its own training
+        # rows, the baseline would look better than it is
+        fit_rows, compared_rows = stratified_split(data, 0.3, artifact.seed)
         baseline_rules = mine_greedy_baseline(
-            data, min_confidence=artifact.miner_config.min_confidence
+            fit_rows, min_confidence=artifact.miner_config.min_confidence
         )
-        baseline_report = evaluate(baseline_rules, data)
-        doc["baseline"] = baseline_report.to_dict()
+        held_out = evaluate(artifact.rule_list, compared_rows)
+        baseline_report = evaluate(baseline_rules, compared_rows)
+        doc["baseline"] = {
+            "fit_rows": len(fit_rows),
+            "compared_rows": len(compared_rows),
+            "model": held_out.to_dict(),
+            "greedy": baseline_report.to_dict(),
+        }
         print()
-        print("rule count comparison (lower is simpler):")
-        print(f"{'  miner':<12}{report.rule_count:>6}  "
-              f"accuracy {report.accuracy_percent:6.2f}%")
+        print(f"rule count comparison (lower is simpler), on {len(compared_rows)} "
+              f"held-out rows; the baseline was fit on the other {len(fit_rows)}:")
+        print(f"{'  miner':<12}{held_out.rule_count:>6}  "
+              f"accuracy {held_out.accuracy_percent:6.2f}%")
         print(f"{'  baseline':<12}{baseline_report.rule_count:>6}  "
               f"accuracy {baseline_report.accuracy_percent:6.2f}%")
 
@@ -237,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--model", required=True)
     ev.add_argument("--data", required=True, help="labeled CSV")
     ev.add_argument("--baseline", action="store_true",
-                    help="also fit the greedy baseline on the same data and compare")
+                    help="also fit the greedy baseline on 70%% of the data and "
+                         "compare it with the model on the other 30%%")
     ev.add_argument("--out", default=None, help="write the JSON report here")
     ev.set_defaults(func=cmd_evaluate)
 

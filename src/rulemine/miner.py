@@ -97,7 +97,9 @@ class RuleRecord:
     """Everything recorded about one emitted rule, including the uncovered
     row indices it was measured against (so the numbers can be re-verified).
     Its class, support and confidence are ``rule.class_index`` and
-    ``rule.provenance``."""
+    ``rule.provenance``. The report JSON keeps only how many rows
+    ``uncovered_before`` holds: the rows themselves follow from the training
+    rows and the rules before this one."""
 
     rule: Rule
     covered_count: int
@@ -138,7 +140,7 @@ class MiningReport:
                     "confidence": r.rule.provenance.confidence,
                     "covered_count": r.covered_count,
                     "iteration": r.iteration,
-                    "uncovered_before": list(r.uncovered_before),
+                    "uncovered_before": len(r.uncovered_before),
                 }
                 for r in self.records
             ],

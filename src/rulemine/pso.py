@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .lvq import LvqNetwork
-from .rules import NominalMembership, NumericInterval, Rule, match_masks, rule_quality
+from .rules import NominalMembership, NumericInterval, Rule, match_masks
 from .schema import ColumnLayout, EncodedDataset
 
 _PERTURB_VELOC_SCALE = 0.1  # fraction of the veloc2 span, for perturbed copies
@@ -130,18 +130,6 @@ def decode_state(
     return Rule(antecedent=tuple(conditions), class_index=class_index)
 
 
-def fitness_from_rule(rule: Rule, data: EncodedDataset, config: PsoConfig) -> float:
-    """Weighted confidence + support + shortness of a decoded rule."""
-    support, confidence, _ = rule_quality(rule.antecedent, rule.class_index, data)
-    total_attributes = len(data.schema.attributes)
-    shortness = 1.0 - len(rule.antecedent) / total_attributes
-    return (
-        config.weight_confidence * confidence
-        + config.weight_support * support
-        + config.weight_length * shortness
-    )
-
-
 def fitness(
     position: np.ndarray,
     genes: np.ndarray,
@@ -154,8 +142,8 @@ def fitness(
     Scores the swarm in one pass without decoding it, with the rules of
     decode_state: a nominal attribute places a condition when some but not
     all of its bits are set (none set admits every value), a numeric one when
-    its column bit is set. Equal, bit for bit, to fitness_from_rule of each
-    particle's decoded rule.
+    its column bit is set. Equal, bit for bit, to the same weighted sum over
+    ``rule_quality`` of each particle's decoded rule.
     """
     if len(data) == 0:
         raise DataError("support and confidence are undefined on an empty dataset")

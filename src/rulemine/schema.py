@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -217,11 +218,13 @@ def save_schema(schema: AttributeSchema, path: str | Path) -> None:
 
 @dataclass
 class RawDataset:
-    """Checked, unencoded rows as ``coerce_row`` converts them; ``classes``
-    holds each row's class label index, and is empty for rows to score."""
+    """Checked, unencoded rows as one ``(rows, attributes)`` float table in
+    schema order, with the values ``coerce_row`` gives: a nominal value's
+    index among the attribute's values, or a number. ``classes`` holds each
+    row's class label index, and is empty for rows to score."""
 
     schema: AttributeSchema
-    rows: list[tuple[int | float, ...]]
+    rows: np.ndarray
     classes: list[int]
 
     def __len__(self) -> int:
@@ -388,64 +391,141 @@ def read_header(header: list[str], schema: AttributeSchema, require_class: bool)
     return [positions[n] for n in schema.attribute_names], class_pos
 
 
-def read_rows(
-    source, schema: AttributeSchema, require_class: bool = True
-) -> Iterator[tuple[int, tuple[int | float, ...] | DataError, str | None]]:
-    """Read a header-first CSV row by row: ``(row number, row, label)``.
+# the chunk reader converts this many CSV lines at a time: enough for the
+# column work to dominate, few enough that memory stays flat however long the
+# input is
+CHUNK_ROWS = 4096
+
+
+def read_chunks(
+    source,
+    schema: AttributeSchema,
+    require_class: bool = True,
+    labels: bool = True,
+    chunk_rows: int = CHUNK_ROWS,
+) -> Iterator[tuple[RawDataset, list[tuple[int, DataError]]]]:
+    """Read a header-first CSV ``chunk_rows`` lines at a time.
 
     The header is read and matched against the schema (order-insensitive)
-    before the first row is returned, so a bad header raises at once. Blank
-    lines are skipped but still counted in the 1-based row numbers. ``row``
-    is the predictor values converted by ``coerce_row``, or the DataError that
-    rejected the row, so a caller can raise it or report it and go on.
-    ``label`` is the stripped class field, or None when the header has no
-    class column; it is not checked here.
+    before this returns, so a bad header raises at once. Each chunk is
+    ``(raw, errors)``: ``raw`` holds the chunk's rows that pass every check,
+    and ``errors`` the DataError of each row that fails one, with the row's
+    position among the chunk's data rows, in row order. Blank lines are
+    skipped but still counted in the 1-based row numbers. With ``labels``,
+    the class column (when the header has one) is checked and converted into
+    ``raw.classes``; without, it is not read.
+
+    A chunk is converted a column at a time: a nominal field through one dict
+    lookup, a numeric one through Python's ``float``. A row that fails there
+    (a wrong width, a nominal miss, a field that is no finite number or an
+    undeclared label) goes through ``coerce_row`` on its own, which converts
+    it after all (``" married"``) or raises its exact error.
     """
     reader = _open_csv(source)
     header = next(reader, None)
     if header is None:
         raise SchemaError("CSV is empty (no header row)")
     predictor_pos, class_pos = read_header(header, schema, require_class)
-    return _rows(reader, schema, predictor_pos, class_pos, len(header))
+    if not labels:
+        class_pos = None
+    return _chunks(reader, schema, predictor_pos, class_pos, len(header), chunk_rows)
 
 
-def _rows(reader, schema, predictor_pos, class_pos, width):
-    for row_number, fields in enumerate(reader, start=1):
-        if not fields:
+def _chunks(reader, schema, predictor_pos, class_pos, width, chunk_rows):
+    lookups = [_exact(a.values) if a.kind == NOMINAL else None for a in schema.attributes]
+    label_lookup = _exact(schema.class_labels)
+    blank = [""] * width
+    first = 1
+    while lines := list(islice(reader, chunk_rows)):
+        rows = [fields for fields in lines if fields]
+        numbers = [n for n, fields in enumerate(lines, first) if fields]
+        first += len(lines)
+        del lines
+        m = len(rows)
+        if m == 0:
             continue
+        # a row of the wrong width goes in as empty fields, which fail in
+        # every column: no lookup holds "" and float("") raises
+        columns = list(zip(*(f if len(f) == width else blank for f in rows)))
+        table = np.empty((m, len(lookups)))
+        for j, (lookup, pos) in enumerate(zip(lookups, predictor_pos)):
+            if lookup is None:
+                table[:, j] = _floats(columns[pos])
+            else:
+                table[:, j] = np.fromiter(
+                    map(lookup.get, columns[pos], repeat(math.nan)), np.float64, m)
+        # without a class column every row passes the label test
+        classes = np.zeros(m, np.int64) if class_pos is None else np.fromiter(
+            map(label_lookup.get, columns[class_pos], repeat(-1)), np.int64, m)
+        del columns
+        bad = ~np.isfinite(table).all(axis=1) | (classes < 0)
+        errors = []
+        for i in np.flatnonzero(bad).tolist():
+            try:
+                table[i], classes[i] = _check_row(
+                    schema, rows[i], width, predictor_pos, class_pos, numbers[i])
+            except DataError as exc:
+                errors.append((i, exc))
+        if errors:
+            keep = np.ones(m, dtype=bool)
+            keep[[i for i, _ in errors]] = False
+            table, classes = table[keep], classes[keep]
+        del rows, numbers
+        yield RawDataset(schema, table, [] if class_pos is None else classes.tolist()), errors
+
+
+def _exact(values: Sequence[str]) -> dict[str, int]:
+    """Each value to its index, where a field spelling exactly that value is
+    certain to be it: values with surrounding whitespace, and empty ones,
+    are left to ``coerce_row``."""
+    return {v: i for i, v in enumerate(values) if v and v == v.strip()}
+
+
+def _floats(column: Sequence[str]) -> list[float]:
+    """Python's ``float`` of each field, or NaN where it raises."""
+    out: list[float] = []
+    fields = iter(column)
+    while True:
         try:
-            if len(fields) != width:
-                raise DataError(
-                    f"row {row_number}: expected {width} fields, found {len(fields)}"
-                )
-            row = coerce_row(schema, fields, predictor_pos, row_number)
-        except DataError as exc:
-            yield row_number, exc, None
-            continue
-        yield row_number, row, None if class_pos is None else fields[class_pos].strip()
+            # extend keeps what it appended before a field raised
+            out.extend(map(float, fields))
+            return out
+        except ValueError:
+            out.append(math.nan)
+
+
+def _check_row(schema, fields, width, predictor_pos, class_pos, row_number):
+    """One row on its own: its width, its values through ``coerce_row`` and
+    its class label index (0 without a class column); the first failure
+    raises."""
+    if len(fields) != width:
+        raise DataError(f"row {row_number}: expected {width} fields, found {len(fields)}")
+    values = coerce_row(schema, fields, predictor_pos, row_number)
+    if class_pos is None:
+        return values, 0
+    label = fields[class_pos].strip()
+    try:
+        return values, schema.class_labels.index(label)
+    except ValueError:
+        raise DataError(f"row {row_number}: class label {label!r} is not declared") from None
 
 
 def parse_csv(source, schema: AttributeSchema, require_class: bool = True) -> RawDataset:
     """Parse a header-first CSV into a validated RawDataset.
 
     Header names must match the schema (order-insensitive). Every value is
-    checked: undeclared nominal values, unparsable numerics, and missing
-    fields raise DataError naming the offending 1-based data row.
+    checked: undeclared nominal values and class labels, unparsable or
+    non-finite numerics, missing fields and wrong field counts raise the
+    DataError of the first offending row, naming its 1-based data row.
     """
-    rows: list[tuple[int | float, ...]] = []
+    tables = [np.empty((0, len(schema.attributes)))]
     classes: list[int] = []
-    for row_number, row, label in read_rows(source, schema, require_class):
-        if isinstance(row, DataError):
-            raise row
-        rows.append(row)
-        if label is not None:
-            try:
-                classes.append(schema.class_labels.index(label))
-            except ValueError:
-                raise DataError(
-                    f"row {row_number}: class label {label!r} is not declared"
-                ) from None
-    return RawDataset(schema=schema, rows=rows, classes=classes)
+    for raw, errors in read_chunks(source, schema, require_class):
+        if errors:
+            raise errors[0][1]
+        tables.append(raw.rows)
+        classes += raw.classes
+    return RawDataset(schema, np.concatenate(tables), classes)
 
 
 def scale_numeric(values, lo: float, hi: float):
@@ -486,7 +566,7 @@ def encode(
     schema = raw.schema
     layout = ColumnLayout(schema)
     ranges = {} if ranges_from is None else dict(ranges_from)
-    table = np.array(raw.rows, dtype=np.float64)
+    table = np.asarray(raw.rows, dtype=np.float64)
     nominal = [j for j, a in enumerate(schema.attributes) if a.kind == NOMINAL]
     starts = [layout.nominal_columns(a.name).start for a in schema.nominal_attributes]
     # int32: half the memory of intp, and gathers through it are no slower

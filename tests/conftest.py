@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rulemine.rules import match_mask
+from rulemine.pso import PsoConfig
+from rulemine.rules import Rule, match_mask, rule_quality
 from rulemine.schema import Attribute, AttributeSchema, ColumnLayout, EncodedDataset
 
 
@@ -113,6 +114,19 @@ def random_mixed_dataset(rng: np.random.Generator) -> EncodedDataset:
         if (y == c).sum() < 2:
             y[rng.choice(n, 2, replace=False)] = c
     return build_encoded(schema, X, y)
+
+
+def fitness_from_rule(rule: Rule, data: EncodedDataset, config: PsoConfig) -> float:
+    """Weighted confidence + support + shortness of one decoded rule: the
+    oracle that the batch ``pso.fitness`` must equal bit for bit."""
+    support, confidence, _ = rule_quality(rule.antecedent, rule.class_index, data)
+    total_attributes = len(data.schema.attributes)
+    shortness = 1.0 - len(rule.antecedent) / total_attributes
+    return (
+        config.weight_confidence * confidence
+        + config.weight_support * support
+        + config.weight_length * shortness
+    )
 
 
 def brute_force_counts(rule, data: EncodedDataset) -> tuple[int, int]:

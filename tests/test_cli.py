@@ -1,7 +1,9 @@
 import contextlib
 import copy
+import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -16,11 +18,18 @@ from hypothesis import given, settings, strategies as st
 import rulemine
 from rulemine import cli
 from rulemine.errors import DataError
-from rulemine.evaluation import evaluate
+from rulemine.evaluation import evaluate, mine_greedy_baseline
 from rulemine.miner import MinerConfig
 from rulemine.model_io import load_model
 from rulemine.rules import classify_dataset, render_rule
-from rulemine.schema import encode, parse_csv
+from rulemine.schema import (
+    RawDataset,
+    coerce_row,
+    encode,
+    parse_csv,
+    read_header,
+    stratified_split,
+)
 
 GOLDEN_SEPARABLE_SHA256 = (
     "8c1e5afd314395a1b7fef6fe6c2ad26f6de378bd2bd4c7124294cfef2115e950"
@@ -602,25 +611,71 @@ class TestPredict:
         assert captured.out == ""
         assert "missing column 'x2'" in captured.err
 
+    def test_bad_header_opens_no_out_file(self, workdir, capsys, tmp_path):
+        # the header is matched before --out is opened
+        points = tmp_path / "points.csv"
+        points.write_text("x1,x3\n0.9,0.1\n")
+        dest = tmp_path / "scored.csv"
+        code = cli.main(["predict", "--model", str(workdir / "model.json"),
+                         "--input", str(points), "--out", str(dest)])
+        assert code == cli.EXIT_DATA
+        assert "missing column 'x2'" in capsys.readouterr().err
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("chunk_rows", [3, cli.PREDICT_CHUNK_ROWS])
+    def test_edge_spellings_match_per_row_oracle(
+        self, workdir, capsys, tmp_path, monkeypatch, chunk_rows
+    ):
+        # odd numeric and nominal spellings, a byte-order mark, blank lines,
+        # too-wide and too-narrow rows and a shuffled header, each checked
+        # against coerce_row on its own row
+        monkeypatch.setattr(cli, "PREDICT_CHUNK_ROWS", chunk_rows)
+        scores = ["1_000", "\u0663", "+.5", "1e-320", "-0", "infinity", "nan", "1e400",
+                  "0x10", "12.5.0", "", "  ", " 0.5 ", "0.25"]
+        sectors = [" sector_a ", "SECTOR_A", "sector_b", "sector_z", ""]
+        header = "score,band,sector"
+        rows = [f"{x},band_{1 + i % 4},{c}" for i, (x, c) in
+                enumerate(itertools.product(scores, sectors))]
+        rows[3:3] = ["", "0.5,band_1,sector_a,extra", ""]
+        rows[30:30] = ["0.5,band_1", ""]
+        points = tmp_path / "points.csv"
+        points.write_text("\ufeff" + header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+        code = cli.main(["predict", "--model", str(workdir / "fmodel.json"),
+                         "--input", str(points)])
+        captured = capsys.readouterr()
+        assert code == 0
+        got = [csv_fields(line) for line in captured.out.splitlines()[1:]]
+        expected = _per_row_oracle(workdir / "fmodel.json", header, rows)
+        assert got == expected
+        errors = sum(line[0] == "ERROR" for line in expected)
+        assert 0 < errors < len(expected)
+        assert captured.err.startswith(f"scored {len(expected) - errors} rows, {errors} ERROR,")
+
 
 def _per_row_oracle(model_path, header, rows):
-    """Expected predict output rows, scoring each input row on its own.
-
-    A row is parsed behind as many blank lines as there are rows before it,
-    so parse_csv names the same row number predict does.
-    """
+    """Expected predict output rows, checking each input row on its own (its
+    width, then coerce_row) and scoring it alone. Blank rows give no output
+    but count in the row numbers."""
     artifact = load_model(model_path)
     schema, ranges = artifact.schema, artifact.numeric_ranges
+    names = next(csv.reader([header]))
+    positions, _ = read_header(names, schema, require_class=False)
     expected = []
     for k, row in enumerate(rows, start=1):
         if not row:
             continue
-        text = header + "\n" * k + row + "\n"
+        fields = next(csv.reader([row]))
+        if len(fields) != len(names):
+            expected.append(["ERROR", "-", f"row {k}: expected {len(names)} fields, "
+                                           f"found {len(fields)}"])
+            continue
         try:
-            raw = parse_csv(io.StringIO(text), schema, require_class=False)
+            values = coerce_row(schema, fields, positions, k)
         except DataError as exc:
             expected.append(["ERROR", "-", str(exc)])
             continue
+        raw = RawDataset(schema, np.array([values], dtype=np.float64), [])
         predicted, fired = classify_dataset(
             artifact.rule_list, encode(raw, ranges_from=ranges))
         label, f = schema.class_labels[predicted[0]], int(fired[0])
@@ -658,9 +713,26 @@ class TestEvaluate:
         assert code == 0
         assert "rule count comparison" in out
         doc = json.loads(dest.read_text())
-        assert doc["baseline"] is not None
+        comparison = doc["baseline"]
         # on the pocket data the swarm-mined list is the more parsimonious one
-        assert doc["model"]["rule_count"] < doc["baseline"]["rule_count"]
+        assert comparison["model"]["rule_count"] < comparison["greedy"]["rule_count"]
+        # both are scored on the 30% the baseline was not fit on
+        artifact = load_model(workdir / "fmodel.json")
+        data = encode(parse_csv(str(workdir / "frag.csv"), artifact.schema),
+                      ranges_from=artifact.numeric_ranges)
+        fit_rows, compared_rows = stratified_split(data, 0.3, artifact.seed)
+        assert (comparison["fit_rows"], comparison["compared_rows"]) == (
+            len(fit_rows), len(compared_rows)) == (140, 60)
+        assert "on 60 held-out rows; the baseline was fit on the other 140:" in out
+        held_out = evaluate(artifact.rule_list, compared_rows)
+        assert comparison["model"] == json.loads(json.dumps(held_out.to_dict()))
+        baseline = mine_greedy_baseline(
+            fit_rows, min_confidence=artifact.miner_config.min_confidence)
+        assert comparison["greedy"] == json.loads(
+            json.dumps(evaluate(baseline, compared_rows).to_dict()))
+        # the model's main table stays on all rows
+        assert doc["model"]["confusion"]["counts"] == evaluate(
+            artifact.rule_list, data).confusion.counts.tolist()
 
     def test_one_class_test_set(self, workdir, capsys, tmp_path):
         lines = (workdir / "sep.csv").read_text().splitlines()

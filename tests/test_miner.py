@@ -259,6 +259,9 @@ class TestRecordInvariants:
         assert parsed["stop_reason"] == report.stop_reason
         assert parsed["train_size"] == report.train_size
         assert {r["class"] for r in parsed["rules"]} <= {"neg", "pos"}
+        # the JSON keeps the size of each rule's uncovered set, not its rows
+        assert [r["uncovered_before"] for r in parsed["rules"]] == [
+            len(rec.uncovered_before) for rec in report.records]
 
 
 class TestDegenerateInputs:

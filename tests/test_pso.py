@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import build_encoded
+from conftest import build_encoded, fitness_from_rule
 from rulemine.errors import ConfigError, DataError
 from rulemine.lvq import LvqConfig, LvqNetwork, fit_network
 from rulemine.pso import (
@@ -10,7 +10,6 @@ from rulemine.pso import (
     decode_state,
     evolve,
     fitness,
-    fitness_from_rule,
     seed_swarm,
     sigmoid,
     step,

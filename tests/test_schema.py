@@ -1,4 +1,6 @@
+import csv
 import io
+import itertools
 import json
 
 import numpy as np
@@ -15,6 +17,8 @@ from rulemine.schema import (
     encode,
     load_schema,
     parse_csv,
+    read_chunks,
+    read_header,
     save_schema,
     scale_numeric,
     stratified_split,
@@ -34,17 +38,17 @@ class TestParseCsv:
     def test_two_rows_pass_through(self, credit_schema):
         raw = parse_csv(io.StringIO(CSV_OK), credit_schema)
         # a nominal value becomes its index among the declared values, a
-        # numeric one its float, a class label its index among the labels
-        assert len(raw.rows) == 2
-        assert raw.rows[0] == (1, 100.0, 30.0)
-        assert [type(v) for v in raw.rows[0]] == [int, float, float]
+        # numeric one its float, in one float table; a class label becomes
+        # its index among the labels
+        assert raw.rows.shape == (2, 3) and raw.rows.dtype == np.float64
+        assert raw.rows[0].tolist() == [1.0, 100.0, 30.0]
         assert raw.classes == [1, 0]
 
     def test_header_order_insensitive(self, credit_schema):
         text = "age,status,salary,marital_status\n30,Accept,100,married\n"
         raw = parse_csv(io.StringIO(text), credit_schema)
-        assert raw.rows[0] == (1, 100.0, 30.0)
-        assert [type(v) for v in raw.rows[0]] == [int, float, float]
+        assert raw.rows.shape == (1, 3) and raw.rows.dtype == np.float64
+        assert raw.rows[0].tolist() == [1.0, 100.0, 30.0]
         assert raw.classes == [1]
 
     def test_undeclared_nominal_names_row(self, credit_schema):
@@ -94,7 +98,7 @@ class TestParseCsv:
             source.write_bytes(b"\xef\xbb\xbf" + text.encode())
         raw = parse_csv(source, credit_schema)
         plain = parse_csv(io.StringIO(CSV_OK), credit_schema)
-        assert (raw.rows, raw.classes) == (plain.rows, plain.classes)
+        assert (raw.rows.tolist(), raw.classes) == (plain.rows.tolist(), plain.classes)
 
     @pytest.mark.parametrize(
         "tail, match",
@@ -107,6 +111,181 @@ class TestParseCsv:
         source = io.TextIOWrapper(io.BytesIO(CSV_OK.encode() + tail), encoding="utf-8")
         with pytest.raises(DataError, match=match):
             parse_csv(source, credit_schema)
+
+
+# spellings the column reader must treat exactly as coerce_row does
+NUMERIC_SPELLINGS = ["1_000", "\u0663", "+.5", "1e-320", "-0", "infinity", "nan", "1e400",
+                     "0x10", "12.5.0", "", "  ", " 7 ", "2.5"]
+NOMINAL_SPELLINGS = [" a ", "A", "a", "b", " lead", "lead", ""]
+LABEL_SPELLINGS = ["pos", " neg ", "neg", "POS"]
+
+
+@pytest.fixture
+def edge_schema() -> AttributeSchema:
+    # " lead" is declared with a leading space, which coerce_row strips from
+    # every field, so no field can ever match it
+    return AttributeSchema(
+        attributes=(Attribute("c", "nominal", ("a", "b", " lead")), Attribute("x", "numeric")),
+        class_attribute="cls",
+        class_labels=("neg", "pos"),
+    )
+
+
+def _edge_csv() -> str:
+    """Every numeric spelling with every nominal one, in a shuffled column
+    order, behind a byte-order mark, with blank lines, a too-wide and a
+    too-narrow row."""
+    rows = [[x, label, c] for (x, c), label in zip(
+        itertools.product(NUMERIC_SPELLINGS, NOMINAL_SPELLINGS),
+        itertools.cycle(LABEL_SPELLINGS))]
+    rows[5:5] = [[], ["1", "pos", "a", "extra"], []]
+    rows[40:40] = [["1", "pos"], []]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([["x", "cls", "c"], *rows])
+    return "\ufeff" + buf.getvalue()
+
+
+def _per_row_reference(text, schema, labels=True):
+    """Each data row of ``text`` checked on its own: its width, coerce_row
+    and its class label give ``(values as float bits, class or None)`` or
+    the error message of the first check that fails."""
+    lines = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    header = next(lines)
+    positions, class_pos = read_header(header, schema, require_class=False)
+    out = []
+    for number, fields in enumerate(lines, start=1):
+        if not fields:
+            continue
+        if len(fields) != len(header):
+            out.append(f"row {number}: expected {len(header)} fields, found {len(fields)}")
+            continue
+        try:
+            values = coerce_row(schema, fields, positions, number)
+        except DataError as exc:
+            out.append(str(exc))
+            continue
+        label = None
+        if labels and class_pos is not None:
+            label = fields[class_pos].strip()
+            if label not in schema.class_labels:
+                out.append(f"row {number}: class label {label!r} is not declared")
+                continue
+            label = schema.class_labels.index(label)
+        out.append((tuple(float(v).hex() for v in values), label))
+    return out
+
+
+def _chunked(text, schema, chunk_rows, labels=True):
+    """read_chunks' rows in input order, in _per_row_reference's form."""
+    out = []
+    chunks = read_chunks(io.StringIO(text), schema, require_class=False, labels=labels,
+                         chunk_rows=chunk_rows)
+    for raw, errors in chunks:
+        assert raw.rows.dtype == np.float64 and raw.rows.shape[1] == len(schema.attributes)
+        classes = raw.classes or [None] * len(raw)
+        rows = [(tuple(v.hex() for v in row), c) for row, c in zip(raw.rows.tolist(), classes)]
+        for position, exc in errors:
+            rows.insert(position, str(exc))
+        out.extend(rows)
+    return out
+
+
+class TestColumnReaderMatchesPerRowCheck:
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 7, 4096])
+    @pytest.mark.parametrize("labels", [True, False])
+    def test_edge_spellings(self, edge_schema, chunk_rows, labels):
+        text = _edge_csv()
+        expected = _per_row_reference(text, edge_schema, labels)
+        assert len(expected) == len(NUMERIC_SPELLINGS) * len(NOMINAL_SPELLINGS) + 2
+        # every kind of outcome occurs: converted rows (a padded " a " among
+        # them, so value 0 is read twice as often as "b") and each row error
+        unlabeled = _per_row_reference(text, edge_schema, labels=False)
+        converted = [values for values, _ in (e for e in unlabeled if isinstance(e, tuple))]
+        numbers = {x for _, x in converted}
+        assert {(1000.0).hex(), (3.0).hex(), (0.5).hex(), (1e-320).hex(), (-0.0).hex()} <= numbers
+        assert (16.0).hex() not in numbers  # "0x10" is no float spelling
+        nominal = [c for c, _ in converted]
+        assert nominal.count((0.0).hex()) == 2 * nominal.count((1.0).hex()) > 0
+        messages = " | ".join(e for e in expected if isinstance(e, str))
+        for kind in ("expected 3 fields, found 4", "expected 3 fields, found 2",
+                     "missing value", "cannot parse '12.5.0'", "cannot parse '0x10'",
+                     "non-finite", "value 'A' not declared", "value 'lead' not declared"):
+            assert kind in messages
+        assert ("class label 'POS' is not declared" in messages) == labels
+        assert _chunked(text, edge_schema, chunk_rows, labels) == expected
+
+    def test_parse_csv_table_and_first_error(self, edge_schema):
+        text = _edge_csv()
+        expected = _per_row_reference(text, edge_schema)
+        with pytest.raises(DataError) as info:
+            parse_csv(io.StringIO(text), edge_schema)
+        assert str(info.value) == next(e for e in expected if isinstance(e, str))
+        # the same file less its bad rows parses to the reference's table
+        lines = text.splitlines(keepends=True)
+        good = [lines[0]] + [
+            line for line, e in zip([l for l in lines[1:] if l.strip("\n")], expected)
+            if isinstance(e, tuple)]
+        raw = parse_csv(io.StringIO("".join(good)), edge_schema)
+        rows = [e for e in expected if isinstance(e, tuple)]
+        assert [tuple(v.hex() for v in row) for row in raw.rows.tolist()] == [v for v, _ in rows]
+        assert raw.classes == [c for _, c in rows]
+
+    @staticmethod
+    def _long_csv(bad):
+        rows = ["married,100,30,Accept"] * 5000
+        for number, row in bad.items():
+            rows[number - 1] = row
+        return "marital_status,salary,age,status\n" + "\n".join(rows) + "\n"
+
+    def test_bad_rows_on_both_sides_of_a_chunk_boundary(self, credit_schema):
+        text = self._long_csv({4096: "widowed,100,30,Accept", 4097: "married,lots,30,Accept"})
+        chunks = list(read_chunks(io.StringIO(text), credit_schema))
+        assert [len(raw) for raw, _ in chunks] == [4095, 903]
+        assert [[(p, str(e)) for p, e in errors] for _, errors in chunks] == [
+            [(4095, "row 4096: value 'widowed' not declared for nominal attribute "
+                    "'marital_status'")],
+            [(0, "row 4097: cannot parse 'lots' as numeric for attribute 'salary'")],
+        ]
+        assert _chunked(text, credit_schema, 4096) == _per_row_reference(text, credit_schema)
+        with pytest.raises(DataError, match="^row 4096: value 'widowed'"):
+            parse_csv(io.StringIO(text), credit_schema)
+
+    @pytest.mark.parametrize("first, second", [
+        ("married,100,30,Maybe", "married,lots,30,Accept"),
+        ("married,lots,30,Accept", "married,100,30,Maybe"),
+    ], ids=["label-first", "value-first"])
+    @pytest.mark.parametrize("where", [(3, 5), (4096, 4097)], ids=["one-chunk", "two-chunks"])
+    def test_parse_csv_raises_the_first_bad_row(self, credit_schema, first, second, where):
+        text = self._long_csv(dict(zip(where, (first, second))))
+        with pytest.raises(DataError, match=f"^row {where[0]}: "):
+            parse_csv(io.StringIO(text), credit_schema)
+
+    def test_value_error_comes_before_label_error_in_a_row(self, credit_schema):
+        text = CSV_OK + "married,lots,30,Maybe\n"
+        with pytest.raises(DataError, match="^row 3: cannot parse 'lots'"):
+            parse_csv(io.StringIO(text), credit_schema)
+
+    def test_wrong_width_in_an_all_nominal_schema(self):
+        # no column can read a short or long row, not even one that declares
+        # "" (coerce_row rejects an empty field as a missing value)
+        schema = AttributeSchema(
+            attributes=(Attribute("c", "nominal", ("", "a")),
+                        Attribute("d", "nominal", ("a", "b"))),
+            class_attribute="cls",
+            class_labels=("neg", "pos"),
+        )
+        text = "c,d\na,b\na\n,a\na,b,a\nb,a\n"
+        expected = _per_row_reference(text, schema)
+        assert [e[:5] for e in expected if isinstance(e, str)] == ["row 2", "row 3", "row 4",
+                                                                    "row 5"]
+        for chunk_rows in (1, 4096):
+            assert _chunked(text, schema, chunk_rows) == expected
+
+    def test_bad_header_raises_before_the_first_chunk(self, credit_schema):
+        # the header is matched when read_chunks is called, not when its
+        # chunks are first drawn
+        with pytest.raises(SchemaError, match="missing column 'age'"):
+            read_chunks(io.StringIO("marital_status,salary,status\n"), credit_schema)
 
 
 class TestSchemaJson:
@@ -296,11 +475,10 @@ class TestEncodeMatchesPerRowFormula:
 
     @staticmethod
     def _check(schema, rows, ranges):
-        # the rows go through coerce_row, as parse_csv sends every CSV row
+        # the rows go through coerce_row, the per-row check of parse_csv
         positions = range(len(schema.attributes))
-        raw = RawDataset(
-            schema, [coerce_row(schema, r, positions, i) for i, r in enumerate(rows, 1)], []
-        )
+        table = [coerce_row(schema, r, positions, i) for i, r in enumerate(rows, 1)]
+        raw = RawDataset(schema, np.array(table, dtype=np.float64), [])
         enc = encode(raw, ranges_from=ranges)
         expected = np.vstack(
             [_encode_row_reference(schema, enc.numeric_ranges, r) for r in rows])

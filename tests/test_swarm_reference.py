@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import build_encoded
+from conftest import build_encoded, fitness_from_rule
 from rulemine.lvq import LvqConfig, fit_network
 from rulemine.pso import (
     PsoConfig,
     binarize,
     decode_state,
     evolve,
-    fitness_from_rule,
     seed_swarm,
 )
 from rulemine.schema import Attribute, AttributeSchema
