@@ -66,19 +66,35 @@ class LvqNetwork:
 
 
 def move_toward(
-    position: np.ndarray, example: np.ndarray, rate: float, out: np.ndarray | None = None
+    position: np.ndarray,
+    example: np.ndarray,
+    rate: float,
+    out: np.ndarray | None = None,
+    offset: np.ndarray | None = None,
 ) -> np.ndarray:
     """Attraction step: the new distance to the example is (1 - rate) times
-    the old one, exactly. ``out=position`` moves the row in place."""
-    return np.add(position, rate * (example - position), out=out)
+    the old one, exactly. ``out=position`` moves the row in place;
+    ``offset`` is ``position - example`` when the caller holds it already.
+
+    Under round-to-nearest fl(a - b) = -fl(b - a) and fl(r * -v) =
+    -fl(r * v), so ``position - rate * offset`` rounds to the same bits as
+    ``position + rate * (example - position)``.
+    """
+    offset = position - example if offset is None else offset
+    return np.subtract(position, rate * offset, out=out)
 
 
 def move_away(
-    position: np.ndarray, example: np.ndarray, rate: float, out: np.ndarray | None = None
+    position: np.ndarray,
+    example: np.ndarray,
+    rate: float,
+    out: np.ndarray | None = None,
+    offset: np.ndarray | None = None,
 ) -> np.ndarray:
     """Repulsion step: the new distance to the example is (1 + rate) times
-    the old one, exactly. ``out=position`` moves the row in place."""
-    return np.subtract(position, rate * (example - position), out=out)
+    the old one, exactly. ``out`` and ``offset`` are as in ``move_toward``."""
+    offset = position - example if offset is None else offset
+    return np.add(position, rate * offset, out=out)
 
 
 def allocate_per_class(class_counts: np.ndarray, total_centroids: int) -> dict[int, int]:
@@ -182,13 +198,15 @@ def train(network: LvqNetwork, train_data: EncodedDataset, config: LvqConfig) ->
             f"data dimension {train_data.dimension}"
         )
     _, rng = _seed_pair(config.seed)
-    # Python lists and in-place row updates: per presentation, only the
-    # distance, argmin, move and clamp calls touch numpy
+    # Python lists and in-place row updates into preallocated arrays: per
+    # presentation, only the distance, argmin, move and clamp calls touch numpy
     classes = network.class_indices.tolist()
     labels = train_data.y.tolist()
     rows = list(train_data.X)
     n = len(train_data)
     ratio_sq = config.repulsion_ratio**2
+    diff = np.empty_like(positions)
+    d2 = np.empty(len(positions))
     prev_assign: list[int] | None = None
     network.trace = []
     network.churn = []
@@ -200,25 +218,37 @@ def train(network: LvqNetwork, train_data: EncodedDataset, config: LvqConfig) ->
         assign = [0] * n
         for i in rng.permutation(n).tolist():
             x = rows[i]
-            diff = positions - x
-            d2 = np.einsum("kd,kd->k", diff, diff)  # (diff * diff).sum(1) rounds differently
+            np.subtract(positions, x, out=diff)
+            # (diff * diff).sum(1) rounds differently
+            np.einsum("kd,kd->k", diff, diff, out=d2)
             first = int(d2.argmin())  # the lowest index on ties
             d2_first = d2[first]
             d2[first] = np.inf
             second = int(d2.argmin())
             assign[i] = first
             label = labels[i]
-            # move the row in place, then clamp it to [0, 1]
+            # move rows in place, each from its row of diff. A repulsion can
+            # leave [0, 1] and is clamped; an attraction cannot. Per
+            # coordinate, with p and x in [0, 1] and 0 < rate < 1, it
+            # computes fl(p - fl(rate * fl(p - x))), and round-to-nearest is
+            # monotone with fl(v) = v for a double v:
+            # - p >= x: 0 <= fl(rate * fl(p - x)) <= fl(p - x) <= fl(p) = p,
+            #   so the result lies in [fl(p - p), fl(p)] = [0, p];
+            # - p < x: the step is -t with 0 <= t = fl(rate * fl(x - p))
+            #   <= fl(x - p) <= fl(1 - p), so the result lies in
+            #   [p, fl(p + fl(1 - p))]. fl(1 - p) is exact for p >= 1/2 and
+            #   otherwise at most 2**-54 above 1 - p, which fl(p + ...) rounds
+            #   away (doubles above 1 are 2**-52 apart): so it is <= 1.
             p = positions[first]
             if classes[first] == label:
-                move_toward(p, x, rate, out=p)
+                move_toward(p, x, rate, out=p, offset=diff[first])
             else:
-                move_away(p, x, rate, out=p)
-            np.maximum(p, 0.0, out=p)
-            np.minimum(p, 1.0, out=p)
+                move_away(p, x, rate, out=p, offset=diff[first])
+                np.maximum(p, 0.0, out=p)
+                np.minimum(p, 1.0, out=p)
             if classes[second] != label and d2[second] < ratio_sq * d2_first:
                 q = positions[second]
-                move_away(q, x, rate, out=q)
+                move_away(q, x, rate, out=q, offset=diff[second])
                 np.maximum(q, 0.0, out=q)
                 np.minimum(q, 1.0, out=q)
         movement = float(np.mean(np.sqrt(((positions - start) ** 2).sum(axis=1))))

@@ -113,6 +113,8 @@ class SwarmLog:
     class_index: int
     trace: list[float]
     emitted: bool
+    stop_reason: str  # "stagnation" or "max_iterations"
+    fitness_evals: int  # particles scored: swarm size x (steps + 1)
 
 
 @dataclass
@@ -155,6 +157,8 @@ class MiningReport:
                     "iteration": log.iteration,
                     "class": labels[log.class_index],
                     "emitted": log.emitted,
+                    "stop_reason": log.stop_reason,
+                    "fitness_evals": log.fitness_evals,
                     "best_fitness_trace": list(log.trace),
                 }
                 for log in self.swarm_logs
@@ -270,7 +274,10 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
             and confidence_value >= config.min_confidence
             and correct >= 1
         )
-        swarm_logs.append(SwarmLog(iteration, target, list(swarm.trace), emitted))
+        swarm_logs.append(SwarmLog(
+            iteration, target, list(swarm.trace), emitted, swarm.stop_reason,
+            swarm.fitness_evals,
+        ))
 
         if emitted:
             provenance = Provenance(len(records) + 1, support_value, confidence_value)

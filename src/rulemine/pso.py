@@ -21,7 +21,14 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .lvq import LvqNetwork
-from .rules import NominalMembership, NumericInterval, Rule, match_masks
+from .rules import (
+    NominalMembership,
+    NumericInterval,
+    PackedRows,
+    Rule,
+    count_matches,
+    pack_rows,
+)
 from .schema import ColumnLayout, EncodedDataset
 
 _PERTURB_VELOC_SCALE = 0.1  # fraction of the veloc2 span, for perturbed copies
@@ -81,8 +88,13 @@ class Swarm:
     gbest_fitness: float
     class_index: int
     rng: np.random.Generator
+    # pack_rows of the dataset the swarm was seeded on: step scores against
+    # it, so step and evolve must be given that same dataset
+    rows: PackedRows
     iteration: int = 0
     trace: list[float] = field(default_factory=list)
+    fitness_evals: int = 0  # particles scored, S per fitness round
+    stop_reason: str = ""  # set by evolve: "stagnation" or "max_iterations"
 
 
 def sigmoid(values: np.ndarray) -> np.ndarray:
@@ -136,6 +148,7 @@ def fitness(
     class_index: int,
     data: EncodedDataset,
     config: PsoConfig,
+    rows: PackedRows | None = None,
 ) -> np.ndarray:
     """Fitness of every particle: (S, d) bits and (S, a, 2) genes -> (S,).
 
@@ -143,10 +156,13 @@ def fitness(
     decode_state: a nominal attribute places a condition when some but not
     all of its bits are set (none set admits every value), a numeric one when
     its column bit is set. Equal, bit for bit, to the same weighted sum over
-    ``rule_quality`` of each particle's decoded rule.
+    ``rule_quality`` of each particle's decoded rule. ``rows`` is
+    ``pack_rows(data)``, packed here when not given.
     """
     if len(data) == 0:
         raise DataError("support and confidence are undefined on an empty dataset")
+    if rows is None:
+        rows = pack_rows(data)
     layout = data.layout
     allowed = position >= 0.5
     lengths = np.zeros(len(position), dtype=np.int64)
@@ -156,15 +172,10 @@ def fitness(
         chosen = np.count_nonzero(block, axis=1)
         lengths += (chosen > 0) & (chosen < len(cols))
         block[chosen == 0] = True
-    numeric = allowed[:, layout.numeric_columns]
-    lengths += np.count_nonzero(numeric, axis=1)
-    lo = np.where(numeric, genes[:, :, 0], -np.inf)
-    hi = np.where(numeric, genes[:, :, 1], np.inf)
-    mask = match_masks(allowed, lo, hi, data)
-    matched = np.count_nonzero(mask, axis=1)
-    correct = np.count_nonzero(mask[:, data.y == class_index], axis=1)
+    lengths += np.count_nonzero(allowed[:, layout.numeric_columns], axis=1)
+    matched, correct = count_matches(rows, allowed, genes, class_index)
     support = correct / len(data)
-    confidence = np.divide(correct, matched, out=np.zeros(len(mask)), where=matched > 0)
+    confidence = np.divide(correct, matched, out=np.zeros(len(allowed)), where=matched > 0)
     shortness = 1.0 - lengths / len(data.schema.attributes)
     return (
         config.weight_confidence * confidence
@@ -177,6 +188,7 @@ def _update_bests(swarm: Swarm, fit: np.ndarray) -> None:
     """Adopt strictly better personal bests, then the global best, and extend
     the trace. argmax takes the first particle on ties, as an in-order scan
     with strict improvement would."""
+    swarm.fitness_evals += len(fit)
     improved = fit > swarm.best_fitness
     swarm.best_fitness[improved] = fit[improved]
     swarm.best_position[improved] = swarm.position[improved]
@@ -271,8 +283,9 @@ def seed_swarm(
         gbest_fitness=-np.inf,
         class_index=class_index,
         rng=rng,
+        rows=pack_rows(data),
     )
-    _update_bests(swarm, fitness(position, genes, class_index, data, config))
+    _update_bests(swarm, fitness(position, genes, class_index, data, config, swarm.rows))
     return swarm
 
 
@@ -314,22 +327,24 @@ def step(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> None:
     swarm.genes = np.sort(np.clip(swarm.genes + swarm.gene_veloc, 0.0, 1.0), axis=2)
 
     swarm.iteration += 1
-    _update_bests(
-        swarm, fitness(swarm.position, swarm.genes, swarm.class_index, data, config)
-    )
+    fit = fitness(swarm.position, swarm.genes, swarm.class_index, data, config, swarm.rows)
+    _update_bests(swarm, fit)
 
 
 def evolve(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> Rule:
     """Run the swarm until max_iterations or stagnation, return the best rule.
 
     Stagnation means the global best has not improved for
-    ``config.stagnation_limit`` consecutive iterations.
+    ``config.stagnation_limit`` consecutive iterations. ``swarm.stop_reason``
+    says which ended the run, "max_iterations" when both did.
     """
     stale = 0
     while swarm.iteration < config.max_iterations and stale < config.stagnation_limit:
         before = swarm.gbest_fitness
         step(swarm, data, config)
         stale = 0 if swarm.gbest_fitness > before else stale + 1
+    stopped = swarm.iteration >= config.max_iterations
+    swarm.stop_reason = "max_iterations" if stopped else "stagnation"
     return decode_state(
         swarm.gbest_position, swarm.gbest_genes, data.layout, swarm.class_index
     )

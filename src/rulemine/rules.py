@@ -119,48 +119,123 @@ def validate_rule(rule: Rule, schema: AttributeSchema) -> None:
         raise ValueError(f"class index {rule.class_index} out of range")
 
 
-def match_masks(
-    allowed: np.ndarray, lo: np.ndarray, hi: np.ndarray, data: EncodedDataset
-) -> np.ndarray:
-    """Rows of ``data`` matched by each of S antecedents given as arrays:
-    an (S, n) boolean mask.
+def _pack(flags: np.ndarray) -> np.ndarray:
+    """(m, n) booleans -> (m, W) words: row i is bit i % 64 of word i // 64,
+    and the padding bits past row n are 0."""
+    m, n = flags.shape
+    padded = np.zeros((m, -(-n // 64) * 64), dtype=bool)
+    padded[:, :n] = flags
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+@dataclass(frozen=True)
+class PackedRows:
+    """The rows of one dataset as packed bitsets, for counting the matches of
+    many antecedents at once (support counting on row bitmaps, as in Burdick
+    et al., "MAFIA", ICDE 2001). Bits are laid out as ``_pack`` lays them.
+
+    Each nominal attribute's values go in groups of 8: a group's table holds,
+    at index m, the rows whose value is one of the group's values set in m
+    (bit j of m for the group's j-th value). A numeric column is padded with
+    NaN to whole words, so that a comparison never sets a padding bit.
+    """
+
+    every: np.ndarray  # (W,) all rows
+    blocks: tuple[range, ...]  # each nominal attribute's encoded columns
+    unions: tuple[tuple[np.ndarray, ...], ...]  # per attribute, per group: (2**k, W)
+    numeric_columns: np.ndarray  # (a,) encoded column of each numeric attribute
+    numeric: np.ndarray  # (a, 64 W) their values
+    classes: np.ndarray  # (classes, W) the rows of each class
+
+
+def pack_rows(data: EncodedDataset) -> PackedRows:
+    layout = data.layout
+    n = len(data)
+    blocks = tuple(layout.nominal_columns(a.name) for a in layout.schema.nominal_attributes)
+    unions = []
+    for cols, codes in zip(blocks, data.value_index.T):
+        values = _pack(np.arange(cols.start, cols.stop)[:, None] == codes)
+        groups = []
+        for start in range(0, len(cols), 8):
+            table = np.zeros((1, values.shape[1]), dtype="<u8")
+            for bits in values[start : start + 8]:
+                table = np.concatenate([table, table | bits])
+            groups.append(table)
+        unions.append(tuple(groups))
+    words = -(-n // 64)
+    numeric = np.full((layout.numeric_columns.size, 64 * words), np.nan)
+    numeric[:, :n] = data.X[:, layout.numeric_columns].T
+    return PackedRows(
+        every=_pack(np.ones((1, n), dtype=bool))[0],
+        blocks=blocks,
+        unions=tuple(unions),
+        numeric_columns=layout.numeric_columns,
+        numeric=numeric,
+        classes=_pack(np.arange(len(layout.schema.class_labels))[:, None] == data.y),
+    )
+
+
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
+_1, _2, _4, _56 = (np.uint64(k) for k in (1, 2, 4, 56))
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each row of (m, W) words, summed along the row: a SWAR
+    count per word. The shifts and masks are np.uint64, since numpy 1.x
+    promotes a uint64 array shifted by a Python int to float or raises."""
+    x = words - ((words >> _1) & _M1)
+    x = (x & _M2) + ((x >> _2) & _M2)
+    x = (x + (x >> _4)) & _M4
+    return ((x * _H01) >> _56).sum(axis=1).astype(np.int64)
+
+
+def count_matches(
+    rows: PackedRows, allowed: np.ndarray, bounds: np.ndarray, class_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows matched, and matched rows of ``class_index``, for each of S
+    antecedents given as arrays: two (S,) int64 counts.
 
     ``allowed`` (S, d) flags the encoded nominal columns whose values each
     antecedent admits, a whole attribute block being True where it places no
-    condition. ``lo`` and ``hi`` (S, a) bound each numeric attribute in
-    ``layout.numeric_names`` order, -inf and inf where it places none.
-    Attributes no antecedent restricts are skipped (``X`` holds no NaN).
+    condition, and each numeric column it restricts. ``bounds`` (S, a, 2)
+    holds the (lo, hi) of each numeric attribute in ``layout.numeric_names``
+    order, read only where its column is flagged.
     """
-    layout = data.layout
-    table = np.ascontiguousarray(allowed.T)  # (d, S): each gather copies whole rows
-    nominal = np.ones((len(data), len(allowed)), dtype=bool)
-    for attr, codes in zip(layout.schema.nominal_attributes, data.value_index.T):
-        cols = layout.nominal_columns(attr.name)
-        if not table[cols.start : cols.stop].all():
-            nominal &= table[codes]
-    mask = np.ascontiguousarray(nominal.T)
-    for col, low, high in zip(layout.numeric_columns, lo.T, hi.T):
-        if (low > -np.inf).any() or (high < np.inf).any():
-            values = np.ascontiguousarray(data.X[:, col])
-            mask &= (values >= low[:, None]) & (values <= high[:, None])
-    return mask
+    mask = np.tile(rows.every, (len(allowed), 1))
+    for cols, tables in zip(rows.blocks, rows.unions):
+        index = np.packbits(allowed[:, cols.start : cols.stop], axis=1, bitorder="little")
+        hit = tables[0][index[:, 0]]
+        for table, group in zip(tables[1:], index.T[1:]):
+            hit |= table[group]
+        mask &= hit
+    for i, col in enumerate(rows.numeric_columns):
+        on = np.flatnonzero(allowed[:, col])
+        if on.size:
+            lo, hi = bounds[on, i, 0, None], bounds[on, i, 1, None]
+            hit = (rows.numeric[i] >= lo) & (rows.numeric[i] <= hi)
+            mask[on] &= np.packbits(hit, axis=1, bitorder="little").view("<u8")
+    return _popcount(mask), _popcount(mask & rows.classes[class_index])
 
 
 def match_mask(conditions: Sequence[Condition], data: EncodedDataset) -> np.ndarray:
     """Boolean mask of the rows of ``data`` matching every condition."""
     layout = data.layout
-    allowed = np.ones((1, layout.dimension), dtype=bool)
-    lo = np.full((1, len(layout.numeric_names)), -np.inf)
-    hi = np.full_like(lo, np.inf)
+    mask = np.ones(len(data), dtype=bool)
     for cond in conditions:
         if isinstance(cond, NominalMembership):
             attr = layout.schema.attribute(cond.attribute)
+            admits = np.zeros(layout.dimension, dtype=bool)
             cols = layout.nominal_columns(cond.attribute)
-            allowed[0, cols.start : cols.stop] = [v in cond.allowed for v in attr.values]
+            admits[cols.start : cols.stop] = [v in cond.allowed for v in attr.values]
+            codes = data.value_index[:, layout.schema.nominal_attributes.index(attr)]
+            mask &= admits[codes]
         else:
-            i = layout.numeric_names.index(cond.attribute)
-            lo[0, i], hi[0, i] = cond.lo, cond.hi
-    return match_masks(allowed, lo, hi, data)[0]
+            values = data.X[:, layout.numeric_column(cond.attribute)]
+            mask &= (values >= cond.lo) & (values <= cond.hi)
+    return mask
 
 
 def rule_quality(

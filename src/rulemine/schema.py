@@ -415,6 +415,10 @@ def read_chunks(
     the class column (when the header has one) is checked and converted into
     ``raw.classes``; without, it is not read.
 
+    A line that cannot be read (a byte that is not UTF-8, a CSV syntax
+    error) raises its DataError after the lines before it have come as a
+    chunk, so a bad row among them is still reported first.
+
     A chunk is converted a column at a time: a nominal field through one dict
     lookup, a numeric one through Python's ``float``. A row that fails there
     (a wrong width, a nominal miss, a field that is no finite number or an
@@ -436,7 +440,16 @@ def _chunks(reader, schema, predictor_pos, class_pos, width, chunk_rows):
     label_lookup = _exact(schema.class_labels)
     blank = [""] * width
     first = 1
-    while lines := list(islice(reader, chunk_rows)):
+    failure = None
+    while failure is None:
+        lines: list[list[str]] = []
+        try:
+            # extend keeps the lines it appended before the reader raised
+            lines.extend(islice(reader, chunk_rows))
+        except DataError as exc:
+            failure = exc
+        if not lines:
+            break
         rows = [fields for fields in lines if fields]
         numbers = [n for n, fields in enumerate(lines, first) if fields]
         first += len(lines)
@@ -472,6 +485,8 @@ def _chunks(reader, schema, predictor_pos, class_pos, width, chunk_rows):
             table, classes = table[keep], classes[keep]
         del rows, numbers
         yield RawDataset(schema, table, [] if class_pos is None else classes.tolist()), errors
+    if failure is not None:
+        raise failure
 
 
 def _exact(values: Sequence[str]) -> dict[str, int]:

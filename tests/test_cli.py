@@ -845,6 +845,29 @@ class TestNoTraceback:
         self._assert_data_error(cli.main(argv), capsys)
         assert not (tmp_path / "m.json").exists()
 
+    def test_bad_row_before_a_late_unreadable_byte(self, workdir, tmp_path, capsys):
+        # the byte that is not UTF-8 sits on row 1,001, past the decoder's
+        # first 8 KB block and in the same 4,096-line chunk as the bad row 1
+        lines = (workdir / "sep.csv").read_bytes().splitlines(keepends=True)
+        header, rows = lines[0], (lines[1:] * 6)[:1001]
+        x1, rest = rows[0].split(b",", 1)
+        rows[0] = b"lots," + rest
+        rows[-1] = rows[-1].replace(b"\n", b"\xe9\n")
+        data = tmp_path / "bad.csv"
+        data.write_bytes(header + b"".join(rows))
+        # train reports the first bad row, as it does without the late byte
+        code = cli.main(["train", "--data", str(data), "--schema",
+                         str(workdir / "sep.schema.json"), "--out", str(tmp_path / "m.json")])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: row 1: cannot parse 'lots'")
+        # predict turns the bad row into an ERROR line and then stops at the byte
+        out = tmp_path / "scored.csv"
+        code = cli.main(["predict", "--model", str(workdir / "model.json"),
+                         "--input", str(data), "--out", str(out)])
+        assert code == cli.EXIT_DATA
+        assert "can't decode byte 0xe9" in capsys.readouterr().err
+        assert out.read_text().splitlines()[1].startswith("ERROR,-,row 1: cannot parse 'lots'")
+
     @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "synth"])
     def test_out_in_missing_directory(self, workdir, tmp_path, capsys, command):
         out = str(tmp_path / "missing" / "out")

@@ -135,6 +135,22 @@ class TestMoveLaws:
             assert abs(np.linalg.norm(move_toward(c, x, a) - x) - (1 - a) * base) < 1e-12
             assert abs(np.linalg.norm(move_away(c, x, a) - x) - (1 + a) * base) < 1e-12
 
+    @given(
+        p=st.floats(0.0, 1.0),
+        x=st.floats(0.0, 1.0),
+        rate=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_attraction_stays_in_unit_interval(self, p, x, rate):
+        # train clamps after a repulsion only; see the proof in its loop
+        position, example = np.array([p]), np.array([x])
+        moved = move_toward(position, example, rate, offset=position - example)
+        assert 0.0 <= moved[0] <= 1.0
+        # the step from the offset rounds as the step toward the example does
+        assert moved.tobytes() == (position + rate * (example - position)).tobytes()
+        away = move_away(position, example, rate, offset=position - example)
+        assert away.tobytes() == (position - rate * (example - position)).tobytes()
+
     @pytest.mark.parametrize("move", [move_toward, move_away])
     def test_out_moves_in_place_to_the_same_bytes(self, move):
         rng = np.random.default_rng(7)

@@ -246,6 +246,21 @@ class TestRecordInvariants:
         emitted_iters = {log.iteration for log in report.swarm_logs if log.emitted}
         assert emitted_iters == {r.iteration for r in report.records}
 
+    def test_swarm_logs_say_why_each_swarm_stopped(self, mined):
+        _, _, report = mined
+        pso = SMALL.pso
+        for log in report.swarm_logs:
+            steps = len(log.trace) - 1
+            assert log.fitness_evals == pso.swarm_size * (steps + 1)
+            if steps == pso.max_iterations:
+                assert log.stop_reason == "max_iterations"
+            else:
+                assert log.stop_reason == "stagnation"
+                # the best fitness did not rise over the last stagnation_limit steps
+                assert steps >= pso.stagnation_limit
+                tail = log.trace[-pso.stagnation_limit - 1 :]
+                assert tail == [tail[0]] * len(tail)
+
     def test_network_represents_whole_training_set(self, mined):
         _, _, report = mined
         total = report.network.represented_counts.sum()
@@ -258,6 +273,9 @@ class TestRecordInvariants:
         parsed = json.loads(text)
         assert parsed["stop_reason"] == report.stop_reason
         assert parsed["train_size"] == report.train_size
+        assert [(log["stop_reason"], log["fitness_evals"]) for log in parsed["swarm_logs"]] == [
+            (log.stop_reason, log.fitness_evals) for log in report.swarm_logs
+        ]
         assert {r["class"] for r in parsed["rules"]} <= {"neg", "pos"}
         # the JSON keeps the size of each rule's uncovered set, not its rows
         assert [r["uncovered_before"] for r in parsed["rules"]] == [

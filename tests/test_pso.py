@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import build_encoded, fitness_from_rule
+from conftest import brute_force_counts, build_encoded, fitness_from_rule
 from rulemine.errors import ConfigError, DataError
 from rulemine.lvq import LvqConfig, LvqNetwork, fit_network
 from rulemine.pso import (
@@ -18,6 +18,8 @@ from rulemine.rules import (
     NominalMembership,
     NumericInterval,
     Rule,
+    count_matches,
+    pack_rows,
     rule_quality,
     validate_rule,
 )
@@ -331,6 +333,134 @@ class TestBatchFitnessOracle:
             fitness(np.ones((2, 2)), np.zeros((2, 2, 2)), 0, data, PsoConfig())
 
 
+NINE = Attribute("nine", "nominal", tuple(f"n{i}" for i in range(9)))
+SEVENTEEN = Attribute("seventeen", "nominal", tuple(f"s{i}" for i in range(17)))
+GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+PACKED_SCHEMAS = {
+    "mixed": (NINE, Attribute("u", "numeric"), SEVENTEEN, Attribute("v", "numeric")),
+    "nominal_only": (NINE, SEVENTEEN),
+    "numeric_only": (Attribute("u", "numeric"), Attribute("v", "numeric")),
+}
+
+
+def _packed_data(kind, n, seed):
+    """n rows over nominal attributes of 9 and 17 values, so that the union
+    tables have two and three groups of 8, and numeric values on a grid, so
+    that many rows tie on an interval end. No row takes the last value of a
+    nominal attribute."""
+    schema = AttributeSchema(PACKED_SCHEMAS[kind], "cls", ("a", "b", "c"))
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for attr in schema.attributes:
+        if attr.kind == "nominal":
+            block = np.zeros((n, len(attr.values)))
+            block[np.arange(n), rng.integers(0, len(attr.values) - 1, n)] = 1.0
+        else:
+            block = rng.choice(GRID, (n, 1))
+        blocks.append(block)
+    return build_encoded(schema, np.hstack(blocks), rng.integers(0, 3, n))
+
+
+class TestPackedKernel:
+    """``count_matches`` counts on packed row bits: it must agree with the
+    brute-force double loop, and ``fitness`` with ``fitness_from_rule`` byte
+    for byte, at word edges, across union groups and on ties."""
+
+    @staticmethod
+    def _allowed(position, layout):
+        # as fitness passes it: a block with no bit set admits every value
+        allowed = position >= 0.5
+        for attr in layout.schema.nominal_attributes:
+            cols = layout.nominal_columns(attr.name)
+            block = allowed[:, cols.start : cols.stop]
+            block[~block.any(axis=1)] = True
+        return allowed
+
+    def _check(self, position, genes, data):
+        layout, cfg = data.layout, PsoConfig()
+        rules = [decode_state(p, g, layout, 0) for p, g in zip(position, genes)]
+        rows = pack_rows(data)
+        for class_index in range(3):
+            matched, correct = count_matches(
+                rows, self._allowed(position, layout), genes, class_index)
+            expected = [brute_force_counts(Rule(r.antecedent, class_index), data)
+                        for r in rules]
+            assert list(zip(matched.tolist(), correct.tolist())) == expected
+            got = fitness(position, genes, class_index, data, cfg, rows)
+            want = np.array([fitness_from_rule(Rule(r.antecedent, class_index), data, cfg)
+                             for r in rules])
+            assert got.tobytes() == want.tobytes()
+        return rules
+
+    @staticmethod
+    def _states(rng, data, S=24):
+        """Random bits, whole blocks none or all set, and intervals that end
+        on grid values (every row value), on ties (lo == hi) or between."""
+        layout = data.layout
+        position = (rng.random((S, data.dimension)) < rng.random((S, 1))).astype(float)
+        for attr in data.schema.nominal_attributes:
+            cols = layout.nominal_columns(attr.name)
+            position[0, cols.start : cols.stop] = 0.0
+            position[1, cols.start : cols.stop] = 1.0
+        genes = np.where(rng.random((S, layout.numeric_columns.size, 2)) < 0.7,
+                         rng.choice(GRID, (S, layout.numeric_columns.size, 2)),
+                         rng.random((S, layout.numeric_columns.size, 2)))
+        genes[2, :, 1] = genes[2, :, 0]  # lo == hi: a tie
+        return position, np.sort(genes, axis=2)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("kind", sorted(PACKED_SCHEMAS))
+    def test_word_edges(self, kind, n):
+        data = _packed_data(kind, n, seed=n)
+        rng = np.random.default_rng(n + 1)
+        for _ in range(3):
+            self._check(*self._states(rng, data), data)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    def test_packed_layout(self, n):
+        data = _packed_data("mixed", n, seed=n)
+        rows = pack_rows(data)
+        words = -(-n // 64)
+        def unpack(bits):
+            return np.unpackbits(bits.view(np.uint8), bitorder="little")
+        assert rows.every.shape == (words,)
+        assert unpack(rows.every).tolist() == [1] * n + [0] * (64 * words - n)
+        for c in range(3):
+            assert unpack(rows.classes[c]).tolist() == (
+                (data.y == c).tolist() + [False] * (64 * words - n))
+        assert [len(groups) for groups in rows.unions] == [2, 3]
+        assert [table.shape for table in rows.unions[1]] == [
+            (256, words), (256, words), (2, words)]
+
+    @pytest.mark.parametrize("kind", sorted(PACKED_SCHEMAS))
+    def test_blocks_none_or_all_set_match_every_row(self, kind):
+        data = _packed_data(kind, 65, seed=4)
+        position = np.zeros((2, data.dimension))
+        position[1] = 1.0
+        genes = np.tile([0.0, 1.0], (2, data.layout.numeric_columns.size, 1))
+        rules = self._check(position, genes, data)
+        assert len(rules[0]) == 0
+        assert len(rules[1]) == len(data.schema.numeric_attributes)
+
+    @pytest.mark.parametrize("n", [1, 64, 129])
+    @pytest.mark.parametrize("kind", sorted(PACKED_SCHEMAS))
+    def test_empty_match(self, kind, n):
+        data = _packed_data(kind, n, seed=5)
+        layout = data.layout
+        position = np.zeros((2, data.dimension))
+        genes = np.tile([0.0, 1.0], (2, layout.numeric_columns.size, 1))
+        if kind == "numeric_only":
+            position[:, layout.numeric_column("u")] = 1.0
+            genes[0, 0] = [0.1, 0.2]  # between grid values
+            genes[1, 0] = [0.3, 0.3]
+        else:
+            # the last values: in the second group of 8, and alone in the third
+            position[0, layout.nominal_columns("nine")[8]] = 1.0
+            position[1, layout.nominal_columns("seventeen")[16]] = 1.0
+        rules = self._check(position, genes, data)
+        assert [brute_force_counts(rule, data) for rule in rules] == [(0, 0), (0, 0)]
+
+
 def _network(positions, deviations, represented, class_indices):
     return LvqNetwork(
         positions=np.array(positions, dtype=np.float64),
@@ -502,6 +632,8 @@ class TestEvolve:
         swarm = seed_swarm(net, 0, 1, data, cfg)
         evolve(swarm, data, cfg)
         assert swarm.iteration < 500
+        assert swarm.stop_reason == "stagnation"
+        assert swarm.fitness_evals == 6 * (swarm.iteration + 1) == 6 * len(swarm.trace)
 
     def test_iteration_cap_respected(self, credit_schema):
         data = _credit_data(credit_schema, n=30, seed=10)
@@ -510,3 +642,5 @@ class TestEvolve:
         swarm = seed_swarm(net, 0, 1, data, cfg)
         evolve(swarm, data, cfg)
         assert swarm.iteration <= 7
+        assert swarm.stop_reason == "max_iterations"
+        assert swarm.fitness_evals == 4 * 8

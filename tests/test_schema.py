@@ -260,6 +260,31 @@ class TestColumnReaderMatchesPerRowCheck:
         with pytest.raises(DataError, match=f"^row {where[0]}: "):
             parse_csv(io.StringIO(text), credit_schema)
 
+    @pytest.mark.parametrize("bad_row", [None, 1, 500])
+    @pytest.mark.parametrize("chunk_rows", [7, 4096])
+    def test_rows_before_an_unreadable_line_are_checked(self, credit_schema, bad_row,
+                                                        chunk_rows):
+        # the last of 1,001 rows holds a byte that is not UTF-8, past the
+        # decoder's first 8 KB block
+        text = self._long_csv({1001: "m\udce9rried,100,30,Accept"} | (
+            {bad_row: "married,lots,30,Accept"} if bad_row else {}))
+        source = io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogateescape")),
+                                  encoding="utf-8", newline="")
+        chunks = read_chunks(source, credit_schema, chunk_rows=chunk_rows)
+        drawn = []
+        with pytest.raises(DataError, match="can't decode byte 0xe9"):
+            for raw, errors in chunks:
+                drawn.append((len(raw), [(p, str(e)) for p, e in errors]))
+        # the rows decoded before the failing block come as chunks, in order
+        assert 500 <= sum(n + len(e) for n, e in drawn) < 1000
+        found = [e for _, errors in drawn for e in errors]
+        assert found == ([] if bad_row is None else [
+            ((bad_row - 1) % chunk_rows, f"row {bad_row}: cannot parse 'lots' as "
+                                         "numeric for attribute 'salary'")])
+        source.seek(0)
+        with pytest.raises(DataError, match=f"^row {bad_row}: " if bad_row else "codec"):
+            parse_csv(source, credit_schema)
+
     def test_value_error_comes_before_label_error_in_a_row(self, credit_schema):
         text = CSV_OK + "married,lots,30,Maybe\n"
         with pytest.raises(DataError, match="^row 3: cannot parse 'lots'"):
