@@ -136,8 +136,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         for i, rule in enumerate(rule_list.rules, start=1)
     ]
     # reads and matches the header now, so a bad one stops before --out opens
-    chunks = read_chunks(args.input, schema, require_class=False, labels=False,
-                         chunk_rows=PREDICT_CHUNK_ROWS)
+    chunks = read_chunks(args.input, schema, labels=False, chunk_rows=PREDICT_CHUNK_ROWS)
     # opening --out truncates it, so it must not be the file still being read
     if args.out and os.path.exists(args.out) and os.path.samefile(args.out, args.input):
         raise ConfigError("--out must not name the --input file")

@@ -65,36 +65,21 @@ class LvqNetwork:
     stop_reason: str = ""  # "stability", "repeated_assignment" or "max_epochs"
 
 
-def move_toward(
-    position: np.ndarray,
-    example: np.ndarray,
-    rate: float,
-    out: np.ndarray | None = None,
-    offset: np.ndarray | None = None,
-) -> np.ndarray:
+def move_toward(position: np.ndarray, example: np.ndarray, rate: float) -> np.ndarray:
     """Attraction step: the new distance to the example is (1 - rate) times
-    the old one, exactly. ``out=position`` moves the row in place;
-    ``offset`` is ``position - example`` when the caller holds it already.
+    the old one, exactly.
 
     Under round-to-nearest fl(a - b) = -fl(b - a) and fl(r * -v) =
-    -fl(r * v), so ``position - rate * offset`` rounds to the same bits as
-    ``position + rate * (example - position)``.
+    -fl(r * v), so ``position - rate * (position - example)`` rounds to the
+    same bits as ``position + rate * (example - position)``.
     """
-    offset = position - example if offset is None else offset
-    return np.subtract(position, rate * offset, out=out)
+    return position - rate * (position - example)
 
 
-def move_away(
-    position: np.ndarray,
-    example: np.ndarray,
-    rate: float,
-    out: np.ndarray | None = None,
-    offset: np.ndarray | None = None,
-) -> np.ndarray:
+def move_away(position: np.ndarray, example: np.ndarray, rate: float) -> np.ndarray:
     """Repulsion step: the new distance to the example is (1 + rate) times
-    the old one, exactly. ``out`` and ``offset`` are as in ``move_toward``."""
-    offset = position - example if offset is None else offset
-    return np.add(position, rate * offset, out=out)
+    the old one, exactly."""
+    return position + rate * (position - example)
 
 
 def allocate_per_class(class_counts: np.ndarray, total_centroids: int) -> dict[int, int]:
@@ -227,11 +212,11 @@ def train(network: LvqNetwork, train_data: EncodedDataset, config: LvqConfig) ->
             second = int(d2.argmin())
             assign[i] = first
             label = labels[i]
-            # move rows in place, each from its row of diff. A repulsion can
-            # leave [0, 1] and is clamped; an attraction cannot. Per
-            # coordinate, with p and x in [0, 1] and 0 < rate < 1, it
-            # computes fl(p - fl(rate * fl(p - x))), and round-to-nearest is
-            # monotone with fl(v) = v for a double v:
+            # move rows in place, each from its row of diff, as move_toward
+            # and move_away compute. A repulsion can leave [0, 1] and is
+            # clamped; an attraction cannot. Per coordinate, with p and x in
+            # [0, 1] and 0 < rate < 1, it computes fl(p - fl(rate * fl(p - x))),
+            # and round-to-nearest is monotone with fl(v) = v for a double v:
             # - p >= x: 0 <= fl(rate * fl(p - x)) <= fl(p - x) <= fl(p) = p,
             #   so the result lies in [fl(p - p), fl(p)] = [0, p];
             # - p < x: the step is -t with 0 <= t = fl(rate * fl(x - p))
@@ -241,14 +226,14 @@ def train(network: LvqNetwork, train_data: EncodedDataset, config: LvqConfig) ->
             #   away (doubles above 1 are 2**-52 apart): so it is <= 1.
             p = positions[first]
             if classes[first] == label:
-                move_toward(p, x, rate, out=p, offset=diff[first])
+                p -= rate * diff[first]
             else:
-                move_away(p, x, rate, out=p, offset=diff[first])
+                p += rate * diff[first]
                 np.maximum(p, 0.0, out=p)
                 np.minimum(p, 1.0, out=p)
             if classes[second] != label and d2[second] < ratio_sq * d2_first:
                 q = positions[second]
-                move_away(q, x, rate, out=q, offset=diff[second])
+                q += rate * diff[second]
                 np.maximum(q, 0.0, out=q)
                 np.minimum(q, 1.0, out=q)
         movement = float(np.mean(np.sqrt(((positions - start) ** 2).sum(axis=1))))

@@ -148,7 +148,7 @@ def fitness(
     class_index: int,
     data: EncodedDataset,
     config: PsoConfig,
-    rows: PackedRows | None = None,
+    rows: PackedRows,
 ) -> np.ndarray:
     """Fitness of every particle: (S, d) bits and (S, a, 2) genes -> (S,).
 
@@ -157,22 +157,18 @@ def fitness(
     all of its bits are set (none set admits every value), a numeric one when
     its column bit is set. Equal, bit for bit, to the same weighted sum over
     ``rule_quality`` of each particle's decoded rule. ``rows`` is
-    ``pack_rows(data)``, packed here when not given.
+    ``pack_rows(data)``, as the swarm holds it.
     """
     if len(data) == 0:
         raise DataError("support and confidence are undefined on an empty dataset")
-    if rows is None:
-        rows = pack_rows(data)
-    layout = data.layout
     allowed = position >= 0.5
     lengths = np.zeros(len(position), dtype=np.int64)
-    for attr in data.schema.nominal_attributes:
-        cols = layout.nominal_columns(attr.name)
+    for cols in rows.blocks:
         block = allowed[:, cols.start : cols.stop]
         chosen = np.count_nonzero(block, axis=1)
         lengths += (chosen > 0) & (chosen < len(cols))
         block[chosen == 0] = True
-    lengths += np.count_nonzero(allowed[:, layout.numeric_columns], axis=1)
+    lengths += np.count_nonzero(allowed[:, rows.numeric_columns], axis=1)
     matched, correct = count_matches(rows, allowed, genes, class_index)
     support = correct / len(data)
     confidence = np.divide(correct, matched, out=np.zeros(len(allowed)), where=matched > 0)
@@ -211,10 +207,11 @@ def seed_swarm(
     """Build the initial swarm for one rule-search run.
 
     Seeds come from the network's centroids of the target class that
-    represent at least ``min_represented`` examples; if none qualify, all
-    centroids of the class; if the class has no centroids at all, the swarm
-    initializes randomly. Extra particles beyond the seed pool are perturbed
-    copies of the seeds.
+    represent at least ``min_represented`` examples, or from all centroids of
+    the class if none qualify. Extra particles beyond the seed pool are
+    perturbed copies of the seeds. A network with no centroid of the class
+    raises DataError: ``allocate_per_class`` gives every class present in the
+    training data at least one.
     """
     if len(data) == 0:
         raise DataError("cannot seed a swarm against an empty dataset")
@@ -226,6 +223,9 @@ def seed_swarm(
     S, a = config.swarm_size, numeric_cols.size
 
     of_class = network.class_indices == class_index
+    if not of_class.any():
+        label = data.schema.class_labels[class_index]
+        raise DataError(f"the network has no centroid of class {label!r} to seed from")
     seeds = np.flatnonzero(of_class & (network.represented_counts >= min_represented))
     if not seeds.size:
         seeds = np.flatnonzero(of_class)
@@ -233,29 +233,21 @@ def seed_swarm(
     rng = np.random.default_rng(config.seed)
     lb1, ub1 = config.veloc1_bounds
     lb2, ub2 = config.veloc2_bounds
-    if seeds.size:
-        # particle s starts from seed s mod |seeds|. Accumulators: nominal
-        # columns reuse the centroid coordinate; numeric columns use
-        # 1 - 1.5 * deviation (clamped to [0, 1]), so a dimension the centroid
-        # represents tightly is likely to participate; both are rescaled into
-        # the veloc2 bounds. Genes span center +- 1.5 * deviation.
-        base = seeds[np.arange(S) % seeds.size]
-        centers, deviations = network.positions[base], network.deviations[base]
-        raw = np.where(
-            numeric_mask, np.clip(1.0 - 1.5 * deviations, 0.0, 1.0), centers
-        )
-        veloc2 = lb2 + raw * (ub2 - lb2)
-        center = centers[:, numeric_cols]
-        spread = 1.5 * deviations[:, numeric_cols]
-        genes = np.clip(np.stack([center - spread, center + spread], axis=2), 0.0, 1.0)
-    else:
-        veloc2, genes = np.empty((S, d)), np.empty((S, a, 2))
+    # particle s starts from seed s mod |seeds|. Accumulators: nominal columns
+    # reuse the centroid coordinate; numeric columns use 1 - 1.5 * deviation
+    # (clamped to [0, 1]), so a dimension the centroid represents tightly is
+    # likely to participate; both are rescaled into the veloc2 bounds. Genes
+    # span center +- 1.5 * deviation.
+    base = seeds[np.arange(S) % seeds.size]
+    centers, deviations = network.positions[base], network.deviations[base]
+    raw = np.where(numeric_mask, np.clip(1.0 - 1.5 * deviations, 0.0, 1.0), centers)
+    veloc2 = lb2 + raw * (ub2 - lb2)
+    center = centers[:, numeric_cols]
+    spread = 1.5 * deviations[:, numeric_cols]
+    genes = np.clip(np.stack([center - spread, center + spread], axis=2), 0.0, 1.0)
     veloc1, gene_veloc, position = np.empty((S, d)), np.empty((S, a, 2)), np.empty((S, d))
     for s in range(S):
-        if not seeds.size:
-            veloc2[s] = rng.uniform(lb2, ub2, d)
-            genes[s] = np.sort(rng.uniform(0.0, 1.0, (a, 2)), axis=1)
-        elif s >= seeds.size:  # perturbed copy of a seed
+        if s >= seeds.size:  # perturbed copy of a seed
             veloc2[s] = np.clip(
                 veloc2[s] + rng.normal(0.0, _PERTURB_VELOC_SCALE * (ub2 - lb2), d),
                 lb2,

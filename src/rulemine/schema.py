@@ -400,7 +400,6 @@ CHUNK_ROWS = 4096
 def read_chunks(
     source,
     schema: AttributeSchema,
-    require_class: bool = True,
     labels: bool = True,
     chunk_rows: int = CHUNK_ROWS,
 ) -> Iterator[tuple[RawDataset, list[tuple[int, DataError]]]]:
@@ -412,8 +411,9 @@ def read_chunks(
     and ``errors`` the DataError of each row that fails one, with the row's
     position among the chunk's data rows, in row order. Blank lines are
     skipped but still counted in the 1-based row numbers. With ``labels``,
-    the class column (when the header has one) is checked and converted into
-    ``raw.classes``; without, it is not read.
+    the header must have the class column, whose labels are checked and
+    converted into ``raw.classes``; without, the column may be present and
+    is not read.
 
     A line that cannot be read (a byte that is not UTF-8, a CSV syntax
     error) raises its DataError after the lines before it have come as a
@@ -429,7 +429,7 @@ def read_chunks(
     header = next(reader, None)
     if header is None:
         raise SchemaError("CSV is empty (no header row)")
-    predictor_pos, class_pos = read_header(header, schema, require_class)
+    predictor_pos, class_pos = read_header(header, schema, labels)
     if not labels:
         class_pos = None
     return _chunks(reader, schema, predictor_pos, class_pos, len(header), chunk_rows)
@@ -525,7 +525,7 @@ def _check_row(schema, fields, width, predictor_pos, class_pos, row_number):
         raise DataError(f"row {row_number}: class label {label!r} is not declared") from None
 
 
-def parse_csv(source, schema: AttributeSchema, require_class: bool = True) -> RawDataset:
+def parse_csv(source, schema: AttributeSchema) -> RawDataset:
     """Parse a header-first CSV into a validated RawDataset.
 
     Header names must match the schema (order-insensitive). Every value is
@@ -535,7 +535,7 @@ def parse_csv(source, schema: AttributeSchema, require_class: bool = True) -> Ra
     """
     tables = [np.empty((0, len(schema.attributes)))]
     classes: list[int] = []
-    for raw, errors in read_chunks(source, schema, require_class):
+    for raw, errors in read_chunks(source, schema):
         if errors:
             raise errors[0][1]
         tables.append(raw.rows)

@@ -191,6 +191,23 @@ def test_negative_seed_is_config_error(workdir, tmp_path, capsys, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_data_without_the_class_column_is_data_error(workdir, tmp_path, capsys, command):
+    # predict scores such a file; train and evaluate need its labels
+    data = tmp_path / "unlabeled.csv"
+    data.write_text("x1,x2\n0.9,0.1\n0.1,0.9\n")
+    argv = {
+        "train": ["train", "--data", str(data), "--schema", str(workdir / "sep.schema.json"),
+                  "--out", str(tmp_path / "m.json")],
+        "evaluate": ["evaluate", "--model", str(workdir / "model.json"), "--data", str(data)],
+    }[command]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert err.startswith("error: missing column 'label'")
+    assert not (tmp_path / "m.json").exists()
+
+
 class TestTrain:
     def test_train_with_holdout(self, workdir, tmp_path, capsys):
         code = cli.main(["train", "--data", str(workdir / "sep.csv"),
@@ -407,13 +424,23 @@ class TestPredict:
                 assert fields[2].startswith("IF ")
 
     def test_labeled_input_is_accepted(self, workdir, capsys, tmp_path):
-        points = tmp_path / "points.csv"
-        points.write_text("x1,x2,label\n0.900000,0.100000,pos\n")
-        code = cli.main(["predict", "--model", str(workdir / "model.json"),
-                         "--input", str(points)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.splitlines()[1].startswith("pos,")
+        # the class column is not read: a declared label, an undeclared one
+        # and an empty field all score as the rows without the column do
+        rows = [("0.900000,0.100000", "pos"), ("0.100000,0.900000", "positive"),
+                ("0.900000,0.100000", "")]
+        labeled = tmp_path / "labeled.csv"
+        labeled.write_text("x1,x2,label\n" + "".join(f"{x},{c}\n" for x, c in rows))
+        bare = tmp_path / "bare.csv"
+        bare.write_text("x1,x2\n" + "".join(f"{x}\n" for x, _ in rows))
+        outputs = []
+        for points in (labeled, bare):
+            code = cli.main(["predict", "--model", str(workdir / "model.json"),
+                             "--input", str(points)])
+            assert code == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.splitlines()[1].startswith("pos,")
+        assert outputs[0].err.startswith("scored 3 rows, 0 ERROR")
 
     def test_default_only_model_reports_default(self, workdir, capsys):
         code = cli.main(["predict", "--model", str(workdir / "zero.json"),

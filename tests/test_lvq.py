@@ -144,21 +144,12 @@ class TestMoveLaws:
     def test_attraction_stays_in_unit_interval(self, p, x, rate):
         # train clamps after a repulsion only; see the proof in its loop
         position, example = np.array([p]), np.array([x])
-        moved = move_toward(position, example, rate, offset=position - example)
+        moved = move_toward(position, example, rate)
         assert 0.0 <= moved[0] <= 1.0
         # the step from the offset rounds as the step toward the example does
         assert moved.tobytes() == (position + rate * (example - position)).tobytes()
-        away = move_away(position, example, rate, offset=position - example)
+        away = move_away(position, example, rate)
         assert away.tobytes() == (position - rate * (example - position)).tobytes()
-
-    @pytest.mark.parametrize("move", [move_toward, move_away])
-    def test_out_moves_in_place_to_the_same_bytes(self, move):
-        rng = np.random.default_rng(7)
-        c, x = rng.uniform(0, 1, 5), rng.uniform(0, 1, 5)
-        want = move(c, x, 0.3)
-        got = move(c, x, 0.3, out=c)
-        assert got is c
-        assert c.tobytes() == want.tobytes()
 
 
 class TestTraining:

@@ -226,7 +226,7 @@ class TestFitness:
         rng = np.random.default_rng(6)
         position = (rng.random((9, 5)) < 0.5).astype(float)
         genes = np.sort(rng.random((9, 2, 2)), axis=2)
-        got = fitness(position, genes, 1, data, cfg)
+        got = fitness(position, genes, 1, data, cfg, pack_rows(data))
         assert got.shape == (9,)
         for s in range(9):
             rule = decode_state(position[s], genes[s], data.layout, 1)
@@ -270,7 +270,7 @@ class TestBatchFitnessOracle:
 
     @staticmethod
     def _check(position, genes, class_index, data, cfg=PsoConfig()):
-        got = fitness(position, genes, class_index, data, cfg)
+        got = fitness(position, genes, class_index, data, cfg, pack_rows(data))
         expected = np.array([
             fitness_from_rule(decode_state(p, g, data.layout, class_index), data, cfg)
             for p, g in zip(position, genes)
@@ -330,7 +330,8 @@ class TestBatchFitnessOracle:
     def test_empty_dataset_rejected(self, numeric_schema):
         data = build_encoded(numeric_schema, np.zeros((0, 2)), [])
         with pytest.raises(DataError):
-            fitness(np.ones((2, 2)), np.zeros((2, 2, 2)), 0, data, PsoConfig())
+            fitness(np.ones((2, 2)), np.zeros((2, 2, 2)), 0, data, PsoConfig(),
+                    pack_rows(data))
 
 
 NINE = Attribute("nine", "nominal", tuple(f"n{i}" for i in range(9)))
@@ -520,15 +521,13 @@ class TestSeeding:
         swarm = seed_swarm(net, 0, 5, data, PsoConfig(swarm_size=1, seed=0))
         assert np.array_equal(swarm.genes[0][0], [0.9, 0.9])
 
-    def test_class_without_centroids_seeds_randomly(self, credit_schema):
+    def test_class_without_centroids_is_rejected(self, credit_schema):
         data = _credit_data(credit_schema)
         net = _hand_network([1.0, 0.0, 0.0, 0.4, 0.5], [0.0, 0.2], class_index=0)
         cfg = PsoConfig(swarm_size=6, seed=2)
-        swarm = seed_swarm(net, 1, 1, data, cfg)
-        assert len(swarm.position) == 6
-        lb2, ub2 = cfg.veloc2_bounds
-        assert np.all(swarm.veloc2 >= lb2) and np.all(swarm.veloc2 <= ub2)
-        assert np.all(np.isfinite(fitness(swarm.position, swarm.genes, 1, data, cfg)))
+        label = credit_schema.class_labels[1]
+        with pytest.raises(DataError, match=f"no centroid of class {label!r}"):
+            seed_swarm(net, 1, 1, data, cfg)
 
     def test_initial_invariants(self, credit_schema):
         data = _credit_data(credit_schema)
@@ -540,7 +539,8 @@ class TestSeeding:
         assert np.all(swarm.genes[:, :, 0] <= swarm.genes[:, :, 1])
         assert set(np.unique(swarm.position)) <= {0.0, 1.0}
         assert np.array_equal(
-            swarm.best_fitness, fitness(swarm.position, swarm.genes, 0, data, cfg)
+            swarm.best_fitness,
+            fitness(swarm.position, swarm.genes, 0, data, cfg, pack_rows(data)),
         )
         assert swarm.gbest_fitness == swarm.best_fitness.max()
         assert swarm.trace == [swarm.gbest_fitness]

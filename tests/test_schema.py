@@ -178,8 +178,7 @@ def _per_row_reference(text, schema, labels=True):
 def _chunked(text, schema, chunk_rows, labels=True):
     """read_chunks' rows in input order, in _per_row_reference's form."""
     out = []
-    chunks = read_chunks(io.StringIO(text), schema, require_class=False, labels=labels,
-                         chunk_rows=chunk_rows)
+    chunks = read_chunks(io.StringIO(text), schema, labels=labels, chunk_rows=chunk_rows)
     for raw, errors in chunks:
         assert raw.rows.dtype == np.float64 and raw.rows.shape[1] == len(schema.attributes)
         classes = raw.classes or [None] * len(raw)
@@ -300,11 +299,11 @@ class TestColumnReaderMatchesPerRowCheck:
             class_labels=("neg", "pos"),
         )
         text = "c,d\na,b\na\n,a\na,b,a\nb,a\n"
-        expected = _per_row_reference(text, schema)
+        expected = _per_row_reference(text, schema, labels=False)
         assert [e[:5] for e in expected if isinstance(e, str)] == ["row 2", "row 3", "row 4",
                                                                     "row 5"]
         for chunk_rows in (1, 4096):
-            assert _chunked(text, schema, chunk_rows) == expected
+            assert _chunked(text, schema, chunk_rows, labels=False) == expected
 
     def test_bad_header_raises_before_the_first_chunk(self, credit_schema):
         # the header is matched when read_chunks is called, not when its
