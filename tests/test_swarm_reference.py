@@ -9,7 +9,7 @@ rule and the final state of every particle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -195,13 +195,20 @@ def _dataset(kind, seed, n=80):
 
 
 @pytest.mark.parametrize("pso_seed", [3, 8])
-@pytest.mark.parametrize("seeding", ["centroids", "fallback"])
+@pytest.mark.parametrize("seeding", ["centroids", "fallback", "random"])
 @pytest.mark.parametrize("swarm_size", [1, 7, 25])
 @pytest.mark.parametrize("kind", sorted(SCHEMAS))
 def test_array_swarm_matches_per_particle_reference(kind, swarm_size, seeding, pso_seed):
     data = _dataset(kind, seed=swarm_size + pso_seed)
     target = 1
     network = fit_network(data, LvqConfig(centroid_count=4, max_epochs=5, seed=pso_seed))
+    if seeding == "random":
+        # centroids anywhere in the unit cube with any spread, so that seeding
+        # clamps accumulators and genes at both bounds, as trained ones rarely do
+        rng = np.random.default_rng(pso_seed)
+        shape = network.positions.shape
+        network = replace(network, positions=rng.uniform(0.0, 1.0, shape),
+                          deviations=rng.uniform(0.0, 1.0, shape))
     # "fallback": no centroid represents that many rows, so all of the class seed
     min_represented = len(data) + 1 if seeding == "fallback" else 1
     config = PsoConfig(swarm_size=swarm_size, max_iterations=25, stagnation_limit=8,
