@@ -25,7 +25,6 @@ from .miner import MinerConfig, mine
 from .model_io import ModelArtifact, load_model, save_model
 from .rules import classify_dataset, render_rule, render_rule_list
 from .schema import (
-    CHUNK_ROWS,
     encode,
     load_schema,
     parse_csv,
@@ -41,9 +40,6 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_CONFIG = 2
 EXIT_NO_RULES = 3
-
-# predict reads, scores and writes this many input lines at a time
-PREDICT_CHUNK_ROWS = CHUNK_ROWS
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -136,7 +132,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         for i, rule in enumerate(rule_list.rules, start=1)
     ]
     # reads and matches the header now, so a bad one stops before --out opens
-    chunks = read_chunks(args.input, schema, labels=False, chunk_rows=PREDICT_CHUNK_ROWS)
+    chunks = read_chunks(args.input, schema, labels=False)
     # opening --out truncates it, so it must not be the file still being read
     if args.out and os.path.exists(args.out) and os.path.samefile(args.out, args.input):
         raise ConfigError("--out must not name the --input file")

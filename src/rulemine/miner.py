@@ -208,7 +208,7 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
     n_classes = len(train.schema.class_labels)
     present = np.unique(train.y)
     if present.size < 2:
-        raise ConfigError("mining needs at least 2 classes present in the data")
+        raise DataError("mining needs at least 2 classes present in the data")
 
     master = np.random.default_rng(config.seed)
 
@@ -276,7 +276,7 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
         )
         swarm_logs.append(SwarmLog(
             iteration, target, list(swarm.trace), emitted, swarm.stop_reason,
-            swarm.fitness_evals,
+            swarm_config.swarm_size * len(swarm.trace),
         ))
 
         if emitted:

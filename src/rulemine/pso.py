@@ -92,8 +92,7 @@ class Swarm:
     # it, so step and evolve must be given that same dataset
     rows: PackedRows
     iteration: int = 0
-    trace: list[float] = field(default_factory=list)
-    fitness_evals: int = 0  # particles scored, S per fitness round
+    trace: list[float] = field(default_factory=list)  # gbest after each fitness round
     stop_reason: str = ""  # set by evolve: "stagnation" or "max_iterations"
 
 
@@ -184,7 +183,6 @@ def _update_bests(swarm: Swarm, fit: np.ndarray) -> None:
     """Adopt strictly better personal bests, then the global best, and extend
     the trace. argmax takes the first particle on ties, as an in-order scan
     with strict improvement would."""
-    swarm.fitness_evals += len(fit)
     improved = fit > swarm.best_fitness
     swarm.best_fitness[improved] = fit[improved]
     swarm.best_position[improved] = swarm.position[improved]

@@ -40,6 +40,7 @@ class Attribute:
     values: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_spelling(self.name, "attribute name")
         if self.kind not in (NOMINAL, NUMERIC):
             raise SchemaError(f"attribute {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == NOMINAL:
@@ -49,6 +50,11 @@ class Attribute:
                 )
             if len(set(self.values)) != len(self.values):
                 raise SchemaError(f"nominal attribute {self.name!r} repeats a value")
+            for value in self.values:
+                if not value:
+                    raise SchemaError(f"nominal attribute {self.name!r} declares an empty "
+                                      "value, but an empty field is a missing value")
+                _check_spelling(value, f"nominal attribute {self.name!r}: value")
         elif self.values:
             raise SchemaError(f"numeric attribute {self.name!r} must not declare values")
 
@@ -75,6 +81,9 @@ class AttributeSchema:
             raise SchemaError("schema must declare at least 2 class labels")
         if len(set(self.class_labels)) != len(self.class_labels):
             raise SchemaError("class labels must be unique")
+        _check_spelling(self.class_attribute, "class attribute")
+        for label in self.class_labels:
+            _check_spelling(label, "class label")
 
     @property
     def attribute_names(self) -> tuple[str, ...]:
@@ -120,6 +129,14 @@ class AttributeSchema:
             values = json_strings(entry.get("values", []), SchemaError, what)
             attrs.append(Attribute(entry["name"], entry["kind"], values))
         return AttributeSchema(tuple(attrs), fields["class_attribute"], fields["class_labels"])
+
+
+def _check_spelling(text: str, what: str) -> None:
+    """Reject a name or value no CSV field can match: fields are read with
+    their surrounding whitespace stripped."""
+    if text != text.strip():
+        raise SchemaError(f"{what} {text!r} has surrounding whitespace, which no "
+                          "CSV field can match")
 
 
 # the Python types json.load gives each JSON kind; a bool is never a number
@@ -303,17 +320,24 @@ class EncodedDataset:
 def coerce_row(
     schema: AttributeSchema,
     fields: Sequence[str],
+    width: int,
     positions: Sequence[int],
+    class_pos: int | None,
     row_number: int,
-) -> tuple[int | float, ...]:
-    """Check and convert one CSV row: each nominal field becomes the index of
-    its value in the attribute's ``values``, each numeric field its float.
+) -> tuple[tuple[int | float, ...], int]:
+    """Check and convert one CSV row on its own, and raise the DataError of
+    the first check it fails: its width (``width`` fields, as in the header),
+    each predictor in schema order, then its class label.
 
-    ``positions`` holds the column of each predictor attribute in schema
-    order (see ``read_header``). ``row_number`` is the 1-based data row used
-    in error messages. Missing values (empty fields) are rejected here rather
-    than silently imputed.
+    Returns ``(values, class index)``: a nominal field becomes the index of
+    its value in the attribute's ``values``, a numeric one its float, and the
+    label its index in ``class_labels`` (0 when ``class_pos`` is None). Each
+    field is stripped first; an empty predictor field is a missing value,
+    never imputed. ``positions`` and ``class_pos`` come from ``read_header``;
+    ``row_number`` is the 1-based data row named in errors.
     """
+    if len(fields) != width:
+        raise DataError(f"row {row_number}: expected {width} fields, found {len(fields)}")
     out: list[int | float] = []
     for a, pos in zip(schema.attributes, positions):
         value = fields[pos].strip()
@@ -338,7 +362,13 @@ def coerce_row(
         if not math.isfinite(parsed):
             raise DataError(f"row {row_number}: non-finite numeric value for {a.name!r}")
         out.append(parsed)
-    return tuple(out)
+    if class_pos is None:
+        return tuple(out), 0
+    label = fields[class_pos].strip()
+    try:
+        return tuple(out), schema.class_labels.index(label)
+    except ValueError:
+        raise DataError(f"row {row_number}: class label {label!r} is not declared") from None
 
 
 def _open_csv(source) -> Iterator[list[str]]:
@@ -366,28 +396,27 @@ def _without_bom(lines) -> Iterator[str]:
         yield from lines
 
 
-def read_header(header: list[str], schema: AttributeSchema, require_class: bool):
+def read_header(header: list[str], schema: AttributeSchema, labels: bool):
     """Match a CSV header against the schema, order-insensitively.
 
     Returns (column position of each predictor attribute in schema order,
-    class column or None).
+    class column position). With ``labels`` the class column must be
+    present; without, it may be, and its position is None: it is not read.
     """
     names = [h.strip() for h in header]
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
         raise SchemaError(f"duplicate column {dup!r} in header")
     positions: dict[str, int] = {n: i for i, n in enumerate(names)}
-    expected = set(schema.attribute_names)
-    for name in schema.attribute_names:
+    required = [*schema.attribute_names, *([schema.class_attribute] if labels else [])]
+    for name in required:
         if name not in positions:
             raise SchemaError(f"missing column {name!r}")
-    class_pos = positions.get(schema.class_attribute)
-    if require_class and class_pos is None:
-        raise SchemaError(f"missing column {schema.class_attribute!r}")
-    allowed = expected | {schema.class_attribute}
+    allowed = {*schema.attribute_names, schema.class_attribute}
     for name in names:
         if name not in allowed:
             raise SchemaError(f"unexpected column {name!r}")
+    class_pos = positions[schema.class_attribute] if labels else None
     return [positions[n] for n in schema.attribute_names], class_pos
 
 
@@ -398,12 +427,9 @@ CHUNK_ROWS = 4096
 
 
 def read_chunks(
-    source,
-    schema: AttributeSchema,
-    labels: bool = True,
-    chunk_rows: int = CHUNK_ROWS,
+    source, schema: AttributeSchema, labels: bool = True
 ) -> Iterator[tuple[RawDataset, list[tuple[int, DataError]]]]:
-    """Read a header-first CSV ``chunk_rows`` lines at a time.
+    """Read a header-first CSV ``CHUNK_ROWS`` lines at a time.
 
     The header is read and matched against the schema (order-insensitive)
     before this returns, so a bad header raises at once. Each chunk is
@@ -419,25 +445,24 @@ def read_chunks(
     error) raises its DataError after the lines before it have come as a
     chunk, so a bad row among them is still reported first.
 
-    A chunk is converted a column at a time: a nominal field through one dict
-    lookup, a numeric one through Python's ``float``. A row that fails there
-    (a wrong width, a nominal miss, a field that is no finite number or an
-    undeclared label) goes through ``coerce_row`` on its own, which converts
-    it after all (``" married"``) or raises its exact error.
+    A chunk is converted a column at a time, each field looked up as spelled:
+    in one dict per nominal attribute, or through Python's ``float``. A row
+    that fails there (a wrong width, a padded or undeclared value or label, a
+    field that is no finite number) goes through ``coerce_row`` on its own,
+    which converts it after all (``" married"``) or raises its exact error.
     """
     reader = _open_csv(source)
     header = next(reader, None)
     if header is None:
         raise SchemaError("CSV is empty (no header row)")
     predictor_pos, class_pos = read_header(header, schema, labels)
-    if not labels:
-        class_pos = None
-    return _chunks(reader, schema, predictor_pos, class_pos, len(header), chunk_rows)
+    return _chunks(reader, schema, predictor_pos, class_pos, len(header))
 
 
-def _chunks(reader, schema, predictor_pos, class_pos, width, chunk_rows):
-    lookups = [_exact(a.values) if a.kind == NOMINAL else None for a in schema.attributes]
-    label_lookup = _exact(schema.class_labels)
+def _chunks(reader, schema, predictor_pos, class_pos, width):
+    lookups = [{v: i for i, v in enumerate(a.values)} if a.kind == NOMINAL else None
+               for a in schema.attributes]
+    label_lookup = {v: i for i, v in enumerate(schema.class_labels)}
     blank = [""] * width
     first = 1
     failure = None
@@ -445,7 +470,7 @@ def _chunks(reader, schema, predictor_pos, class_pos, width, chunk_rows):
         lines: list[list[str]] = []
         try:
             # extend keeps the lines it appended before the reader raised
-            lines.extend(islice(reader, chunk_rows))
+            lines.extend(islice(reader, CHUNK_ROWS))
         except DataError as exc:
             failure = exc
         if not lines:
@@ -457,8 +482,8 @@ def _chunks(reader, schema, predictor_pos, class_pos, width, chunk_rows):
         m = len(rows)
         if m == 0:
             continue
-        # a row of the wrong width goes in as empty fields, which fail in
-        # every column: no lookup holds "" and float("") raises
+        # a row of the wrong width goes in as empty fields, which fail in every
+        # predictor column: no nominal value is empty, and float("") raises
         columns = list(zip(*(f if len(f) == width else blank for f in rows)))
         table = np.empty((m, len(lookups)))
         for j, (lookup, pos) in enumerate(zip(lookups, predictor_pos)):
@@ -475,7 +500,7 @@ def _chunks(reader, schema, predictor_pos, class_pos, width, chunk_rows):
         errors = []
         for i in np.flatnonzero(bad).tolist():
             try:
-                table[i], classes[i] = _check_row(
+                table[i], classes[i] = coerce_row(
                     schema, rows[i], width, predictor_pos, class_pos, numbers[i])
             except DataError as exc:
                 errors.append((i, exc))
@@ -489,13 +514,6 @@ def _chunks(reader, schema, predictor_pos, class_pos, width, chunk_rows):
         raise failure
 
 
-def _exact(values: Sequence[str]) -> dict[str, int]:
-    """Each value to its index, where a field spelling exactly that value is
-    certain to be it: values with surrounding whitespace, and empty ones,
-    are left to ``coerce_row``."""
-    return {v: i for i, v in enumerate(values) if v and v == v.strip()}
-
-
 def _floats(column: Sequence[str]) -> list[float]:
     """Python's ``float`` of each field, or NaN where it raises."""
     out: list[float] = []
@@ -507,22 +525,6 @@ def _floats(column: Sequence[str]) -> list[float]:
             return out
         except ValueError:
             out.append(math.nan)
-
-
-def _check_row(schema, fields, width, predictor_pos, class_pos, row_number):
-    """One row on its own: its width, its values through ``coerce_row`` and
-    its class label index (0 without a class column); the first failure
-    raises."""
-    if len(fields) != width:
-        raise DataError(f"row {row_number}: expected {width} fields, found {len(fields)}")
-    values = coerce_row(schema, fields, predictor_pos, row_number)
-    if class_pos is None:
-        return values, 0
-    label = fields[class_pos].strip()
-    try:
-        return values, schema.class_labels.index(label)
-    except ValueError:
-        raise DataError(f"row {row_number}: class label {label!r} is not declared") from None
 
 
 def parse_csv(source, schema: AttributeSchema) -> RawDataset:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rulemine
+import rulemine.schema
 from rulemine import cli
 from rulemine.errors import DataError
 from rulemine.evaluation import evaluate, mine_greedy_baseline
@@ -401,6 +402,23 @@ class TestTrain:
         artifact = load_model(tmp_path / "zero.json")
         assert artifact.rule_list.rules == ()
 
+    @pytest.mark.parametrize("test_fraction", ["0", "0.3"])
+    def test_single_class_data_is_data_error(self, tmp_path, capsys, test_fraction):
+        # one class leaves nothing to separate: a fault of the data (exit 1)
+        assert _silent(["synth", "--rows", "800", "--seed", "1", "--profile", "credit3",
+                        "--out", str(tmp_path / "credit")]) == 0
+        header, *rows = (tmp_path / "credit.csv").read_text().splitlines()
+        deny = [row for row in rows if row.endswith(",Deny")][:300]
+        assert len(deny) == 300
+        (tmp_path / "deny.csv").write_text("\n".join([header, *deny]) + "\n")
+        code = cli.main(["train", "--data", str(tmp_path / "deny.csv"),
+                         "--schema", str(tmp_path / "credit.schema.json"),
+                         "--out", str(tmp_path / "m.json"), "--test-fraction", test_fraction])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert err == "error: mining needs at least 2 classes present in the data\n"
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestPredict:
     def test_scores_rows_with_fired_rule_detail(self, workdir, capsys, tmp_path):
@@ -600,7 +618,7 @@ class TestPredict:
     def test_chunked_output_matches_per_row_oracle(
         self, workdir, capsys, tmp_path, monkeypatch, labeled
     ):
-        monkeypatch.setattr(cli, "PREDICT_CHUNK_ROWS", 7)
+        monkeypatch.setattr(rulemine.schema, "CHUNK_ROWS", 7)
         header, *rows = (workdir / "frag.csv").read_text().splitlines()[:61]
         if not labeled:
             header = header.rsplit(",", 1)[0]
@@ -649,14 +667,14 @@ class TestPredict:
         assert "missing column 'x2'" in capsys.readouterr().err
         assert not dest.exists()
 
-    @pytest.mark.parametrize("chunk_rows", [3, cli.PREDICT_CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk_rows", [3, rulemine.schema.CHUNK_ROWS])
     def test_edge_spellings_match_per_row_oracle(
         self, workdir, capsys, tmp_path, monkeypatch, chunk_rows
     ):
         # odd numeric and nominal spellings, a byte-order mark, blank lines,
         # too-wide and too-narrow rows and a shuffled header, each checked
         # against coerce_row on its own row
-        monkeypatch.setattr(cli, "PREDICT_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(rulemine.schema, "CHUNK_ROWS", chunk_rows)
         scores = ["1_000", "\u0663", "+.5", "1e-320", "-0", "infinity", "nan", "1e400",
                   "0x10", "12.5.0", "", "  ", " 0.5 ", "0.25"]
         sectors = [" sector_a ", "SECTOR_A", "sector_b", "sector_z", ""]
@@ -681,24 +699,20 @@ class TestPredict:
 
 
 def _per_row_oracle(model_path, header, rows):
-    """Expected predict output rows, checking each input row on its own (its
-    width, then coerce_row) and scoring it alone. Blank rows give no output
-    but count in the row numbers."""
+    """Expected predict output rows, checking each input row on its own
+    through coerce_row (its width, then its values) and scoring it alone.
+    Blank rows give no output but count in the row numbers."""
     artifact = load_model(model_path)
     schema, ranges = artifact.schema, artifact.numeric_ranges
     names = next(csv.reader([header]))
-    positions, _ = read_header(names, schema, require_class=False)
+    positions, _ = read_header(names, schema, labels=False)
     expected = []
     for k, row in enumerate(rows, start=1):
         if not row:
             continue
         fields = next(csv.reader([row]))
-        if len(fields) != len(names):
-            expected.append(["ERROR", "-", f"row {k}: expected {len(names)} fields, "
-                                           f"found {len(fields)}"])
-            continue
         try:
-            values = coerce_row(schema, fields, positions, k)
+            values, _ = coerce_row(schema, fields, len(names), positions, None, k)
         except DataError as exc:
             expected.append(["ERROR", "-", str(exc)])
             continue
@@ -1010,6 +1024,52 @@ class TestJsonTypeRules:
             assert err.startswith("error: ") and "low <= high" in err
         else:
             assert code == 0, err
+
+
+# spellings no CSV field can match, as fields are read stripped of
+# surrounding whitespace, and an empty value, which reads as a missing one
+_UNMATCHABLE_EDITS = [
+    (("attributes", 0, "name"), " sector"),
+    (("attributes", 2, "name"), "score\t"),
+    (("class_attribute",), "group "),
+    (("attributes", 0, "values", 0), " sector_a"),
+    (("attributes", 1, "values", 3), "band_4 "),
+    (("class_labels", 1), " rare "),
+    (("attributes", 0, "values", 0), ""),
+]
+
+
+class TestUnmatchableSpellings:
+    """A schema declares only spellings a CSV field can match, whether it is
+    read from a schema file or from inside a model."""
+
+    @staticmethod
+    def _assert_rejected(argv, capsys):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA, err
+        assert err.startswith("error: ")
+        assert "surrounding whitespace" in err or "declares an empty value" in err, err
+
+    @pytest.mark.parametrize("edit", _UNMATCHABLE_EDITS, ids=_edit_id)
+    def test_schema_file(self, workdir, tmp_path, capsys, edit):
+        doc = _mutated(json.loads((workdir / "frag.schema.json").read_text()), *edit)
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(doc))
+        self._assert_rejected(
+            ["train", "--data", str(workdir / "frag.csv"), "--schema", str(schema),
+             "--out", str(tmp_path / "m.json")], capsys)
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("edit", _UNMATCHABLE_EDITS, ids=_edit_id)
+    def test_model_schema(self, workdir, tmp_path, capsys, edit):
+        path, value = edit
+        doc = _mutated(json.loads((workdir / "fmodel.json").read_text()), ("schema", *path),
+                       value)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        self._assert_rejected(
+            ["predict", "--model", str(model), "--input", str(workdir / "frag.csv")], capsys)
 
 
 # a mutation deletes a key (or list item) or sets it to one of these; no

@@ -284,9 +284,10 @@ class TestRecordInvariants:
 
 class TestDegenerateInputs:
     def test_single_class_rejected(self, numeric_schema):
+        # a fault of the data, so the CLI exits 1 (README: exit codes)
         X = np.random.default_rng(0).uniform(0, 1, (30, 2))
         data = build_encoded(numeric_schema, X, np.zeros(30, dtype=np.int64))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="at least 2 classes"):
             mine(data, SMALL)
 
     def test_empty_dataset_rejected(self, numeric_schema):

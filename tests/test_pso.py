@@ -633,7 +633,6 @@ class TestEvolve:
         evolve(swarm, data, cfg)
         assert swarm.iteration < 500
         assert swarm.stop_reason == "stagnation"
-        assert swarm.fitness_evals == 6 * (swarm.iteration + 1) == 6 * len(swarm.trace)
 
     def test_iteration_cap_respected(self, credit_schema):
         data = _credit_data(credit_schema, n=30, seed=10)
@@ -643,4 +642,3 @@ class TestEvolve:
         evolve(swarm, data, cfg)
         assert swarm.iteration <= 7
         assert swarm.stop_reason == "max_iterations"
-        assert swarm.fitness_evals == 4 * 8

@@ -2,11 +2,13 @@ import csv
 import io
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rulemine.schema
 from rulemine.errors import ConfigError, DataError, SchemaError
 from rulemine.schema import (
     Attribute,
@@ -122,10 +124,10 @@ LABEL_SPELLINGS = ["pos", " neg ", "neg", "POS"]
 
 @pytest.fixture
 def edge_schema() -> AttributeSchema:
-    # " lead" is declared with a leading space, which coerce_row strips from
-    # every field, so no field can ever match it
+    # coerce_row strips every field, so the padded " a " and " lead" read as
+    # the declared "a" and "lead"
     return AttributeSchema(
-        attributes=(Attribute("c", "nominal", ("a", "b", " lead")), Attribute("x", "numeric")),
+        attributes=(Attribute("c", "nominal", ("a", "b", "lead")), Attribute("x", "numeric")),
         class_attribute="cls",
         class_labels=("neg", "pos"),
     )
@@ -146,39 +148,34 @@ def _edge_csv() -> str:
 
 
 def _per_row_reference(text, schema, labels=True):
-    """Each data row of ``text`` checked on its own: its width, coerce_row
-    and its class label give ``(values as float bits, class or None)`` or
-    the error message of the first check that fails."""
+    """Each data row of ``text`` checked on its own by coerce_row (its width,
+    its values, then its class label with ``labels``): ``(values as float
+    bits, class or None)`` or the error message of the first check that
+    fails."""
     lines = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     header = next(lines)
-    positions, class_pos = read_header(header, schema, require_class=False)
+    positions, class_pos = read_header(header, schema, labels)
     out = []
     for number, fields in enumerate(lines, start=1):
         if not fields:
             continue
-        if len(fields) != len(header):
-            out.append(f"row {number}: expected {len(header)} fields, found {len(fields)}")
-            continue
         try:
-            values = coerce_row(schema, fields, positions, number)
+            values, label = coerce_row(schema, fields, len(header), positions, class_pos,
+                                       number)
         except DataError as exc:
             out.append(str(exc))
             continue
-        label = None
-        if labels and class_pos is not None:
-            label = fields[class_pos].strip()
-            if label not in schema.class_labels:
-                out.append(f"row {number}: class label {label!r} is not declared")
-                continue
-            label = schema.class_labels.index(label)
-        out.append((tuple(float(v).hex() for v in values), label))
+        out.append((tuple(float(v).hex() for v in values), label if labels else None))
     return out
 
 
 def _chunked(text, schema, chunk_rows, labels=True):
-    """read_chunks' rows in input order, in _per_row_reference's form."""
+    """read_chunks' rows in input order, in _per_row_reference's form, read
+    ``chunk_rows`` lines at a time."""
     out = []
-    chunks = read_chunks(io.StringIO(text), schema, labels=labels, chunk_rows=chunk_rows)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rulemine.schema, "CHUNK_ROWS", chunk_rows)
+        chunks = list(read_chunks(io.StringIO(text), schema, labels=labels))
     for raw, errors in chunks:
         assert raw.rows.dtype == np.float64 and raw.rows.shape[1] == len(schema.attributes)
         classes = raw.classes or [None] * len(raw)
@@ -196,8 +193,9 @@ class TestColumnReaderMatchesPerRowCheck:
         text = _edge_csv()
         expected = _per_row_reference(text, edge_schema, labels)
         assert len(expected) == len(NUMERIC_SPELLINGS) * len(NOMINAL_SPELLINGS) + 2
-        # every kind of outcome occurs: converted rows (a padded " a " among
-        # them, so value 0 is read twice as often as "b") and each row error
+        # every kind of outcome occurs: converted rows (a padded " a " and
+        # " lead" among them, so values 0 and 2 are each read twice as often
+        # as "b") and each row error
         unlabeled = _per_row_reference(text, edge_schema, labels=False)
         converted = [values for values, _ in (e for e in unlabeled if isinstance(e, tuple))]
         numbers = {x for _, x in converted}
@@ -205,10 +203,11 @@ class TestColumnReaderMatchesPerRowCheck:
         assert (16.0).hex() not in numbers  # "0x10" is no float spelling
         nominal = [c for c, _ in converted]
         assert nominal.count((0.0).hex()) == 2 * nominal.count((1.0).hex()) > 0
+        assert nominal.count((2.0).hex()) == 2 * nominal.count((1.0).hex())
         messages = " | ".join(e for e in expected if isinstance(e, str))
         for kind in ("expected 3 fields, found 4", "expected 3 fields, found 2",
                      "missing value", "cannot parse '12.5.0'", "cannot parse '0x10'",
-                     "non-finite", "value 'A' not declared", "value 'lead' not declared"):
+                     "non-finite", "value 'A' not declared"):
             assert kind in messages
         assert ("class label 'POS' is not declared" in messages) == labels
         assert _chunked(text, edge_schema, chunk_rows, labels) == expected
@@ -262,14 +261,15 @@ class TestColumnReaderMatchesPerRowCheck:
     @pytest.mark.parametrize("bad_row", [None, 1, 500])
     @pytest.mark.parametrize("chunk_rows", [7, 4096])
     def test_rows_before_an_unreadable_line_are_checked(self, credit_schema, bad_row,
-                                                        chunk_rows):
+                                                        chunk_rows, monkeypatch):
         # the last of 1,001 rows holds a byte that is not UTF-8, past the
         # decoder's first 8 KB block
         text = self._long_csv({1001: "m\udce9rried,100,30,Accept"} | (
             {bad_row: "married,lots,30,Accept"} if bad_row else {}))
         source = io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogateescape")),
                                   encoding="utf-8", newline="")
-        chunks = read_chunks(source, credit_schema, chunk_rows=chunk_rows)
+        monkeypatch.setattr(rulemine.schema, "CHUNK_ROWS", chunk_rows)
+        chunks = read_chunks(source, credit_schema)
         drawn = []
         with pytest.raises(DataError, match="can't decode byte 0xe9"):
             for raw, errors in chunks:
@@ -290,18 +290,17 @@ class TestColumnReaderMatchesPerRowCheck:
             parse_csv(io.StringIO(text), credit_schema)
 
     def test_wrong_width_in_an_all_nominal_schema(self):
-        # no column can read a short or long row, not even one that declares
-        # "" (coerce_row rejects an empty field as a missing value)
+        # no column can read a short or long row: it goes in as empty fields,
+        # and a schema declares no empty value (an empty field is missing)
         schema = AttributeSchema(
-            attributes=(Attribute("c", "nominal", ("", "a")),
+            attributes=(Attribute("c", "nominal", ("a", "b")),
                         Attribute("d", "nominal", ("a", "b"))),
             class_attribute="cls",
             class_labels=("neg", "pos"),
         )
         text = "c,d\na,b\na\n,a\na,b,a\nb,a\n"
         expected = _per_row_reference(text, schema, labels=False)
-        assert [e[:5] for e in expected if isinstance(e, str)] == ["row 2", "row 3", "row 4",
-                                                                    "row 5"]
+        assert [e[:5] for e in expected if isinstance(e, str)] == ["row 2", "row 3", "row 4"]
         for chunk_rows in (1, 4096):
             assert _chunked(text, schema, chunk_rows, labels=False) == expected
 
@@ -349,6 +348,45 @@ class TestSchemaJson:
     def test_nominal_needs_two_values(self):
         with pytest.raises(SchemaError):
             Attribute("a", "nominal", ("only",))
+
+    @pytest.mark.parametrize("edit, spelling", [
+        (("attributes", 0, "name"), " marital_status"),
+        (("attributes", 1, "name"), "salary\t"),
+        (("class_attribute",), "status "),
+        (("attributes", 0, "values", 0), " married"),
+        (("attributes", 0, "values", 1), "single\n"),
+        (("attributes", 0, "values", 1), "  "),
+        (("attributes", 0, "values", 1), "single\u00a0"),
+        (("class_labels", 1), " Deny "),
+    ], ids=["name-leading", "name-trailing-tab", "class-attribute", "value-leading",
+            "value-trailing-newline", "value-blank", "value-trailing-nbsp", "label"])
+    def test_padded_spelling_rejected(self, credit_schema, edit, spelling):
+        # a CSV field is read stripped of surrounding whitespace, so no field
+        # can match these spellings
+        doc = credit_schema.to_dict()
+        *path, key = edit
+        node = doc
+        for part in path:
+            node = node[part]
+        node[key] = spelling
+        with pytest.raises(SchemaError, match=re.escape(f"{spelling!r} has surrounding")):
+            AttributeSchema.from_dict(doc)
+
+    def test_empty_nominal_value_rejected(self):
+        # an empty field is a missing value, so it never reads as ""
+        with pytest.raises(SchemaError, match="'c' declares an empty value"):
+            Attribute("c", "nominal", ("", "a"))
+
+    def test_empty_label_and_name_stay_legal(self):
+        # an empty field matches them, so they load and read
+        schema = AttributeSchema(
+            attributes=(Attribute("", "numeric"), Attribute("c", "nominal", ("a", "b"))),
+            class_attribute="cls",
+            class_labels=("", "pos"),
+        )
+        raw = parse_csv(io.StringIO(",c,cls\n1.5,b,\n2, a ,pos\n"), schema)
+        assert raw.rows.tolist() == [[1.5, 1.0], [2.0, 0.0]]
+        assert raw.classes == [0, 1]
 
     def test_class_attribute_not_a_predictor(self):
         with pytest.raises(SchemaError):
@@ -501,7 +539,8 @@ class TestEncodeMatchesPerRowFormula:
     def _check(schema, rows, ranges):
         # the rows go through coerce_row, the per-row check of parse_csv
         positions = range(len(schema.attributes))
-        table = [coerce_row(schema, r, positions, i) for i, r in enumerate(rows, 1)]
+        table = [coerce_row(schema, r, len(r), positions, None, i)[0]
+                 for i, r in enumerate(rows, 1)]
         raw = RawDataset(schema, np.array(table, dtype=np.float64), [])
         enc = encode(raw, ranges_from=ranges)
         expected = np.vstack(
