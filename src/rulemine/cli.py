@@ -60,7 +60,11 @@ def _resolve_seed(value: int | None) -> int:
 
 def _load_miner_config(path: str | None, seed: int) -> MinerConfig:
     doc = {} if path is None else read_json(path, ConfigError, "config")
-    return replace(MinerConfig.from_dict(doc), seed=seed)
+    config = MinerConfig.from_dict(doc)
+    # mine draws the LVQ and swarm seeds from --seed; one set here would go unused
+    if "seed" in doc or any("seed" in doc.get(section, {}) for section in ("lvq", "pso")):
+        raise ConfigError("a config file cannot set 'seed': use --seed or RULEMINE_SEED")
+    return replace(config, seed=seed)
 
 
 def _report_path(out: str, explicit: str | None) -> Path:

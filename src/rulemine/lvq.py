@@ -17,12 +17,16 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .schema import EncodedDataset
 
+ADAPT_RATE = 0.05  # the first epoch's learning rate; train's range proof needs (0, 1)
+STABILITY_THRESHOLD = 1e-4  # an epoch's mean centroid movement below this ends training
+REPULSION_RATIO = 1.2  # the runner-up's distance ratio for a push away
+
 
 @dataclass(frozen=True)
 class LvqConfig:
     """Settings of the competitive network.
 
-    The learning rate falls linearly from ``adapt_rate`` to 0 over
+    The learning rate falls linearly from ``ADAPT_RATE`` to 0 over
     ``max_epochs``, so ``max_epochs`` is the length of the annealing schedule
     rather than a safety cap: late epochs move centroids little because the
     rate is small, not because training has converged. The default of 20
@@ -32,23 +36,14 @@ class LvqConfig:
     """
 
     centroid_count: int = 30
-    adapt_rate: float = 0.05
     max_epochs: int = 20
-    stability_threshold: float = 1e-4
-    repulsion_ratio: float = 1.2
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.centroid_count < 1:
             raise ConfigError("centroid_count must be >= 1")
-        if not 0.0 < self.adapt_rate < 1.0:
-            raise ConfigError("adapt_rate must lie in (0, 1)")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
-        if self.stability_threshold <= 0.0:
-            raise ConfigError("stability_threshold must be positive")
-        if self.repulsion_ratio <= 1.0:
-            raise ConfigError("repulsion_ratio must exceed 1")
 
 
 @dataclass
@@ -189,7 +184,7 @@ def train(network: LvqNetwork, train_data: EncodedDataset, config: LvqConfig) ->
     labels = train_data.y.tolist()
     rows = list(train_data.X)
     n = len(train_data)
-    ratio_sq = config.repulsion_ratio**2
+    ratio_sq = REPULSION_RATIO**2
     diff = np.empty_like(positions)
     d2 = np.empty(len(positions))
     prev_assign: list[int] | None = None
@@ -198,7 +193,7 @@ def train(network: LvqNetwork, train_data: EncodedDataset, config: LvqConfig) ->
     network.stop_reason = "max_epochs"
 
     for epoch in range(config.max_epochs):
-        rate = config.adapt_rate * (1.0 - epoch / config.max_epochs)
+        rate = ADAPT_RATE * (1.0 - epoch / config.max_epochs)
         start = positions.copy()
         assign = [0] * n
         for i in rng.permutation(n).tolist():
@@ -240,7 +235,7 @@ def train(network: LvqNetwork, train_data: EncodedDataset, config: LvqConfig) ->
         network.trace.append(movement)
         if prev_assign is not None:
             network.churn.append(sum(a != b for a, b in zip(assign, prev_assign)) / n)
-        if movement < config.stability_threshold:
+        if movement < STABILITY_THRESHOLD:
             network.stop_reason = "stability"
             break
         if assign == prev_assign:

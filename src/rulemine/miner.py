@@ -69,8 +69,7 @@ class MinerConfig:
 
 
 # the JSON kind of each config field's type (annotations are strings here)
-_FIELD_KINDS = {"int": "int", "float": "number", "tuple[float, float]": "pair",
-                "LvqConfig": "object", "PsoConfig": "object"}
+_FIELD_KINDS = {"int": "int", "float": "number", "LvqConfig": "object", "PsoConfig": "object"}
 
 
 def _config_from_dict(cls: type, doc, what: str):

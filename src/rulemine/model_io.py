@@ -3,10 +3,10 @@
 A saved model holds what scoring reads: schema, the numeric scaling ranges
 observed at training time, the mined rule list with provenance, the mining
 configuration, and the seed. The fitted centroid network is run provenance
-and goes in the train report; models written with a ``network`` section
-still load, the section unread. Floats serialize at full repr precision, and
-nothing time- or host-dependent is written, so the same training run always
-produces byte-identical files.
+and goes in the train report. Models written with a ``network`` section, or
+with LVQ and swarm settings that are now constants, still load, those unread.
+Floats serialize at full repr precision, and nothing time- or host-dependent
+is written, so the same training run always produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,6 +21,11 @@ from .rules import RuleList, rule_list_from_dict, rule_list_to_dict
 from .schema import AttributeSchema, json_object, json_pair, json_value, read_json, write_json
 
 FORMAT_VERSION = 1
+
+# miner_config keys of settings now fixed in lvq and pso: a model may hold them
+_RETIRED_KEYS = {"lvq": {"adapt_rate", "stability_threshold", "repulsion_ratio"},
+                 "pso": {"inertia", "cognitive", "social", "veloc1_bounds", "veloc2_bounds",
+                         "weight_confidence", "weight_support", "weight_length"}}
 
 
 @dataclass
@@ -70,8 +75,12 @@ def model_from_dict(doc: Mapping) -> ModelArtifact:
                 f"numeric range {name!r} must be [low, high] with low <= high, "
                 f"got {[lo, hi]}"
             )
+    config_doc = dict(doc["miner_config"])
+    for name, retired in _RETIRED_KEYS.items():
+        if isinstance(config_doc.get(name), dict):
+            config_doc[name] = {k: v for k, v in config_doc[name].items() if k not in retired}
     try:
-        miner_config = MinerConfig.from_dict(doc["miner_config"])
+        miner_config = MinerConfig.from_dict(config_doc)
     except ConfigError as exc:
         raise DataError(f"malformed miner_config: {exc}") from exc
     return ModelArtifact(

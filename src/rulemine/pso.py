@@ -33,20 +33,21 @@ from .schema import ColumnLayout, EncodedDataset
 
 _PERTURB_VELOC_SCALE = 0.1  # fraction of the veloc2 span, for perturbed copies
 _PERTURB_GENE_SCALE = 0.05
+# the inertia-weight velocity update of Shi and Eberhart (1998)
+INERTIA = 0.7
+COGNITIVE = 1.4
+SOCIAL = 1.4
+VELOC1_BOUNDS = (-1.0, 1.0)
+VELOC2_BOUNDS = (-4.0, 4.0)
+WEIGHT_CONFIDENCE = 0.6  # the three fitness weights sum to 1
+WEIGHT_SUPPORT = 0.3
+WEIGHT_LENGTH = 0.1
 
 
 @dataclass(frozen=True)
 class PsoConfig:
     swarm_size: int = 40
     max_iterations: int = 200
-    inertia: float = 0.7
-    cognitive: float = 1.4
-    social: float = 1.4
-    veloc1_bounds: tuple[float, float] = (-1.0, 1.0)
-    veloc2_bounds: tuple[float, float] = (-4.0, 4.0)
-    weight_confidence: float = 0.6
-    weight_support: float = 0.3
-    weight_length: float = 0.1
     stagnation_limit: int = 30
     seed: int = 0
 
@@ -57,17 +58,6 @@ class PsoConfig:
             raise ConfigError("max_iterations must be >= 1")
         if self.stagnation_limit < 1:
             raise ConfigError("stagnation_limit must be >= 1")
-        if self.inertia < 0.0:
-            raise ConfigError("inertia must be non-negative")
-        for name in ("veloc1_bounds", "veloc2_bounds"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ConfigError(f"{name} must be an ordered (low, high) pair")
-        weights = (self.weight_confidence, self.weight_support, self.weight_length)
-        if any(w < 0.0 for w in weights):
-            raise ConfigError("fitness weights must be non-negative")
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise ConfigError("fitness weights must sum to 1")
 
 
 @dataclass
@@ -146,7 +136,6 @@ def fitness(
     genes: np.ndarray,
     class_index: int,
     data: EncodedDataset,
-    config: PsoConfig,
     rows: PackedRows,
 ) -> np.ndarray:
     """Fitness of every particle: (S, d) bits and (S, a, 2) genes -> (S,).
@@ -173,9 +162,9 @@ def fitness(
     confidence = np.divide(correct, matched, out=np.zeros(len(allowed)), where=matched > 0)
     shortness = 1.0 - lengths / len(data.schema.attributes)
     return (
-        config.weight_confidence * confidence
-        + config.weight_support * support
-        + config.weight_length * shortness
+        WEIGHT_CONFIDENCE * confidence
+        + WEIGHT_SUPPORT * support
+        + WEIGHT_LENGTH * shortness
     )
 
 
@@ -229,8 +218,8 @@ def seed_swarm(
         seeds = np.flatnonzero(of_class)
 
     rng = np.random.default_rng(config.seed)
-    lb1, ub1 = config.veloc1_bounds
-    lb2, ub2 = config.veloc2_bounds
+    lb1, ub1 = VELOC1_BOUNDS
+    lb2, ub2 = VELOC2_BOUNDS
     # particle s starts from seed s mod |seeds|. Accumulators: nominal columns
     # reuse the centroid coordinate; numeric columns use 1 - 1.5 * deviation
     # (clamped to [0, 1]), so a dimension the centroid represents tightly is
@@ -275,7 +264,7 @@ def seed_swarm(
         rng=rng,
         rows=pack_rows(data),
     )
-    _update_bests(swarm, fitness(position, genes, class_index, data, config, swarm.rows))
+    _update_bests(swarm, fitness(position, genes, class_index, data, swarm.rows))
     return swarm
 
 
@@ -285,7 +274,7 @@ def step(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> None:
     All particles move against the current global best, then fitness,
     personal bests, and the global best are updated. Best updates require
     strict improvement. Particle s takes its random numbers from row s of one
-    block, in the order r1, r2, bit draw, g1, g2.
+    block, in the order r1, r2, bit draw, g1, g2. ``config`` is not read.
     """
     S, d = swarm.position.shape
     g = swarm.genes[0].size
@@ -293,9 +282,9 @@ def step(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> None:
     r1, r2, bit_draw = draws[:, :d], draws[:, d : 2 * d], draws[:, 2 * d : 3 * d]
     g1 = draws[:, 3 * d : 3 * d + g].reshape(swarm.genes.shape)
     g2 = draws[:, 3 * d + g :].reshape(swarm.genes.shape)
-    lb1, ub1 = config.veloc1_bounds
-    lb2, ub2 = config.veloc2_bounds
-    w, c1, c2 = config.inertia, config.cognitive, config.social
+    lb1, ub1 = VELOC1_BOUNDS
+    lb2, ub2 = VELOC2_BOUNDS
+    w, c1, c2 = INERTIA, COGNITIVE, SOCIAL
 
     swarm.veloc1 = np.clip(
         w * swarm.veloc1
@@ -317,7 +306,7 @@ def step(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> None:
     swarm.genes = np.sort(np.clip(swarm.genes + swarm.gene_veloc, 0.0, 1.0), axis=2)
 
     swarm.iteration += 1
-    fit = fitness(swarm.position, swarm.genes, swarm.class_index, data, config, swarm.rows)
+    fit = fitness(swarm.position, swarm.genes, swarm.class_index, data, swarm.rows)
     _update_bests(swarm, fit)
 
 

@@ -183,8 +183,8 @@ def json_object(
 ) -> dict:
     """The values of a JSON object by key, once every ``required`` key is
     present, no key is outside ``required`` and ``optional``, and each value
-    is of the kind its key maps to: one of ``json_value``'s, ``"strings"``,
-    ``"pair"`` or None for any value."""
+    is of the kind its key maps to: one of ``json_value``'s, ``"strings"`` or
+    None for any value."""
     json_value(doc, "object", error, what)
     for key in required:
         if key not in doc:
@@ -195,8 +195,8 @@ def json_object(
         if key not in kinds:
             raise error(f"{what} has unknown key {key!r}")
         kind, label = kinds[key], f"{what} key {key!r}"
-        if kind in ("strings", "pair"):
-            value = (json_strings if kind == "strings" else json_pair)(value, error, label)
+        if kind == "strings":
+            value = json_strings(value, error, label)
         elif kind is not None:
             json_value(value, kind, error, label)
         checked[key] = value

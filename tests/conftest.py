@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rulemine.pso import PsoConfig
+from rulemine import pso
 from rulemine.rules import Rule, match_mask, rule_quality
 from rulemine.schema import Attribute, AttributeSchema, ColumnLayout, EncodedDataset
 
@@ -116,16 +116,17 @@ def random_mixed_dataset(rng: np.random.Generator) -> EncodedDataset:
     return build_encoded(schema, X, y)
 
 
-def fitness_from_rule(rule: Rule, data: EncodedDataset, config: PsoConfig) -> float:
+def fitness_from_rule(rule: Rule, data: EncodedDataset) -> float:
     """Weighted confidence + support + shortness of one decoded rule: the
-    oracle that the batch ``pso.fitness`` must equal bit for bit."""
+    oracle that the batch ``pso.fitness`` must equal bit for bit. The weights
+    are read as it runs, so a test may patch them."""
     support, confidence, _ = rule_quality(rule.antecedent, rule.class_index, data)
     total_attributes = len(data.schema.attributes)
     shortness = 1.0 - len(rule.antecedent) / total_attributes
     return (
-        config.weight_confidence * confidence
-        + config.weight_support * support
-        + config.weight_length * shortness
+        pso.WEIGHT_CONFIDENCE * confidence
+        + pso.WEIGHT_SUPPORT * support
+        + pso.WEIGHT_LENGTH * shortness
     )
 
 

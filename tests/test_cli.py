@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +44,16 @@ SMALL_CONFIG = {
     "lvq": {"centroid_count": 6, "max_epochs": 15},
     "pso": {"swarm_size": 10, "max_iterations": 25, "stagnation_limit": 10},
 }
+
+
+# the settings that became lvq and pso constants, at the values they had
+RETIRED_DEFAULTS = {
+    "lvq": {"adapt_rate": 0.05, "stability_threshold": 1e-4, "repulsion_ratio": 1.2},
+    "pso": {"inertia": 0.7, "cognitive": 1.4, "social": 1.4,
+            "veloc1_bounds": [-1.0, 1.0], "veloc2_bounds": [-4.0, 4.0],
+            "weight_confidence": 0.6, "weight_support": 0.3, "weight_length": 0.1},
+}
+RETIRED_KEYS = [(section, key) for section, keys in RETIRED_DEFAULTS.items() for key in keys]
 
 
 def _silent(argv):
@@ -318,7 +329,7 @@ class TestTrain:
         assert code == cli.EXIT_CONFIG
         assert "support_fraction" in err
 
-    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("value", [2.5, True, "abc"])
     @pytest.mark.parametrize(
         "section, key",
         [
@@ -373,15 +384,34 @@ class TestTrain:
         assert "must be strings" in err
         assert not (tmp_path / "m.json").exists()
 
-    def test_malformed_bounds_pair_is_config_error(self, workdir, tmp_path, capsys):
-        cfg = tmp_path / "bounds.json"
-        cfg.write_text(json.dumps({"pso": {"veloc1_bounds": "abc"}}))
+    @pytest.mark.parametrize("doc", [{"seed": 5}, {"lvq": {"seed": 7}}, {"pso": {"seed": 9}}],
+                             ids=["seed", "lvq.seed", "pso.seed"])
+    def test_seed_in_config_is_config_error(self, workdir, tmp_path, capsys, doc):
+        # mine draws every sub-seed from --seed: a seed in the file would go unused
+        cfg = tmp_path / "seeded.json"
+        cfg.write_text(json.dumps(doc))
         code = cli.main(["train", "--data", str(workdir / "sep.csv"),
                          "--schema", str(workdir / "sep.schema.json"),
                          "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
-        assert "veloc1_bounds" in err
+        assert err.startswith("error: ") and "--seed" in err
+        assert not (tmp_path / "m.json").exists()
+        assert not (tmp_path / "m.report.json").exists()
+
+    @pytest.mark.parametrize("section, key", RETIRED_KEYS)
+    def test_retired_setting_in_config_is_config_error(
+        self, workdir, tmp_path, capsys, section, key
+    ):
+        cfg = tmp_path / "retired.json"
+        cfg.write_text(json.dumps({section: {key: RETIRED_DEFAULTS[section][key]}}))
+        code = cli.main(["train", "--data", str(workdir / "sep.csv"),
+                         "--schema", str(workdir / "sep.schema.json"),
+                         "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert f"unknown key {key!r}" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_data_file_is_data_error(self, workdir, tmp_path, capsys):
         code = cli.main(["train", "--data", str(tmp_path / "absent.csv"),
@@ -542,6 +572,27 @@ class TestPredict:
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("junk", [False, True], ids=["defaults", "junk"])
+    def test_model_with_retired_settings_predicts_the_same(
+        self, workdir, capsys, tmp_path, junk
+    ):
+        # models written when the LVQ and swarm constants were config keys
+        # carry them; they load whatever the values, which are not read
+        doc = json.loads((workdir / "fmodel.json").read_text())
+        for section, values in RETIRED_DEFAULTS.items():
+            doc["miner_config"][section].update(
+                dict.fromkeys(values, "abc") if junk else values)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc, indent=2))
+        outputs = []
+        for model in (workdir / "fmodel.json", old):
+            code = cli.main(["predict", "--model", str(model),
+                             "--input", str(workdir / "frag.csv")])
+            assert code == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert load_model(old).miner_config == load_model(workdir / "fmodel.json").miner_config
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -559,7 +610,7 @@ class TestPredict:
                          id="interval-lo-above-hi"),
             (("seed",), "abc"),
             (("miner_config",), "abc"),
-            (("miner_config", "pso", "veloc1_bounds"), "abc"),
+            (("miner_config", "pso", "swarm_size"), "abc"),
             (("schema", "attributes", 0, "values", 0), 5),
         ],
         ids=lambda v: (
@@ -703,29 +754,25 @@ def _per_row_oracle(model_path, header, rows):
     through coerce_row (its width, then its values) and scoring it alone.
     Blank rows give no output but count in the row numbers."""
     artifact = load_model(model_path)
-    schema, ranges = artifact.schema, artifact.numeric_ranges
     names = next(csv.reader([header]))
-    positions, _ = read_header(names, schema, labels=False)
-    expected = []
-    for k, row in enumerate(rows, start=1):
-        if not row:
-            continue
-        fields = next(csv.reader([row]))
-        try:
-            values, _ = coerce_row(schema, fields, len(names), positions, None, k)
-        except DataError as exc:
-            expected.append(["ERROR", "-", str(exc)])
-            continue
-        raw = RawDataset(schema, np.array([values], dtype=np.float64), [])
-        predicted, fired = classify_dataset(
-            artifact.rule_list, encode(raw, ranges_from=ranges))
-        label, f = schema.class_labels[predicted[0]], int(fired[0])
-        if f == 0:
-            expected.append([label, "default", "-"])
-        else:
-            rule = artifact.rule_list.rules[f - 1]
-            expected.append([label, str(f), render_rule(rule, schema, ranges)])
-    return expected
+    positions, _ = read_header(names, artifact.schema, labels=False)
+    return [_oracle_line(artifact, next(csv.reader([row])), len(names), positions, k)
+            for k, row in enumerate(rows, start=1) if row]
+
+
+def _oracle_line(artifact, fields, width, positions, row_number):
+    """The predict output fields for one CSV row, checked and scored alone."""
+    schema, ranges = artifact.schema, artifact.numeric_ranges
+    try:
+        values, _ = coerce_row(schema, fields, width, positions, None, row_number)
+    except DataError as exc:
+        return ["ERROR", "-", str(exc)]
+    raw = RawDataset(schema, np.array([values], dtype=np.float64), [])
+    predicted, fired = classify_dataset(artifact.rule_list, encode(raw, ranges_from=ranges))
+    label, f = schema.class_labels[predicted[0]], int(fired[0])
+    if f == 0:
+        return [label, "default", "-"]
+    return [label, str(f), render_rule(artifact.rule_list.rules[f - 1], schema, ranges)]
 
 
 class TestEvaluate:
@@ -1097,7 +1144,10 @@ def fuzzdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     assert _silent(["synth", "--rows", "60", "--seed", "4",
                     "--profile", "fragmented", "--out", str(d / "tiny")]) == 0
+    # every settable key; the seeds come from --seed
     config = MinerConfig.from_dict(SMALL_CONFIG).to_dict()
+    for section in (config, config["lvq"], config["pso"]):
+        del section["seed"]
     (d / "config.json").write_text(json.dumps(config))
     assert _silent(["train", "--data", str(d / "tiny.csv"),
                     "--schema", str(d / "tiny.schema.json"), "--out", str(d / "model.json"),
@@ -1141,3 +1191,73 @@ class TestJsonFuzz:
     def test_schema(self, fuzzdir, data):
         code = self._train(fuzzdir, schema=self._mutate(data, fuzzdir / "tiny.schema.json"))
         assert code in (cli.EXIT_OK, cli.EXIT_DATA, cli.EXIT_CONFIG, cli.EXIT_NO_RULES)
+
+
+# what the CSV fuzz inserts: quoting and field syntax, line ends, a NUL,
+# byte-order marks and a number no float holds
+_CSV_TOKENS = ['"', ",", "\n", "\r", "\x00", "\ufeff", "9e999"]
+
+
+@pytest.fixture(scope="module")
+def csvfuzz(tmp_path_factory):
+    """A credit3 model, loaded and on disk, and the text of a 60-row credit3
+    file to mutate."""
+    d = tmp_path_factory.mktemp("csvfuzz")
+    assert _silent(["synth", "--rows", "200", "--seed", "3",
+                    "--profile", "credit3", "--out", str(d / "credit")]) == 0
+    (d / "small.json").write_text(json.dumps(SMALL_CONFIG))
+    assert _silent(["train", "--data", str(d / "credit.csv"),
+                    "--schema", str(d / "credit.schema.json"), "--out", str(d / "model.json"),
+                    "--seed", "3", "--config", str(d / "small.json")]) == 0
+    lines = (d / "credit.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    return d, load_model(d / "model.json"), "".join(lines[:61])
+
+
+def _file_oracle(artifact, text):
+    """predict's expected output records and exit code for a CSV text with a
+    well-formed header: the records csv.reader gives, after one leading
+    byte-order mark is dropped, each checked and scored on its own. A line
+    csv.reader cannot read ends the output there, with exit code 1."""
+    records = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    header = next(records)
+    positions, _ = read_header(header, artifact.schema, labels=False)
+    expected = [["prediction", "fired_rule", "rule"]]
+    try:
+        for k, fields in enumerate(records, start=1):
+            if fields:
+                expected.append(_oracle_line(artifact, fields, len(header), positions, k))
+    except csv.Error:
+        return expected, cli.EXIT_DATA
+    scored = any(line[0] != "ERROR" for line in expected[1:])
+    return expected, cli.EXIT_OK if scored else cli.EXIT_DATA
+
+
+class TestCsvFuzz:
+    """A CSV file with quotes, commas, line ends, NULs, byte-order marks or
+    an overflowing number inserted in its rows gives, at any chunk size, the
+    predict output and exit code of reading each record and scoring it
+    alone."""
+
+    @_FUZZ_SETTINGS
+    @given(data=st.data())
+    def test_predict_matches_per_row_oracle(self, csvfuzz, data):
+        d, artifact, text = csvfuzz
+        body = text.index("\n") + 1  # the header line stays whole
+        edits = data.draw(st.lists(
+            st.tuples(st.integers(body, len(text)), st.sampled_from(_CSV_TOKENS)),
+            min_size=1, max_size=8), label="edits")
+        for position, token in sorted(edits, reverse=True):
+            text = text[:position] + token + text[position:]
+        if data.draw(st.booleans(), label="leading byte-order mark"):
+            text = "\ufeff" + text
+        chunk_rows = data.draw(st.sampled_from([1, 2, 3, 7, 4096]), label="chunk_rows")
+        points = d / "mutated.csv"
+        points.write_text(text, encoding="utf-8", newline="")
+        out = io.StringIO()
+        with mock.patch.object(rulemine.schema, "CHUNK_ROWS", chunk_rows), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["predict", "--model", str(d / "model.json"),
+                             "--input", str(points)])
+        expected, expected_code = _file_oracle(artifact, text)
+        assert code == expected_code
+        assert list(csv.reader(io.StringIO(out.getvalue(), newline=""))) == expected

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_encoded
+from rulemine import lvq
 from rulemine.errors import ConfigError, DataError
 from rulemine.lvq import (
     LvqConfig,
@@ -15,6 +16,9 @@ from rulemine.lvq import (
     move_toward,
     train,
 )
+from rulemine.miner import MinerConfig, mine
+from rulemine.schema import encode, stratified_split
+from rulemine.synth import generate
 
 
 def _uniform_data(schema, n, seed, classes=2):
@@ -30,17 +34,13 @@ class TestConfig:
     def test_defaults(self):
         cfg = LvqConfig()
         assert cfg.centroid_count == 30
-        assert cfg.repulsion_ratio == 1.2
+        assert lvq.REPULSION_RATIO == 1.2
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"adapt_rate": 0.0},
-            {"adapt_rate": 1.0},
             {"centroid_count": 0},
             {"max_epochs": 0},
-            {"stability_threshold": -1e-9},
-            {"repulsion_ratio": 1.0},
         ],
     )
     def test_invalid_values(self, kwargs):
@@ -196,9 +196,10 @@ class TestTraining:
         assert np.array_equal(a.represented_counts, b.represented_counts)
         assert a.trace == b.trace
 
-    def test_max_epochs_bounds_trace(self, numeric_schema):
+    def test_max_epochs_bounds_trace(self, numeric_schema, monkeypatch):
+        monkeypatch.setattr(lvq, "STABILITY_THRESHOLD", 1e-30)
         data = _uniform_data(numeric_schema, 60, 3)
-        cfg = LvqConfig(centroid_count=4, seed=0, max_epochs=5, stability_threshold=1e-30)
+        cfg = LvqConfig(centroid_count=4, seed=0, max_epochs=5)
         net = fit_network(data, cfg)
         assert len(net.trace) <= 5
 
@@ -206,16 +207,29 @@ class TestTraining:
         "max_epochs, threshold, stop",
         [(5, 1e-30, "max_epochs"), (40, 1e-30, "repeated_assignment"), (40, 0.02, "stability")],
     )
-    def test_churn_and_stop_reason(self, numeric_schema, max_epochs, threshold, stop):
+    def test_churn_and_stop_reason(
+        self, numeric_schema, monkeypatch, max_epochs, threshold, stop
+    ):
+        monkeypatch.setattr(lvq, "STABILITY_THRESHOLD", threshold)
         data = _uniform_data(numeric_schema, 60, 3)
-        cfg = LvqConfig(centroid_count=4, seed=1, max_epochs=max_epochs,
-                        stability_threshold=threshold)
+        cfg = LvqConfig(centroid_count=4, seed=1, max_epochs=max_epochs)
         net = fit_network(data, cfg)
         assert net.stop_reason == stop
         assert len(net.churn) == len(net.trace) - 1
         # a zero churn before the last epoch would have stopped training there
         assert all(0.0 < share <= 1.0 for share in net.churn[:-1])
         assert (net.churn[-1] == 0.0) == (stop == "repeated_assignment")
+
+    def test_stability_stop_fires_at_the_default_threshold(self):
+        # the separable profile as mine fits it: the last epoch's movement
+        # (9.32e-5) is the first below the default threshold of 1e-4
+        data = encode(generate("separable", rows=2000, seed=1).to_raw())
+        train_part, _ = stratified_split(data, 0.3, 1)
+        network = mine(train_part, MinerConfig(seed=1))[1].network
+        assert lvq.STABILITY_THRESHOLD == 1e-4
+        assert network.stop_reason == "stability"
+        assert len(network.trace) == 20
+        assert network.trace[-1] < 1e-4 <= min(network.trace[:-1])
 
     def test_final_assignment_uses_the_direct_difference(self, numeric_schema):
         # a near-tie below the rounding error of |x|^2 - 2x.c + |c|^2: the

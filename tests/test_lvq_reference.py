@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import build_encoded
+from rulemine import lvq
 from rulemine.lvq import (
     LvqConfig,
     _final_statistics,
@@ -32,12 +33,12 @@ def ref_train(network, data, config):
     classes = network.class_indices
     X, y = data.X, data.y
     n = len(data)
-    ratio_sq = config.repulsion_ratio**2
+    ratio_sq = lvq.REPULSION_RATIO**2
     prev_assign = None
     network.trace = []
     stop, repulsions = "max_epochs", 0
     for epoch in range(config.max_epochs):
-        rate = config.adapt_rate * (1.0 - epoch / config.max_epochs)
+        rate = lvq.ADAPT_RATE * (1.0 - epoch / config.max_epochs)
         start = positions.copy()
         assign = np.empty(n, dtype=np.int64)
         for i in rng.permutation(n):
@@ -61,7 +62,7 @@ def ref_train(network, data, config):
                 repulsions += 1
         movement = float(np.mean(np.sqrt(((positions - start) ** 2).sum(axis=1))))
         network.trace.append(movement)
-        if movement < config.stability_threshold:
+        if movement < lvq.STABILITY_THRESHOLD:
             stop = "stability"
             break
         if prev_assign is not None and np.array_equal(assign, prev_assign):
@@ -132,27 +133,30 @@ def test_matches_reference(kind, centroid_count, seed):
 
 
 @pytest.mark.parametrize("kind", sorted(SCHEMAS))
-def test_runner_up_repulsion(kind):
+def test_runner_up_repulsion(kind, monkeypatch):
     # a wide repulsion window on overlapping classes pushes runners-up often
+    monkeypatch.setattr(lvq, "REPULSION_RATIO", 3.0)
     data = _dataset(kind, seed=2)
-    config = LvqConfig(centroid_count=3, max_epochs=4, repulsion_ratio=3.0, seed=2)
+    config = LvqConfig(centroid_count=3, max_epochs=4, seed=2)
     _, _, repulsions = _fit_both(data, config)
     assert repulsions > 0
 
 
-def test_stops_on_stability():
+def test_stops_on_stability(monkeypatch):
+    monkeypatch.setattr(lvq, "STABILITY_THRESHOLD", 0.5)
     data = _dataset("mixed", seed=3)
-    config = LvqConfig(centroid_count=6, max_epochs=20, stability_threshold=0.5, seed=3)
+    config = LvqConfig(centroid_count=6, max_epochs=20, seed=3)
     ref, stop, _ = _fit_both(data, config)
     assert stop == "stability"
     assert len(ref.trace) < config.max_epochs
 
 
-def test_stops_on_repeated_assignment():
+def test_stops_on_repeated_assignment(monkeypatch):
     # one centroid per class on well-separated numeric bands: every row's
     # nearest centroid is fixed after the first epoch
+    monkeypatch.setattr(lvq, "STABILITY_THRESHOLD", 1e-12)
     data = _dataset("numeric_only", seed=4, spread=0.2)
-    config = LvqConfig(centroid_count=3, max_epochs=20, stability_threshold=1e-12, seed=4)
+    config = LvqConfig(centroid_count=3, max_epochs=20, seed=4)
     ref, stop, _ = _fit_both(data, config)
     assert stop == "repeated_assignment"
     assert len(ref.trace) < config.max_epochs

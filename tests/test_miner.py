@@ -81,8 +81,8 @@ class TestConfig:
             min_confidence=0.85,
             max_attempts_per_class=3,
             seed=17,
-            lvq=LvqConfig(centroid_count=12, adapt_rate=0.1),
-            pso=PsoConfig(swarm_size=25, veloc2_bounds=(-3.0, 3.0)),
+            lvq=LvqConfig(centroid_count=12, max_epochs=7),
+            pso=PsoConfig(swarm_size=25, stagnation_limit=9),
         )
         doc = cfg.to_dict()
         json.dumps(doc)  # must be plain JSON types

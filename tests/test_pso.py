@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_counts, build_encoded, fitness_from_rule
+from rulemine import pso
 from rulemine.errors import ConfigError, DataError
 from rulemine.lvq import LvqConfig, LvqNetwork, fit_network
 from rulemine.pso import (
@@ -54,21 +55,11 @@ class TestConfig:
             {"swarm_size": 0},
             {"max_iterations": 0},
             {"stagnation_limit": 0},
-            {"inertia": -0.1},
-            {"veloc1_bounds": (1.0, -1.0)},
-            {"veloc2_bounds": (4.0, 4.0)},
-            {"weight_confidence": 0.7},  # weights no longer sum to 1
-            {"weight_confidence": -0.1, "weight_support": 1.0},
         ],
     )
     def test_invalid_values(self, kwargs):
         with pytest.raises(ConfigError):
             PsoConfig(**kwargs)
-
-    def test_weights_must_sum_to_one(self):
-        PsoConfig(weight_confidence=0.5, weight_support=0.4, weight_length=0.1)
-        with pytest.raises(ConfigError):
-            PsoConfig(weight_confidence=0.5, weight_support=0.4, weight_length=0.2)
 
 
 class TestSigmoid:
@@ -178,38 +169,36 @@ class TestFitness:
         # confidence 3/4, support 3/10, shortness 1 - 2/8
         expected = 0.6 * 0.75 + 0.3 * 0.3 + 0.1 * 0.75
         assert expected == pytest.approx(0.615, abs=1e-12)
-        got = fitness_from_rule(rule, data, PsoConfig())
+        got = fitness_from_rule(rule, data)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_empty_antecedent_on_pure_class_is_one(self, numeric_schema):
         X = np.random.default_rng(1).uniform(0, 1, (20, 2))
         data = build_encoded(numeric_schema, X, np.ones(20, dtype=np.int64))
         rule = Rule(antecedent=(), class_index=1)
-        assert fitness_from_rule(rule, data, PsoConfig()) == pytest.approx(1.0, abs=1e-12)
+        assert fitness_from_rule(rule, data) == pytest.approx(1.0, abs=1e-12)
 
     def test_match_nothing_scores_only_shortness(self, numeric_schema):
         X = np.full((10, 2), 0.5)
         data = build_encoded(numeric_schema, X, np.zeros(10, dtype=np.int64))
         rule = Rule(antecedent=(NumericInterval("x", 0.9, 1.0),), class_index=0)
-        cfg = PsoConfig()
-        assert fitness_from_rule(rule, data, cfg) == pytest.approx(
-            cfg.weight_length * (1 - 1 / 2), abs=1e-12
+        assert fitness_from_rule(rule, data) == pytest.approx(
+            pso.WEIGHT_LENGTH * (1 - 1 / 2), abs=1e-12
         )
 
     def test_matches_support_confidence_recomputation(self, credit_schema):
         data = _credit_data(credit_schema, n=60, seed=3)
-        cfg = PsoConfig()
         rng = np.random.default_rng(5)
         for _ in range(50):
             position = (rng.random(5) < 0.5).astype(float)
             genes = np.sort(rng.random((2, 2)), axis=1)
             rule = decode_state(position, genes, data.layout, 1)
-            direct = fitness_from_rule(rule, data, cfg)
+            direct = fitness_from_rule(rule, data)
             support, confidence, _ = rule_quality(rule.antecedent, 1, data)
             recomputed = (
-                cfg.weight_confidence * confidence
-                + cfg.weight_support * support
-                + cfg.weight_length
+                pso.WEIGHT_CONFIDENCE * confidence
+                + pso.WEIGHT_SUPPORT * support
+                + pso.WEIGHT_LENGTH
                 * (1 - len(rule.antecedent) / len(credit_schema.attributes))
             )
             assert direct == recomputed  # identical arithmetic, not just close
@@ -218,19 +207,18 @@ class TestFitness:
     def test_empty_dataset_rejected(self, numeric_schema):
         data = build_encoded(numeric_schema, np.zeros((0, 2)), [])
         with pytest.raises(DataError):
-            fitness_from_rule(Rule((), 0), data, PsoConfig())
+            fitness_from_rule(Rule((), 0), data)
 
     def test_batch_fitness_scores_each_particle(self, credit_schema):
         data = _credit_data(credit_schema, n=60, seed=3)
-        cfg = PsoConfig()
         rng = np.random.default_rng(6)
         position = (rng.random((9, 5)) < 0.5).astype(float)
         genes = np.sort(rng.random((9, 2, 2)), axis=2)
-        got = fitness(position, genes, 1, data, cfg, pack_rows(data))
+        got = fitness(position, genes, 1, data, pack_rows(data))
         assert got.shape == (9,)
         for s in range(9):
             rule = decode_state(position[s], genes[s], data.layout, 1)
-            assert got[s] == fitness_from_rule(rule, data, cfg)
+            assert got[s] == fitness_from_rule(rule, data)
 
 
 ORACLE_SCHEMAS = {
@@ -269,10 +257,10 @@ class TestBatchFitnessOracle:
     ``fitness_from_rule`` of each particle's decoded rule."""
 
     @staticmethod
-    def _check(position, genes, class_index, data, cfg=PsoConfig()):
-        got = fitness(position, genes, class_index, data, cfg, pack_rows(data))
+    def _check(position, genes, class_index, data):
+        got = fitness(position, genes, class_index, data, pack_rows(data))
         expected = np.array([
-            fitness_from_rule(decode_state(p, g, data.layout, class_index), data, cfg)
+            fitness_from_rule(decode_state(p, g, data.layout, class_index), data)
             for p, g in zip(position, genes)
         ])
         assert got.shape == (len(position),)
@@ -292,15 +280,16 @@ class TestBatchFitnessOracle:
 
     @pytest.mark.parametrize("swarm_size", [1, 2, 40])
     @pytest.mark.parametrize("kind", sorted(ORACLE_SCHEMAS))
-    def test_random_swarms(self, kind, swarm_size):
+    def test_random_swarms(self, kind, swarm_size, monkeypatch):
+        # weights other than the defaults, which fitness and the oracle both read
+        for name, weight in [("CONFIDENCE", 0.5), ("SUPPORT", 0.3), ("LENGTH", 0.2)]:
+            monkeypatch.setattr(pso, f"WEIGHT_{name}", weight)
         data = _oracle_data(kind, seed=swarm_size)
         rng = np.random.default_rng(swarm_size + 1)
-        cfg = PsoConfig(weight_confidence=0.5, weight_support=0.3, weight_length=0.2)
         for class_index in range(3):
             for density in (0.2, 0.5, 0.8):
                 position = (rng.random((swarm_size, data.dimension)) < density).astype(float)
-                self._check(position, self._genes(rng, swarm_size, data), class_index,
-                            data, cfg)
+                self._check(position, self._genes(rng, swarm_size, data), class_index, data)
 
     @pytest.mark.parametrize("bit", [0.0, 1.0])
     @pytest.mark.parametrize("kind", sorted(ORACLE_SCHEMAS))
@@ -325,13 +314,12 @@ class TestBatchFitnessOracle:
         rule = decode_state(position[0], genes[0], layout, 1)
         assert len(rule) == 1
         assert rule_quality(rule.antecedent, 1, data)[:2] == (0.0, 0.0)
-        assert got[0] == PsoConfig().weight_length * (1 - 1 / len(data.schema.attributes))
+        assert got[0] == pso.WEIGHT_LENGTH * (1 - 1 / len(data.schema.attributes))
 
     def test_empty_dataset_rejected(self, numeric_schema):
         data = build_encoded(numeric_schema, np.zeros((0, 2)), [])
         with pytest.raises(DataError):
-            fitness(np.ones((2, 2)), np.zeros((2, 2, 2)), 0, data, PsoConfig(),
-                    pack_rows(data))
+            fitness(np.ones((2, 2)), np.zeros((2, 2, 2)), 0, data, pack_rows(data))
 
 
 NINE = Attribute("nine", "nominal", tuple(f"n{i}" for i in range(9)))
@@ -378,7 +366,7 @@ class TestPackedKernel:
         return allowed
 
     def _check(self, position, genes, data):
-        layout, cfg = data.layout, PsoConfig()
+        layout = data.layout
         rules = [decode_state(p, g, layout, 0) for p, g in zip(position, genes)]
         rows = pack_rows(data)
         for class_index in range(3):
@@ -387,8 +375,8 @@ class TestPackedKernel:
             expected = [brute_force_counts(Rule(r.antecedent, class_index), data)
                         for r in rules]
             assert list(zip(matched.tolist(), correct.tolist())) == expected
-            got = fitness(position, genes, class_index, data, cfg, rows)
-            want = np.array([fitness_from_rule(Rule(r.antecedent, class_index), data, cfg)
+            got = fitness(position, genes, class_index, data, rows)
+            want = np.array([fitness_from_rule(Rule(r.antecedent, class_index), data)
                              for r in rules])
             assert got.tobytes() == want.tobytes()
         return rules
@@ -534,13 +522,13 @@ class TestSeeding:
         net = _hand_network([1.0, 0.0, 0.0, 0.4, 0.5], [0.1, 0.2])
         cfg = PsoConfig(swarm_size=12, seed=4)
         swarm = seed_swarm(net, 0, 1, data, cfg)
-        lb1, ub1 = cfg.veloc1_bounds
+        lb1, ub1 = pso.VELOC1_BOUNDS
         assert np.all(swarm.veloc1 >= lb1) and np.all(swarm.veloc1 <= ub1)
         assert np.all(swarm.genes[:, :, 0] <= swarm.genes[:, :, 1])
         assert set(np.unique(swarm.position)) <= {0.0, 1.0}
         assert np.array_equal(
             swarm.best_fitness,
-            fitness(swarm.position, swarm.genes, 0, data, cfg, pack_rows(data)),
+            fitness(swarm.position, swarm.genes, 0, data, pack_rows(data)),
         )
         assert swarm.gbest_fitness == swarm.best_fitness.max()
         assert swarm.trace == [swarm.gbest_fitness]
@@ -575,8 +563,8 @@ class TestStep:
         swarm = self._swarm(data, cfg)
         for _ in range(20):
             step(swarm, data, cfg)
-        lb1, ub1 = cfg.veloc1_bounds
-        lb2, ub2 = cfg.veloc2_bounds
+        lb1, ub1 = pso.VELOC1_BOUNDS
+        lb2, ub2 = pso.VELOC2_BOUNDS
         assert np.all(swarm.veloc1 >= lb1) and np.all(swarm.veloc1 <= ub1)
         assert np.all(swarm.veloc2 >= lb2) and np.all(swarm.veloc2 <= ub2)
         assert np.all(swarm.genes >= 0.0) and np.all(swarm.genes <= 1.0)
@@ -623,7 +611,7 @@ class TestEvolve:
         validate_rule(rule, credit_schema)
         assert rule.class_index == 1
         # the reported best is the fitness of the rule actually returned
-        assert fitness_from_rule(rule, data, cfg) == swarm.gbest_fitness
+        assert fitness_from_rule(rule, data) == swarm.gbest_fitness
 
     def test_stagnation_stops_early(self, credit_schema):
         data = _credit_data(credit_schema, n=30, seed=9)

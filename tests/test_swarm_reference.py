@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import build_encoded, fitness_from_rule
+from rulemine import pso
 from rulemine.lvq import LvqConfig, fit_network
 from rulemine.pso import (
     PsoConfig,
@@ -51,9 +52,9 @@ class RefSwarm:
     trace: list[float] | None = None
 
 
-def _ref_fitness(p, class_index, data, config):
+def _ref_fitness(p, class_index, data):
     rule = decode_state(p.position, p.genes, data.layout, class_index)
-    return fitness_from_rule(rule, data, config)
+    return fitness_from_rule(rule, data)
 
 
 def ref_seed_swarm(network, class_index, min_represented, data, config):
@@ -71,8 +72,8 @@ def ref_seed_swarm(network, class_index, min_represented, data, config):
         seeds = of_class
 
     rng = np.random.default_rng(config.seed)
-    lb1, ub1 = config.veloc1_bounds
-    lb2, ub2 = config.veloc2_bounds
+    lb1, ub1 = pso.VELOC1_BOUNDS
+    lb2, ub2 = pso.VELOC2_BOUNDS
     particles = []
     for s in range(config.swarm_size):
         k = seeds[s % len(seeds)]
@@ -94,7 +95,7 @@ def ref_seed_swarm(network, class_index, min_represented, data, config):
         position = binarize(veloc2, rng)
         p = RefParticle(position, veloc1, veloc2, genes, gene_veloc, -np.inf,
                         position.copy(), genes.copy(), -np.inf)
-        p.fitness = _ref_fitness(p, class_index, data, config)
+        p.fitness = _ref_fitness(p, class_index, data)
         p.best_fitness = p.fitness
         particles.append(p)
 
@@ -108,11 +109,11 @@ def ref_seed_swarm(network, class_index, min_represented, data, config):
     return swarm
 
 
-def ref_step(swarm, data, config):
+def ref_step(swarm, data):
     rng = swarm.rng
-    lb1, ub1 = config.veloc1_bounds
-    lb2, ub2 = config.veloc2_bounds
-    w, c1, c2 = config.inertia, config.cognitive, config.social
+    lb1, ub1 = pso.VELOC1_BOUNDS
+    lb2, ub2 = pso.VELOC2_BOUNDS
+    w, c1, c2 = pso.INERTIA, pso.COGNITIVE, pso.SOCIAL
     gbest_position, gbest_genes = swarm.best_position, swarm.best_genes
     for p in swarm.particles:
         r1 = rng.random(p.position.shape)
@@ -138,7 +139,7 @@ def ref_step(swarm, data, config):
             )
             p.genes = np.sort(np.clip(p.genes + p.gene_veloc, 0.0, 1.0), axis=1)
     for p in swarm.particles:
-        p.fitness = _ref_fitness(p, swarm.class_index, data, config)
+        p.fitness = _ref_fitness(p, swarm.class_index, data)
         if p.fitness > p.best_fitness:
             p.best_fitness = p.fitness
             p.best_position = p.position.copy()
@@ -155,7 +156,7 @@ def ref_evolve(swarm, data, config):
     stale = 0
     while swarm.iteration < config.max_iterations and stale < config.stagnation_limit:
         before = swarm.best_fitness
-        ref_step(swarm, data, config)
+        ref_step(swarm, data)
         stale = 0 if swarm.best_fitness > before else stale + 1
     return decode_state(swarm.best_position, swarm.best_genes, data.layout, swarm.class_index)
 
