@@ -20,7 +20,7 @@ print("mined rule list:")
 print(render_rule_list(rule_list, data.schema, data.numeric_ranges))
 print()
 print(f"stopped because: {report.stop_reason}")
-print(f"swarm runs used: {report.total_iterations}")
+print(f"swarm runs used: {len(report.swarm_logs)}")
 print()
 
 print("scored against its own training data:")

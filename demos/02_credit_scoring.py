@@ -53,7 +53,6 @@ artifact = ModelArtifact(
     numeric_ranges=data.numeric_ranges,
     rule_list=rule_list,
     miner_config=config,
-    seed=1,
 )
 save_model(artifact, model_path)
 reloaded = load_model(model_path)

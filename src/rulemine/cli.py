@@ -97,7 +97,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         numeric_ranges=data.numeric_ranges,
         rule_list=rule_list,
         miner_config=config,
-        seed=seed,
     )
     save_model(artifact, args.out)
 
@@ -180,7 +179,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.baseline:
         # fit on 70% and compare on the other 30%: scored on its own training
         # rows, the baseline would look better than it is
-        fit_rows, compared_rows = stratified_split(data, 0.3, artifact.seed)
+        fit_rows, compared_rows = stratified_split(data, 0.3, artifact.miner_config.seed)
         baseline_rules = mine_greedy_baseline(
             fit_rows, min_confidence=artifact.miner_config.min_confidence
         )

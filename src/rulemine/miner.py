@@ -102,37 +102,44 @@ class RuleRecord:
 
     rule: Rule
     covered_count: int
-    iteration: int
     uncovered_before: tuple[int, ...]
 
 
 @dataclass
 class SwarmLog:
-    iteration: int
     class_index: int
     trace: list[float]
-    emitted: bool
     stop_reason: str  # "stagnation" or "max_iterations"
     fitness_evals: int  # particles scored: swarm size x (steps + 1)
+    record: RuleRecord | None  # the rule emitted, None if the candidate failed a gate
 
 
 @dataclass
 class MiningReport:
-    records: list[RuleRecord]
-    failed_attempts: dict[int, int]
+    """The swarm logs, one per launch in launch order, are the record of the
+    run: the rules, launch numbers and failure counts are read off them."""
+
+    swarm_logs: list[SwarmLog]
     stop_reason: str
     uncovered_residue: dict[int, int]
-    swarm_logs: list[SwarmLog]
-    total_iterations: int
     train_size: int
     network: LvqNetwork
 
+    @property
+    def records(self) -> list[RuleRecord]:
+        return [log.record for log in self.swarm_logs if log.record is not None]
+
     def to_dict(self, schema: AttributeSchema) -> dict:
         labels = schema.class_labels
+        launches = list(enumerate(self.swarm_logs, start=1))
+        emitted = [(i, log.record) for i, log in launches if log.record is not None]
+        failed_attempts = dict.fromkeys(range(len(labels)), 0)
+        for log in self.swarm_logs:
+            failed_attempts[log.class_index] += log.record is None
         return {
             "stop_reason": self.stop_reason,
             "train_size": self.train_size,
-            "total_iterations": self.total_iterations,
+            "total_iterations": len(self.swarm_logs),
             "rules": [
                 {
                     "rule": rule_to_dict(r.rule, schema),
@@ -140,27 +147,25 @@ class MiningReport:
                     "support": r.rule.provenance.support,
                     "confidence": r.rule.provenance.confidence,
                     "covered_count": r.covered_count,
-                    "iteration": r.iteration,
+                    "iteration": i,
                     "uncovered_before": len(r.uncovered_before),
                 }
-                for r in self.records
+                for i, r in emitted
             ],
-            "failed_attempts": {
-                labels[c]: n for c, n in sorted(self.failed_attempts.items())
-            },
+            "failed_attempts": {labels[c]: n for c, n in failed_attempts.items()},
             "uncovered_residue": {
                 labels[c]: n for c, n in sorted(self.uncovered_residue.items())
             },
             "swarm_logs": [
                 {
-                    "iteration": log.iteration,
+                    "iteration": i,
                     "class": labels[log.class_index],
-                    "emitted": log.emitted,
+                    "emitted": log.record is not None,
                     "stop_reason": log.stop_reason,
                     "fitness_evals": log.fitness_evals,
                     "best_fitness_trace": list(log.trace),
                 }
-                for log in self.swarm_logs
+                for i, log in launches
             ],
             "network": _network_to_dict(self.network, schema),
         }
@@ -219,20 +224,18 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
     uncovered = np.ones(n, dtype=bool)
     total_counts = np.bincount(train.y, minlength=n_classes)
     consecutive_failures = {c: 0 for c in range(n_classes)}
-    failed_attempts = {c: 0 for c in range(n_classes)}
-    records: list[RuleRecord] = []
+    rules: list[Rule] = []
     swarm_logs: list[SwarmLog] = []
-    iteration = 0
-    # each iteration either covers >= 1 example or increments a failure
-    # counter that only resets on coverage
-    iteration_bound = n * (1 + config.max_attempts_per_class) + n_classes * config.max_attempts_per_class
+    # each launch either covers >= 1 example or increments a failure counter
+    # that only resets on coverage
+    launch_bound = n * (1 + config.max_attempts_per_class) + n_classes * config.max_attempts_per_class
 
     while True:
         uncovered_idx = np.flatnonzero(uncovered)
         if uncovered_idx.size == 0:
             stop_reason = STOP_ALL_COVERED
             break
-        if records and not records[-1].rule.antecedent:
+        if rules and not rules[-1].antecedent:
             stop_reason = STOP_ALWAYS_TRUE
             break
         uncovered_counts = np.bincount(train.y[uncovered_idx], minlength=n_classes)
@@ -248,8 +251,7 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
             stop_reason = STOP_NO_VIABLE_CLASS
             break
         target = min(viable, key=lambda c: (-int(uncovered_counts[c]), c))
-        iteration += 1
-        if iteration > iteration_bound:
+        if len(swarm_logs) >= launch_bound:
             raise RuntimeError("mining loop exceeded its iteration bound")
 
         sub = train.subset(uncovered_idx)
@@ -268,44 +270,28 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
         # it always dominates correct / n, so the recorded support clears the
         # floor whenever the gate does.
         floor = min_support(int(uncovered_counts[target]), n, config.support_factor)
-        emitted = (
-            correct / n >= floor
-            and confidence_value >= config.min_confidence
-            and correct >= 1
-        )
-        swarm_logs.append(SwarmLog(
-            iteration, target, list(swarm.trace), emitted, swarm.stop_reason,
-            swarm_config.swarm_size * len(swarm.trace),
-        ))
-
-        if emitted:
-            provenance = Provenance(len(records) + 1, support_value, confidence_value)
-            records.append(
-                RuleRecord(
-                    rule=replace(candidate, provenance=provenance),
-                    covered_count=correct,
-                    iteration=iteration,
-                    uncovered_before=tuple(int(i) for i in uncovered_idx),
-                )
-            )
+        record = None
+        if correct / n >= floor and confidence_value >= config.min_confidence and correct >= 1:
+            provenance = Provenance(len(rules) + 1, support_value, confidence_value)
+            rules.append(replace(candidate, provenance=provenance))
+            record = RuleRecord(rules[-1], correct, tuple(int(i) for i in uncovered_idx))
             uncovered[uncovered_idx[correct_mask]] = False
             consecutive_failures[target] = 0
         else:
             consecutive_failures[target] += 1
-            failed_attempts[target] += 1
+        swarm_logs.append(SwarmLog(
+            target, list(swarm.trace), swarm.stop_reason,
+            swarm_config.swarm_size * len(swarm.trace), record,
+        ))
 
     residue_y = train.y[uncovered]
     default = choose_default_class(residue_y, total_counts)
-    rule_list = RuleList(rules=tuple(r.rule for r in records), default_class=default)
     residue_counts = np.bincount(residue_y, minlength=n_classes)
     report = MiningReport(
-        records=records,
-        failed_attempts=failed_attempts,
+        swarm_logs=swarm_logs,
         stop_reason=stop_reason,
         uncovered_residue={c: int(residue_counts[c]) for c in range(n_classes)},
-        swarm_logs=swarm_logs,
-        total_iterations=iteration,
         train_size=n,
         network=network,
     )
-    return rule_list, report
+    return RuleList(rules=tuple(rules), default_class=default), report

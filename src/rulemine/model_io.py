@@ -1,10 +1,11 @@
 """Versioned JSON model artifacts.
 
 A saved model holds what scoring reads: schema, the numeric scaling ranges
-observed at training time, the mined rule list with provenance, the mining
-configuration, and the seed. The fitted centroid network is run provenance
-and goes in the train report. Models written with a ``network`` section, or
-with LVQ and swarm settings that are now constants, still load, those unread.
+observed at training time, the mined rule list with provenance, and the
+mining configuration, whose ``seed`` is the run's seed. The fitted centroid
+network is run provenance and goes in the train report. Models written with a
+``network`` section, a top-level copy of the seed, or LVQ and swarm settings
+that are now constants, still load, those unread.
 Floats serialize at full repr precision, and nothing time- or host-dependent
 is written, so the same training run always produces byte-identical files.
 """
@@ -34,13 +35,11 @@ class ModelArtifact:
     numeric_ranges: dict[str, tuple[float, float]]
     rule_list: RuleList
     miner_config: MinerConfig
-    seed: int
 
 
 def model_to_dict(artifact: ModelArtifact) -> dict:
     return {
         "format_version": FORMAT_VERSION,
-        "seed": artifact.seed,
         "schema": artifact.schema.to_dict(),
         "numeric_ranges": {
             name: [lo, hi] for name, (lo, hi) in sorted(artifact.numeric_ranges.items())
@@ -58,9 +57,10 @@ def model_from_dict(doc: Mapping) -> ModelArtifact:
             f"unsupported model format version {version!r}; expected {FORMAT_VERSION}"
         )
     objects = ("schema", "numeric_ranges", "miner_config", "rule_list")
-    sections = {"format_version": "int", "seed": "int", **dict.fromkeys(objects, "object")}
-    # models written before the network moved to the train report carry it
-    doc = json_object(doc, DataError, "model", sections, {"network": None})
+    sections = {"format_version": "int", **dict.fromkeys(objects, "object")}
+    # models written before the network moved to the train report carry it,
+    # and models written before the seed lived only in miner_config carry both
+    doc = json_object(doc, DataError, "model", sections, {"network": None, "seed": "int"})
     schema = AttributeSchema.from_dict(doc["schema"])
     ranges = {
         name: json_pair(pair, DataError, f"numeric range {name!r}")
@@ -88,7 +88,6 @@ def model_from_dict(doc: Mapping) -> ModelArtifact:
         numeric_ranges=ranges,
         rule_list=rule_list_from_dict(doc["rule_list"], schema),
         miner_config=miner_config,
-        seed=doc["seed"],
     )
 
 

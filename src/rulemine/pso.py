@@ -81,8 +81,7 @@ class Swarm:
     # pack_rows of the dataset the swarm was seeded on: step scores against
     # it, so step and evolve must be given that same dataset
     rows: PackedRows
-    iteration: int = 0
-    trace: list[float] = field(default_factory=list)  # gbest after each fitness round
+    trace: list[float] = field(default_factory=list)  # gbest after seeding, then each step
     stop_reason: str = ""  # set by evolve: "stagnation" or "max_iterations"
 
 
@@ -96,10 +95,10 @@ def sigmoid(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def binarize(veloc2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw bits: each is 1 with probability sigmoid(veloc2)."""
-    v = np.asarray(veloc2, dtype=np.float64)
-    return (rng.random(v.shape) < sigmoid(v)).astype(np.float64)
+def binarize(veloc2: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Bits from uniform ``draws`` in [0, 1): each is 1 with probability
+    sigmoid(veloc2)."""
+    return (draws < sigmoid(veloc2)).astype(np.float64)
 
 
 def decode_state(
@@ -246,7 +245,7 @@ def seed_swarm(
             )
         veloc1[s] = rng.uniform(lb1, ub1, d)
         gene_veloc[s] = rng.uniform(lb1, ub1, (a, 2))
-        position[s] = binarize(veloc2[s], rng)
+        position[s] = binarize(veloc2[s], rng.random(d))
 
     swarm = Swarm(
         position=position,
@@ -294,7 +293,7 @@ def step(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> None:
         ub1,
     )
     swarm.veloc2 = np.clip(swarm.veloc2 + swarm.veloc1, lb2, ub2)
-    swarm.position = (bit_draw < sigmoid(swarm.veloc2)).astype(np.float64)
+    swarm.position = binarize(swarm.veloc2, bit_draw)
     swarm.gene_veloc = np.clip(
         w * swarm.gene_veloc
         + c1 * g1 * (swarm.best_genes - swarm.genes)
@@ -305,7 +304,6 @@ def step(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> None:
     # clamp to the unit interval, then swap-repair lo > hi
     swarm.genes = np.sort(np.clip(swarm.genes + swarm.gene_veloc, 0.0, 1.0), axis=2)
 
-    swarm.iteration += 1
     fit = fitness(swarm.position, swarm.genes, swarm.class_index, data, swarm.rows)
     _update_bests(swarm, fit)
 
@@ -314,15 +312,16 @@ def evolve(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> Rule:
     """Run the swarm until max_iterations or stagnation, return the best rule.
 
     Stagnation means the global best has not improved for
-    ``config.stagnation_limit`` consecutive iterations. ``swarm.stop_reason``
-    says which ended the run, "max_iterations" when both did.
+    ``config.stagnation_limit`` consecutive iterations; the trace holds one
+    entry per step after the seeding round's. ``swarm.stop_reason`` says
+    which ended the run, "max_iterations" when both did.
     """
     stale = 0
-    while swarm.iteration < config.max_iterations and stale < config.stagnation_limit:
+    while len(swarm.trace) <= config.max_iterations and stale < config.stagnation_limit:
         before = swarm.gbest_fitness
         step(swarm, data, config)
         stale = 0 if swarm.gbest_fitness > before else stale + 1
-    stopped = swarm.iteration >= config.max_iterations
+    stopped = len(swarm.trace) > config.max_iterations
     swarm.stop_reason = "max_iterations" if stopped else "stagnation"
     return decode_state(
         swarm.gbest_position, swarm.gbest_genes, data.layout, swarm.class_index

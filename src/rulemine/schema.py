@@ -252,19 +252,17 @@ class ColumnLayout:
     """Mapping between schema attributes and encoded column indices."""
 
     def __init__(self, schema: AttributeSchema) -> None:
-        columns: list[tuple[str, str | None]] = []
         self._nominal_start: dict[str, int] = {}
         self._numeric_col: dict[str, int] = {}
+        self.dimension = 0
         for a in schema.attributes:
             if a.kind == NOMINAL:
-                self._nominal_start[a.name] = len(columns)
-                columns.extend((a.name, v) for v in a.values)
+                self._nominal_start[a.name] = self.dimension
+                self.dimension += len(a.values)
             else:
-                self._numeric_col[a.name] = len(columns)
-                columns.append((a.name, None))
+                self._numeric_col[a.name] = self.dimension
+                self.dimension += 1
         self.schema = schema
-        self.columns: tuple[tuple[str, str | None], ...] = tuple(columns)
-        self.dimension = len(columns)
         self.numeric_names = tuple(a.name for a in schema.numeric_attributes)
         self.numeric_columns = np.array(
             [self._numeric_col[name] for name in self.numeric_names], dtype=np.intp

@@ -143,9 +143,10 @@ def brute_force_counts(rule, data: EncodedDataset) -> tuple[int, int]:
         for cond in rule.antecedent:
             if hasattr(cond, "allowed"):
                 active = None
-                for j in layout.nominal_columns(cond.attribute):
+                values = data.schema.attribute(cond.attribute).values
+                for value, j in zip(values, layout.nominal_columns(cond.attribute)):
                     if data.X[i, j] == 1.0:
-                        active = layout.columns[j][1]
+                        active = value
                         break
                 if active not in cond.allowed:
                     row_ok = False

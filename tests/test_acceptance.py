@@ -166,7 +166,7 @@ def test_criterion_6_binarization_statistics(capsys):
     draws = 100_000
     worst_sigmas = 0.0
     for v in (-4.0, -1.0, 0.0, 1.0, 4.0):
-        bits = binarize(np.full(draws, v), rng)
+        bits = binarize(np.full(draws, v), rng.random(draws))
         p = float(sigmoid(np.array([v]))[0])
         sigma = (p * (1 - p) / draws) ** 0.5
         worst_sigmas = max(worst_sigmas, abs(float(bits.mean()) - p) / sigma)

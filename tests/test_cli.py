@@ -593,6 +593,24 @@ class TestPredict:
         assert outputs[0] == outputs[1]
         assert load_model(old).miner_config == load_model(workdir / "fmodel.json").miner_config
 
+    def test_model_with_top_level_seed_gives_the_same_output(self, workdir, capsys, tmp_path):
+        # models written before the seed lived only in miner_config carry a
+        # copy at the top level; it loads, unread
+        doc = json.loads((workdir / "fmodel.json").read_text())
+        assert "seed" not in doc
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"seed": doc["miner_config"]["seed"], **doc}, indent=2))
+        outputs = []
+        for name, model in (("new", workdir / "fmodel.json"), ("old", old)):
+            assert cli.main(["predict", "--model", str(model),
+                             "--input", str(workdir / "frag.csv")]) == 0
+            assert cli.main(["evaluate", "--model", str(model), "--data",
+                             str(workdir / "frag.csv"), "--baseline",
+                             "--out", str(tmp_path / f"{name}.eval.json")]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert (tmp_path / "new.eval.json").read_bytes() == (tmp_path / "old.eval.json").read_bytes()
+
     @pytest.mark.parametrize(
         "path, value",
         [
@@ -808,7 +826,7 @@ class TestEvaluate:
         artifact = load_model(workdir / "fmodel.json")
         data = encode(parse_csv(str(workdir / "frag.csv"), artifact.schema),
                       ranges_from=artifact.numeric_ranges)
-        fit_rows, compared_rows = stratified_split(data, 0.3, artifact.seed)
+        fit_rows, compared_rows = stratified_split(data, 0.3, artifact.miner_config.seed)
         assert (comparison["fit_rows"], comparison["compared_rows"]) == (
             len(fit_rows), len(compared_rows)) == (140, 60)
         assert "on 60 held-out rows; the baseline was fit on the other 140:" in out

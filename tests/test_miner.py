@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,6 +43,11 @@ def _separable(numeric_schema, n=200, seed=7):
     X[:, 0] = np.where(np.abs(X[:, 0] - 0.5) < 0.02, X[:, 0] + 0.05, X[:, 0])
     y = (X[:, 0] > 0.5).astype(np.int64)
     return build_encoded(numeric_schema, X, y)
+
+
+def _failed_attempts(report) -> Counter:
+    """Launches per class whose candidate was not emitted."""
+    return Counter(log.class_index for log in report.swarm_logs if log.record is None)
 
 
 class TestMinSupport:
@@ -143,8 +149,8 @@ class TestSeparable:
         assert np.array_equal(pred, data.y)
         assert report.stop_reason == STOP_ALL_COVERED
         assert report.uncovered_residue == {0: 0, 1: 0}
-        assert report.failed_attempts == {0: 0, 1: 0}
-        assert report.total_iterations == 2
+        assert len(report.swarm_logs) == 2
+        assert _failed_attempts(report) == {}
 
     def test_majority_class_mined_first(self, numeric_schema):
         data = _separable(numeric_schema)
@@ -239,12 +245,9 @@ class TestRecordInvariants:
 
     def test_swarm_logs_align_with_iterations(self, mined):
         _, _, report = mined
-        assert len(report.swarm_logs) == report.total_iterations
-        assert [log.iteration for log in report.swarm_logs] == list(
-            range(1, report.total_iterations + 1)
-        )
-        emitted_iters = {log.iteration for log in report.swarm_logs if log.emitted}
-        assert emitted_iters == {r.iteration for r in report.records}
+        for log in report.swarm_logs:
+            if log.record is not None:
+                assert log.record.rule.class_index == log.class_index
 
     def test_swarm_logs_say_why_each_swarm_stopped(self, mined):
         _, _, report = mined
@@ -345,7 +348,7 @@ class TestNothingMinable:
 
     def test_attempts_exhausted_for_both_classes(self, nothing_minable):
         _, _, report = nothing_minable
-        assert report.failed_attempts == {0: 1, 1: 1}
+        assert _failed_attempts(report) == {0: 1, 1: 1}
 
     def test_default_breaks_full_tie_by_lower_index(self, nothing_minable):
         # residue tied 30/30 and totals tied 30/30 -> lowest class index
@@ -367,7 +370,7 @@ class TestScatteredMinority:
     def test_minority_never_emits(self, scattered_minority):
         _, _, report = scattered_minority
         assert all(r.rule.class_index != 1 for r in report.records)
-        assert report.failed_attempts[1] == 2
+        assert _failed_attempts(report)[1] == 2
         assert report.uncovered_residue == {0: 100, 1: 20}
 
     def test_minority_rows_fall_to_default(self, scattered_minority):
@@ -416,3 +419,15 @@ class TestRandomDatasets:
                 matched, correct = brute_force_counts(rec.rule, sub)
                 assert (matched and correct / matched) == rec.rule.provenance.confidence
                 assert correct / len(sub) == rec.rule.provenance.support
+            # the JSON's counters and launch numbers are counts over its swarm logs
+            doc = report.to_dict(data.schema)
+            logs = doc["swarm_logs"]
+            assert doc["total_iterations"] == len(logs) == len(report.swarm_logs)
+            assert [log["iteration"] for log in logs] == list(range(1, len(logs) + 1))
+            emitted = [log for log in logs if log["emitted"]]
+            assert [(r["iteration"], r["class"]) for r in doc["rules"]] == [
+                (log["iteration"], log["class"]) for log in emitted]
+            assert doc["failed_attempts"] == {
+                label: sum(log["class"] == label and not log["emitted"] for log in logs)
+                for label in data.schema.class_labels
+            }

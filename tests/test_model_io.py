@@ -34,7 +34,6 @@ def trained():
         numeric_ranges=dict(data.numeric_ranges),
         rule_list=rule_list,
         miner_config=config,
-        seed=config.seed,
     )
     return artifact, test, report
 
@@ -62,7 +61,7 @@ class TestRoundTrip:
         assert loaded.numeric_ranges == artifact.numeric_ranges
         assert loaded.rule_list == artifact.rule_list
         assert loaded.miner_config == artifact.miner_config
-        assert loaded.seed == artifact.seed
+        assert loaded.miner_config.seed == 3
 
     def test_report_network_survives_json_bit_exact(self, trained):
         artifact, _, report = trained
@@ -104,6 +103,8 @@ class TestValidation:
         doc = self._doc(trained)
         assert doc["format_version"] == FORMAT_VERSION
         assert "network" not in doc  # provenance: it goes in the train report
+        assert "seed" not in doc  # the seed is recorded once, in miner_config
+        assert doc["miner_config"]["seed"] == 3
         json.dumps(doc)  # plain JSON types only
 
     def test_version_mismatch_rejected(self, trained, tmp_path):
@@ -115,7 +116,7 @@ class TestValidation:
             load_model(path)
 
     @pytest.mark.parametrize(
-        "key", ["schema", "numeric_ranges", "miner_config", "rule_list", "seed"]
+        "key", ["schema", "numeric_ranges", "miner_config", "rule_list"]
     )
     def test_missing_section_rejected(self, trained, tmp_path, key):
         doc = self._doc(trained)
@@ -124,6 +125,16 @@ class TestValidation:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=key):
             load_model(path)
+
+    def test_top_level_seed_of_older_models_loads(self, trained, tmp_path):
+        # models written before the seed lived only in miner_config carry a
+        # copy at the top level, which is not read (a non-integer one is
+        # rejected: tests/test_cli.py TestJsonTypeRules)
+        artifact, _, _ = trained
+        path = tmp_path / "model.json"
+        for seed in (3, 12345):
+            path.write_text(json.dumps({"seed": seed, **self._doc(trained)}))
+            assert load_model(path) == artifact
 
     def test_ranges_must_match_schema(self, trained, tmp_path):
         doc = self._doc(trained)

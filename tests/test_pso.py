@@ -89,13 +89,13 @@ class TestBinarize:
         rng = np.random.default_rng(123)
         n = 20_000
         for v, p in SIGMOID_TABLE.items():
-            bits = binarize(np.full(n, v), rng)
+            bits = binarize(np.full(n, v), rng.random(n))
             sd = np.sqrt(p * (1 - p) / n)
             assert abs(bits.mean() - p) < 3 * sd
 
     def test_output_is_binary_float(self):
         rng = np.random.default_rng(0)
-        bits = binarize(np.linspace(-4, 4, 50), rng)
+        bits = binarize(np.linspace(-4, 4, 50), rng.random(50))
         assert bits.dtype == np.float64
         assert set(np.unique(bits)) <= {0.0, 1.0}
 
@@ -553,7 +553,6 @@ class TestStep:
             before = swarm.gbest_fitness
             step(swarm, data, cfg)
             assert swarm.gbest_fitness >= before
-        assert swarm.iteration == 30
         assert len(swarm.trace) == 31
         assert swarm.trace == sorted(swarm.trace)
 
@@ -619,7 +618,7 @@ class TestEvolve:
         net = fit_network(data, LvqConfig(centroid_count=4, seed=0))
         swarm = seed_swarm(net, 0, 1, data, cfg)
         evolve(swarm, data, cfg)
-        assert swarm.iteration < 500
+        assert len(swarm.trace) - 1 < 500
         assert swarm.stop_reason == "stagnation"
 
     def test_iteration_cap_respected(self, credit_schema):
@@ -628,5 +627,5 @@ class TestEvolve:
         net = fit_network(data, LvqConfig(centroid_count=4, seed=0))
         swarm = seed_swarm(net, 0, 1, data, cfg)
         evolve(swarm, data, cfg)
-        assert swarm.iteration <= 7
+        assert len(swarm.trace) - 1 <= 7
         assert swarm.stop_reason == "max_iterations"

@@ -601,7 +601,7 @@ def test_nominal_round_trip(schema, rnd):
         cols = enc.layout.nominal_columns(a.name)
         block = enc.X[0, cols]
         assert block.sum() == 1.0
-        decoded = enc.layout.columns[cols[int(np.argmax(block))]][1]
+        decoded = a.values[int(np.argmax(block))]
         assert decoded == row[schema.attribute_names.index(a.name)]
 
 
