@@ -9,7 +9,7 @@ the results into an ordered rule list with a default class.
 from .errors import ConfigError, DataError, RulemineError, SchemaError
 from .evaluation import ConfusionMatrix, EvalReport, evaluate, mine_greedy_baseline
 from .lvq import LvqConfig, LvqNetwork, fit_network
-from .miner import MinerConfig, MiningReport, RuleRecord, mine
+from .miner import MinerConfig, MiningReport, mine
 from .model_io import ModelArtifact, load_model, save_model
 from .pso import PsoConfig, Swarm, evolve, seed_swarm, step
 from .rules import (
@@ -57,7 +57,6 @@ __all__ = [
     "RawDataset",
     "Rule",
     "RuleList",
-    "RuleRecord",
     "RulemineError",
     "SchemaError",
     "Swarm",

@@ -74,11 +74,26 @@ def _report_path(out: str, explicit: str | None) -> Path:
     return Path(base + ".report.json")
 
 
+def _refuse_overwrite(inputs: dict, outputs: dict) -> None:
+    """Refuse (exit 2) an output that names an input or earlier output, even via a link."""
+    named = {flag: path for flag, path in inputs.items() if path is not None}
+    for flag, path in outputs.items():
+        if path is None:
+            continue
+        for other, taken in named.items():
+            try:
+                same = os.path.samefile(path, taken)  # a hard link too
+            except OSError:  # one of them is not written yet
+                same = os.path.realpath(path) == os.path.realpath(taken)
+            if same:
+                raise ConfigError(f"{flag} must not name the {other} file")
+        named[flag] = path
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     report_path = _report_path(args.out, args.report)
-    # the report is written after the model, so it would replace it
-    if os.path.realpath(report_path) == os.path.realpath(args.out):
-        raise ConfigError("--report must not name the --out file")
+    _refuse_overwrite({"--data": args.data, "--schema": args.schema, "--config": args.config},
+                      {"--out": args.out, "--report": report_path})
     seed = _resolve_seed(args.seed)
     config = _load_miner_config(args.config, seed)
     schema = load_schema(args.schema)
@@ -124,6 +139,7 @@ def _csv_line(fields: list) -> str:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    _refuse_overwrite({"--model": args.model, "--input": args.input}, {"--out": args.out})
     artifact = load_model(args.model)
     schema = artifact.schema
     ranges = artifact.numeric_ranges
@@ -136,9 +152,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
     ]
     # reads and matches the header now, so a bad one stops before --out opens
     chunks = read_chunks(args.input, schema, labels=False)
-    # opening --out truncates it, so it must not be the file still being read
-    if args.out and os.path.exists(args.out) and os.path.samefile(args.out, args.input):
-        raise ConfigError("--out must not name the --input file")
 
     out_fh = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     total = errors = defaults = 0
@@ -168,6 +181,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _refuse_overwrite({"--model": args.model, "--data": args.data}, {"--out": args.out})
     artifact = load_model(args.model)
     schema = artifact.schema
     raw = parse_csv(args.data, schema)

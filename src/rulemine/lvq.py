@@ -20,6 +20,7 @@ from .schema import EncodedDataset
 ADAPT_RATE = 0.05  # the first epoch's learning rate; train's range proof needs (0, 1)
 STABILITY_THRESHOLD = 1e-4  # an epoch's mean centroid movement below this ends training
 REPULSION_RATIO = 1.2  # the runner-up's distance ratio for a push away
+MAX_CENTROIDS = 100_000  # far above any use; a larger count overflows numpy sizes
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class LvqConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.centroid_count < 1:
-            raise ConfigError("centroid_count must be >= 1")
+        if not 1 <= self.centroid_count <= MAX_CENTROIDS:
+            raise ConfigError(f"centroid_count must lie in [1, {MAX_CENTROIDS}]")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be >= 1")
 

@@ -92,26 +92,11 @@ def min_support(uncovered_count: int, total_train: int, support_factor: float) -
 
 
 @dataclass
-class RuleRecord:
-    """Everything recorded about one emitted rule, including the uncovered
-    row indices it was measured against (so the numbers can be re-verified).
-    Its class, support and confidence are ``rule.class_index`` and
-    ``rule.provenance``. The report JSON keeps only how many rows
-    ``uncovered_before`` holds: the rows themselves follow from the training
-    rows and the rules before this one."""
-
-    rule: Rule
-    covered_count: int
-    uncovered_before: tuple[int, ...]
-
-
-@dataclass
 class SwarmLog:
     class_index: int
     trace: list[float]
     stop_reason: str  # "stagnation" or "max_iterations"
-    fitness_evals: int  # particles scored: swarm size x (steps + 1)
-    record: RuleRecord | None  # the rule emitted, None if the candidate failed a gate
+    rule: Rule | None  # the rule emitted, None if the candidate failed a gate
 
 
 @dataclass
@@ -122,35 +107,36 @@ class MiningReport:
     swarm_logs: list[SwarmLog]
     stop_reason: str
     uncovered_residue: dict[int, int]
-    train_size: int
+    covered_by: np.ndarray  # per training row: k once rule k covered it, else 0
+    swarm_size: int
     network: LvqNetwork
 
-    @property
-    def records(self) -> list[RuleRecord]:
-        return [log.record for log in self.swarm_logs if log.record is not None]
+    def uncovered_before(self, k: int) -> np.ndarray:
+        """The training rows rule ``k`` was mined and measured on."""
+        return np.flatnonzero((self.covered_by == 0) | (self.covered_by >= k))
 
     def to_dict(self, schema: AttributeSchema) -> dict:
         labels = schema.class_labels
         launches = list(enumerate(self.swarm_logs, start=1))
-        emitted = [(i, log.record) for i, log in launches if log.record is not None]
+        emitted = [(i, log.rule) for i, log in launches if log.rule is not None]
         failed_attempts = dict.fromkeys(range(len(labels)), 0)
         for log in self.swarm_logs:
-            failed_attempts[log.class_index] += log.record is None
+            failed_attempts[log.class_index] += log.rule is None
         return {
             "stop_reason": self.stop_reason,
-            "train_size": self.train_size,
+            "train_size": len(self.covered_by),
             "total_iterations": len(self.swarm_logs),
             "rules": [
                 {
-                    "rule": rule_to_dict(r.rule, schema),
-                    "class": labels[r.rule.class_index],
-                    "support": r.rule.provenance.support,
-                    "confidence": r.rule.provenance.confidence,
-                    "covered_count": r.covered_count,
+                    "rule": rule_to_dict(rule, schema),
+                    "class": labels[rule.class_index],
+                    "support": rule.provenance.support,
+                    "confidence": rule.provenance.confidence,
+                    "covered_count": int(np.count_nonzero(self.covered_by == k)),
                     "iteration": i,
-                    "uncovered_before": len(r.uncovered_before),
+                    "uncovered_before": len(self.uncovered_before(k)),
                 }
-                for i, r in emitted
+                for k, (i, rule) in enumerate(emitted, start=1)
             ],
             "failed_attempts": {labels[c]: n for c, n in failed_attempts.items()},
             "uncovered_residue": {
@@ -160,9 +146,10 @@ class MiningReport:
                 {
                     "iteration": i,
                     "class": labels[log.class_index],
-                    "emitted": log.record is not None,
+                    "emitted": log.rule is not None,
                     "stop_reason": log.stop_reason,
-                    "fitness_evals": log.fitness_evals,
+                    # one fitness evaluation per particle per round
+                    "fitness_evals": self.swarm_size * len(log.trace),
                     "best_fitness_trace": list(log.trace),
                 }
                 for i, log in launches
@@ -210,8 +197,7 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
     if n == 0:
         raise DataError("cannot mine an empty dataset")
     n_classes = len(train.schema.class_labels)
-    present = np.unique(train.y)
-    if present.size < 2:
+    if np.unique(train.y).size < 2:
         raise DataError("mining needs at least 2 classes present in the data")
 
     master = np.random.default_rng(config.seed)
@@ -221,7 +207,7 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
 
     network = fit_network(train, replace(config.lvq, seed=draw_seed()))
 
-    uncovered = np.ones(n, dtype=bool)
+    covered_by = np.zeros(n, dtype=np.int64)
     total_counts = np.bincount(train.y, minlength=n_classes)
     consecutive_failures = {c: 0 for c in range(n_classes)}
     rules: list[Rule] = []
@@ -231,7 +217,7 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
     launch_bound = n * (1 + config.max_attempts_per_class) + n_classes * config.max_attempts_per_class
 
     while True:
-        uncovered_idx = np.flatnonzero(uncovered)
+        uncovered_idx = np.flatnonzero(covered_by == 0)
         if uncovered_idx.size == 0:
             stop_reason = STOP_ALL_COVERED
             break
@@ -270,28 +256,26 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
         # it always dominates correct / n, so the recorded support clears the
         # floor whenever the gate does.
         floor = min_support(int(uncovered_counts[target]), n, config.support_factor)
-        record = None
+        rule = None
         if correct / n >= floor and confidence_value >= config.min_confidence and correct >= 1:
             provenance = Provenance(len(rules) + 1, support_value, confidence_value)
-            rules.append(replace(candidate, provenance=provenance))
-            record = RuleRecord(rules[-1], correct, tuple(int(i) for i in uncovered_idx))
-            uncovered[uncovered_idx[correct_mask]] = False
+            rule = replace(candidate, provenance=provenance)
+            rules.append(rule)
+            covered_by[uncovered_idx[correct_mask]] = len(rules)
             consecutive_failures[target] = 0
         else:
             consecutive_failures[target] += 1
-        swarm_logs.append(SwarmLog(
-            target, list(swarm.trace), swarm.stop_reason,
-            swarm_config.swarm_size * len(swarm.trace), record,
-        ))
+        swarm_logs.append(SwarmLog(target, list(swarm.trace), swarm.stop_reason, rule))
 
-    residue_y = train.y[uncovered]
+    residue_y = train.y[covered_by == 0]
     default = choose_default_class(residue_y, total_counts)
     residue_counts = np.bincount(residue_y, minlength=n_classes)
     report = MiningReport(
         swarm_logs=swarm_logs,
         stop_reason=stop_reason,
         uncovered_residue={c: int(residue_counts[c]) for c in range(n_classes)},
-        train_size=n,
+        covered_by=covered_by,
+        swarm_size=config.pso.swarm_size,
         network=network,
     )
     return RuleList(rules=tuple(rules), default_class=default), report

@@ -42,6 +42,7 @@ VELOC2_BOUNDS = (-4.0, 4.0)
 WEIGHT_CONFIDENCE = 0.6  # the three fitness weights sum to 1
 WEIGHT_SUPPORT = 0.3
 WEIGHT_LENGTH = 0.1
+MAX_SWARM_SIZE = 100_000  # far above any use; a larger swarm overflows numpy sizes
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,8 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.swarm_size < 1:
-            raise ConfigError("swarm_size must be >= 1")
+        if not 1 <= self.swarm_size <= MAX_SWARM_SIZE:
+            raise ConfigError(f"swarm_size must lie in [1, {MAX_SWARM_SIZE}]")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
         if self.stagnation_limit < 1:

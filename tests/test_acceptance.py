@@ -192,14 +192,14 @@ def test_criterion_7_coverage_accounting(capsys):
             lvq=LvqConfig(centroid_count=6, max_epochs=15),
             pso=PsoConfig(swarm_size=10, max_iterations=25, stagnation_limit=10),
         )
-        _, report = mine(data, config)
-        covered = sum(r.covered_count for r in report.records)
+        rule_list, report = mine(data, config)
+        covered = np.count_nonzero(report.covered_by > 0)
         ok = ok and covered + sum(report.uncovered_residue.values()) == len(data)
-        for rec in report.records:
-            sub = data.subset(np.array(rec.uncovered_before))
-            matched, correct = brute_force_counts(rec.rule, sub)
-            ok = ok and (matched and correct / matched) == rec.rule.provenance.confidence
-            ok = ok and correct / len(sub) == rec.rule.provenance.support
+        for k, rule in enumerate(rule_list.rules, start=1):
+            sub = data.subset(report.uncovered_before(k))
+            matched, correct = brute_force_counts(rule, sub)
+            ok = ok and (matched and correct / matched) == rule.provenance.confidence
+            ok = ok and correct / len(sub) == rule.provenance.support
             rules_checked += 1
         if not ok:
             break

@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -201,6 +202,45 @@ def test_negative_seed_is_config_error(workdir, tmp_path, capsys, monkeypatch, c
     assert err.startswith("error: ") and "Traceback" not in err
     assert ("--seed" if source == "flag" else "RULEMINE_SEED") in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, output, named",
+    [
+        ("train", "--out", "--data"),
+        ("train", "--out", "--schema"),
+        ("train", "--out", "--config"),
+        ("train", "--report", "--data"),
+        ("train", "--report", "--schema"),
+        ("train", "--report", "--config"),
+        ("predict", "--out", "--model"),
+        ("evaluate", "--out", "--model"),
+        ("evaluate", "--out", "--data"),
+    ],
+)
+def test_output_naming_an_input_is_config_error(
+    workdir, tmp_path, capsys, command, output, named
+):
+    # writing the output would replace the input it names: exit 2, nothing
+    # written, every input intact (predict's --out/--input: TestPredict)
+    inputs = {
+        "train": {"--data": "sep.csv", "--schema": "sep.schema.json", "--config": "small.json"},
+        "predict": {"--model": "model.json", "--input": "sep.csv"},
+        "evaluate": {"--model": "model.json", "--data": "sep.csv"},
+    }[command]
+    for name in inputs.values():
+        shutil.copy(workdir / name, tmp_path / name)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    outputs = {"--out": "m.json"} if output == "--report" else {}
+    outputs[output] = inputs[named]
+    argv = [command] + [arg for flag, name in {**inputs, **outputs}.items()
+                        for arg in (flag, str(tmp_path / name))]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert captured.err == f"error: {output} must not name the {named} file\n"
+    assert captured.out == ""
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])

@@ -40,6 +40,9 @@ class TestConfig:
         "kwargs",
         [
             {"centroid_count": 0},
+            {"centroid_count": 100_001},
+            {"centroid_count": 10**20},
+            {"centroid_count": 2**63},
             {"max_epochs": 0},
         ],
     )

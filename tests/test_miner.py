@@ -47,7 +47,12 @@ def _separable(numeric_schema, n=200, seed=7):
 
 def _failed_attempts(report) -> Counter:
     """Launches per class whose candidate was not emitted."""
-    return Counter(log.class_index for log in report.swarm_logs if log.record is None)
+    return Counter(log.class_index for log in report.swarm_logs if log.rule is None)
+
+
+def _rules(report) -> list:
+    """The emitted rules, in emission order: rule k is ``_rules(report)[k - 1]``."""
+    return [log.rule for log in report.swarm_logs if log.rule is not None]
 
 
 class TestMinSupport:
@@ -156,7 +161,7 @@ class TestSeparable:
         data = _separable(numeric_schema)
         _, report = mine(data, MinerConfig(seed=0))
         counts = np.bincount(data.y)
-        assert report.records[0].rule.class_index == int(np.argmax(counts))
+        assert _rules(report)[0].class_index == int(np.argmax(counts))
 
     def test_determinism(self, numeric_schema):
         data = _separable(numeric_schema)
@@ -164,9 +169,7 @@ class TestSeparable:
         b, report_b = mine(data, MinerConfig(seed=0))
         assert a == b
         assert report_a.uncovered_residue == report_b.uncovered_residue
-        assert [r.covered_count for r in report_a.records] == [
-            r.covered_count for r in report_b.records
-        ]
+        assert np.array_equal(report_a.covered_by, report_b.covered_by)
 
     def test_each_seed_reproduces_itself(self, numeric_schema):
         data = _separable(numeric_schema)
@@ -196,65 +199,66 @@ class TestRecordInvariants:
         _, rule_list, report = mined
         for i, rule in enumerate(rule_list.rules):
             assert rule.provenance.emission_order == i + 1
-        assert [r.rule for r in report.records] == list(rule_list.rules)
+        assert _rules(report) == list(rule_list.rules)
 
     def test_records_meet_published_thresholds(self, mined):
         data, _, report = mined
-        n = report.train_size
-        for rec in report.records:
-            assert rec.rule.provenance.confidence >= SMALL.min_confidence
+        n = len(report.covered_by)
+        for k, rule in enumerate(_rules(report), start=1):
+            assert rule.provenance.confidence >= SMALL.min_confidence
             unc_c = int(
-                np.count_nonzero(data.y[list(rec.uncovered_before)] == rec.rule.class_index)
+                np.count_nonzero(data.y[report.uncovered_before(k)] == rule.class_index)
             )
             floor = min_support(unc_c, n, SMALL.support_factor)
-            assert rec.rule.provenance.support >= floor - 1e-12
-            assert rec.covered_count >= 1
+            assert rule.provenance.support >= floor - 1e-12
+            assert np.count_nonzero(report.covered_by == k) >= 1
 
     def test_snapshots_shrink(self, mined):
         _, _, report = mined
-        sizes = [len(r.uncovered_before) for r in report.records]
+        sizes = [len(report.uncovered_before(k)) for k in range(1, len(_rules(report)) + 1)]
         assert sizes == sorted(sizes, reverse=True)
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
     def test_coverage_identity(self, mined):
         _, _, report = mined
-        covered = sum(r.covered_count for r in report.records)
+        covered = np.count_nonzero(report.covered_by > 0)
         residue = sum(report.uncovered_residue.values())
-        assert covered + residue == report.train_size
+        assert covered + residue == len(report.covered_by)
 
     def test_floors_never_rise_within_a_class(self, mined):
         data, _, report = mined
         last: dict[int, float] = {}
-        for rec in report.records:
+        for k, rule in enumerate(_rules(report), start=1):
             unc_c = int(
-                np.count_nonzero(data.y[list(rec.uncovered_before)] == rec.rule.class_index)
+                np.count_nonzero(data.y[report.uncovered_before(k)] == rule.class_index)
             )
-            floor = min_support(unc_c, report.train_size, SMALL.support_factor)
-            if rec.rule.class_index in last:
-                assert floor <= last[rec.rule.class_index] + 1e-12
-            last[rec.rule.class_index] = floor
+            floor = min_support(unc_c, len(report.covered_by), SMALL.support_factor)
+            if rule.class_index in last:
+                assert floor <= last[rule.class_index] + 1e-12
+            last[rule.class_index] = floor
 
     def test_records_verify_against_their_snapshots(self, mined):
         data, _, report = mined
-        for rec in report.records:
-            sub = data.subset(np.array(rec.uncovered_before))
-            matched, correct = brute_force_counts(rec.rule, sub)
-            assert rec.covered_count == correct
-            assert rec.rule.provenance.support == correct / len(sub)
-            assert rec.rule.provenance.confidence == correct / matched
+        for k, rule in enumerate(_rules(report), start=1):
+            sub = data.subset(report.uncovered_before(k))
+            matched, correct = brute_force_counts(rule, sub)
+            assert np.count_nonzero(report.covered_by == k) == correct
+            assert rule.provenance.support == correct / len(sub)
+            assert rule.provenance.confidence == correct / matched
 
     def test_swarm_logs_align_with_iterations(self, mined):
         _, _, report = mined
         for log in report.swarm_logs:
-            if log.record is not None:
-                assert log.record.rule.class_index == log.class_index
+            if log.rule is not None:
+                assert log.rule.class_index == log.class_index
 
     def test_swarm_logs_say_why_each_swarm_stopped(self, mined):
-        _, _, report = mined
+        data, _, report = mined
         pso = SMALL.pso
-        for log in report.swarm_logs:
+        json_logs = report.to_dict(data.schema)["swarm_logs"]
+        for log, json_log in zip(report.swarm_logs, json_logs, strict=True):
             steps = len(log.trace) - 1
-            assert log.fitness_evals == pso.swarm_size * (steps + 1)
+            assert json_log["fitness_evals"] == pso.swarm_size * (steps + 1)
             if steps == pso.max_iterations:
                 assert log.stop_reason == "max_iterations"
             else:
@@ -267,7 +271,7 @@ class TestRecordInvariants:
     def test_network_represents_whole_training_set(self, mined):
         _, _, report = mined
         total = report.network.represented_counts.sum()
-        assert total == report.train_size
+        assert total == len(report.covered_by)
 
     def test_report_serializes_to_json(self, mined):
         data, _, report = mined
@@ -275,14 +279,18 @@ class TestRecordInvariants:
         text = json.dumps(doc)
         parsed = json.loads(text)
         assert parsed["stop_reason"] == report.stop_reason
-        assert parsed["train_size"] == report.train_size
+        assert parsed["train_size"] == len(data) == len(report.covered_by)
         assert [(log["stop_reason"], log["fitness_evals"]) for log in parsed["swarm_logs"]] == [
-            (log.stop_reason, log.fitness_evals) for log in report.swarm_logs
+            (log.stop_reason, SMALL.pso.swarm_size * len(log.trace)) for log in report.swarm_logs
         ]
         assert {r["class"] for r in parsed["rules"]} <= {"neg", "pos"}
-        # the JSON keeps the size of each rule's uncovered set, not its rows
+        # the JSON keeps the size of each rule's uncovered set, not its rows,
+        # and how many of them the rule covered
+        ks = range(1, len(parsed["rules"]) + 1)
         assert [r["uncovered_before"] for r in parsed["rules"]] == [
-            len(rec.uncovered_before) for rec in report.records]
+            len(report.uncovered_before(k)) for k in ks]
+        assert [r["covered_count"] for r in parsed["rules"]] == [
+            np.count_nonzero(report.covered_by == k) for k in ks]
 
 
 class TestDegenerateInputs:
@@ -369,7 +377,7 @@ class TestScatteredMinority:
 
     def test_minority_never_emits(self, scattered_minority):
         _, _, report = scattered_minority
-        assert all(r.rule.class_index != 1 for r in report.records)
+        assert all(rule.class_index != 1 for rule in _rules(report))
         assert _failed_attempts(report)[1] == 2
         assert report.uncovered_residue == {0: 100, 1: 20}
 
@@ -412,13 +420,20 @@ class TestRandomDatasets:
             )
             rule_list, report = mine(data, cfg)
             assert all(rule.antecedent for rule in rule_list.rules[:-1])
-            covered = sum(r.covered_count for r in report.records)
+            covered = np.count_nonzero(report.covered_by > 0)
             assert covered + sum(report.uncovered_residue.values()) == len(data)
-            for rec in report.records:
-                sub = data.subset(np.array(rec.uncovered_before))
-                matched, correct = brute_force_counts(rec.rule, sub)
-                assert (matched and correct / matched) == rec.rule.provenance.confidence
-                assert correct / len(sub) == rec.rule.provenance.support
+            for k, rule in enumerate(rule_list.rules, start=1):
+                sub = data.subset(report.uncovered_before(k))
+                matched, correct = brute_force_counts(rule, sub)
+                assert (matched and correct / matched) == rule.provenance.confidence
+                assert correct / len(sub) == rule.provenance.support
+            # each row is covered by the first rule that matches it and
+            # predicts its class, or by none
+            for i in range(len(data)):
+                row = data.subset(np.array([i]))
+                first = next((k for k, rule in enumerate(rule_list.rules, start=1)
+                              if brute_force_counts(rule, row)[1]), 0)
+                assert report.covered_by[i] == first
             # the JSON's counters and launch numbers are counts over its swarm logs
             doc = report.to_dict(data.schema)
             logs = doc["swarm_logs"]

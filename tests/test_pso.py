@@ -53,6 +53,9 @@ class TestConfig:
         "kwargs",
         [
             {"swarm_size": 0},
+            {"swarm_size": 100_001},
+            {"swarm_size": 10**20},
+            {"swarm_size": 2**63},
             {"max_iterations": 0},
             {"stagnation_limit": 0},
         ],
