@@ -38,11 +38,11 @@ target = 1
 config = PsoConfig(swarm_size=30, max_iterations=150, stagnation_limit=25, seed=4)
 swarm = seed_swarm(network, target, 2, data, config)
 print(f"\nswarm of {len(swarm.position)} particles seeded for class {labels[target]!r}")
-print(f"initial best fitness: {swarm.gbest_fitness:.4f}")
+print(f"initial best fitness: {swarm.trace[-1]:.4f}")
 
 best_rule = evolve(swarm, data, config)
 trace = swarm.trace
-print(f"searched {len(trace)} iterations; best fitness {swarm.gbest_fitness:.4f}")
+print(f"searched {len(trace)} iterations; best fitness {trace[-1]:.4f}")
 
 # the trace is monotone: the global best can only improve
 marks = [trace[0]] + [t for prev, t in zip(trace, trace[1:]) if t > prev]

@@ -15,7 +15,6 @@ from .pso import PsoConfig, Swarm, evolve, seed_swarm, step
 from .rules import (
     NominalMembership,
     NumericInterval,
-    Provenance,
     Rule,
     RuleList,
     classify_dataset,
@@ -52,7 +51,6 @@ __all__ = [
     "ModelArtifact",
     "NominalMembership",
     "NumericInterval",
-    "Provenance",
     "PsoConfig",
     "RawDataset",
     "Rule",

@@ -16,7 +16,6 @@ from .errors import DataError
 from .rules import (
     NominalMembership,
     NumericInterval,
-    Provenance,
     Rule,
     RuleList,
     choose_default_class,
@@ -254,20 +253,10 @@ def mine_greedy_baseline(
             # no condition can be formed at all (remaining rows are exact
             # duplicates on every attribute); leave them to the default class
             break
-        cur_supp, cur_conf, correct_mask = rule_quality(conditions, target, sub)
+        correct_mask = match_mask(conditions, sub) & hit
         if not correct_mask.any():
             break
-        rules.append(
-            Rule(
-                antecedent=tuple(conditions),
-                class_index=target,
-                provenance=Provenance(
-                    emission_order=len(rules) + 1,
-                    support=cur_supp,
-                    confidence=cur_conf,
-                ),
-            )
-        )
+        rules.append(Rule(tuple(conditions), target))
         uncovered[uncovered_idx[correct_mask]] = False
 
     default = choose_default_class(train.y[uncovered], total_counts)

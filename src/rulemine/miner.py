@@ -24,14 +24,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .lvq import LvqConfig, LvqNetwork, fit_network
 from .pso import PsoConfig, evolve, seed_swarm
-from .rules import (
-    Provenance,
-    Rule,
-    RuleList,
-    choose_default_class,
-    rule_quality,
-    rule_to_dict,
-)
+from .rules import Rule, RuleList, choose_default_class, rule_quality, rule_to_dict
 from .schema import AttributeSchema, EncodedDataset, json_object
 
 STOP_ALL_COVERED = "all_covered"
@@ -97,12 +90,15 @@ class SwarmLog:
     trace: list[float]
     stop_reason: str  # "stagnation" or "max_iterations"
     rule: Rule | None  # the rule emitted, None if the candidate failed a gate
+    support: float  # the candidate's rule_quality on the rows it was mined on
+    confidence: float
 
 
 @dataclass
 class MiningReport:
     """The swarm logs, one per launch in launch order, are the record of the
-    run: the rules, launch numbers and failure counts are read off them."""
+    run: the rules, their support and confidence, launch numbers and failure
+    counts are read off them."""
 
     swarm_logs: list[SwarmLog]
     stop_reason: str
@@ -118,7 +114,7 @@ class MiningReport:
     def to_dict(self, schema: AttributeSchema) -> dict:
         labels = schema.class_labels
         launches = list(enumerate(self.swarm_logs, start=1))
-        emitted = [(i, log.rule) for i, log in launches if log.rule is not None]
+        emitted = [(i, log) for i, log in launches if log.rule is not None]
         failed_attempts = dict.fromkeys(range(len(labels)), 0)
         for log in self.swarm_logs:
             failed_attempts[log.class_index] += log.rule is None
@@ -128,15 +124,15 @@ class MiningReport:
             "total_iterations": len(self.swarm_logs),
             "rules": [
                 {
-                    "rule": rule_to_dict(rule, schema),
-                    "class": labels[rule.class_index],
-                    "support": rule.provenance.support,
-                    "confidence": rule.provenance.confidence,
+                    "rule": rule_to_dict(log.rule, schema),
+                    "class": labels[log.class_index],
+                    "support": log.support,
+                    "confidence": log.confidence,
                     "covered_count": int(np.count_nonzero(self.covered_by == k)),
                     "iteration": i,
                     "uncovered_before": len(self.uncovered_before(k)),
                 }
-                for k, (i, rule) in enumerate(emitted, start=1)
+                for k, (i, log) in enumerate(emitted, start=1)
             ],
             "failed_attempts": {labels[c]: n for c, n in failed_attempts.items()},
             "uncovered_residue": {
@@ -251,21 +247,22 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
         correct = int(np.count_nonzero(correct_mask))
         # the floor and the gate share the full-training-size denominator, so
         # the gate reduces to: covered count >= support_factor * uncovered_c.
-        # support_value itself is kept on the uncovered snapshot (same
-        # denominator the recorded provenance and its re-verification use);
+        # support_value itself is kept on the uncovered snapshot (the
+        # denominator the swarm log records and its re-verification uses);
         # it always dominates correct / n, so the recorded support clears the
         # floor whenever the gate does.
         floor = min_support(int(uncovered_counts[target]), n, config.support_factor)
         rule = None
         if correct / n >= floor and confidence_value >= config.min_confidence and correct >= 1:
-            provenance = Provenance(len(rules) + 1, support_value, confidence_value)
-            rule = replace(candidate, provenance=provenance)
+            rule = candidate
             rules.append(rule)
             covered_by[uncovered_idx[correct_mask]] = len(rules)
             consecutive_failures[target] = 0
         else:
             consecutive_failures[target] += 1
-        swarm_logs.append(SwarmLog(target, list(swarm.trace), swarm.stop_reason, rule))
+        swarm_logs.append(SwarmLog(
+            target, list(swarm.trace), swarm.stop_reason, rule, support_value, confidence_value
+        ))
 
     residue_y = train.y[covered_by == 0]
     default = choose_default_class(residue_y, total_counts)

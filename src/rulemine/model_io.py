@@ -1,13 +1,13 @@
 """Versioned JSON model artifacts.
 
 A saved model holds what scoring reads: schema, the numeric scaling ranges
-observed at training time, the mined rule list with provenance, and the
-mining configuration, whose ``seed`` is the run's seed. The fitted centroid
-network is run provenance and goes in the train report. Models written with a
-``network`` section, a top-level copy of the seed, or LVQ and swarm settings
-that are now constants, still load, those unread.
-Floats serialize at full repr precision, and nothing time- or host-dependent
-is written, so the same training run always produces byte-identical files.
+observed at training time, the mined rule list (antecedents and classes), and
+the mining configuration, whose ``seed`` is the run's seed. The fitted network
+and each rule's support and confidence are run provenance: the train report
+holds them. Models written with a ``network`` section, a top-level copy of the
+seed, now-constant LVQ and swarm settings, or a ``provenance`` on each rule
+still load, those unread. Floats serialize at full repr precision, and nothing
+time- or host-dependent is written, so one run always writes identical bytes.
 """
 
 from __future__ import annotations

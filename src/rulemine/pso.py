@@ -64,7 +64,8 @@ class PsoConfig:
 @dataclass
 class Swarm:
     """Particle state as arrays, one row per particle (S particles, d encoded
-    columns, a numeric attributes); the gbest_* fields hold the global best."""
+    columns, a numeric attributes). The global best is particle ``gbest``'s
+    personal best, and its fitness is ``trace[-1]``."""
 
     position: np.ndarray  # (S, d) bits, stored as 0.0/1.0 for velocity arithmetic
     veloc1: np.ndarray  # (S, d)
@@ -74,9 +75,7 @@ class Swarm:
     best_position: np.ndarray  # (S, d) personal bests
     best_genes: np.ndarray  # (S, a, 2)
     best_fitness: np.ndarray  # (S,)
-    gbest_position: np.ndarray  # (d,)
-    gbest_genes: np.ndarray  # (a, 2)
-    gbest_fitness: float
+    gbest: int
     class_index: int
     rng: np.random.Generator
     # pack_rows of the dataset the swarm was seeded on: step scores against
@@ -171,17 +170,16 @@ def fitness(
 def _update_bests(swarm: Swarm, fit: np.ndarray) -> None:
     """Adopt strictly better personal bests, then the global best, and extend
     the trace. argmax takes the first particle on ties, as an in-order scan
-    with strict improvement would."""
+    with strict improvement would. Particle gbest's personal best changes only
+    by beating the global best, which re-picks gbest here."""
     improved = fit > swarm.best_fitness
     swarm.best_fitness[improved] = fit[improved]
     swarm.best_position[improved] = swarm.position[improved]
     swarm.best_genes[improved] = swarm.genes[improved]
     top = int(np.argmax(swarm.best_fitness))
-    if swarm.best_fitness[top] > swarm.gbest_fitness:
-        swarm.gbest_fitness = float(swarm.best_fitness[top])
-        swarm.gbest_position = swarm.best_position[top].copy()
-        swarm.gbest_genes = swarm.best_genes[top].copy()
-    swarm.trace.append(swarm.gbest_fitness)
+    if not swarm.trace or swarm.best_fitness[top] > swarm.trace[-1]:
+        swarm.gbest = top
+    swarm.trace.append(float(swarm.best_fitness[swarm.gbest]))
 
 
 def seed_swarm(
@@ -257,9 +255,7 @@ def seed_swarm(
         best_position=position.copy(),
         best_genes=genes.copy(),
         best_fitness=np.full(S, -np.inf),
-        gbest_position=position[0],  # placeholders until the first update
-        gbest_genes=genes[0],
-        gbest_fitness=-np.inf,
+        gbest=0,  # a placeholder until the first update
         class_index=class_index,
         rng=rng,
         rows=pack_rows(data),
@@ -289,7 +285,7 @@ def step(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> None:
     swarm.veloc1 = np.clip(
         w * swarm.veloc1
         + c1 * r1 * (swarm.best_position - swarm.position)
-        + c2 * r2 * (swarm.gbest_position - swarm.position),
+        + c2 * r2 * (swarm.best_position[swarm.gbest] - swarm.position),
         lb1,
         ub1,
     )
@@ -298,7 +294,7 @@ def step(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> None:
     swarm.gene_veloc = np.clip(
         w * swarm.gene_veloc
         + c1 * g1 * (swarm.best_genes - swarm.genes)
-        + c2 * g2 * (swarm.gbest_genes - swarm.genes),
+        + c2 * g2 * (swarm.best_genes[swarm.gbest] - swarm.genes),
         lb1,
         ub1,
     )
@@ -319,11 +315,12 @@ def evolve(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> Rule:
     """
     stale = 0
     while len(swarm.trace) <= config.max_iterations and stale < config.stagnation_limit:
-        before = swarm.gbest_fitness
+        before = swarm.trace[-1]
         step(swarm, data, config)
-        stale = 0 if swarm.gbest_fitness > before else stale + 1
+        stale = 0 if swarm.trace[-1] > before else stale + 1
     stopped = len(swarm.trace) > config.max_iterations
     swarm.stop_reason = "max_iterations" if stopped else "stagnation"
+    g = swarm.gbest
     return decode_state(
-        swarm.gbest_position, swarm.gbest_genes, data.layout, swarm.class_index
+        swarm.best_position[g], swarm.best_genes[g], data.layout, swarm.class_index
     )

@@ -9,7 +9,7 @@ a default class.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -57,20 +57,9 @@ Condition = Union[NominalMembership, NumericInterval]
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """How a rule was produced: 1-based emission order and the support and
-    confidence measured on the data it was mined from."""
-
-    emission_order: int
-    support: float
-    confidence: float
-
-
-@dataclass(frozen=True)
 class Rule:
     antecedent: tuple[Condition, ...]
     class_index: int
-    provenance: Provenance | None = None
 
     def __post_init__(self) -> None:
         names = [c.attribute for c in self.antecedent]
@@ -366,26 +355,21 @@ def condition_from_dict(doc: Mapping) -> Condition:
 
 
 def rule_to_dict(rule: Rule, schema: AttributeSchema) -> dict:
-    doc: dict = {
+    return {
         "antecedent": [condition_to_dict(c, schema) for c in rule.antecedent],
         "class_index": rule.class_index,
     }
-    if rule.provenance is not None:
-        doc["provenance"] = asdict(rule.provenance)
-    return doc
 
 
 def rule_from_dict(doc: Mapping, schema: AttributeSchema) -> Rule:
     keys = {"antecedent": "list", "class_index": "int"}
+    # rules written before their support and confidence moved to the train
+    # report carry them in a provenance object, which is not read
     fields = json_object(doc, DataError, "rule", keys, {"provenance": "object"})
-    provenance = fields.get("provenance")
-    if provenance is not None:
-        keys = {"emission_order": "int", "support": "number", "confidence": "number"}
-        provenance = Provenance(**json_object(provenance, DataError, "provenance", keys))
     # conditions, rules and validate_rule reject bad values with ValueError
     try:
         antecedent = tuple(condition_from_dict(c) for c in fields["antecedent"])
-        rule = Rule(antecedent, fields["class_index"], provenance)
+        rule = Rule(antecedent, fields["class_index"])
         validate_rule(rule, schema)
     except ValueError as exc:
         raise DataError(f"invalid rule in document: {exc}") from exc

@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from rulemine import pso
+from rulemine.lvq import LvqConfig
+from rulemine.miner import MinerConfig, mine
+from rulemine.pso import PsoConfig
 from rulemine.rules import Rule, match_mask, rule_quality
 from rulemine.schema import Attribute, AttributeSchema, ColumnLayout, EncodedDataset
 
@@ -114,6 +117,24 @@ def random_mixed_dataset(rng: np.random.Generator) -> EncodedDataset:
         if (y == c).sum() < 2:
             y[rng.choice(n, 2, replace=False)] = c
     return build_encoded(schema, X, y)
+
+
+@pytest.fixture(scope="session")
+def criterion_7_runs() -> list:
+    """(data, config, rule list, report) of the 100 mining runs on random
+    datasets that acceptance criterion 7 checks."""
+    rng = np.random.default_rng(1234)
+    runs = []
+    for _ in range(100):
+        data = random_mixed_dataset(rng)
+        config = MinerConfig(
+            seed=int(rng.integers(0, 2**31)),
+            max_attempts_per_class=2,
+            lvq=LvqConfig(centroid_count=6, max_epochs=15),
+            pso=PsoConfig(swarm_size=10, max_iterations=25, stagnation_limit=10),
+        )
+        runs.append((data, config, *mine(data, config)))
+    return runs
 
 
 def fitness_from_rule(rule: Rule, data: EncodedDataset) -> float:

@@ -180,26 +180,19 @@ def test_criterion_6_binarization_statistics(capsys):
     )
 
 
-def test_criterion_7_coverage_accounting(capsys):
-    rng = np.random.default_rng(1234)
+def test_criterion_7_coverage_accounting(capsys, criterion_7_runs):
     rules_checked = 0
     ok = True
-    for _ in range(100):
-        data = random_mixed_dataset(rng)
-        config = MinerConfig(
-            seed=int(rng.integers(0, 2**31)),
-            max_attempts_per_class=2,
-            lvq=LvqConfig(centroid_count=6, max_epochs=15),
-            pso=PsoConfig(swarm_size=10, max_iterations=25, stagnation_limit=10),
-        )
-        rule_list, report = mine(data, config)
+    for data, _, rule_list, report in criterion_7_runs:
         covered = np.count_nonzero(report.covered_by > 0)
         ok = ok and covered + sum(report.uncovered_residue.values()) == len(data)
-        for k, rule in enumerate(rule_list.rules, start=1):
+        emitted = [log for log in report.swarm_logs if log.rule is not None]
+        ok = ok and [log.rule for log in emitted] == list(rule_list.rules)
+        for k, log in enumerate(emitted, start=1):
             sub = data.subset(report.uncovered_before(k))
-            matched, correct = brute_force_counts(rule, sub)
-            ok = ok and (matched and correct / matched) == rule.provenance.confidence
-            ok = ok and correct / len(sub) == rule.provenance.support
+            matched, correct = brute_force_counts(log.rule, sub)
+            ok = ok and (matched and correct / matched) == log.confidence
+            ok = ok and correct / len(sub) == log.support
             rules_checked += 1
         if not ok:
             break

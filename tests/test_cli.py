@@ -633,6 +633,34 @@ class TestPredict:
         assert outputs[0] == outputs[1]
         assert load_model(old).miner_config == load_model(workdir / "fmodel.json").miner_config
 
+    def test_model_with_rule_provenance_predicts_the_same(self, workdir, capsys, tmp_path):
+        # models written before each rule's support and confidence lived only
+        # in the train report carry them, with the emission order, on each
+        # rule; they load whatever the values, which are not read
+        doc = json.loads((workdir / "fmodel.json").read_text())
+        mined = json.loads((workdir / "fmodel.report.json").read_text())["mining"]["rules"]
+        assert len(mined) == len(doc["rule_list"]["rules"]) >= 1
+        true_values = [{"emission_order": k, "support": r["support"],
+                        "confidence": r["confidence"]} for k, r in enumerate(mined, 1)]
+        junk = [{"emission_order": 99}] * len(mined)
+        models = {"new": workdir / "fmodel.json"}
+        for name, provenances in (("true", true_values), ("junk", junk)):
+            for rule, provenance in zip(doc["rule_list"]["rules"], provenances):
+                rule["provenance"] = provenance
+            models[name] = tmp_path / f"{name}.json"
+            models[name].write_text(json.dumps(doc, indent=2))
+        outputs = []
+        for name, model in models.items():
+            assert cli.main(["predict", "--model", str(model),
+                             "--input", str(workdir / "frag.csv")]) == 0
+            predicted = capsys.readouterr()
+            assert cli.main(["evaluate", "--model", str(model), "--data",
+                             str(workdir / "frag.csv"), "--baseline",
+                             "--out", str(tmp_path / f"{name}.eval.json")]) == 0
+            capsys.readouterr()
+            outputs.append((predicted, (tmp_path / f"{name}.eval.json").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_model_with_top_level_seed_gives_the_same_output(self, workdir, capsys, tmp_path):
         # models written before the seed lived only in miner_config carry a
         # copy at the top level; it loads, unread
@@ -1062,7 +1090,6 @@ _MODEL_EDITS = [
     (("rule_list", "default_class"), 0.9),
     (("rule_list", "default_class"), "1"),
     (_COND, {"kind": "interval", "attribute": "score", "lo": "0.5", "hi": 0.9}),
-    (_RULE + ("provenance", "emission_order"), 2.5),
     (("numeric_ranges", "score"), ["18", "70"]),
     (("numeric_ranges", "score"), [False, True]),
     (("numeric_ranges", "score"), [0, 10**400]),  # no float holds it

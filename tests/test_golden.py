@@ -22,16 +22,16 @@ GOLDEN = {
     "credit3": {
         "data.csv": "e6d9f774dec73b9280057d042074a7b2aae7c9c6bf73e0119e693298103c9a16",
         "train.stdout": "002ddf931402ee1a2bef56518686f61f60dd3a19066bdff665806e497aef2da7",
-        "model.json": "95f015990ab544baab2621b361be20e421669dc3187b91047179eb1f5415e072",
-        "model.report.json": "cc73264f4899b0f2f7659e3351a0555a0b7cb585541e4daeb6fdd72a9ce12f8d",
+        "model.json": "8d06c8b64f7c7c5ffd7780791912688b87bdd9e5b44f15bf3c7cebcdd592f92a",
+        "model.report.json": "51f1e8bd82b5d39c78cc1bd7850ab3451fa28a4531593b470dab447f46d9bbaa",
         "scored.csv": "d3079bbd30a791984ea0e3cf5bd4f230167e014a0412a36c5e8ecccd952c117b",
         "eval.json": "268f9e3b803c49d58ec96bc6fe352c5b76ef2338c6f71751275c7ebee76e2b16",
     },
     "fragmented": {
         "data.csv": "76ff151eeec3651a3611c261aa4029b38189f2c958dab80f87c3e2e5db06a7c9",
         "train.stdout": "0a799319028db7dcae9a730c40ec0fced2e22da16b24a4c840a9f3a52d81da21",
-        "model.json": "f930a23f255562bd7be63061d2863bf4d1c29a2c90171897cddbc9b1ccaf8fc7",
-        "model.report.json": "1482bd51bd5041a23d0383b0308d49f11f8f49b6f090c53bf8655adb45016434",
+        "model.json": "f5cd8fac29f42862033b5f19e7856a2671ac4e88bd725a733442fcc631c5bb1f",
+        "model.report.json": "3b4659fe01831405fa75dce0dc92383412b434c41f54ccba3ea39c543b1de29d",
         "scored.csv": "97fb011c43cf38fd893cd31381f0130896971278e8fb60dca0f856234520a8b5",
         "eval.json": "f3b9426558e9980556fd58ae7798c8e9cd849113696102d7c388ccb07b7e5f6b",
     },

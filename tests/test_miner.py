@@ -50,9 +50,31 @@ def _failed_attempts(report) -> Counter:
     return Counter(log.class_index for log in report.swarm_logs if log.rule is None)
 
 
+def _emitted(report) -> list:
+    """The logs of the launches that emitted a rule, in emission order: rule k
+    is ``_emitted(report)[k - 1].rule``."""
+    return [log for log in report.swarm_logs if log.rule is not None]
+
+
 def _rules(report) -> list:
-    """The emitted rules, in emission order: rule k is ``_rules(report)[k - 1]``."""
-    return [log.rule for log in report.swarm_logs if log.rule is not None]
+    """The emitted rules, in emission order."""
+    return [log.rule for log in _emitted(report)]
+
+
+def _assert_gates(data, config, report) -> None:
+    """Every launch's recorded support and confidence pass all of ``mine``'s
+    gates (the support floor, ``min_confidence``, a correct match) if the
+    launch emitted its candidate, and fail one of them if it did not."""
+    n, k = len(data), 1
+    for log in report.swarm_logs:
+        sub = data.subset(report.uncovered_before(k))
+        correct = round(log.support * len(sub))
+        assert correct / len(sub) == log.support
+        uncovered_c = int(np.count_nonzero(sub.y == log.class_index))
+        floor = min_support(uncovered_c, n, config.support_factor)
+        gates = (correct / n >= floor, log.confidence >= config.min_confidence, correct >= 1)
+        assert all(gates) == (log.rule is not None)
+        k += log.rule is not None
 
 
 class TestMinSupport:
@@ -197,20 +219,18 @@ class TestRecordInvariants:
 
     def test_emission_order_matches_position(self, mined):
         _, rule_list, report = mined
-        for i, rule in enumerate(rule_list.rules):
-            assert rule.provenance.emission_order == i + 1
         assert _rules(report) == list(rule_list.rules)
 
     def test_records_meet_published_thresholds(self, mined):
         data, _, report = mined
         n = len(report.covered_by)
-        for k, rule in enumerate(_rules(report), start=1):
-            assert rule.provenance.confidence >= SMALL.min_confidence
+        for k, log in enumerate(_emitted(report), start=1):
+            assert log.confidence >= SMALL.min_confidence
             unc_c = int(
-                np.count_nonzero(data.y[report.uncovered_before(k)] == rule.class_index)
+                np.count_nonzero(data.y[report.uncovered_before(k)] == log.class_index)
             )
             floor = min_support(unc_c, n, SMALL.support_factor)
-            assert rule.provenance.support >= floor - 1e-12
+            assert log.support >= floor - 1e-12
             assert np.count_nonzero(report.covered_by == k) >= 1
 
     def test_snapshots_shrink(self, mined):
@@ -239,12 +259,16 @@ class TestRecordInvariants:
 
     def test_records_verify_against_their_snapshots(self, mined):
         data, _, report = mined
-        for k, rule in enumerate(_rules(report), start=1):
+        for k, log in enumerate(_emitted(report), start=1):
             sub = data.subset(report.uncovered_before(k))
-            matched, correct = brute_force_counts(rule, sub)
+            matched, correct = brute_force_counts(log.rule, sub)
             assert np.count_nonzero(report.covered_by == k) == correct
-            assert rule.provenance.support == correct / len(sub)
-            assert rule.provenance.confidence == correct / matched
+            assert log.support == correct / len(sub)
+            assert log.confidence == correct / matched
+
+    def test_every_launch_is_judged_by_the_gates(self, mined):
+        data, _, report = mined
+        _assert_gates(data, SMALL, report)
 
     def test_swarm_logs_align_with_iterations(self, mined):
         _, _, report = mined
@@ -422,11 +446,12 @@ class TestRandomDatasets:
             assert all(rule.antecedent for rule in rule_list.rules[:-1])
             covered = np.count_nonzero(report.covered_by > 0)
             assert covered + sum(report.uncovered_residue.values()) == len(data)
-            for k, rule in enumerate(rule_list.rules, start=1):
+            assert _rules(report) == list(rule_list.rules)
+            for k, log in enumerate(_emitted(report), start=1):
                 sub = data.subset(report.uncovered_before(k))
-                matched, correct = brute_force_counts(rule, sub)
-                assert (matched and correct / matched) == rule.provenance.confidence
-                assert correct / len(sub) == rule.provenance.support
+                matched, correct = brute_force_counts(log.rule, sub)
+                assert (matched and correct / matched) == log.confidence
+                assert correct / len(sub) == log.support
             # each row is covered by the first rule that matches it and
             # predicts its class, or by none
             for i in range(len(data)):
@@ -446,3 +471,10 @@ class TestRandomDatasets:
                 label: sum(log["class"] == label and not log["emitted"] for log in logs)
                 for label in data.schema.class_labels
             }
+
+    def test_gates_judge_every_launch_of_criterion_7(self, criterion_7_runs):
+        failed = 0
+        for data, config, _, report in criterion_7_runs:
+            _assert_gates(data, config, report)
+            failed += sum(log.rule is None for log in report.swarm_logs)
+        assert failed > 0

@@ -103,6 +103,9 @@ class TestValidation:
         doc = self._doc(trained)
         assert doc["format_version"] == FORMAT_VERSION
         assert "network" not in doc  # provenance: it goes in the train report
+        # so do each rule's support and confidence: a rule is what scoring reads
+        assert all(set(rule) == {"antecedent", "class_index"}
+                   for rule in doc["rule_list"]["rules"])
         assert "seed" not in doc  # the seed is recorded once, in miner_config
         assert doc["miner_config"]["seed"] == 3
         json.dumps(doc)  # plain JSON types only

@@ -533,8 +533,8 @@ class TestSeeding:
             swarm.best_fitness,
             fitness(swarm.position, swarm.genes, 0, data, pack_rows(data)),
         )
-        assert swarm.gbest_fitness == swarm.best_fitness.max()
-        assert swarm.trace == [swarm.gbest_fitness]
+        assert swarm.gbest == np.argmax(swarm.best_fitness)
+        assert swarm.trace == [swarm.best_fitness.max()]
 
     def test_empty_dataset_rejected(self, credit_schema):
         empty = build_encoded(credit_schema, np.zeros((0, 5)), [])
@@ -553,9 +553,11 @@ class TestStep:
         cfg = PsoConfig(swarm_size=10, seed=3)
         swarm = self._swarm(data, cfg)
         for _ in range(30):
-            before = swarm.gbest_fitness
+            before = swarm.trace[-1]
             step(swarm, data, cfg)
-            assert swarm.gbest_fitness >= before
+            assert swarm.trace[-1] >= before
+            # the global best is particle gbest's personal best, and the top one
+            assert swarm.trace[-1] == swarm.best_fitness[swarm.gbest] == swarm.best_fitness.max()
         assert len(swarm.trace) == 31
         assert swarm.trace == sorted(swarm.trace)
 
@@ -581,8 +583,7 @@ class TestStep:
         swarm.gene_veloc = np.zeros_like(swarm.gene_veloc)
         swarm.best_position = swarm.position.copy()
         swarm.best_genes = swarm.genes.copy()
-        swarm.gbest_position = swarm.position[0].copy()
-        swarm.gbest_genes = swarm.genes[0].copy()
+        swarm.gbest = 0
         v2_before = swarm.veloc2.copy()
         genes_before = swarm.genes.copy()
         step(swarm, data, cfg)
@@ -599,8 +600,9 @@ class TestStep:
             step(a, data, cfg)
             step(b, data, cfg)
         assert a.trace == b.trace
-        assert np.array_equal(a.gbest_position, b.gbest_position)
-        assert np.array_equal(a.gbest_genes, b.gbest_genes)
+        assert a.gbest == b.gbest
+        assert np.array_equal(a.best_position, b.best_position)
+        assert np.array_equal(a.best_genes, b.best_genes)
 
 
 class TestEvolve:
@@ -613,7 +615,7 @@ class TestEvolve:
         validate_rule(rule, credit_schema)
         assert rule.class_index == 1
         # the reported best is the fitness of the rule actually returned
-        assert fitness_from_rule(rule, data) == swarm.gbest_fitness
+        assert fitness_from_rule(rule, data) == swarm.trace[-1]
 
     def test_stagnation_stops_early(self, credit_schema):
         data = _credit_data(credit_schema, n=30, seed=9)

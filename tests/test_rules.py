@@ -9,7 +9,6 @@ from rulemine.synth import generate
 from rulemine.rules import (
     NominalMembership,
     NumericInterval,
-    Provenance,
     Rule,
     RuleList,
     choose_default_class,
@@ -265,18 +264,27 @@ class TestRendering:
 class TestSerialization:
     def test_round_trip(self, credit_schema, married_rule):
         rl = RuleList(
-            rules=(
-                Rule(
-                    antecedent=married_rule.antecedent,
-                    class_index=1,
-                    provenance=Provenance(1, 0.3, 0.75),
-                ),
-            ),
+            rules=(Rule(antecedent=married_rule.antecedent, class_index=1),),
             default_class=0,
         )
         doc = rule_list_to_dict(rl, credit_schema)
+        assert set(doc["rules"][0]) == {"antecedent", "class_index"}
         back = rule_list_from_dict(doc, credit_schema)
         assert back == rl
+
+    def test_rule_provenance_loads_unread(self, credit_schema, married_rule):
+        # rules written before support and confidence moved to the train
+        # report carry a provenance object: any object loads, nothing else does
+        rl = RuleList(rules=(married_rule,), default_class=0)
+        doc = rule_list_to_dict(rl, credit_schema)
+        for provenance in ({"emission_order": 1, "support": 0.3, "confidence": 0.75},
+                           {"emission_order": 99}, {}):
+            doc["rules"][0]["provenance"] = provenance
+            assert rule_list_from_dict(doc, credit_schema) == rl
+        for provenance in (None, "abc", [1]):
+            doc["rules"][0]["provenance"] = provenance
+            with pytest.raises(DataError):
+                rule_list_from_dict(doc, credit_schema)
 
     def test_invalid_document_rejected(self, credit_schema):
         rl = RuleList(rules=(), default_class=0)

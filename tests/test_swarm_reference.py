@@ -222,9 +222,9 @@ def test_array_swarm_matches_per_particle_reference(kind, swarm_size, seeding, p
 
     assert swarm.trace == ref.trace
     assert len(swarm.trace) - 1 == ref.iteration
-    assert swarm.gbest_fitness == ref.best_fitness
-    assert np.array_equal(swarm.gbest_position, ref.best_position)
-    assert np.array_equal(swarm.gbest_genes, ref.best_genes)
+    assert swarm.trace[-1] == swarm.best_fitness[swarm.gbest] == ref.best_fitness
+    assert np.array_equal(swarm.best_position[swarm.gbest], ref.best_position)
+    assert np.array_equal(swarm.best_genes[swarm.gbest], ref.best_genes)
     assert rule == ref_rule
     for name in ("position", "veloc1", "veloc2", "genes", "gene_veloc",
                  "best_position", "best_genes", "best_fitness"):
