@@ -2,17 +2,17 @@
 
 One swarm run produces one candidate rule for the class with the most
 uncovered examples. A candidate is emitted only if it clears the support
-floor in force for its class, meets the confidence threshold, and covers at
-least one example; emitted rules remove the examples they match and classify
-correctly. The floor is ``support_factor * uncovered_c / total_train`` and
-the candidate's support is measured against the same full-training
-denominator, so emission demands a covered count of at least
-``support_factor`` times the class's remaining examples: the floor shrinks
-as mining progresses, but never so fast that single-digit fragments qualify
-while a class is still broadly uncovered. Classes retire after too many
-failed attempts in a row. Mining also stops after a rule with an empty
-antecedent: it matches every row, so no later rule and not the default can
-fire.
+floor in force for its class, meets the confidence threshold, and classifies
+at least one example correctly; an emitted rule removes every uncovered
+example it matches, as first-match scoring fires it on all of them. The floor
+is ``support_factor * uncovered_c / total_train`` and the candidate's support
+is measured against the same full-training denominator, so emission demands a
+correct count of at least ``support_factor`` times the class's remaining
+examples: the floor shrinks as mining progresses, but never so fast that
+single-digit fragments qualify while a class is still broadly uncovered.
+Classes retire after too many failed attempts in a row. A candidate with an
+empty antecedent would match every remaining row, so it ends mining as the
+default class instead of as a rule.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .lvq import LvqConfig, LvqNetwork, fit_network
 from .pso import PsoConfig, evolve, seed_swarm
-from .rules import Rule, RuleList, choose_default_class, rule_quality, rule_to_dict
+from .rules import Rule, RuleList, choose_default_class, match_mask, rule_quality, rule_to_dict
 from .schema import AttributeSchema, EncodedDataset, json_object
 
 STOP_ALL_COVERED = "all_covered"
 STOP_NO_VIABLE_CLASS = "no_viable_class"
-STOP_ALWAYS_TRUE = "always_true"
+# the gates a candidate must pass to be emitted, in the order they are judged
+GATES = ("floor", "min_confidence", "no_correct_row")
 
 
 @dataclass(frozen=True)
@@ -89,9 +90,12 @@ class SwarmLog:
     class_index: int
     trace: list[float]
     stop_reason: str  # "stagnation" or "max_iterations"
-    rule: Rule | None  # the rule emitted, None if the candidate failed a gate
+    rule: Rule | None  # the rule emitted, else None
     support: float  # the candidate's rule_quality on the rows it was mined on
     confidence: float
+    correct: int  # the rows it matches and classifies correctly
+    floor: float  # the support floor it faced
+    outcome: str  # "emitted", "folded" into the default, or the first gate failed
 
 
 @dataclass
@@ -117,7 +121,7 @@ class MiningReport:
         emitted = [(i, log) for i, log in launches if log.rule is not None]
         failed_attempts = dict.fromkeys(range(len(labels)), 0)
         for log in self.swarm_logs:
-            failed_attempts[log.class_index] += log.rule is None
+            failed_attempts[log.class_index] += log.outcome in GATES
         return {
             "stop_reason": self.stop_reason,
             "train_size": len(self.covered_by),
@@ -142,7 +146,11 @@ class MiningReport:
                 {
                     "iteration": i,
                     "class": labels[log.class_index],
-                    "emitted": log.rule is not None,
+                    "outcome": log.outcome,
+                    "support": log.support,
+                    "confidence": log.confidence,
+                    "correct": log.correct,
+                    "floor": log.floor,
                     "stop_reason": log.stop_reason,
                     # one fitness evaluation per particle per round
                     "fitness_evals": self.swarm_size * len(log.trace),
@@ -211,14 +219,12 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
     # each launch either covers >= 1 example or increments a failure counter
     # that only resets on coverage
     launch_bound = n * (1 + config.max_attempts_per_class) + n_classes * config.max_attempts_per_class
+    default = None  # set by a folded IF TRUE candidate, which ends mining
+    stop_reason = STOP_ALL_COVERED
 
-    while True:
+    while default is None:
         uncovered_idx = np.flatnonzero(covered_by == 0)
         if uncovered_idx.size == 0:
-            stop_reason = STOP_ALL_COVERED
-            break
-        if rules and not rules[-1].antecedent:
-            stop_reason = STOP_ALWAYS_TRUE
             break
         uncovered_counts = np.bincount(train.y[uncovered_idx], minlength=n_classes)
         # a class stays viable while anything of it is uncovered (a rule
@@ -246,26 +252,27 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
         )
         correct = int(np.count_nonzero(correct_mask))
         # the floor and the gate share the full-training-size denominator, so
-        # the gate reduces to: covered count >= support_factor * uncovered_c.
-        # support_value itself is kept on the uncovered snapshot (the
-        # denominator the swarm log records and its re-verification uses);
-        # it always dominates correct / n, so the recorded support clears the
-        # floor whenever the gate does.
+        # the gate reduces to: correct count >= support_factor * uncovered_c.
+        # The logged support, on the uncovered rows, is never below correct / n.
         floor = min_support(int(uncovered_counts[target]), n, config.support_factor)
+        passed = (correct / n >= floor, confidence_value >= config.min_confidence, correct >= 1)
+        outcome = next((gate for gate, ok in zip(GATES, passed) if not ok), "emitted")
         rule = None
-        if correct / n >= floor and confidence_value >= config.min_confidence and correct >= 1:
+        if outcome != "emitted":
+            consecutive_failures[target] += 1
+        elif candidate.antecedent:
             rule = candidate
             rules.append(rule)
-            covered_by[uncovered_idx[correct_mask]] = len(rules)
+            covered_by[uncovered_idx[match_mask(rule.antecedent, sub)]] = len(rules)
             consecutive_failures[target] = 0
-        else:
-            consecutive_failures[target] += 1
-        swarm_logs.append(SwarmLog(
-            target, list(swarm.trace), swarm.stop_reason, rule, support_value, confidence_value
-        ))
+        else:  # IF TRUE fires on every row left: its class becomes the default
+            outcome, default = "folded", target
+        swarm_logs.append(SwarmLog(target, list(swarm.trace), swarm.stop_reason, rule,
+                                   support_value, confidence_value, correct, floor, outcome))
 
     residue_y = train.y[covered_by == 0]
-    default = choose_default_class(residue_y, total_counts)
+    if default is None:
+        default = choose_default_class(residue_y, total_counts)
     residue_counts = np.bincount(residue_y, minlength=n_classes)
     report = MiningReport(
         swarm_logs=swarm_logs,

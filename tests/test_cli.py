@@ -472,6 +472,40 @@ class TestTrain:
         artifact = load_model(tmp_path / "zero.json")
         assert artifact.rule_list.rules == ()
 
+    def test_a_lone_if_true_rule_folds_into_the_default(self, tmp_path, capsys):
+        # on these 60 rows the first swarm's best rule is IF TRUE THEN common:
+        # it becomes the default, so the model keeps no rule
+        d = str(tmp_path)
+        assert _silent(["synth", "--rows", "60", "--seed", "4", "--profile", "fragmented",
+                        "--out", f"{d}/tiny"]) == 0
+        (tmp_path / "small.json").write_text(json.dumps(SMALL_CONFIG))
+        code = cli.main(["train", "--data", f"{d}/tiny.csv", "--schema", f"{d}/tiny.schema.json",
+                         "--out", f"{d}/model.json", "--seed", "2",
+                         "--config", f"{d}/small.json"])
+        assert code == cli.EXIT_NO_RULES
+        assert "warning: no rules were emitted" in capsys.readouterr().err
+        mining = json.loads((tmp_path / "model.report.json").read_text())["mining"]
+        assert [log["outcome"] for log in mining["swarm_logs"]] == ["folded"]
+        assert mining["rules"] == [] and mining["failed_attempts"] == {"common": 0, "rare": 0}
+        model = json.loads((tmp_path / "model.json").read_text())
+        assert model["rule_list"] == {"rules": [], "default_class": 0}
+        # the list as mined without the fold: the rule, then a default it hides
+        unfolded = copy.deepcopy(model)
+        unfolded["rule_list"] = {"rules": [{"antecedent": [], "class_index": 0}],
+                                 "default_class": 1}
+        (tmp_path / "unfolded.json").write_text(json.dumps(unfolded))
+        outputs = {}
+        for name in ("model", "unfolded"):
+            assert cli.main(["predict", "--model", f"{d}/{name}.json",
+                             "--input", f"{d}/tiny.csv"]) == cli.EXIT_OK
+            outputs[name] = capsys.readouterr()
+        folded, kept = outputs["model"].out, outputs["unfolded"].out
+        # the same predictions; each row fires the default in place of rule 1
+        assert folded == kept.replace("common,1,IF TRUE THEN group = common\n",
+                                      "common,default,-\n")
+        assert kept.count("common,1,IF TRUE") == 60
+        assert outputs["model"].err == "scored 60 rows, 0 ERROR, 60 default\n"
+
     @pytest.mark.parametrize("test_fraction", ["0", "0.3"])
     def test_single_class_data_is_data_error(self, tmp_path, capsys, test_fraction):
         # one class leaves nothing to separate: a fault of the data (exit 1)
@@ -1225,9 +1259,13 @@ def _paths(node, prefix=()):
 
 @pytest.fixture(scope="module")
 def fuzzdir(tmp_path_factory):
-    """A 60-row dataset, its schema, the full small config and a model."""
+    """A 60-row dataset, its schema, the full small config and a model.
+
+    The model has nominal and numeric conditions for the fuzz to reach: on
+    synth seed 4 the small config mines only IF TRUE, which folds into the
+    default and leaves no rule."""
     d = tmp_path_factory.mktemp("fuzz")
-    assert _silent(["synth", "--rows", "60", "--seed", "4",
+    assert _silent(["synth", "--rows", "60", "--seed", "5",
                     "--profile", "fragmented", "--out", str(d / "tiny")]) == 0
     # every settable key; the seeds come from --seed
     config = MinerConfig.from_dict(SMALL_CONFIG).to_dict()
@@ -1237,6 +1275,9 @@ def fuzzdir(tmp_path_factory):
     assert _silent(["train", "--data", str(d / "tiny.csv"),
                     "--schema", str(d / "tiny.schema.json"), "--out", str(d / "model.json"),
                     "--seed", "2", "--config", str(d / "config.json")]) == 0
+    rules = json.loads((d / "model.json").read_text())["rule_list"]["rules"]
+    assert {cond["kind"] for rule in rules for cond in rule["antecedent"]} == {
+        "membership", "interval"}
     return d
 
 

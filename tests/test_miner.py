@@ -8,15 +8,15 @@ from conftest import brute_force_counts, build_encoded, random_mixed_dataset
 from rulemine.errors import ConfigError, DataError
 from rulemine.lvq import LvqConfig
 from rulemine.miner import (
+    GATES,
     STOP_ALL_COVERED,
-    STOP_ALWAYS_TRUE,
     STOP_NO_VIABLE_CLASS,
     MinerConfig,
     mine,
     min_support,
 )
 from rulemine.pso import PsoConfig
-from rulemine.rules import classify_dataset
+from rulemine.rules import Rule, RuleList, classify_dataset
 from rulemine.schema import Attribute, AttributeSchema, encode
 from rulemine.synth import generate
 
@@ -46,8 +46,8 @@ def _separable(numeric_schema, n=200, seed=7):
 
 
 def _failed_attempts(report) -> Counter:
-    """Launches per class whose candidate was not emitted."""
-    return Counter(log.class_index for log in report.swarm_logs if log.rule is None)
+    """Launches per class whose candidate failed a gate."""
+    return Counter(log.class_index for log in report.swarm_logs if log.outcome in GATES)
 
 
 def _emitted(report) -> list:
@@ -64,17 +64,34 @@ def _rules(report) -> list:
 def _assert_gates(data, config, report) -> None:
     """Every launch's recorded support and confidence pass all of ``mine``'s
     gates (the support floor, ``min_confidence``, a correct match) if the
-    launch emitted its candidate, and fail one of them if it did not."""
+    launch emitted its candidate or folded it into the default, and its
+    outcome names the first gate they fail if it did neither."""
     n, k = len(data), 1
     for log in report.swarm_logs:
         sub = data.subset(report.uncovered_before(k))
         correct = round(log.support * len(sub))
         assert correct / len(sub) == log.support
+        assert correct == log.correct
         uncovered_c = int(np.count_nonzero(sub.y == log.class_index))
         floor = min_support(uncovered_c, n, config.support_factor)
+        assert floor == log.floor
         gates = (correct / n >= floor, log.confidence >= config.min_confidence, correct >= 1)
-        assert all(gates) == (log.rule is not None)
+        failed = next((gate for gate, ok in zip(GATES, gates) if not ok), None)
+        assert log.outcome == failed if failed else log.outcome in ("emitted", "folded")
+        assert (log.rule is not None) == (log.outcome == "emitted")
         k += log.rule is not None
+
+
+def _assert_fold_keeps_classification(rule_list, folded_class, data) -> None:
+    """Folding a final IF TRUE rule of ``folded_class`` into the default
+    predicts every row as the unfolded list, with that rule and any default
+    behind it, does; its rows fire the default in place of that rule."""
+    predicted, fired = classify_dataset(rule_list, data)
+    for other_default in range(len(data.schema.class_labels)):
+        unfolded = RuleList(rule_list.rules + (Rule((), folded_class),), other_default)
+        predicted_u, fired_u = classify_dataset(unfolded, data)
+        assert np.array_equal(predicted, predicted_u)
+        assert np.array_equal(fired, np.where(fired_u > len(rule_list.rules), 0, fired_u))
 
 
 class TestMinSupport:
@@ -168,15 +185,18 @@ def test_no_assert_statements_in_package():
 
 
 class TestSeparable:
-    def test_two_rules_cover_everything(self, numeric_schema):
+    def test_one_rule_and_the_default_cover_everything(self, numeric_schema):
+        # the second launch finds IF TRUE for the rows left, all of class 0:
+        # it becomes the default, and those rows its residue
         data = _separable(numeric_schema)
         rule_list, report = mine(data, MinerConfig(seed=0))
-        assert len(rule_list.rules) == 2
+        assert len(rule_list.rules) == 1
+        assert rule_list.default_class == 0
         pred, _ = classify_dataset(rule_list, data)
         assert np.array_equal(pred, data.y)
         assert report.stop_reason == STOP_ALL_COVERED
-        assert report.uncovered_residue == {0: 0, 1: 0}
-        assert len(report.swarm_logs) == 2
+        assert report.uncovered_residue == {0: int(np.count_nonzero(data.y == 0)), 1: 0}
+        assert [log.outcome for log in report.swarm_logs] == ["emitted", "folded"]
         assert _failed_attempts(report) == {}
 
     def test_majority_class_mined_first(self, numeric_schema):
@@ -262,7 +282,7 @@ class TestRecordInvariants:
         for k, log in enumerate(_emitted(report), start=1):
             sub = data.subset(report.uncovered_before(k))
             matched, correct = brute_force_counts(log.rule, sub)
-            assert np.count_nonzero(report.covered_by == k) == correct
+            assert np.count_nonzero(report.covered_by == k) == matched
             assert log.support == correct / len(sub)
             assert log.confidence == correct / matched
 
@@ -414,26 +434,31 @@ class TestScatteredMinority:
         assert np.all(fired[minority] == 0)
 
 
-class TestAlwaysTrueRule:
-    """A rule with an empty antecedent matches every row, so mining stops
-    after it: no later rule, and not the default, could ever fire."""
+class TestFoldedRule:
+    """A candidate with an empty antecedent would match every row left, so
+    it ends mining as the default class, not as a rule: its rows stay in the
+    residue, and every row predicts as the list ending in IF TRUE would."""
 
-    def test_mining_stops_after_an_always_true_rule(self):
+    def test_a_final_if_true_becomes_the_default(self):
         # `synth --rows 200 --seed 3 --profile fragmented`, `train --seed 1`
         data = encode(generate("fragmented", rows=200, seed=3).to_raw())
         rule_list, report = mine(data, MinerConfig(seed=1))
         labels = data.schema.class_labels
-        assert [(len(r), labels[r.class_index]) for r in rule_list.rules] == [
-            (0, "common")
-        ]
-        assert report.stop_reason == STOP_ALWAYS_TRUE
-        assert labels[rule_list.default_class] == "rare"
-        assert report.uncovered_residue[labels.index("rare")] > 0
+        assert rule_list.rules == ()
+        assert labels[rule_list.default_class] == "common"
+        assert report.stop_reason == STOP_ALL_COVERED
+        assert [log.outcome for log in report.swarm_logs] == ["folded"]
+        assert _failed_attempts(report) == {}
+        assert not report.covered_by.any()
+        assert sum(report.uncovered_residue.values()) == len(data)
+        assert report.to_dict(data.schema)["rules"] == []
+        _assert_fold_keeps_classification(rule_list, rule_list.default_class, data)
 
 
 class TestRandomDatasets:
     def test_identities_hold_across_random_inputs(self):
         rng = np.random.default_rng(99)
+        folds = 0
         for trial in range(8):
             data = random_mixed_dataset(rng)
             cfg = MinerConfig(
@@ -443,7 +468,7 @@ class TestRandomDatasets:
                 pso=PsoConfig(swarm_size=10, max_iterations=25, stagnation_limit=10),
             )
             rule_list, report = mine(data, cfg)
-            assert all(rule.antecedent for rule in rule_list.rules[:-1])
+            assert all(rule.antecedent for rule in rule_list.rules)
             covered = np.count_nonzero(report.covered_by > 0)
             assert covered + sum(report.uncovered_residue.values()) == len(data)
             assert _rules(report) == list(rule_list.rules)
@@ -452,29 +477,43 @@ class TestRandomDatasets:
                 matched, correct = brute_force_counts(log.rule, sub)
                 assert (matched and correct / matched) == log.confidence
                 assert correct / len(sub) == log.support
-            # each row is covered by the first rule that matches it and
-            # predicts its class, or by none
+            # each row is covered by the first rule that matches it, or by
+            # none: the rule first-match scoring fires on it
             for i in range(len(data)):
                 row = data.subset(np.array([i]))
                 first = next((k for k, rule in enumerate(rule_list.rules, start=1)
-                              if brute_force_counts(rule, row)[1]), 0)
+                              if brute_force_counts(rule, row)[0]), 0)
                 assert report.covered_by[i] == first
+            fired = classify_dataset(rule_list, data)[1]
+            assert np.array_equal(report.covered_by, fired)
+            # so every rule kept fires on at least one training row
+            assert set(range(1, len(rule_list.rules) + 1)) <= set(fired.tolist())
+            if report.swarm_logs[-1].outcome == "folded":
+                folds += 1
+                _assert_fold_keeps_classification(
+                    rule_list, report.swarm_logs[-1].class_index, data)
             # the JSON's counters and launch numbers are counts over its swarm logs
             doc = report.to_dict(data.schema)
             logs = doc["swarm_logs"]
             assert doc["total_iterations"] == len(logs) == len(report.swarm_logs)
             assert [log["iteration"] for log in logs] == list(range(1, len(logs) + 1))
-            emitted = [log for log in logs if log["emitted"]]
+            emitted = [log for log in logs if log["outcome"] == "emitted"]
             assert [(r["iteration"], r["class"]) for r in doc["rules"]] == [
                 (log["iteration"], log["class"]) for log in emitted]
             assert doc["failed_attempts"] == {
-                label: sum(log["class"] == label and not log["emitted"] for log in logs)
+                label: sum(log["class"] == label and log["outcome"] in GATES for log in logs)
                 for label in data.schema.class_labels
             }
+            # and each launch's entry says how its candidate did against the gates
+            assert [(log["outcome"], log["support"], log["confidence"], log["correct"],
+                     log["floor"]) for log in logs] == [
+                (log.outcome, log.support, log.confidence, log.correct, log.floor)
+                for log in report.swarm_logs]
+        assert folds > 0
 
     def test_gates_judge_every_launch_of_criterion_7(self, criterion_7_runs):
         failed = 0
         for data, config, _, report in criterion_7_runs:
             _assert_gates(data, config, report)
-            failed += sum(log.rule is None for log in report.swarm_logs)
+            failed += sum(log.outcome in GATES for log in report.swarm_logs)
         assert failed > 0
