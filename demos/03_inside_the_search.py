@@ -40,7 +40,7 @@ swarm = seed_swarm(network, target, 2, data, config)
 print(f"\nswarm of {len(swarm.position)} particles seeded for class {labels[target]!r}")
 print(f"initial best fitness: {swarm.trace[-1]:.4f}")
 
-best_rule = evolve(swarm, data, config)
+best_rule = evolve(swarm, config)  # scores against the rows it was seeded on
 trace = swarm.trace
 print(f"searched {len(trace)} iterations; best fitness {trace[-1]:.4f}")
 

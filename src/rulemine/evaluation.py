@@ -193,9 +193,10 @@ def mine_greedy_baseline(
     support; growth stops at the confidence threshold or when no candidate
     improves. Every rule carries at least one condition (a bare always-true
     rule would swallow the remaining data in one bite and say nothing).
-    Matched and correctly classified examples are removed; mining stops when
-    no grown rule covers at least one example. The rows a rule matches and
-    its support and confidence come from ``match_mask`` and ``rule_quality``.
+    A rule removes every uncovered example it matches, right or wrong, as
+    first-match scoring fires it on all of them; mining stops when no grown
+    rule classifies an example correctly. The rows a rule matches and its
+    support and confidence come from ``match_mask`` and ``rule_quality``.
     """
     if len(train) == 0:
         raise DataError("cannot mine an empty dataset")
@@ -253,11 +254,11 @@ def mine_greedy_baseline(
             # no condition can be formed at all (remaining rows are exact
             # duplicates on every attribute); leave them to the default class
             break
-        correct_mask = match_mask(conditions, sub) & hit
-        if not correct_mask.any():
+        support, _, matched = rule_quality(conditions, target, sub)
+        if not support:
             break
         rules.append(Rule(tuple(conditions), target))
-        uncovered[uncovered_idx[correct_mask]] = False
+        uncovered[uncovered_idx[matched]] = False
 
     default = choose_default_class(train.y[uncovered], total_counts)
     return RuleList(rules=tuple(rules), default_class=default)

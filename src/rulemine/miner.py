@@ -2,17 +2,17 @@
 
 One swarm run produces one candidate rule for the class with the most
 uncovered examples. A candidate is emitted only if it clears the support
-floor in force for its class, meets the confidence threshold, and classifies
-at least one example correctly; an emitted rule removes every uncovered
-example it matches, as first-match scoring fires it on all of them. The floor
-is ``support_factor * uncovered_c / total_train`` and the candidate's support
-is measured against the same full-training denominator, so emission demands a
-correct count of at least ``support_factor`` times the class's remaining
-examples: the floor shrinks as mining progresses, but never so fast that
-single-digit fragments qualify while a class is still broadly uncovered.
-Classes retire after too many failed attempts in a row. A candidate with an
-empty antecedent would match every remaining row, so it ends mining as the
-default class instead of as a rule.
+floor in force for its class and meets the confidence threshold; an emitted
+rule removes every uncovered example it matches, as first-match scoring fires
+it on all of them. The floor is ``support_factor * uncovered_c /
+total_train`` and the candidate's support is measured against the same
+full-training denominator, so emission demands a correct count of at least
+``support_factor`` times the class's remaining examples, so of one at least:
+the floor shrinks as mining progresses, but never so fast that single-digit
+fragments qualify while a class is still broadly uncovered. Classes retire
+after too many failed attempts in a row. A candidate with an empty
+antecedent would match every remaining row, so it ends mining as the default
+class instead of as a rule.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .lvq import LvqConfig, LvqNetwork, fit_network
 from .pso import PsoConfig, evolve, seed_swarm
-from .rules import Rule, RuleList, choose_default_class, match_mask, rule_quality, rule_to_dict
+from .rules import Rule, RuleList, choose_default_class, rule_quality, rule_to_dict
 from .schema import AttributeSchema, EncodedDataset, json_object
 
 STOP_ALL_COVERED = "all_covered"
 STOP_NO_VIABLE_CLASS = "no_viable_class"
 # the gates a candidate must pass to be emitted, in the order they are judged
-GATES = ("floor", "min_confidence", "no_correct_row")
+GATES = ("floor", "min_confidence")
 
 
 @dataclass(frozen=True)
@@ -245,17 +245,17 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
         sub = train.subset(uncovered_idx)
         swarm_config = replace(config.pso, seed=draw_seed())
         swarm = seed_swarm(network, target, config.min_represented, sub, swarm_config)
-        candidate = evolve(swarm, sub, swarm_config)
+        candidate = evolve(swarm, swarm_config)
 
-        support_value, confidence_value, correct_mask = rule_quality(
+        support_value, confidence_value, matched = rule_quality(
             candidate.antecedent, target, sub
         )
-        correct = int(np.count_nonzero(correct_mask))
+        correct = int(np.count_nonzero(sub.y[matched] == target))
         # the floor and the gate share the full-training-size denominator, so
         # the gate reduces to: correct count >= support_factor * uncovered_c.
         # The logged support, on the uncovered rows, is never below correct / n.
         floor = min_support(int(uncovered_counts[target]), n, config.support_factor)
-        passed = (correct / n >= floor, confidence_value >= config.min_confidence, correct >= 1)
+        passed = (correct / n >= floor, confidence_value >= config.min_confidence)
         outcome = next((gate for gate, ok in zip(GATES, passed) if not ok), "emitted")
         rule = None
         if outcome != "emitted":
@@ -263,7 +263,7 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
         elif candidate.antecedent:
             rule = candidate
             rules.append(rule)
-            covered_by[uncovered_idx[match_mask(rule.antecedent, sub)]] = len(rules)
+            covered_by[uncovered_idx[matched]] = len(rules)
             consecutive_failures[target] = 0
         else:  # IF TRUE fires on every row left: its class becomes the default
             outcome, default = "folded", target

@@ -78,9 +78,7 @@ class Swarm:
     gbest: int
     class_index: int
     rng: np.random.Generator
-    # pack_rows of the dataset the swarm was seeded on: step scores against
-    # it, so step and evolve must be given that same dataset
-    rows: PackedRows
+    rows: PackedRows  # pack_rows of the dataset the swarm was seeded on
     trace: list[float] = field(default_factory=list)  # gbest after seeding, then each step
     stop_reason: str = ""  # set by evolve: "stagnation" or "max_iterations"
 
@@ -131,11 +129,7 @@ def decode_state(
 
 
 def fitness(
-    position: np.ndarray,
-    genes: np.ndarray,
-    class_index: int,
-    data: EncodedDataset,
-    rows: PackedRows,
+    position: np.ndarray, genes: np.ndarray, class_index: int, rows: PackedRows
 ) -> np.ndarray:
     """Fitness of every particle: (S, d) bits and (S, a, 2) genes -> (S,).
 
@@ -143,23 +137,22 @@ def fitness(
     decode_state: a nominal attribute places a condition when some but not
     all of its bits are set (none set admits every value), a numeric one when
     its column bit is set. Equal, bit for bit, to the same weighted sum over
-    ``rule_quality`` of each particle's decoded rule. ``rows`` is
-    ``pack_rows(data)``, as the swarm holds it.
+    ``rule_quality`` of each particle's decoded rule on the packed rows.
     """
-    if len(data) == 0:
+    if rows.n_rows == 0:
         raise DataError("support and confidence are undefined on an empty dataset")
     allowed = position >= 0.5
     lengths = np.zeros(len(position), dtype=np.int64)
-    for cols in rows.blocks:
+    for cols in rows.layout.blocks:
         block = allowed[:, cols.start : cols.stop]
         chosen = np.count_nonzero(block, axis=1)
         lengths += (chosen > 0) & (chosen < len(cols))
         block[chosen == 0] = True
-    lengths += np.count_nonzero(allowed[:, rows.numeric_columns], axis=1)
+    lengths += np.count_nonzero(allowed[:, rows.layout.numeric_columns], axis=1)
     matched, correct = count_matches(rows, allowed, genes, class_index)
-    support = correct / len(data)
+    support = correct / rows.n_rows
     confidence = np.divide(correct, matched, out=np.zeros(len(allowed)), where=matched > 0)
-    shortness = 1.0 - lengths / len(data.schema.attributes)
+    shortness = 1.0 - lengths / len(rows.layout.schema.attributes)
     return (
         WEIGHT_CONFIDENCE * confidence
         + WEIGHT_SUPPORT * support
@@ -260,17 +253,18 @@ def seed_swarm(
         rng=rng,
         rows=pack_rows(data),
     )
-    _update_bests(swarm, fitness(position, genes, class_index, data, swarm.rows))
+    _update_bests(swarm, fitness(position, genes, class_index, swarm.rows))
     return swarm
 
 
-def step(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> None:
+def step(swarm: Swarm, data=None, config=None) -> None:
     """Advance the swarm one iteration (synchronous update).
 
-    All particles move against the current global best, then fitness,
-    personal bests, and the global best are updated. Best updates require
-    strict improvement. Particle s takes its random numbers from row s of one
-    block, in the order r1, r2, bit draw, g1, g2. ``config`` is not read.
+    All particles move against the current global best, then fitness against
+    ``swarm.rows``, personal bests, and the global best are updated. Best
+    updates require strict improvement. Particle s takes its random numbers
+    from row s of one block, in the order r1, r2, bit draw, g1, g2. ``data``
+    and ``config`` are not read: they remain for callers that still pass them.
     """
     S, d = swarm.position.shape
     g = swarm.genes[0].size
@@ -301,11 +295,11 @@ def step(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> None:
     # clamp to the unit interval, then swap-repair lo > hi
     swarm.genes = np.sort(np.clip(swarm.genes + swarm.gene_veloc, 0.0, 1.0), axis=2)
 
-    fit = fitness(swarm.position, swarm.genes, swarm.class_index, data, swarm.rows)
+    fit = fitness(swarm.position, swarm.genes, swarm.class_index, swarm.rows)
     _update_bests(swarm, fit)
 
 
-def evolve(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> Rule:
+def evolve(swarm: Swarm, config: PsoConfig) -> Rule:
     """Run the swarm until max_iterations or stagnation, return the best rule.
 
     Stagnation means the global best has not improved for
@@ -316,11 +310,11 @@ def evolve(swarm: Swarm, data: EncodedDataset, config: PsoConfig) -> Rule:
     stale = 0
     while len(swarm.trace) <= config.max_iterations and stale < config.stagnation_limit:
         before = swarm.trace[-1]
-        step(swarm, data, config)
+        step(swarm)
         stale = 0 if swarm.trace[-1] > before else stale + 1
     stopped = len(swarm.trace) > config.max_iterations
     swarm.stop_reason = "max_iterations" if stopped else "stagnation"
     g = swarm.gbest
     return decode_state(
-        swarm.best_position[g], swarm.best_genes[g], data.layout, swarm.class_index
+        swarm.best_position[g], swarm.best_genes[g], swarm.rows.layout, swarm.class_index
     )

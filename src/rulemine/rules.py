@@ -18,6 +18,7 @@ from .errors import DataError
 from .schema import (
     NOMINAL,
     AttributeSchema,
+    ColumnLayout,
     EncodedDataset,
     json_object,
     json_value,
@@ -129,20 +130,19 @@ class PackedRows:
     NaN to whole words, so that a comparison never sets a padding bit.
     """
 
+    layout: ColumnLayout
+    n_rows: int
     every: np.ndarray  # (W,) all rows
-    blocks: tuple[range, ...]  # each nominal attribute's encoded columns
     unions: tuple[tuple[np.ndarray, ...], ...]  # per attribute, per group: (2**k, W)
-    numeric_columns: np.ndarray  # (a,) encoded column of each numeric attribute
-    numeric: np.ndarray  # (a, 64 W) their values
+    numeric: np.ndarray  # (a, 64 W) the numeric attributes' values
     classes: np.ndarray  # (classes, W) the rows of each class
 
 
 def pack_rows(data: EncodedDataset) -> PackedRows:
     layout = data.layout
     n = len(data)
-    blocks = tuple(layout.nominal_columns(a.name) for a in layout.schema.nominal_attributes)
     unions = []
-    for cols, codes in zip(blocks, data.value_index.T):
+    for cols, codes in zip(layout.blocks, data.value_index.T):
         values = _pack(np.arange(cols.start, cols.stop)[:, None] == codes)
         groups = []
         for start in range(0, len(cols), 8):
@@ -155,10 +155,10 @@ def pack_rows(data: EncodedDataset) -> PackedRows:
     numeric = np.full((layout.numeric_columns.size, 64 * words), np.nan)
     numeric[:, :n] = data.X[:, layout.numeric_columns].T
     return PackedRows(
+        layout=layout,
+        n_rows=n,
         every=_pack(np.ones((1, n), dtype=bool))[0],
-        blocks=blocks,
         unions=tuple(unions),
-        numeric_columns=layout.numeric_columns,
         numeric=numeric,
         classes=_pack(np.arange(len(layout.schema.class_labels))[:, None] == data.y),
     )
@@ -190,17 +190,17 @@ def count_matches(
     ``allowed`` (S, d) flags the encoded nominal columns whose values each
     antecedent admits, a whole attribute block being True where it places no
     condition, and each numeric column it restricts. ``bounds`` (S, a, 2)
-    holds the (lo, hi) of each numeric attribute in ``layout.numeric_names``
-    order, read only where its column is flagged.
+    holds the (lo, hi) of each numeric attribute in
+    ``rows.layout.numeric_names`` order, read only where its column is flagged.
     """
     mask = np.tile(rows.every, (len(allowed), 1))
-    for cols, tables in zip(rows.blocks, rows.unions):
+    for cols, tables in zip(rows.layout.blocks, rows.unions):
         index = np.packbits(allowed[:, cols.start : cols.stop], axis=1, bitorder="little")
         hit = tables[0][index[:, 0]]
         for table, group in zip(tables[1:], index.T[1:]):
             hit |= table[group]
         mask &= hit
-    for i, col in enumerate(rows.numeric_columns):
+    for i, col in enumerate(rows.layout.numeric_columns):
         on = np.flatnonzero(allowed[:, col])
         if on.size:
             lo, hi = bounds[on, i, 0, None], bounds[on, i, 1, None]
@@ -230,19 +230,18 @@ def match_mask(conditions: Sequence[Condition], data: EncodedDataset) -> np.ndar
 def rule_quality(
     conditions: Sequence[Condition], class_index: int, data: EncodedDataset
 ) -> tuple[float, float, np.ndarray]:
-    """Support and confidence of a rule on ``data``, plus its correct-match mask.
+    """Support and confidence of a rule on ``data``, plus its match mask.
 
     Support is the fraction of all rows the rule matches and whose class is
     ``class_index``; confidence is that count over the rows matched, 0.0 when
-    nothing matches. The mask flags the matched rows of ``class_index``.
+    nothing matches. The mask flags every matched row, whatever its class.
     """
     if len(data) == 0:
         raise DataError("support and confidence are undefined on an empty dataset")
     mask = match_mask(conditions, data)
     matched = int(np.count_nonzero(mask))
-    correct_mask = mask & (data.y == class_index)
-    correct = int(np.count_nonzero(correct_mask))
-    return correct / len(data), (correct / matched if matched else 0.0), correct_mask
+    correct = int(np.count_nonzero(data.y[mask] == class_index))
+    return correct / len(data), (correct / matched if matched else 0.0), mask
 
 
 def classify_dataset(

@@ -252,25 +252,27 @@ class ColumnLayout:
     """Mapping between schema attributes and encoded column indices."""
 
     def __init__(self, schema: AttributeSchema) -> None:
-        self._nominal_start: dict[str, int] = {}
+        self._nominal_cols: dict[str, range] = {}
         self._numeric_col: dict[str, int] = {}
         self.dimension = 0
         for a in schema.attributes:
             if a.kind == NOMINAL:
-                self._nominal_start[a.name] = self.dimension
-                self.dimension += len(a.values)
+                end = self.dimension + len(a.values)
+                self._nominal_cols[a.name] = range(self.dimension, end)
+                self.dimension = end
             else:
                 self._numeric_col[a.name] = self.dimension
                 self.dimension += 1
         self.schema = schema
+        # each nominal attribute's encoded columns, in schema order
+        self.blocks = tuple(self._nominal_cols.values())
         self.numeric_names = tuple(a.name for a in schema.numeric_attributes)
         self.numeric_columns = np.array(
             [self._numeric_col[name] for name in self.numeric_names], dtype=np.intp
         )
 
     def nominal_columns(self, name: str) -> range:
-        start = self._nominal_start[name]
-        return range(start, start + len(self.schema.attribute(name).values))
+        return self._nominal_cols[name]
 
     def numeric_column(self, name: str) -> int:
         return self._numeric_col[name]
@@ -583,9 +585,9 @@ def encode(
     ranges = {} if ranges_from is None else dict(ranges_from)
     table = np.asarray(raw.rows, dtype=np.float64)
     nominal = [j for j, a in enumerate(schema.attributes) if a.kind == NOMINAL]
-    starts = [layout.nominal_columns(a.name).start for a in schema.nominal_attributes]
+    starts = np.array([cols.start for cols in layout.blocks], dtype=np.int32)
     # int32: half the memory of intp, and gathers through it are no slower
-    value_index = table[:, nominal].astype(np.int32) + np.array(starts, dtype=np.int32)
+    value_index = table[:, nominal].astype(np.int32) + starts
     X = np.zeros((n, layout.dimension), dtype=np.float64)
     X[np.arange(n)[:, None], value_index] = 1.0
     for j, a in enumerate(schema.attributes):

@@ -25,7 +25,7 @@ GOLDEN = {
         "model.json": "25a162f9e8c30e94f2ae3b744c5c1ef79e2e0cf9373e5faf10ab6749d60da22c",
         "model.report.json": "53266d70bfbf17ee0d6771fb0f57d88008f92ce8726c618cd7694a0d3c6d915f",
         "scored.csv": "b84960090f276dad07e508e9ae7001f8c5d4f12761dbb3237dc3566184d70a0f",
-        "eval.json": "7a5e1e55ceb8f650b3322c521a28cba6784b6b3df6793c01490b0d2cec67b7f5",
+        "eval.json": "4df1cfad7c3a842175b01ea0311a79af112c2b002591a07f3112146dc4bae4de",
     },
     "fragmented": {
         "data.csv": "76ff151eeec3651a3611c261aa4029b38189f2c958dab80f87c3e2e5db06a7c9",
@@ -33,7 +33,7 @@ GOLDEN = {
         "model.json": "e7bb88f7e804e1928512f7d0f99ffab3877ab73c9ccb86a4f05260cefe92d73c",
         "model.report.json": "5decb19523f6455513e78efa855d9bbedca1f9619ceb695d4da1e0616eadde16",
         "scored.csv": "9b8be0e19c3684c6558fc8ad41a7db577aa20ebaf76c89d79d103055238de8d7",
-        "eval.json": "3765b8e347e8fda8611995a8f87fd8fb172ea2ee6d2db75a0e8641e38cdfe966",
+        "eval.json": "25290612181aca325476641750f67ac463ac0133d76c09dd2bcc1b5416bd7dd5",
     },
 }
 

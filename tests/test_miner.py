@@ -63,9 +63,10 @@ def _rules(report) -> list:
 
 def _assert_gates(data, config, report) -> None:
     """Every launch's recorded support and confidence pass all of ``mine``'s
-    gates (the support floor, ``min_confidence``, a correct match) if the
-    launch emitted its candidate or folded it into the default, and its
-    outcome names the first gate they fail if it did neither."""
+    gates (the support floor and ``min_confidence``) if the launch emitted
+    its candidate or folded it into the default, and its outcome names the
+    first gate they fail if it did neither. The floor is positive, so a
+    candidate that passes classifies one row correctly at least."""
     n, k = len(data), 1
     for log in report.swarm_logs:
         sub = data.subset(report.uncovered_before(k))
@@ -75,9 +76,10 @@ def _assert_gates(data, config, report) -> None:
         uncovered_c = int(np.count_nonzero(sub.y == log.class_index))
         floor = min_support(uncovered_c, n, config.support_factor)
         assert floor == log.floor
-        gates = (correct / n >= floor, log.confidence >= config.min_confidence, correct >= 1)
+        gates = (correct / n >= floor, log.confidence >= config.min_confidence)
         failed = next((gate for gate, ok in zip(GATES, gates) if not ok), None)
         assert log.outcome == failed if failed else log.outcome in ("emitted", "folded")
+        assert floor > 0 and (failed or correct >= 1)
         assert (log.rule is not None) == (log.outcome == "emitted")
         k += log.rule is not None
 

@@ -217,7 +217,7 @@ class TestFitness:
         rng = np.random.default_rng(6)
         position = (rng.random((9, 5)) < 0.5).astype(float)
         genes = np.sort(rng.random((9, 2, 2)), axis=2)
-        got = fitness(position, genes, 1, data, pack_rows(data))
+        got = fitness(position, genes, 1, pack_rows(data))
         assert got.shape == (9,)
         for s in range(9):
             rule = decode_state(position[s], genes[s], data.layout, 1)
@@ -261,7 +261,7 @@ class TestBatchFitnessOracle:
 
     @staticmethod
     def _check(position, genes, class_index, data):
-        got = fitness(position, genes, class_index, data, pack_rows(data))
+        got = fitness(position, genes, class_index, pack_rows(data))
         expected = np.array([
             fitness_from_rule(decode_state(p, g, data.layout, class_index), data)
             for p, g in zip(position, genes)
@@ -322,7 +322,7 @@ class TestBatchFitnessOracle:
     def test_empty_dataset_rejected(self, numeric_schema):
         data = build_encoded(numeric_schema, np.zeros((0, 2)), [])
         with pytest.raises(DataError):
-            fitness(np.ones((2, 2)), np.zeros((2, 2, 2)), 0, data, pack_rows(data))
+            fitness(np.ones((2, 2)), np.zeros((2, 2, 2)), 0, pack_rows(data))
 
 
 NINE = Attribute("nine", "nominal", tuple(f"n{i}" for i in range(9)))
@@ -378,7 +378,7 @@ class TestPackedKernel:
             expected = [brute_force_counts(Rule(r.antecedent, class_index), data)
                         for r in rules]
             assert list(zip(matched.tolist(), correct.tolist())) == expected
-            got = fitness(position, genes, class_index, data, rows)
+            got = fitness(position, genes, class_index, rows)
             want = np.array([fitness_from_rule(Rule(r.antecedent, class_index), data)
                              for r in rules])
             assert got.tobytes() == want.tobytes()
@@ -531,7 +531,7 @@ class TestSeeding:
         assert set(np.unique(swarm.position)) <= {0.0, 1.0}
         assert np.array_equal(
             swarm.best_fitness,
-            fitness(swarm.position, swarm.genes, 0, data, pack_rows(data)),
+            fitness(swarm.position, swarm.genes, 0, pack_rows(data)),
         )
         assert swarm.gbest == np.argmax(swarm.best_fitness)
         assert swarm.trace == [swarm.best_fitness.max()]
@@ -554,7 +554,7 @@ class TestStep:
         swarm = self._swarm(data, cfg)
         for _ in range(30):
             before = swarm.trace[-1]
-            step(swarm, data, cfg)
+            step(swarm)
             assert swarm.trace[-1] >= before
             # the global best is particle gbest's personal best, and the top one
             assert swarm.trace[-1] == swarm.best_fitness[swarm.gbest] == swarm.best_fitness.max()
@@ -566,7 +566,7 @@ class TestStep:
         cfg = PsoConfig(swarm_size=8, seed=9)
         swarm = self._swarm(data, cfg)
         for _ in range(20):
-            step(swarm, data, cfg)
+            step(swarm)
         lb1, ub1 = pso.VELOC1_BOUNDS
         lb2, ub2 = pso.VELOC2_BOUNDS
         assert np.all(swarm.veloc1 >= lb1) and np.all(swarm.veloc1 <= ub1)
@@ -586,7 +586,7 @@ class TestStep:
         swarm.gbest = 0
         v2_before = swarm.veloc2.copy()
         genes_before = swarm.genes.copy()
-        step(swarm, data, cfg)
+        step(swarm)
         assert np.all(swarm.veloc1 == 0.0)
         assert np.array_equal(swarm.veloc2, v2_before)
         assert np.array_equal(swarm.genes, genes_before)
@@ -597,8 +597,8 @@ class TestStep:
         a = self._swarm(data, cfg)
         b = self._swarm(data, cfg)
         for _ in range(10):
-            step(a, data, cfg)
-            step(b, data, cfg)
+            step(a)
+            step(b)
         assert a.trace == b.trace
         assert a.gbest == b.gbest
         assert np.array_equal(a.best_position, b.best_position)
@@ -611,7 +611,7 @@ class TestEvolve:
         cfg = PsoConfig(swarm_size=10, max_iterations=40, stagnation_limit=10, seed=1)
         net = fit_network(data, LvqConfig(centroid_count=4, seed=0))
         swarm = seed_swarm(net, 1, 1, data, cfg)
-        rule = evolve(swarm, data, cfg)
+        rule = evolve(swarm, cfg)
         validate_rule(rule, credit_schema)
         assert rule.class_index == 1
         # the reported best is the fitness of the rule actually returned
@@ -622,7 +622,7 @@ class TestEvolve:
         cfg = PsoConfig(swarm_size=6, max_iterations=500, stagnation_limit=5, seed=2)
         net = fit_network(data, LvqConfig(centroid_count=4, seed=0))
         swarm = seed_swarm(net, 0, 1, data, cfg)
-        evolve(swarm, data, cfg)
+        evolve(swarm, cfg)
         assert len(swarm.trace) - 1 < 500
         assert swarm.stop_reason == "stagnation"
 
@@ -631,6 +631,37 @@ class TestEvolve:
         cfg = PsoConfig(swarm_size=4, max_iterations=7, stagnation_limit=100, seed=3)
         net = fit_network(data, LvqConfig(centroid_count=4, seed=0))
         swarm = seed_swarm(net, 0, 1, data, cfg)
-        evolve(swarm, data, cfg)
+        evolve(swarm, cfg)
         assert len(swarm.trace) - 1 <= 7
         assert swarm.stop_reason == "max_iterations"
+
+
+class TestSubsetSwarm:
+    """A swarm seeded on a subset, as ``mine`` seeds one on the uncovered
+    rows, scores against that subset's packed rows and nothing else."""
+
+    def test_fitness_and_rule_come_from_the_subset(self, credit_schema):
+        data = _credit_data(credit_schema, n=90, seed=12)
+        sub = data.subset(np.flatnonzero(np.arange(90) % 3 != 0))
+        cfg = PsoConfig(swarm_size=8, max_iterations=20, stagnation_limit=6, seed=4)
+        net = fit_network(data, LvqConfig(centroid_count=4, seed=0))
+        swarm = seed_swarm(net, 1, 1, sub, cfg)
+        assert swarm.rows.n_rows == len(sub)
+        for _ in range(3):
+            got = fitness(swarm.position, swarm.genes, 1, pack_rows(sub))
+            expected = np.array([
+                fitness_from_rule(decode_state(p, g, sub.layout, 1), sub)
+                for p, g in zip(swarm.position, swarm.genes)
+            ])
+            assert got.tobytes() == expected.tobytes()
+            assert got.tobytes() == fitness(
+                swarm.position, swarm.genes, 1, swarm.rows).tobytes()
+            # the full dataset scores the same particles differently
+            assert got.tobytes() != fitness(
+                swarm.position, swarm.genes, 1, pack_rows(data)).tobytes()
+            step(swarm)
+        rule = evolve(swarm, cfg)
+        g = swarm.gbest
+        assert rule == decode_state(
+            swarm.best_position[g], swarm.best_genes[g], swarm.rows.layout, 1)
+        assert fitness_from_rule(rule, sub) == swarm.trace[-1]

@@ -143,9 +143,10 @@ class TestSupportConfidence:
     def test_confidence_three_of_four(self, tiny, married_rule):
         assert confidence(married_rule, tiny) == pytest.approx(0.75)
 
-    def test_correct_mask_flags_matched_rows_of_the_class(self, tiny, married_rule):
-        _, _, correct_mask = rule_quality(married_rule.antecedent, 1, tiny)
-        assert np.flatnonzero(correct_mask).tolist() == [0, 1, 2]
+    def test_mask_flags_every_matched_row(self, tiny, married_rule):
+        # rows 0-3 match whatever their class; row 3 is not of class 1
+        _, _, mask = rule_quality(married_rule.antecedent, 1, tiny)
+        assert np.flatnonzero(mask).tolist() == [0, 1, 2, 3]
 
     def test_empty_antecedent_is_class_frequency(self, tiny):
         rule = Rule(antecedent=(), class_index=1)
@@ -351,7 +352,7 @@ def test_brute_force_oracle_agreement(payload):
     X, y, rule = payload
     data = build_encoded(_schema(), X, y)
     matched, correct = brute_force_counts(rule, data)
-    assert np.count_nonzero(rule_quality(rule.antecedent, rule.class_index, data)[2]) == correct
+    assert np.count_nonzero(rule_quality(rule.antecedent, rule.class_index, data)[2]) == matched
     assert support(rule, data) == correct / len(data)
     assert confidence(rule, data) == (correct / matched if matched else 0.0)
     if matched:

@@ -217,7 +217,7 @@ def test_array_swarm_matches_per_particle_reference(kind, swarm_size, seeding, p
 
     swarm = seed_swarm(network, target, min_represented, data, config)
     ref = ref_seed_swarm(network, target, min_represented, data, config)
-    rule = evolve(swarm, data, config)
+    rule = evolve(swarm, config)
     ref_rule = ref_evolve(ref, data, config)
 
     assert swarm.trace == ref.trace
