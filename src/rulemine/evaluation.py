@@ -23,7 +23,7 @@ from .rules import (
     match_mask,
     rule_quality,
 )
-from .schema import EncodedDataset
+from .schema import NOMINAL, EncodedDataset
 
 POSITIVE_CLASS = 1
 
@@ -183,9 +183,7 @@ def _best_numeric_condition(
     return best
 
 
-def mine_greedy_baseline(
-    train: EncodedDataset, min_confidence: float = 0.6
-) -> RuleList:
+def mine_greedy_baseline(train: EncodedDataset, min_confidence: float) -> RuleList:
     """Separate-and-conquer baseline with single-value nominal conditions.
 
     Repeatedly grows one rule for the class with the most uncovered examples
@@ -233,7 +231,7 @@ def mine_greedy_baseline(
             for attr in schema.attributes:
                 if attr.name in used:
                     continue
-                if attr.kind == "nominal":
+                if attr.kind == NOMINAL:
                     cols = layout.nominal_columns(attr.name)
                     for col, value in zip(cols, attr.values):
                         conf = good[col] / seen[col] if seen[col] else 0.0

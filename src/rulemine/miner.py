@@ -1,18 +1,16 @@
 """Iterative rule learning over a fitted centroid network.
 
 One swarm run produces one candidate rule for the class with the most
-uncovered examples. A candidate is emitted only if it clears the support
-floor in force for its class and meets the confidence threshold; an emitted
-rule removes every uncovered example it matches, as first-match scoring fires
-it on all of them. The floor is ``support_factor * uncovered_c /
-total_train`` and the candidate's support is measured against the same
-full-training denominator, so emission demands a correct count of at least
-``support_factor`` times the class's remaining examples, so of one at least:
-the floor shrinks as mining progresses, but never so fast that single-digit
-fragments qualify while a class is still broadly uncovered. Classes retire
-after too many failed attempts in a row. A candidate with an empty
-antecedent would match every remaining row, so it ends mining as the default
-class instead of as a rule.
+uncovered examples. A candidate is emitted only if the rows it classifies
+correctly reach the floor in force for its class and it meets the confidence
+threshold; an emitted rule removes every uncovered example it matches, as
+first-match scoring fires it on all of them. The floor is a row count,
+``support_factor * uncovered_c``, so a candidate needs one correct row at
+least: the floor shrinks as mining progresses, but never so fast that
+single-digit fragments qualify while a class is still broadly uncovered.
+Classes retire after too many failed attempts in a row. A candidate with an
+empty antecedent would match every remaining row, so it ends mining as the
+default class instead of as a rule.
 """
 
 from __future__ import annotations
@@ -78,23 +76,16 @@ def _config_from_dict(cls: type, doc, what: str):
     return cls(**kwargs)
 
 
-def min_support(uncovered_count: int, total_train: int, support_factor: float) -> float:
-    """Support floor for a class with ``uncovered_count`` examples left."""
-    if total_train <= 0:
-        raise DataError("total_train must be positive")
-    return support_factor * uncovered_count / total_train
-
-
 @dataclass
 class SwarmLog:
     class_index: int
     trace: list[float]
     stop_reason: str  # "stagnation" or "max_iterations"
-    rule: Rule | None  # the rule emitted, else None
+    candidate: Rule  # the swarm's best rule, emitted or not
     support: float  # the candidate's rule_quality on the rows it was mined on
     confidence: float
     correct: int  # the rows it matches and classifies correctly
-    floor: float  # the support floor it faced
+    floor: float  # the correct rows it needed: support_factor * uncovered_c
     outcome: str  # "emitted", "folded" into the default, or the first gate failed
 
 
@@ -118,7 +109,7 @@ class MiningReport:
     def to_dict(self, schema: AttributeSchema) -> dict:
         labels = schema.class_labels
         launches = list(enumerate(self.swarm_logs, start=1))
-        emitted = [(i, log) for i, log in launches if log.rule is not None]
+        emitted = [(i, log) for i, log in launches if log.outcome == "emitted"]
         failed_attempts = dict.fromkeys(range(len(labels)), 0)
         for log in self.swarm_logs:
             failed_attempts[log.class_index] += log.outcome in GATES
@@ -128,7 +119,7 @@ class MiningReport:
             "total_iterations": len(self.swarm_logs),
             "rules": [
                 {
-                    "rule": rule_to_dict(log.rule, schema),
+                    "rule": rule_to_dict(log.candidate, schema),
                     "class": labels[log.class_index],
                     "support": log.support,
                     "confidence": log.confidence,
@@ -147,6 +138,7 @@ class MiningReport:
                     "iteration": i,
                     "class": labels[log.class_index],
                     "outcome": log.outcome,
+                    "candidate": rule_to_dict(log.candidate, schema),
                     "support": log.support,
                     "confidence": log.confidence,
                     "correct": log.correct,
@@ -251,23 +243,18 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
             candidate.antecedent, target, sub
         )
         correct = int(np.count_nonzero(sub.y[matched] == target))
-        # the floor and the gate share the full-training-size denominator, so
-        # the gate reduces to: correct count >= support_factor * uncovered_c.
-        # The logged support, on the uncovered rows, is never below correct / n.
-        floor = min_support(int(uncovered_counts[target]), n, config.support_factor)
-        passed = (correct / n >= floor, confidence_value >= config.min_confidence)
+        floor = config.support_factor * int(uncovered_counts[target])
+        passed = (correct >= floor, confidence_value >= config.min_confidence)
         outcome = next((gate for gate, ok in zip(GATES, passed) if not ok), "emitted")
-        rule = None
         if outcome != "emitted":
             consecutive_failures[target] += 1
         elif candidate.antecedent:
-            rule = candidate
-            rules.append(rule)
+            rules.append(candidate)
             covered_by[uncovered_idx[matched]] = len(rules)
             consecutive_failures[target] = 0
         else:  # IF TRUE fires on every row left: its class becomes the default
             outcome, default = "folded", target
-        swarm_logs.append(SwarmLog(target, list(swarm.trace), swarm.stop_reason, rule,
+        swarm_logs.append(SwarmLog(target, list(swarm.trace), swarm.stop_reason, candidate,
                                    support_value, confidence_value, correct, floor, outcome))
 
     residue_y = train.y[covered_by == 0]

@@ -29,7 +29,7 @@ from .rules import (
     count_matches,
     pack_rows,
 )
-from .schema import ColumnLayout, EncodedDataset
+from .schema import NOMINAL, ColumnLayout, EncodedDataset
 
 _PERTURB_VELOC_SCALE = 0.1  # fraction of the veloc2 span, for perturbed copies
 _PERTURB_GENE_SCALE = 0.05
@@ -115,7 +115,7 @@ def decode_state(
     schema = layout.schema
     numeric_index = {name: i for i, name in enumerate(layout.numeric_names)}
     for attr in schema.attributes:
-        if attr.kind == "nominal":
+        if attr.kind == NOMINAL:
             cols = layout.nominal_columns(attr.name)
             bits = position[cols.start : cols.stop]
             chosen = [v for v, b in zip(attr.values, bits) if b >= 0.5]

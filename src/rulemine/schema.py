@@ -288,7 +288,6 @@ class EncodedDataset:
     the attribute's block that is 1 in ``X``.
     """
 
-    schema: AttributeSchema
     X: np.ndarray
     y: np.ndarray
     layout: ColumnLayout
@@ -297,6 +296,10 @@ class EncodedDataset:
 
     def __len__(self) -> int:
         return int(self.X.shape[0])
+
+    @property
+    def schema(self) -> AttributeSchema:
+        return self.layout.schema
 
     @property
     def dimension(self) -> int:
@@ -308,7 +311,6 @@ class EncodedDataset:
     def subset(self, indices: np.ndarray) -> "EncodedDataset":
         """View the same encoding restricted to the given example indices."""
         return EncodedDataset(
-            schema=self.schema,
             X=self.X[indices],
             y=self.y[indices],
             layout=self.layout,
@@ -599,7 +601,6 @@ def encode(
             X[:, layout.numeric_column(a.name)] = scale_numeric(values, lo, hi)
     y = np.array(raw.classes, dtype=np.int64)
     return EncodedDataset(
-        schema=schema,
         X=X,
         y=y,
         layout=layout,

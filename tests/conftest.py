@@ -31,7 +31,6 @@ def build_encoded(schema: AttributeSchema, X, y) -> EncodedDataset:
         [X[:, b.start : b.stop].argmax(axis=1) + b.start for b in blocks], dtype=np.int32
     ).reshape(len(blocks), X.shape[0]).T
     return EncodedDataset(
-        schema=schema,
         X=X,
         y=np.asarray(y, dtype=np.int64),
         layout=layout,

@@ -189,11 +189,11 @@ def test_criterion_7_coverage_accounting(capsys, criterion_7_runs):
         ok = ok and covered + sum(report.uncovered_residue.values()) == len(data)
         # mining covers a row with the rule first-match scoring fires on it
         ok = ok and np.array_equal(report.covered_by, classify_dataset(rule_list, data)[1])
-        emitted = [log for log in report.swarm_logs if log.rule is not None]
-        ok = ok and [log.rule for log in emitted] == list(rule_list.rules)
+        emitted = [log for log in report.swarm_logs if log.outcome == "emitted"]
+        ok = ok and [log.candidate for log in emitted] == list(rule_list.rules)
         for k, log in enumerate(emitted, start=1):
             sub = data.subset(report.uncovered_before(k))
-            matched, correct = brute_force_counts(log.rule, sub)
+            matched, correct = brute_force_counts(log.candidate, sub)
             ok = ok and (matched and correct / matched) == log.confidence
             ok = ok and correct / len(sub) == log.support
             rules_checked += 1

@@ -210,12 +210,12 @@ class TestGreedyBaseline:
 
     def test_deterministic(self):
         data = encode(generate("fragmented", 300, 5).to_raw())
-        assert mine_greedy_baseline(data) == mine_greedy_baseline(data)
+        assert mine_greedy_baseline(data, 0.6) == mine_greedy_baseline(data, 0.6)
 
     def test_empty_dataset_rejected(self, numeric_schema):
         data = build_encoded(numeric_schema, np.zeros((0, 2)), [])
         with pytest.raises(DataError):
-            mine_greedy_baseline(data)
+            mine_greedy_baseline(data, 0.6)
 
     def test_every_rule_covers_an_uncovered_row(self):
         # the baseline's counterpart of acceptance criterion 7

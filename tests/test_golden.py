@@ -23,7 +23,7 @@ GOLDEN = {
         "data.csv": "e6d9f774dec73b9280057d042074a7b2aae7c9c6bf73e0119e693298103c9a16",
         "train.stdout": "dfb544f0b163be8719adb5206c7a2849e8a702f139a9e13eb53d9f16668ee1ab",
         "model.json": "25a162f9e8c30e94f2ae3b744c5c1ef79e2e0cf9373e5faf10ab6749d60da22c",
-        "model.report.json": "53266d70bfbf17ee0d6771fb0f57d88008f92ce8726c618cd7694a0d3c6d915f",
+        "model.report.json": "e660459bedbe18faf9552c7f143fda5304b19558ce588d1794c51989e9879717",
         "scored.csv": "b84960090f276dad07e508e9ae7001f8c5d4f12761dbb3237dc3566184d70a0f",
         "eval.json": "4df1cfad7c3a842175b01ea0311a79af112c2b002591a07f3112146dc4bae4de",
     },
@@ -31,7 +31,7 @@ GOLDEN = {
         "data.csv": "76ff151eeec3651a3611c261aa4029b38189f2c958dab80f87c3e2e5db06a7c9",
         "train.stdout": "b9eacb51c2f1bc0522bff14a00287ef5e4580ce484e3d35dcd520f5b591ceb89",
         "model.json": "e7bb88f7e804e1928512f7d0f99ffab3877ab73c9ccb86a4f05260cefe92d73c",
-        "model.report.json": "5decb19523f6455513e78efa855d9bbedca1f9619ceb695d4da1e0616eadde16",
+        "model.report.json": "4df9b024277991675dcee1cd650905790b8c2f57660219eb77dbb4de14e64fd5",
         "scored.csv": "9b8be0e19c3684c6558fc8ad41a7db577aa20ebaf76c89d79d103055238de8d7",
         "eval.json": "25290612181aca325476641750f67ac463ac0133d76c09dd2bcc1b5416bd7dd5",
     },

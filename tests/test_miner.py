@@ -13,10 +13,9 @@ from rulemine.miner import (
     STOP_NO_VIABLE_CLASS,
     MinerConfig,
     mine,
-    min_support,
 )
 from rulemine.pso import PsoConfig
-from rulemine.rules import Rule, RuleList, classify_dataset
+from rulemine.rules import Rule, RuleList, classify_dataset, rule_to_dict
 from rulemine.schema import Attribute, AttributeSchema, encode
 from rulemine.synth import generate
 
@@ -52,36 +51,36 @@ def _failed_attempts(report) -> Counter:
 
 def _emitted(report) -> list:
     """The logs of the launches that emitted a rule, in emission order: rule k
-    is ``_emitted(report)[k - 1].rule``."""
-    return [log for log in report.swarm_logs if log.rule is not None]
+    is ``_emitted(report)[k - 1].candidate``."""
+    return [log for log in report.swarm_logs if log.outcome == "emitted"]
 
 
 def _rules(report) -> list:
     """The emitted rules, in emission order."""
-    return [log.rule for log in _emitted(report)]
+    return [log.candidate for log in _emitted(report)]
 
 
 def _assert_gates(data, config, report) -> None:
-    """Every launch's recorded support and confidence pass all of ``mine``'s
-    gates (the support floor and ``min_confidence``) if the launch emitted
-    its candidate or folded it into the default, and its outcome names the
-    first gate they fail if it did neither. The floor is positive, so a
-    candidate that passes classifies one row correctly at least."""
-    n, k = len(data), 1
+    """Every launch's recorded correct count and confidence pass all of
+    ``mine``'s gates (the floor of correct rows and ``min_confidence``) if
+    the launch emitted its candidate or folded it into the default, and its
+    outcome names the first gate they fail if it did neither. The floor is
+    positive, so a candidate that passes classifies one row correctly at
+    least."""
+    k = 1
     for log in report.swarm_logs:
         sub = data.subset(report.uncovered_before(k))
         correct = round(log.support * len(sub))
         assert correct / len(sub) == log.support
         assert correct == log.correct
         uncovered_c = int(np.count_nonzero(sub.y == log.class_index))
-        floor = min_support(uncovered_c, n, config.support_factor)
+        floor = config.support_factor * uncovered_c
         assert floor == log.floor
-        gates = (correct / n >= floor, log.confidence >= config.min_confidence)
+        gates = (correct >= floor, log.confidence >= config.min_confidence)
         failed = next((gate for gate, ok in zip(GATES, gates) if not ok), None)
         assert log.outcome == failed if failed else log.outcome in ("emitted", "folded")
         assert floor > 0 and (failed or correct >= 1)
-        assert (log.rule is not None) == (log.outcome == "emitted")
-        k += log.rule is not None
+        k += log.outcome == "emitted"
 
 
 def _assert_fold_keeps_classification(rule_list, folded_class, data) -> None:
@@ -96,19 +95,41 @@ def _assert_fold_keeps_classification(rule_list, folded_class, data) -> None:
         assert np.array_equal(fired, np.where(fired_u > len(rule_list.rules), 0, fired_u))
 
 
-class TestMinSupport:
-    def test_proportional_floor(self):
-        assert min_support(100, 1000, 0.1) == pytest.approx(0.01, abs=1e-12)
+def _assert_outcomes_recompute(report_doc, min_confidence) -> None:
+    """Each launch's outcome follows from its own ``swarm_logs`` entry: the
+    floor gate if its correct rows fall short of its floor, then the
+    confidence gate, else it folds an empty candidate into the default or
+    emits the candidate."""
+    for log in report_doc["swarm_logs"]:
+        if log["correct"] < log["floor"]:
+            outcome = "floor"
+        elif log["confidence"] < min_confidence:
+            outcome = "min_confidence"
+        else:
+            outcome = "emitted" if log["candidate"]["antecedent"] else "folded"
+        assert log["outcome"] == outcome, log["iteration"]
 
-    def test_nothing_uncovered_means_zero_floor(self):
-        assert min_support(0, 500, 0.3) == 0.0
 
-    def test_full_factor_full_class(self):
-        assert min_support(500, 500, 1.0) == 1.0
+class TestFloorInRows:
+    """The floor is a count of correct rows: for the class a launch targets,
+    positive and at most that class's uncovered rows."""
 
-    def test_empty_training_set_rejected(self):
-        with pytest.raises(DataError):
-            min_support(10, 0, 0.1)
+    @staticmethod
+    def _assert_floors(data, report) -> None:
+        k = 1
+        for log in report.swarm_logs:
+            sub_y = data.y[report.uncovered_before(k)]
+            uncovered_c = int(np.count_nonzero(sub_y == log.class_index))
+            assert 0 < log.floor <= uncovered_c
+            k += log.outcome == "emitted"
+
+    def test_mined(self, mined):
+        data, _, report = mined
+        self._assert_floors(data, report)
+
+    def test_criterion_7_runs(self, criterion_7_runs):
+        for data, _, _, report in criterion_7_runs:
+            self._assert_floors(data, report)
 
 
 class TestConfig:
@@ -245,14 +266,13 @@ class TestRecordInvariants:
 
     def test_records_meet_published_thresholds(self, mined):
         data, _, report = mined
-        n = len(report.covered_by)
         for k, log in enumerate(_emitted(report), start=1):
             assert log.confidence >= SMALL.min_confidence
             unc_c = int(
                 np.count_nonzero(data.y[report.uncovered_before(k)] == log.class_index)
             )
-            floor = min_support(unc_c, n, SMALL.support_factor)
-            assert log.support >= floor - 1e-12
+            assert log.floor == SMALL.support_factor * unc_c
+            assert log.correct >= log.floor
             assert np.count_nonzero(report.covered_by == k) >= 1
 
     def test_snapshots_shrink(self, mined):
@@ -274,7 +294,7 @@ class TestRecordInvariants:
             unc_c = int(
                 np.count_nonzero(data.y[report.uncovered_before(k)] == rule.class_index)
             )
-            floor = min_support(unc_c, len(report.covered_by), SMALL.support_factor)
+            floor = SMALL.support_factor * unc_c
             if rule.class_index in last:
                 assert floor <= last[rule.class_index] + 1e-12
             last[rule.class_index] = floor
@@ -283,7 +303,7 @@ class TestRecordInvariants:
         data, _, report = mined
         for k, log in enumerate(_emitted(report), start=1):
             sub = data.subset(report.uncovered_before(k))
-            matched, correct = brute_force_counts(log.rule, sub)
+            matched, correct = brute_force_counts(log.candidate, sub)
             assert np.count_nonzero(report.covered_by == k) == matched
             assert log.support == correct / len(sub)
             assert log.confidence == correct / matched
@@ -295,8 +315,7 @@ class TestRecordInvariants:
     def test_swarm_logs_align_with_iterations(self, mined):
         _, _, report = mined
         for log in report.swarm_logs:
-            if log.rule is not None:
-                assert log.rule.class_index == log.class_index
+            assert log.candidate.class_index == log.class_index
 
     def test_swarm_logs_say_why_each_swarm_stopped(self, mined):
         data, _, report = mined
@@ -427,6 +446,15 @@ class TestScatteredMinority:
         assert _failed_attempts(report)[1] == 2
         assert report.uncovered_residue == {0: 100, 1: 20}
 
+    def test_the_floor_counts_correct_rows(self, scattered_minority):
+        # 20 minority rows under support_factor 0.9: a candidate needs 18 of
+        # them correct, and a pure fragment falls short of that
+        _, _, report = scattered_minority
+        minority = [log for log in report.swarm_logs if log.class_index == 1]
+        assert {log.floor for log in minority} == {0.9 * 20}
+        assert any(log.outcome == "floor" and log.confidence == 1.0
+                   and 0 < log.correct < log.floor for log in minority)
+
     def test_minority_rows_fall_to_default(self, scattered_minority):
         data, rule_list, _ = scattered_minority
         assert rule_list.default_class == 0
@@ -476,7 +504,7 @@ class TestRandomDatasets:
             assert _rules(report) == list(rule_list.rules)
             for k, log in enumerate(_emitted(report), start=1):
                 sub = data.subset(report.uncovered_before(k))
-                matched, correct = brute_force_counts(log.rule, sub)
+                matched, correct = brute_force_counts(log.candidate, sub)
                 assert (matched and correct / matched) == log.confidence
                 assert correct / len(sub) == log.support
             # each row is covered by the first rule that matches it, or by
@@ -507,9 +535,10 @@ class TestRandomDatasets:
                 for label in data.schema.class_labels
             }
             # and each launch's entry says how its candidate did against the gates
-            assert [(log["outcome"], log["support"], log["confidence"], log["correct"],
-                     log["floor"]) for log in logs] == [
-                (log.outcome, log.support, log.confidence, log.correct, log.floor)
+            assert [(log["outcome"], log["candidate"], log["support"], log["confidence"],
+                     log["correct"], log["floor"]) for log in logs] == [
+                (log.outcome, rule_to_dict(log.candidate, data.schema), log.support,
+                 log.confidence, log.correct, log.floor)
                 for log in report.swarm_logs]
         assert folds > 0
 
@@ -519,3 +548,11 @@ class TestRandomDatasets:
             _assert_gates(data, config, report)
             failed += sum(log.outcome in GATES for log in report.swarm_logs)
         assert failed > 0
+
+    def test_outcomes_recompute_from_the_report_of_criterion_7(self, criterion_7_runs):
+        outcomes = Counter()
+        for data, config, _, report in criterion_7_runs:
+            doc = json.loads(json.dumps(report.to_dict(data.schema)))
+            _assert_outcomes_recompute(doc, config.min_confidence)
+            outcomes.update(log["outcome"] for log in doc["swarm_logs"])
+        assert set(outcomes) == {"emitted", "folded", *GATES}

@@ -415,6 +415,12 @@ class TestEncode:
         assert (enc.X[np.arange(len(enc))[:, None], enc.value_index] == 1.0).all()
         assert enc.subset(np.array([1])).value_index.tolist() == [[start]]
 
+    def test_schema_is_read_from_the_layout(self, credit_schema):
+        # one copy of the schema: the encoding's, which a subset shares
+        enc = encode(parse_csv(io.StringIO(CSV_OK), credit_schema))
+        assert enc.schema is enc.layout.schema == credit_schema
+        assert enc.subset(np.array([1])).schema is enc.layout.schema
+
     def test_value_index_without_nominal_attributes(self, numeric_schema):
         raw = parse_csv(io.StringIO("x,y,cls\n0.1,0.2,neg\n0.3,0.4,pos\n"), numeric_schema)
         assert encode(raw).value_index.shape == (2, 0)
