@@ -109,7 +109,7 @@ class MiningReport:
     def to_dict(self, schema: AttributeSchema) -> dict:
         labels = schema.class_labels
         launches = list(enumerate(self.swarm_logs, start=1))
-        emitted = [(i, log) for i, log in launches if log.outcome == "emitted"]
+        emitted = [i for i, log in launches if log.outcome == "emitted"]
         failed_attempts = dict.fromkeys(range(len(labels)), 0)
         for log in self.swarm_logs:
             failed_attempts[log.class_index] += log.outcome in GATES
@@ -117,17 +117,14 @@ class MiningReport:
             "stop_reason": self.stop_reason,
             "train_size": len(self.covered_by),
             "total_iterations": len(self.swarm_logs),
+            # rule k is the candidate of swarm_logs[iteration - 1]
             "rules": [
                 {
-                    "rule": rule_to_dict(log.candidate, schema),
-                    "class": labels[log.class_index],
-                    "support": log.support,
-                    "confidence": log.confidence,
-                    "covered_count": int(np.count_nonzero(self.covered_by == k)),
                     "iteration": i,
+                    "covered_count": int(np.count_nonzero(self.covered_by == k)),
                     "uncovered_before": len(self.uncovered_before(k)),
                 }
-                for k, (i, log) in enumerate(emitted, start=1)
+                for k, i in enumerate(emitted, start=1)
             ],
             "failed_attempts": {labels[c]: n for c, n in failed_attempts.items()},
             "uncovered_residue": {
@@ -193,7 +190,8 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
     if n == 0:
         raise DataError("cannot mine an empty dataset")
     n_classes = len(train.schema.class_labels)
-    if np.unique(train.y).size < 2:
+    total_counts = np.bincount(train.y, minlength=n_classes)
+    if np.count_nonzero(total_counts) < 2:
         raise DataError("mining needs at least 2 classes present in the data")
 
     master = np.random.default_rng(config.seed)
@@ -204,7 +202,6 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
     network = fit_network(train, replace(config.lvq, seed=draw_seed()))
 
     covered_by = np.zeros(n, dtype=np.int64)
-    total_counts = np.bincount(train.y, minlength=n_classes)
     consecutive_failures = {c: 0 for c in range(n_classes)}
     rules: list[Rule] = []
     swarm_logs: list[SwarmLog] = []

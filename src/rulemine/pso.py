@@ -1,12 +1,12 @@
 """Binary particle swarm that searches for one rule antecedent.
 
 Each particle encodes a candidate antecedent: one participation bit per
-encoded column plus a (lo, hi) interval gene pair per numeric attribute. Two
-velocity layers drive the bits. veloc1 is the conventional
-inertia/cognitive/social velocity over the bit vector; veloc2 accumulates
-veloc1 and is squashed through a sigmoid to give each bit its probability of
-being 1 on the next draw. Interval genes move by standard continuous updates
-and are clamped to [0, 1] with lo <= hi repaired by swapping.
+encoded column plus a (lo, hi) interval gene pair per numeric attribute. The
+bits and the genes move by one law: the inertia/cognitive/social velocity
+update, clamped to VELOC1_BOUNDS. The bits take it as veloc1; veloc2
+accumulates veloc1 and is squashed through a sigmoid to give each bit its
+probability of being 1 on the next draw. The genes add their velocity to their
+position, which is clamped to [0, 1] with lo <= hi repaired by swapping.
 
 Fitness of a decoded rule is a weighted sum of confidence, support, and a
 shortness term, so the swarm prefers pure rules, then broad ones, then short
@@ -84,13 +84,10 @@ class Swarm:
 
 
 def sigmoid(values: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-v), as e^v / (1 + e^v) for v < 0 so that e never overflows."""
     v = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def binarize(veloc2: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -223,7 +220,7 @@ def seed_swarm(
     center = centers[:, numeric_cols]
     spread = 1.5 * deviations[:, numeric_cols]
     genes = np.clip(np.stack([center - spread, center + spread], axis=2), 0.0, 1.0)
-    veloc1, gene_veloc, position = np.empty((S, d)), np.empty((S, a, 2)), np.empty((S, d))
+    veloc1, gene_veloc, bit_draw = np.empty((S, d)), np.empty((S, a, 2)), np.empty((S, d))
     for s in range(S):
         if s >= seeds.size:  # perturbed copy of a seed
             veloc2[s] = np.clip(
@@ -237,7 +234,8 @@ def seed_swarm(
             )
         veloc1[s] = rng.uniform(lb1, ub1, d)
         gene_veloc[s] = rng.uniform(lb1, ub1, (a, 2))
-        position[s] = binarize(veloc2[s], rng.random(d))
+        bit_draw[s] = rng.random(d)
+    position = binarize(veloc2, bit_draw)
 
     swarm = Swarm(
         position=position,
@@ -257,6 +255,18 @@ def seed_swarm(
     return swarm
 
 
+def _velocity(veloc: np.ndarray, state: np.ndarray, best: np.ndarray, gbest: int,
+              r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """One velocity layer's inertia-weight update, toward each particle's
+    personal ``best`` and particle ``gbest``'s, clamped to VELOC1_BOUNDS."""
+    return np.clip(
+        INERTIA * veloc
+        + COGNITIVE * r1 * (best - state)
+        + SOCIAL * r2 * (best[gbest] - state),
+        *VELOC1_BOUNDS,
+    )
+
+
 def step(swarm: Swarm, data=None, config=None) -> None:
     """Advance the swarm one iteration (synchronous update).
 
@@ -272,26 +282,12 @@ def step(swarm: Swarm, data=None, config=None) -> None:
     r1, r2, bit_draw = draws[:, :d], draws[:, d : 2 * d], draws[:, 2 * d : 3 * d]
     g1 = draws[:, 3 * d : 3 * d + g].reshape(swarm.genes.shape)
     g2 = draws[:, 3 * d + g :].reshape(swarm.genes.shape)
-    lb1, ub1 = VELOC1_BOUNDS
-    lb2, ub2 = VELOC2_BOUNDS
-    w, c1, c2 = INERTIA, COGNITIVE, SOCIAL
+    gbest = swarm.gbest
 
-    swarm.veloc1 = np.clip(
-        w * swarm.veloc1
-        + c1 * r1 * (swarm.best_position - swarm.position)
-        + c2 * r2 * (swarm.best_position[swarm.gbest] - swarm.position),
-        lb1,
-        ub1,
-    )
-    swarm.veloc2 = np.clip(swarm.veloc2 + swarm.veloc1, lb2, ub2)
+    swarm.veloc1 = _velocity(swarm.veloc1, swarm.position, swarm.best_position, gbest, r1, r2)
+    swarm.veloc2 = np.clip(swarm.veloc2 + swarm.veloc1, *VELOC2_BOUNDS)
     swarm.position = binarize(swarm.veloc2, bit_draw)
-    swarm.gene_veloc = np.clip(
-        w * swarm.gene_veloc
-        + c1 * g1 * (swarm.best_genes - swarm.genes)
-        + c2 * g2 * (swarm.best_genes[swarm.gbest] - swarm.genes),
-        lb1,
-        ub1,
-    )
+    swarm.gene_veloc = _velocity(swarm.gene_veloc, swarm.genes, swarm.best_genes, gbest, g1, g2)
     # clamp to the unit interval, then swap-repair lo > hi
     swarm.genes = np.sort(np.clip(swarm.genes + swarm.gene_veloc, 0.0, 1.0), axis=2)
 

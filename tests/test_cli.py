@@ -672,7 +672,8 @@ class TestPredict:
         # in the train report carry them, with the emission order, on each
         # rule; they load whatever the values, which are not read
         doc = json.loads((workdir / "fmodel.json").read_text())
-        mined = json.loads((workdir / "fmodel.report.json").read_text())["mining"]["rules"]
+        mining = json.loads((workdir / "fmodel.report.json").read_text())["mining"]
+        mined = [mining["swarm_logs"][r["iteration"] - 1] for r in mining["rules"]]
         assert len(mined) == len(doc["rule_list"]["rules"]) >= 1
         true_values = [{"emission_order": k, "support": r["support"],
                         "confidence": r["confidence"]} for k, r in enumerate(mined, 1)]

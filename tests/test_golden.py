@@ -23,7 +23,7 @@ GOLDEN = {
         "data.csv": "e6d9f774dec73b9280057d042074a7b2aae7c9c6bf73e0119e693298103c9a16",
         "train.stdout": "dfb544f0b163be8719adb5206c7a2849e8a702f139a9e13eb53d9f16668ee1ab",
         "model.json": "25a162f9e8c30e94f2ae3b744c5c1ef79e2e0cf9373e5faf10ab6749d60da22c",
-        "model.report.json": "e660459bedbe18faf9552c7f143fda5304b19558ce588d1794c51989e9879717",
+        "model.report.json": "b7cce6eff9bbc584b5fc8155e174e712bfafd6d1f7e1bb7652d5d52d4eb7522a",
         "scored.csv": "b84960090f276dad07e508e9ae7001f8c5d4f12761dbb3237dc3566184d70a0f",
         "eval.json": "4df1cfad7c3a842175b01ea0311a79af112c2b002591a07f3112146dc4bae4de",
     },

@@ -339,7 +339,7 @@ class TestRecordInvariants:
         assert total == len(report.covered_by)
 
     def test_report_serializes_to_json(self, mined):
-        data, _, report = mined
+        data, rule_list, report = mined
         doc = report.to_dict(data.schema)
         text = json.dumps(doc)
         parsed = json.loads(text)
@@ -348,7 +348,14 @@ class TestRecordInvariants:
         assert [(log["stop_reason"], log["fitness_evals"]) for log in parsed["swarm_logs"]] == [
             (log.stop_reason, SMALL.pso.swarm_size * len(log.trace)) for log in report.swarm_logs
         ]
-        assert {r["class"] for r in parsed["rules"]} <= {"neg", "pos"}
+        # each rule entry names its launch, whose log holds the rule itself
+        assert len(parsed["rules"]) == len(rule_list.rules) >= 1
+        assert all(r.keys() == {"iteration", "covered_count", "uncovered_before"}
+                   for r in parsed["rules"])
+        launches = [parsed["swarm_logs"][r["iteration"] - 1] for r in parsed["rules"]]
+        assert all(log["outcome"] == "emitted" for log in launches)
+        assert [log["candidate"] for log in launches] == [
+            rule_to_dict(rule, data.schema) for rule in rule_list.rules]
         # the JSON keeps the size of each rule's uncovered set, not its rows,
         # and how many of them the rule covered
         ks = range(1, len(parsed["rules"]) + 1)
@@ -528,8 +535,8 @@ class TestRandomDatasets:
             assert doc["total_iterations"] == len(logs) == len(report.swarm_logs)
             assert [log["iteration"] for log in logs] == list(range(1, len(logs) + 1))
             emitted = [log for log in logs if log["outcome"] == "emitted"]
-            assert [(r["iteration"], r["class"]) for r in doc["rules"]] == [
-                (log["iteration"], log["class"]) for log in emitted]
+            assert [r["iteration"] for r in doc["rules"]] == [
+                log["iteration"] for log in emitted]
             assert doc["failed_attempts"] == {
                 label: sum(log["class"] == label and log["outcome"] in GATES for log in logs)
                 for label in data.schema.class_labels

@@ -85,6 +85,20 @@ class TestSigmoid:
         out = sigmoid(v)
         assert np.all(np.diff(out) > 0)
 
+    def test_equals_the_two_branch_formula_bit_for_bit(self):
+        # 1 / (1 + e^-v) for v >= 0 and e^v / (1 + e^v) below, each branch
+        # on its own rows: the swarm's bits, and so every model, depend on
+        # these exact values
+        edges = [0.0, 5e-324, 1e-17, 4.0, 745.0, 1000.0]
+        v = np.concatenate([edges, np.negative(edges),
+                            np.random.default_rng(0).uniform(-4, 4, 10_000)])
+        expected = np.empty_like(v)
+        pos = v >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+        ev = np.exp(v[~pos])
+        expected[~pos] = ev / (1.0 + ev)
+        assert np.array_equal(sigmoid(v).view(np.uint64), expected.view(np.uint64))
+
 
 class TestBinarize:
     def test_bit_frequency_tracks_sigmoid(self):
