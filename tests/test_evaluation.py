@@ -234,12 +234,26 @@ class TestGreedyBaseline:
             data = random_mixed_dataset(rng)
             _replay_baseline(mine_greedy_baseline(data, min_confidence=0.8), data)
 
-    def test_rule_counts_on_criterion_2_protocol(self):
-        # fragmented, 2,000 rows, a 0.3 split, min_confidence 0.9: candidate
-        # order and tie-breaks decide these counts
-        counts = []
+    @pytest.mark.parametrize(
+        "profile,n,min_confidence,rule_counts,condition_counts",
+        [
+            # criterion 2: pure nominal pockets
+            ("fragmented", 2000, 0.9, [71, 59, 94, 160, 104], [117, 98, 139, 214, 149]),
+            # criterion 3: numeric splits compete with nominal values
+            ("credit3", 5000, 0.85, [103, 84, 130, 88, 87], [113, 92, 149, 95, 89]),
+        ],
+    )
+    def test_rule_counts_on_criterion_2_protocol(
+        self, profile, n, min_confidence, rule_counts, condition_counts
+    ):
+        # seeds 1-5 and a 0.3 split: candidate order and tie-breaks decide
+        # these counts
+        rules, conditions = [], []
         for seed in (1, 2, 3, 4, 5):
-            data = encode(generate("fragmented", 2000, seed).to_raw())
+            data = encode(generate(profile, n, seed).to_raw())
             train, _ = stratified_split(data, 0.3, seed)
-            counts.append(len(mine_greedy_baseline(train, min_confidence=0.9).rules))
-        assert counts == [71, 59, 94, 160, 104]
+            baseline = mine_greedy_baseline(train, min_confidence)
+            rules.append(len(baseline.rules))
+            conditions.append(sum(len(r.antecedent) for r in baseline.rules))
+        assert rules == rule_counts
+        assert conditions == condition_counts
