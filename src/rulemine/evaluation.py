@@ -21,7 +21,6 @@ from .rules import (
     choose_default_class,
     classify_dataset,
     match_mask,
-    rule_quality,
 )
 from .schema import NOMINAL, EncodedDataset
 
@@ -149,19 +148,19 @@ def evaluate(rule_list: RuleList, test: EncodedDataset) -> EvalReport:
 
 
 def _best_numeric_condition(
-    sub: EncodedDataset, matched: np.ndarray, target: int, attribute: str
+    data: EncodedDataset, matched: np.ndarray, target: int, attribute: str
 ):
-    """Best ((confidence, support), condition) numeric split of the matched rows.
+    """Best ((confidence, correct rows), condition) numeric split of the matched rows.
 
     Split points are midpoints between consecutive distinct values of the
     matched rows; both directions (<= mid, then >= mid) compete. None when
     the matched rows share one value.
     """
     rows = np.flatnonzero(matched)
-    values = sub.X[rows, sub.layout.numeric_column(attribute)]
+    values = data.X[rows, data.layout.numeric_column(attribute)]
     order = np.argsort(values, kind="stable")
     values = values[order]
-    cum_correct = np.cumsum(sub.y[rows][order] == target)
+    cum_correct = np.cumsum(data.y[rows][order] == target)
     distinct_end = np.flatnonzero(values[:-1] < values[1:])
     if distinct_end.size == 0:
         return None
@@ -175,7 +174,7 @@ def _best_numeric_condition(
         conf = good / count
         tied = np.flatnonzero(conf == conf.max())
         pick = tied[np.argmax(good[tied])]
-        key = (float(conf[pick]), float(good[pick] / len(sub)))
+        key = (float(conf[pick]), int(good[pick]))
         if best is None or key > best[0]:
             mid = float(mids[pick])
             lo, hi = (0.0, mid) if le else (mid, 1.0)
@@ -188,13 +187,13 @@ def mine_greedy_baseline(train: EncodedDataset, min_confidence: float) -> RuleLi
 
     Repeatedly grows one rule for the class with the most uncovered examples
     by adding, each step, the condition that maximizes confidence then
-    support; growth stops at the confidence threshold or when no candidate
-    improves. Every rule carries at least one condition (a bare always-true
-    rule would swallow the remaining data in one bite and say nothing).
-    A rule removes every uncovered example it matches, right or wrong, as
-    first-match scoring fires it on all of them; mining stops when no grown
-    rule classifies an example correctly. The rows a rule matches and its
-    support and confidence come from ``match_mask`` and ``rule_quality``.
+    correct rows; growth stops at the confidence threshold or when no
+    candidate improves. Every rule carries at least one condition (a bare
+    always-true rule would swallow the remaining data in one bite and say
+    nothing). A rule removes every uncovered example it matches, right or
+    wrong, as first-match scoring fires it on all of them; mining stops when
+    no grown rule classifies an example correctly. A rule's matched rows are
+    the uncovered rows narrowed by ``match_mask`` once per added condition.
     """
     if len(train) == 0:
         raise DataError("cannot mine an empty dataset")
@@ -206,28 +205,22 @@ def mine_greedy_baseline(train: EncodedDataset, min_confidence: float) -> RuleLi
     rules: list[Rule] = []
 
     while uncovered.any():
-        uncovered_idx = np.flatnonzero(uncovered)
-        sub = train.subset(uncovered_idx)
-        counts = np.bincount(sub.y, minlength=n_classes)
-        target = min(
-            (c for c in range(n_classes) if counts[c] > 0),
-            key=lambda c: (-int(counts[c]), c),
-        )
-        hit = sub.y == target
+        # the first maximum is the lowest class index
+        target = int(np.argmax(np.bincount(train.y[uncovered])))
+        hit = train.y == target
+        matched = uncovered.copy()
         conditions: list = []
-        cur_supp, cur_conf, _ = rule_quality(conditions, target, sub)
+        # the first condition is unconditional; later ones must improve
+        key = (-1.0, -1)
 
-        while not conditions or cur_conf < min_confidence:
-            matched = match_mask(conditions, sub)
+        while not conditions or key[0] < min_confidence:
             # rows matched per encoded nominal column, and those of the target
             seen, good = (
                 np.bincount(codes.ravel(), minlength=layout.dimension).tolist()
-                for codes in (sub.value_index[matched], sub.value_index[matched & hit])
+                for codes in (train.value_index[matched], train.value_index[matched & hit])
             )
             used = {c.attribute for c in conditions}
-            # the first condition is unconditional; later ones must improve
-            best_key = (cur_conf, cur_supp) if conditions else (-1.0, -1.0)
-            best_cond = None
+            best = None
             for attr in schema.attributes:
                 if attr.name in used:
                     continue
@@ -235,28 +228,25 @@ def mine_greedy_baseline(train: EncodedDataset, min_confidence: float) -> RuleLi
                     cols = layout.nominal_columns(attr.name)
                     for col, value in zip(cols, attr.values):
                         conf = good[col] / seen[col] if seen[col] else 0.0
-                        key = (conf, good[col] / len(sub))
-                        if key > best_key:
-                            best_key = key
-                            best_cond = NominalMembership(attr.name, frozenset({value}))
+                        if (conf, good[col]) > key:
+                            key = (conf, good[col])
+                            best = NominalMembership(attr.name, frozenset({value}))
                 else:
-                    found = _best_numeric_condition(sub, matched, target, attr.name)
-                    if found is not None and found[0] > best_key:
-                        best_key, best_cond = found
-            if best_cond is None:
+                    found = _best_numeric_condition(train, matched, target, attr.name)
+                    if found is not None and found[0] > key:
+                        key, best = found
+            if best is None:
                 break
-            conditions.append(best_cond)
-            cur_conf, cur_supp = best_key
+            conditions.append(best)
+            matched &= match_mask([best], train)
 
-        if not conditions:
-            # no condition can be formed at all (remaining rows are exact
-            # duplicates on every attribute); leave them to the default class
-            break
-        support, _, matched = rule_quality(conditions, target, sub)
-        if not support:
+        # no condition can be formed at all (remaining rows are exact
+        # duplicates on every attribute), or the rule classifies no row
+        # correctly; leave the rest to the default class
+        if not conditions or key[1] == 0:
             break
         rules.append(Rule(tuple(conditions), target))
-        uncovered[uncovered_idx[matched]] = False
+        uncovered &= ~matched
 
     default = choose_default_class(train.y[uncovered], total_counts)
     return RuleList(rules=tuple(rules), default_class=default)
