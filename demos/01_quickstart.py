@@ -1,8 +1,9 @@
 """Smallest possible end-to-end run.
 
 Generates a two-column dataset whose classes are split by a single
-threshold, mines a rule list for it, and prints what came out. Expect two
-rules and a perfect score — the point is to show the shape of the API.
+threshold, mines a rule list for it, and prints what came out. Expect one
+rule plus the default class and a perfect score — the point is to show the
+shape of the API.
 """
 
 from rulemine import MinerConfig, encode, evaluate, generate, mine, render_rule_list

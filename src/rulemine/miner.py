@@ -34,7 +34,7 @@ GATES = ("floor", "min_confidence")
 @dataclass(frozen=True)
 class MinerConfig:
     support_factor: float = 0.1
-    min_confidence: float = 0.6
+    min_confidence: float = 0.85
     max_attempts_per_class: int = 5
     min_represented: int = 2
     lvq: LvqConfig = field(default_factory=LvqConfig)

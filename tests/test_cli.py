@@ -473,12 +473,13 @@ class TestTrain:
         assert artifact.rule_list.rules == ()
 
     def test_a_lone_if_true_rule_folds_into_the_default(self, tmp_path, capsys):
-        # on these 60 rows the first swarm's best rule is IF TRUE THEN common:
-        # it becomes the default, so the model keeps no rule
+        # on these 60 rows the first swarm's best rule is IF TRUE THEN common,
+        # which passes min_confidence 0.6: it becomes the default, so the
+        # model keeps no rule
         d = str(tmp_path)
         assert _silent(["synth", "--rows", "60", "--seed", "4", "--profile", "fragmented",
                         "--out", f"{d}/tiny"]) == 0
-        (tmp_path / "small.json").write_text(json.dumps(SMALL_CONFIG))
+        (tmp_path / "small.json").write_text(json.dumps({**SMALL_CONFIG, "min_confidence": 0.6}))
         code = cli.main(["train", "--data", f"{d}/tiny.csv", "--schema", f"{d}/tiny.schema.json",
                          "--out", f"{d}/model.json", "--seed", "2",
                          "--config", f"{d}/small.json"])

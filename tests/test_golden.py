@@ -21,33 +21,28 @@ from rulemine import cli
 GOLDEN = {
     "credit3": {
         "data.csv": "e6d9f774dec73b9280057d042074a7b2aae7c9c6bf73e0119e693298103c9a16",
-        "train.stdout": "dfb544f0b163be8719adb5206c7a2849e8a702f139a9e13eb53d9f16668ee1ab",
-        "model.json": "25a162f9e8c30e94f2ae3b744c5c1ef79e2e0cf9373e5faf10ab6749d60da22c",
-        "model.report.json": "b7cce6eff9bbc584b5fc8155e174e712bfafd6d1f7e1bb7652d5d52d4eb7522a",
-        "scored.csv": "b84960090f276dad07e508e9ae7001f8c5d4f12761dbb3237dc3566184d70a0f",
-        "eval.json": "4df1cfad7c3a842175b01ea0311a79af112c2b002591a07f3112146dc4bae4de",
+        "train.stdout": "aa6b192ce18db1e3dbd1e30115d235c25ffc1a56c1599c31687da91e5da8e8eb",
+        "model.json": "6e0678b0ad18ac2c5d9002061cd4f756d569b3ec0b6f1663c161e79501ba0a0c",
+        "model.report.json": "1503095803371ea4e240148a5ee88377d59f3f5711647da6960f18a463f8a093",
+        "scored.csv": "c25b43ab9cd3841b1ac6306493f7a4c2bf85a183a04113b3afa467ed2541394d",
+        "eval.json": "4411f3aa59d8116cd48143ee554fb70d924dc27f9d149110309268a21fd2b6db",
     },
     "fragmented": {
         "data.csv": "76ff151eeec3651a3611c261aa4029b38189f2c958dab80f87c3e2e5db06a7c9",
-        "train.stdout": "b9eacb51c2f1bc0522bff14a00287ef5e4580ce484e3d35dcd520f5b591ceb89",
-        "model.json": "e7bb88f7e804e1928512f7d0f99ffab3877ab73c9ccb86a4f05260cefe92d73c",
-        "model.report.json": "4df9b024277991675dcee1cd650905790b8c2f57660219eb77dbb4de14e64fd5",
-        "scored.csv": "9b8be0e19c3684c6558fc8ad41a7db577aa20ebaf76c89d79d103055238de8d7",
-        "eval.json": "25290612181aca325476641750f67ac463ac0133d76c09dd2bcc1b5416bd7dd5",
+        "train.stdout": "f3a3e01eb0c325fb2de186e98322acea0451722790cd4e57535b7d5505ad5753",
+        "model.json": "0e908823e040dc95ca94dc047d5f50e618f7f2187619fa33889c8b5020a24bb6",
+        "model.report.json": "4bdf239f739e93658a32874d46dbb518d5186020dbaf0d19f991759fba8e7e81",
+        "scored.csv": "f61566eb0a8fe071215a5334167580cef854be3ec35a7e48d2cff2d81b8978ad",
+        "eval.json": "1cb7b5400c48aee4de785df608a516cfe075e02bc6c64be398f380768a4575e5",
     },
 }
 
 
-# on 600 fragmented rows the first swarm finds only IF TRUE THEN common,
-# which folds into the default: training ends with no rule (exit 3)
-TRAIN_EXIT = {"credit3": cli.EXIT_OK, "fragmented": cli.EXIT_NO_RULES}
-
-
-def _run(argv: list[str], code: int = cli.EXIT_OK) -> str:
-    """Run one command in process; it must exit with ``code``. Returns stdout."""
+def _run(argv: list[str]) -> str:
+    """Run one command in process; it must exit 0. Returns stdout."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(argv) == code, argv
+        assert cli.main(argv) == cli.EXIT_OK, argv
     return out.getvalue()
 
 
@@ -57,8 +52,7 @@ def test_walkthrough_bytes(profile, tmp_path):
     _run(["synth", "--rows", "600", "--seed", "1", "--profile", profile,
           "--out", f"{d}/data"])
     train_out = _run(["train", "--data", f"{d}/data.csv", "--schema", f"{d}/data.schema.json",
-                      "--out", f"{d}/model.json", "--seed", "1", "--test-fraction", "0.3"],
-                     TRAIN_EXIT[profile])
+                      "--out", f"{d}/model.json", "--seed", "1", "--test-fraction", "0.3"])
     (tmp_path / "train.stdout").write_text(train_out)
     _run(["predict", "--model", f"{d}/model.json", "--input", f"{d}/data.csv",
           "--out", f"{d}/scored.csv"])

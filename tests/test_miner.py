@@ -16,7 +16,7 @@ from rulemine.miner import (
 )
 from rulemine.pso import PsoConfig
 from rulemine.rules import Rule, RuleList, classify_dataset, rule_to_dict
-from rulemine.schema import Attribute, AttributeSchema, encode
+from rulemine.schema import Attribute, AttributeSchema, encode, stratified_split
 from rulemine.synth import generate
 
 SMALL = MinerConfig(
@@ -478,8 +478,9 @@ class TestFoldedRule:
 
     def test_a_final_if_true_becomes_the_default(self):
         # `synth --rows 200 --seed 3 --profile fragmented`, `train --seed 1`
+        # with min_confidence 0.6, which IF TRUE THEN common passes
         data = encode(generate("fragmented", rows=200, seed=3).to_raw())
-        rule_list, report = mine(data, MinerConfig(seed=1))
+        rule_list, report = mine(data, MinerConfig(min_confidence=0.6, seed=1))
         labels = data.schema.class_labels
         assert rule_list.rules == ()
         assert labels[rule_list.default_class] == "common"
@@ -490,6 +491,20 @@ class TestFoldedRule:
         assert sum(report.uncovered_residue.values()) == len(data)
         assert report.to_dict(data.schema)["rules"] == []
         _assert_fold_keeps_classification(rule_list, rule_list.default_class, data)
+
+
+class TestDefaultConfig:
+    def test_the_default_mines_the_fragmented_pockets(self):
+        # `synth --rows 2000 --seed 1 --profile fragmented`, `train --seed 1
+        # --test-fraction 0.3`: IF TRUE THEN common is 75% right, below the
+        # default min_confidence, so the swarm goes on to the rare pockets
+        data = encode(generate("fragmented", rows=2000, seed=1).to_raw())
+        train, test = stratified_split(data, 0.3, 1)
+        rule_list, report = mine(train, MinerConfig(seed=1))
+        assert report.swarm_logs[0].outcome != "folded"
+        assert len(rule_list.rules) >= 4
+        predicted, _ = classify_dataset(rule_list, test)
+        assert np.array_equal(predicted, test.y)
 
 
 class TestRandomDatasets:
