@@ -242,6 +242,7 @@ class TestGreedyBaseline:
             # criterion 3: numeric splits compete with nominal values
             ("credit3", 5000, 0.85, [103, 84, 130, 88, 87], [113, 92, 149, 95, 89]),
         ],
+        ids=["fragmented", "credit3"],
     )
     def test_rule_counts_on_criterion_2_protocol(
         self, profile, n, min_confidence, rule_counts, condition_counts
