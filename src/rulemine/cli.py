@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 schema/parse/data problems (undecodable input and
 unwritable output paths among them), 2 configuration problems, 3 training
 finished without emitting any rules (the model file is still written,
-carrying only the default class).
+carrying only the default class). A command whose stdout is closed early,
+as by `| head`, ends quietly with 0.
 
 Every command that uses randomness takes --seed; when absent, the
 RULEMINE_SEED environment variable is used, then 0.
@@ -282,7 +283,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here rather than at exit
+        return code
+    except BrokenPipeError:  # the reader of stdout is gone, as after `| head`
+        # end quietly, with stdout on devnull so that the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

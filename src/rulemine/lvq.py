@@ -10,14 +10,14 @@ represents, later seed the rule search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .schema import EncodedDataset
 
-ADAPT_RATE = 0.05  # the first epoch's learning rate; train's range proof needs (0, 1)
+ADAPT_RATE = 0.05  # the first epoch's learning rate; _present's range proof needs (0, 1)
 STABILITY_THRESHOLD = 1e-4  # an epoch's mean centroid movement below this ends training
 REPULSION_RATIO = 1.2  # the runner-up's distance ratio for a push away
 MAX_CENTROIDS = 100_000  # far above any use; a larger count overflows numpy sizes
@@ -33,7 +33,7 @@ class LvqConfig:
     rate is small, not because training has converged. The default of 20
     keeps every acceptance bound on the credit3 and fragmented profiles at a
     fifth of the cost of 100. Training may stop sooner on stability or on a
-    repeated assignment (see ``train``).
+    repeated assignment (see ``fit_network``).
     """
 
     centroid_count: int = 30
@@ -47,18 +47,18 @@ class LvqConfig:
             raise ConfigError("max_epochs must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LvqNetwork:
-    """Centroids as arrays, one row per centroid."""
+    """A fitted network: centroids as arrays, one row per centroid."""
 
     positions: np.ndarray  # (k, d)
     class_indices: np.ndarray  # (k,)
     represented_counts: np.ndarray  # (k,) training examples nearest each centroid
     deviations: np.ndarray  # (k, d) per-dimension spread of those examples
-    trace: list[float] = field(default_factory=list)  # mean movement per epoch
+    trace: list[float]  # mean movement per epoch
     # share of rows whose nearest centroid changed, per epoch after the first
-    churn: list[float] = field(default_factory=list)
-    stop_reason: str = ""  # "stability", "repeated_assignment" or "max_epochs"
+    churn: list[float]
+    stop_reason: str  # "stability", "repeated_assignment" or "max_epochs"
 
 
 def move_toward(position: np.ndarray, example: np.ndarray, rate: float) -> np.ndarray:
@@ -112,38 +112,26 @@ def allocate_per_class(class_counts: np.ndarray, total_centroids: int) -> dict[i
     return dict(sorted(alloc.items()))
 
 
-def _seed_pair(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    init_ss, train_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(init_ss), np.random.default_rng(train_ss)
-
-
-def init_network(train: EncodedDataset, config: LvqConfig) -> LvqNetwork:
-    """Place centroids on randomly chosen training examples of each class.
+def _place_centroids(train: EncodedDataset, config: LvqConfig,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and class indices of centroids placed on randomly chosen
+    training examples of each class, class by class.
 
     Sampling is without replacement unless a class holds fewer examples than
     its allocation.
     """
-    if len(train) == 0:
-        raise DataError("cannot initialize a network from an empty dataset")
-    rng, _ = _seed_pair(config.seed)
     alloc = allocate_per_class(train.class_counts(), config.centroid_count)
     rows = []
     for class_index, count in alloc.items():
         members = np.flatnonzero(train.y == class_index)
         rows.append(rng.choice(members, size=count, replace=members.size < count))
-    k = config.centroid_count
-    return LvqNetwork(
-        positions=train.X[np.concatenate(rows)],
-        class_indices=np.repeat(list(alloc), list(alloc.values())),
-        represented_counts=np.zeros(k, dtype=np.int64),
-        deviations=np.zeros((k, train.dimension)),
-    )
+    return train.X[np.concatenate(rows)], np.repeat(list(alloc), list(alloc.values()))
 
 
-def _final_statistics(
-    network: LvqNetwork, positions: np.ndarray, train: EncodedDataset
-) -> None:
-    # one clean assignment pass over the final positions, with train's
+def _final_statistics(positions: np.ndarray,
+                      train: EncodedDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Represented counts and deviations of the final positions."""
+    # one clean assignment pass, with the presentation loop's
     # direct-difference distance; one centroid at a time keeps the largest
     # temporary at (n, d)
     d2 = np.empty((len(train), len(positions)))
@@ -151,47 +139,29 @@ def _final_statistics(
         diff = train.X - position
         d2[:, j] = np.einsum("nd,nd->n", diff, diff)
     assign = np.argmin(d2, axis=1)
-    network.positions = positions
-    network.represented_counts = np.bincount(assign, minlength=len(positions))
-    network.deviations = np.zeros_like(positions)
-    for k in np.flatnonzero(network.represented_counts >= 2):
-        network.deviations[k] = np.std(train.X[assign == k], axis=0)
+    represented_counts = np.bincount(assign, minlength=len(positions))
+    deviations = np.zeros_like(positions)
+    for k in np.flatnonzero(represented_counts >= 2):
+        deviations[k] = np.std(train.X[assign == k], axis=0)
+    return represented_counts, deviations
 
 
-def train(network: LvqNetwork, train_data: EncodedDataset, config: LvqConfig) -> LvqNetwork:
-    """Fit the network in place and return it.
-
-    Presentation order is reshuffled each epoch from the seeded generator,
-    and the rate anneals linearly to 0 at max_epochs. Training stops when
-    the mean centroid displacement in an epoch falls below the stability
-    threshold, when example-to-centroid assignments repeat across two
-    consecutive epochs, or at max_epochs. The network records which of the
-    three ended it (``stop_reason``), the mean movement per epoch
-    (``trace``) and, for every epoch after the first, the share of examples
-    whose nearest centroid changed (``churn``).
-    """
-    if len(train_data) == 0:
-        raise DataError("cannot train on an empty dataset")
-    positions = network.positions.copy()
-    if positions.shape[1] != train_data.dimension:
-        raise DataError(
-            f"network dimension {positions.shape[1]} does not match "
-            f"data dimension {train_data.dimension}"
-        )
-    _, rng = _seed_pair(config.seed)
+def _present(positions: np.ndarray, class_indices: np.ndarray, train: EncodedDataset,
+             config: LvqConfig, rng: np.random.Generator) -> tuple[list[float], list[float], str]:
+    """Move ``positions`` in place for up to ``config.max_epochs`` epochs;
+    return the trace, the churn and the stop reason (see ``fit_network``)."""
     # Python lists and in-place row updates into preallocated arrays: per
     # presentation, only the distance, argmin, move and clamp calls touch numpy
-    classes = network.class_indices.tolist()
-    labels = train_data.y.tolist()
-    rows = list(train_data.X)
-    n = len(train_data)
+    classes = class_indices.tolist()
+    labels = train.y.tolist()
+    rows = list(train.X)
+    n = len(train)
     ratio_sq = REPULSION_RATIO**2
     diff = np.empty_like(positions)
     d2 = np.empty(len(positions))
     prev_assign: list[int] | None = None
-    network.trace = []
-    network.churn = []
-    network.stop_reason = "max_epochs"
+    trace: list[float] = []
+    churn: list[float] = []
 
     for epoch in range(config.max_epochs):
         rate = ADAPT_RATE * (1.0 - epoch / config.max_epochs)
@@ -233,21 +203,34 @@ def train(network: LvqNetwork, train_data: EncodedDataset, config: LvqConfig) ->
                 np.maximum(q, 0.0, out=q)
                 np.minimum(q, 1.0, out=q)
         movement = float(np.mean(np.sqrt(((positions - start) ** 2).sum(axis=1))))
-        network.trace.append(movement)
+        trace.append(movement)
         if prev_assign is not None:
-            network.churn.append(sum(a != b for a, b in zip(assign, prev_assign)) / n)
+            churn.append(sum(a != b for a, b in zip(assign, prev_assign)) / n)
         if movement < STABILITY_THRESHOLD:
-            network.stop_reason = "stability"
-            break
+            return trace, churn, "stability"
         if assign == prev_assign:
-            network.stop_reason = "repeated_assignment"
-            break
+            return trace, churn, "repeated_assignment"
         prev_assign = assign
-
-    _final_statistics(network, positions, train_data)
-    return network
+    return trace, churn, "max_epochs"
 
 
-def fit_network(train_data: EncodedDataset, config: LvqConfig) -> LvqNetwork:
-    """init_network followed by train."""
-    return train(init_network(train_data, config), train_data, config)
+def fit_network(train: EncodedDataset, config: LvqConfig) -> LvqNetwork:
+    """Place centroids on training examples of each class and train them.
+
+    Presentation order is reshuffled each epoch from the seeded generator,
+    and the rate anneals linearly to 0 at max_epochs. Training stops when
+    the mean centroid displacement in an epoch falls below the stability
+    threshold, when example-to-centroid assignments repeat across two
+    consecutive epochs, or at max_epochs. The network records which of the
+    three ended it (``stop_reason``), the mean movement per epoch
+    (``trace``) and, for every epoch after the first, the share of examples
+    whose nearest centroid changed (``churn``).
+    """
+    if len(train) == 0:
+        raise DataError("cannot fit a network to an empty dataset")
+    seeds = np.random.SeedSequence(config.seed).spawn(2)
+    place_rng, present_rng = map(np.random.default_rng, seeds)
+    positions, class_indices = _place_centroids(train, config, place_rng)
+    trace, churn, stop_reason = _present(positions, class_indices, train, config, present_rng)
+    counts, deviations = _final_statistics(positions, train)
+    return LvqNetwork(positions, class_indices, counts, deviations, trace, churn, stop_reason)

@@ -15,7 +15,7 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class Swarm:
     class_index: int
     rng: np.random.Generator
     rows: PackedRows  # pack_rows of the dataset the swarm was seeded on
-    trace: list[float] = field(default_factory=list)  # gbest after seeding, then each step
+    trace: list[float]  # gbest after seeding, then each step
     stop_reason: str = ""  # set by evolve: "stagnation" or "max_iterations"
 
 
@@ -167,7 +167,7 @@ def _update_bests(swarm: Swarm, fit: np.ndarray) -> None:
     swarm.best_position[improved] = swarm.position[improved]
     swarm.best_genes[improved] = swarm.genes[improved]
     top = int(np.argmax(swarm.best_fitness))
-    if not swarm.trace or swarm.best_fitness[top] > swarm.trace[-1]:
+    if swarm.best_fitness[top] > swarm.trace[-1]:
         swarm.gbest = top
     swarm.trace.append(float(swarm.best_fitness[swarm.gbest]))
 
@@ -236,8 +236,10 @@ def seed_swarm(
         gene_veloc[s] = rng.uniform(lb1, ub1, (a, 2))
         bit_draw[s] = rng.random(d)
     position = binarize(veloc2, bit_draw)
-
-    swarm = Swarm(
+    rows = pack_rows(data)
+    fit = fitness(position, genes, class_index, rows)
+    gbest = int(np.argmax(fit))  # the first particle on ties, as _update_bests picks
+    return Swarm(
         position=position,
         veloc1=veloc1,
         veloc2=veloc2,
@@ -245,14 +247,13 @@ def seed_swarm(
         gene_veloc=gene_veloc,
         best_position=position.copy(),
         best_genes=genes.copy(),
-        best_fitness=np.full(S, -np.inf),
-        gbest=0,  # a placeholder until the first update
+        best_fitness=fit,
+        gbest=gbest,
         class_index=class_index,
         rng=rng,
-        rows=pack_rows(data),
+        rows=rows,
+        trace=[float(fit[gbest])],
     )
-    _update_bests(swarm, fitness(position, genes, class_index, swarm.rows))
-    return swarm
 
 
 def _velocity(veloc: np.ndarray, state: np.ndarray, best: np.ndarray, gbest: int,

@@ -757,6 +757,25 @@ class TestPredict:
         assert proc.stderr.startswith("error: ")
         assert proc.stdout == ""
 
+    def test_closed_stdout_ends_quietly_with_ok(self, workdir, tmp_path):
+        # far more output than a pipe buffers, so predict is still writing
+        # when the reader goes away after the first line, as `| head -1` does
+        header, *rows = (workdir / "frag.csv").read_text().splitlines(keepends=True)
+        score = tmp_path / "score.csv"
+        score.write_text(header + "".join(rows * 50))
+        env = {**os.environ, "PYTHONPATH": str(Path(rulemine.__file__).parents[1])}
+        with subprocess.Popen(
+            [sys.executable, "-m", "rulemine.cli", "predict",
+             "--model", str(workdir / "fmodel.json"), "--input", str(score)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        ) as proc:
+            assert proc.stdout.readline() == "prediction,fired_rule,rule\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert code == cli.EXIT_OK, stderr
+        assert stderr == ""
+
     def test_summary_line_on_stderr(self, workdir, capsys, tmp_path):
         score = tmp_path / "score.csv"
         score.write_text(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,14 +9,13 @@ from rulemine import lvq
 from rulemine.errors import ConfigError, DataError
 from rulemine.lvq import (
     LvqConfig,
-    LvqNetwork,
     _final_statistics,
+    _place_centroids,
+    _present,
     allocate_per_class,
     fit_network,
-    init_network,
     move_away,
     move_toward,
-    train,
 )
 from rulemine.miner import MinerConfig, mine
 from rulemine.schema import encode, stratified_split
@@ -90,9 +91,9 @@ class TestInit:
     def test_positions_are_distinct_examples(self, numeric_schema):
         X = np.array([[0.1, 0.1], [0.3, 0.3], [0.5, 0.5], [0.7, 0.7], [0.9, 0.9]])
         data = build_encoded(numeric_schema, X, [0] * 5)
-        cfg = LvqConfig(centroid_count=3, seed=1)
-        net = init_network(data, cfg)
-        rows = {tuple(position) for position in net.positions}
+        cfg = LvqConfig(centroid_count=3)
+        positions, _ = _place_centroids(data, cfg, np.random.default_rng(1))
+        rows = {tuple(position) for position in positions}
         assert len(rows) == 3
         assert rows <= {tuple(r) for r in X}
 
@@ -101,20 +102,21 @@ class TestInit:
         y = [1, 1, 0, 0, 0]
         data = build_encoded(numeric_schema, X, y)
         # force class 1 (2 examples) to hold 3 centroids
-        cfg = LvqConfig(centroid_count=6, seed=0)
-        net = init_network(data, cfg)
-        assert np.count_nonzero(net.class_indices == 1) >= 1
+        cfg = LvqConfig(centroid_count=6)
+        _, class_indices = _place_centroids(data, cfg, np.random.default_rng(0))
+        assert np.count_nonzero(class_indices == 1) >= 1
 
     def test_determinism(self, numeric_schema):
         data = _uniform_data(numeric_schema, 50, 4)
-        a = init_network(data, LvqConfig(centroid_count=8, seed=11))
-        b = init_network(data, LvqConfig(centroid_count=8, seed=11))
-        assert np.array_equal(a.positions, b.positions)
+        cfg = LvqConfig(centroid_count=8)
+        a, _ = _place_centroids(data, cfg, np.random.default_rng(11))
+        b, _ = _place_centroids(data, cfg, np.random.default_rng(11))
+        assert np.array_equal(a, b)
 
     def test_empty_data_rejected(self, numeric_schema):
         data = build_encoded(numeric_schema, np.zeros((0, 2)), [])
         with pytest.raises(DataError):
-            init_network(data, LvqConfig(centroid_count=2))
+            fit_network(data, LvqConfig(centroid_count=2))
 
 
 class TestMoveLaws:
@@ -145,7 +147,7 @@ class TestMoveLaws:
     )
     @settings(max_examples=500, deadline=None)
     def test_attraction_stays_in_unit_interval(self, p, x, rate):
-        # train clamps after a repulsion only; see the proof in its loop
+        # training clamps after a repulsion only; see the proof in _present
         position, example = np.array([p]), np.array([x])
         moved = move_toward(position, example, rate)
         assert 0.0 <= moved[0] <= 1.0
@@ -245,20 +247,12 @@ class TestTraining:
             + np.einsum("kd,kd->k", positions, positions)[None, :]
         )
         assert int(expanded.argmin()) == 1
-        net = LvqNetwork(
-            positions=positions,
-            class_indices=np.array([0, 1]),
-            represented_counts=np.zeros(2, dtype=np.int64),
-            deviations=np.zeros((2, 2)),
-        )
-        _final_statistics(net, positions, build_encoded(numeric_schema, X, [0]))
-        assert net.represented_counts.tolist() == [1, 0]
+        represented_counts, _ = _final_statistics(positions, build_encoded(numeric_schema, X, [0]))
+        assert represented_counts.tolist() == [1, 0]
 
     def test_train_does_not_grow_network(self, numeric_schema):
         data = _uniform_data(numeric_schema, 40, 9)
-        cfg = LvqConfig(centroid_count=6, seed=7)
-        net = init_network(data, cfg)
-        trained = train(net, data, cfg)
+        trained = fit_network(data, LvqConfig(centroid_count=6, seed=7))
         assert len(trained.positions) == 6
         assert len(trained.class_indices) == 6
 
@@ -266,14 +260,18 @@ class TestTraining:
         # two coincident centroids of the example's class: the lower index
         # wins and moves; the runner-up shares the class, so it stays put
         start = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]])
-        net = LvqNetwork(
-            positions=start.copy(),
-            class_indices=np.array([0, 0, 1]),
-            represented_counts=np.zeros(3, dtype=np.int64),
-            deviations=np.zeros((3, 2)),
-        )
+        positions = start.copy()
         data = build_encoded(numeric_schema, np.array([[0.9, 0.1]]), [0])
-        trained = train(net, data, LvqConfig(centroid_count=3, max_epochs=1))
-        moved = np.any(trained.positions != start, axis=1)
+        cfg = LvqConfig(centroid_count=3, max_epochs=1)
+        _present(positions, np.array([0, 0, 1]), data, cfg, np.random.default_rng(0))
+        moved = np.any(positions != start, axis=1)
         assert moved.tolist() == [True, False, False]
-        assert trained.represented_counts.tolist() == [1, 0, 0]
+        represented_counts, _ = _final_statistics(positions, data)
+        assert represented_counts.tolist() == [1, 0, 0]
+
+    def test_fitted_network_is_frozen(self, numeric_schema):
+        net = fit_network(_uniform_data(numeric_schema, 40, 9), LvqConfig(centroid_count=4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.positions = np.zeros_like(net.positions)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.stop_reason = "max_epochs"

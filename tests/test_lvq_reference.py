@@ -2,8 +2,10 @@
 
 The reference below is the loop as first written: numpy row copies through
 ``move_toward``/``move_away``, ``np.clip``, ``np.argmin`` and an array of
-assignments. ``lvq.train`` must reproduce it bit for bit: the centroid
+assignments. ``fit_network`` must reproduce it bit for bit: the centroid
 positions, the movement trace, the represented counts and the deviations.
+The reference places its centroids as ``fit_network`` does, from the first
+of the two generators spawned from the seed, and presents from the second.
 The reference also reports why it stopped and how often the runner-up was
 pushed away, so each case can show it covers what it claims to.
 """
@@ -18,24 +20,23 @@ from rulemine import lvq
 from rulemine.lvq import (
     LvqConfig,
     _final_statistics,
-    _seed_pair,
-    init_network,
+    _place_centroids,
+    fit_network,
     move_away,
     move_toward,
-    train,
 )
 from rulemine.schema import Attribute, AttributeSchema
 
 
-def ref_train(network, data, config):
-    positions = network.positions.copy()
-    _, rng = _seed_pair(config.seed)
-    classes = network.class_indices
+def ref_train(data, config):
+    place_seed, present_seed = np.random.SeedSequence(config.seed).spawn(2)
+    positions, classes = _place_centroids(data, config, np.random.default_rng(place_seed))
+    rng = np.random.default_rng(present_seed)
     X, y = data.X, data.y
     n = len(data)
     ratio_sq = lvq.REPULSION_RATIO**2
     prev_assign = None
-    network.trace = []
+    trace = []
     stop, repulsions = "max_epochs", 0
     for epoch in range(config.max_epochs):
         rate = lvq.ADAPT_RATE * (1.0 - epoch / config.max_epochs)
@@ -61,7 +62,7 @@ def ref_train(network, data, config):
                 np.clip(positions[second], 0.0, 1.0, out=positions[second])
                 repulsions += 1
         movement = float(np.mean(np.sqrt(((positions - start) ** 2).sum(axis=1))))
-        network.trace.append(movement)
+        trace.append(movement)
         if movement < lvq.STABILITY_THRESHOLD:
             stop = "stability"
             break
@@ -69,8 +70,10 @@ def ref_train(network, data, config):
             stop = "repeated_assignment"
             break
         prev_assign = assign
-    _final_statistics(network, positions, data)
-    return network, stop, repulsions
+    represented_counts, deviations = _final_statistics(positions, data)
+    ref = {"positions": positions, "represented_counts": represented_counts,
+           "deviations": deviations, "trace": trace}
+    return ref, stop, repulsions
 
 
 SCHEMAS = {
@@ -114,11 +117,11 @@ def _dataset(kind, seed, n=90, classes=3, spread=1.0):
 
 
 def _fit_both(data, config):
-    got = train(init_network(data, config), data, config)
-    ref, stop, repulsions = ref_train(init_network(data, config), data, config)
+    got = fit_network(data, config)
+    ref, stop, repulsions = ref_train(data, config)
     for name in ("positions", "represented_counts", "deviations"):
-        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
-    assert np.array(got.trace).tobytes() == np.array(ref.trace).tobytes()
+        assert getattr(got, name).tobytes() == ref[name].tobytes(), name
+    assert np.array(got.trace).tobytes() == np.array(ref["trace"]).tobytes()
     assert got.stop_reason == stop
     return ref, stop, repulsions
 
@@ -148,7 +151,7 @@ def test_stops_on_stability(monkeypatch):
     config = LvqConfig(centroid_count=6, max_epochs=20, seed=3)
     ref, stop, _ = _fit_both(data, config)
     assert stop == "stability"
-    assert len(ref.trace) < config.max_epochs
+    assert len(ref["trace"]) < config.max_epochs
 
 
 def test_stops_on_repeated_assignment(monkeypatch):
@@ -159,4 +162,4 @@ def test_stops_on_repeated_assignment(monkeypatch):
     config = LvqConfig(centroid_count=3, max_epochs=20, seed=4)
     ref, stop, _ = _fit_both(data, config)
     assert stop == "repeated_assignment"
-    assert len(ref.trace) < config.max_epochs
+    assert len(ref["trace"]) < config.max_epochs

@@ -473,6 +473,9 @@ def _network(positions, deviations, represented, class_indices):
         class_indices=np.array(class_indices, dtype=np.int64),
         represented_counts=np.array(represented, dtype=np.int64),
         deviations=np.array(deviations, dtype=np.float64),
+        trace=[0.0],
+        churn=[],
+        stop_reason="stability",
     )
 
 
@@ -549,6 +552,17 @@ class TestSeeding:
         )
         assert swarm.gbest == np.argmax(swarm.best_fitness)
         assert swarm.trace == [swarm.best_fitness.max()]
+
+    def test_tied_first_round_takes_the_first_best(self, credit_schema, monkeypatch):
+        # particles 1 and 2 tie for the best first-round fitness: the global
+        # best is particle 1, and the seeding round adds one trace entry
+        monkeypatch.setattr(pso, "fitness", lambda *args: np.array([0.2, 0.5, 0.5]))
+        data = _credit_data(credit_schema)
+        net = _hand_network([1.0, 0.0, 0.0, 0.4, 0.5], [0.1, 0.2])
+        swarm = seed_swarm(net, 0, 1, data, PsoConfig(swarm_size=3, seed=0))
+        assert swarm.gbest == 1
+        assert swarm.trace == [0.5]
+        assert swarm.best_fitness.tolist() == [0.2, 0.5, 0.5]
 
     def test_empty_dataset_rejected(self, credit_schema):
         empty = build_encoded(credit_schema, np.zeros((0, 5)), [])
