@@ -18,7 +18,7 @@ from rulemine import (
     render_rule,
     seed_swarm,
 )
-from rulemine.rules import rule_quality
+from rulemine.rules import match_mask
 
 data = encode(generate("fragmented", rows=800, seed=4).to_raw())
 labels = data.schema.class_labels
@@ -40,14 +40,19 @@ swarm = seed_swarm(network, target, 2, data, config)
 print(f"\nswarm of {len(swarm.position)} particles seeded for class {labels[target]!r}")
 print(f"initial best fitness: {swarm.trace[-1]:.4f}")
 
-best_rule = evolve(swarm, config)  # scores against the rows it was seeded on
+best_rule, stop_reason = evolve(swarm, config)  # scores against the rows it was seeded on
 trace = swarm.trace
-print(f"searched {len(trace)} iterations; best fitness {trace[-1]:.4f}")
+print(f"searched {len(trace) - 1} iterations; best fitness {trace[-1]:.4f}")
+print(f"the search stopped on {stop_reason}")
 
 # the trace is monotone: the global best can only improve
 marks = [trace[0]] + [t for prev, t in zip(trace, trace[1:]) if t > prev]
 print(f"improvements along the way: {', '.join(f'{t:.4f}' for t in marks)}")
 
 print(f"\nbest rule found: {render_rule(best_rule, data.schema, data.numeric_ranges)}")
-support, confidence, _ = rule_quality(best_rule.antecedent, best_rule.class_index, data)
+# support and confidence are counted on the rule's match mask, as the miner counts them
+matched = match_mask(best_rule.antecedent, data)
+correct = int(np.count_nonzero(data.y[matched] == best_rule.class_index))
+hits = int(np.count_nonzero(matched))
+support, confidence = correct / len(data), (correct / hits if hits else 0.0)
 print(f"the decoded rule's support {support:.4f}, confidence {confidence:.4f}")

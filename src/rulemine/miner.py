@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .lvq import LvqConfig, LvqNetwork, fit_network
 from .pso import PsoConfig, evolve, seed_swarm
-from .rules import Rule, RuleList, choose_default_class, rule_quality, rule_to_dict
+from .rules import Rule, RuleList, choose_default_class, match_mask, rule_to_dict
 from .schema import AttributeSchema, EncodedDataset, json_object
 
 STOP_ALL_COVERED = "all_covered"
@@ -78,12 +78,11 @@ def _config_from_dict(cls: type, doc, what: str):
 
 @dataclass
 class SwarmLog:
-    class_index: int
     trace: list[float]
     stop_reason: str  # "stagnation" or "max_iterations"
-    candidate: Rule  # the swarm's best rule, emitted or not
-    support: float  # the candidate's rule_quality on the rows it was mined on
-    confidence: float
+    candidate: Rule  # the swarm's best rule, emitted or not; its class is the launch's
+    support: float  # its correct rows over the rows it was mined on
+    confidence: float  # its correct rows over the rows it matches there, 0.0 for none
     correct: int  # the rows it matches and classifies correctly
     floor: float  # the correct rows it needed: support_factor * uncovered_c
     outcome: str  # "emitted", "folded" into the default, or the first gate failed
@@ -112,7 +111,7 @@ class MiningReport:
         emitted = [i for i, log in launches if log.outcome == "emitted"]
         failed_attempts = dict.fromkeys(range(len(labels)), 0)
         for log in self.swarm_logs:
-            failed_attempts[log.class_index] += log.outcome in GATES
+            failed_attempts[log.candidate.class_index] += log.outcome in GATES
         return {
             "stop_reason": self.stop_reason,
             "train_size": len(self.covered_by),
@@ -133,7 +132,7 @@ class MiningReport:
             "swarm_logs": [
                 {
                     "iteration": i,
-                    "class": labels[log.class_index],
+                    "class": labels[log.candidate.class_index],
                     "outcome": log.outcome,
                     "candidate": rule_to_dict(log.candidate, schema),
                     "support": log.support,
@@ -234,12 +233,12 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
         sub = train.subset(uncovered_idx)
         swarm_config = replace(config.pso, seed=draw_seed())
         swarm = seed_swarm(network, target, config.min_represented, sub, swarm_config)
-        candidate = evolve(swarm, swarm_config)
+        candidate, swarm_stop = evolve(swarm, swarm_config)
 
-        support_value, confidence_value, matched = rule_quality(
-            candidate.antecedent, target, sub
-        )
+        matched = match_mask(candidate.antecedent, sub)
+        hits = int(np.count_nonzero(matched))
         correct = int(np.count_nonzero(sub.y[matched] == target))
+        support_value, confidence_value = correct / len(sub), (correct / hits if hits else 0.0)
         floor = config.support_factor * int(uncovered_counts[target])
         passed = (correct >= floor, confidence_value >= config.min_confidence)
         outcome = next((gate for gate, ok in zip(GATES, passed) if not ok), "emitted")
@@ -251,8 +250,8 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
             consecutive_failures[target] = 0
         else:  # IF TRUE fires on every row left: its class becomes the default
             outcome, default = "folded", target
-        swarm_logs.append(SwarmLog(target, list(swarm.trace), swarm.stop_reason, candidate,
-                                   support_value, confidence_value, correct, floor, outcome))
+        swarm_logs.append(SwarmLog(swarm.trace, swarm_stop, candidate, support_value,
+                                   confidence_value, correct, floor, outcome))
 
     residue_y = train.y[covered_by == 0]
     if default is None:

@@ -80,7 +80,6 @@ class Swarm:
     rng: np.random.Generator
     rows: PackedRows  # pack_rows of the dataset the swarm was seeded on
     trace: list[float]  # gbest after seeding, then each step
-    stop_reason: str = ""  # set by evolve: "stagnation" or "max_iterations"
 
 
 def sigmoid(values: np.ndarray) -> np.ndarray:
@@ -134,7 +133,7 @@ def fitness(
     decode_state: a nominal attribute places a condition when some but not
     all of its bits are set (none set admits every value), a numeric one when
     its column bit is set. Equal, bit for bit, to the same weighted sum over
-    ``rule_quality`` of each particle's decoded rule on the packed rows.
+    the ``match_mask`` counts of each particle's decoded rule on the rows.
     """
     if rows.n_rows == 0:
         raise DataError("support and confidence are undefined on an empty dataset")
@@ -296,13 +295,13 @@ def step(swarm: Swarm, data=None, config=None) -> None:
     _update_bests(swarm, fit)
 
 
-def evolve(swarm: Swarm, config: PsoConfig) -> Rule:
-    """Run the swarm until max_iterations or stagnation, return the best rule.
+def evolve(swarm: Swarm, config: PsoConfig) -> tuple[Rule, str]:
+    """Run the swarm until max_iterations or stagnation; return the best rule
+    and which ended the run, "max_iterations" when both did.
 
     Stagnation means the global best has not improved for
     ``config.stagnation_limit`` consecutive iterations; the trace holds one
-    entry per step after the seeding round's. ``swarm.stop_reason`` says
-    which ended the run, "max_iterations" when both did.
+    entry per step after the seeding round's.
     """
     stale = 0
     while len(swarm.trace) <= config.max_iterations and stale < config.stagnation_limit:
@@ -310,8 +309,8 @@ def evolve(swarm: Swarm, config: PsoConfig) -> Rule:
         step(swarm)
         stale = 0 if swarm.trace[-1] > before else stale + 1
     stopped = len(swarm.trace) > config.max_iterations
-    swarm.stop_reason = "max_iterations" if stopped else "stagnation"
     g = swarm.gbest
-    return decode_state(
+    rule = decode_state(
         swarm.best_position[g], swarm.best_genes[g], swarm.rows.layout, swarm.class_index
     )
+    return rule, "max_iterations" if stopped else "stagnation"

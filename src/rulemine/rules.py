@@ -227,23 +227,6 @@ def match_mask(conditions: Sequence[Condition], data: EncodedDataset) -> np.ndar
     return mask
 
 
-def rule_quality(
-    conditions: Sequence[Condition], class_index: int, data: EncodedDataset
-) -> tuple[float, float, np.ndarray]:
-    """Support and confidence of a rule on ``data``, plus its match mask.
-
-    Support is the fraction of all rows the rule matches and whose class is
-    ``class_index``; confidence is that count over the rows matched, 0.0 when
-    nothing matches. The mask flags every matched row, whatever its class.
-    """
-    if len(data) == 0:
-        raise DataError("support and confidence are undefined on an empty dataset")
-    mask = match_mask(conditions, data)
-    matched = int(np.count_nonzero(mask))
-    correct = int(np.count_nonzero(data.y[mask] == class_index))
-    return correct / len(data), (correct / matched if matched else 0.0), mask
-
-
 def classify_dataset(
     rule_list: RuleList, data: EncodedDataset
 ) -> tuple[np.ndarray, np.ndarray]:

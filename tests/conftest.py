@@ -13,7 +13,7 @@ from rulemine import pso
 from rulemine.lvq import LvqConfig
 from rulemine.miner import MinerConfig, mine
 from rulemine.pso import PsoConfig
-from rulemine.rules import Rule, match_mask, rule_quality
+from rulemine.rules import Rule, match_mask
 from rulemine.schema import Attribute, AttributeSchema, ColumnLayout, EncodedDataset
 
 
@@ -136,11 +136,21 @@ def criterion_7_runs() -> list:
     return runs
 
 
+def support_confidence(rule: Rule, data: EncodedDataset) -> tuple[float, float]:
+    """Support and confidence of one rule from its ``match_mask`` counts, by
+    the integer divisions ``mine`` makes: the rows it matches of its class over
+    all rows, and over the rows it matches (0.0 when it matches none)."""
+    mask = match_mask(rule.antecedent, data)
+    matched = int(np.count_nonzero(mask))
+    correct = int(np.count_nonzero(data.y[mask] == rule.class_index))
+    return correct / len(data), (correct / matched if matched else 0.0)
+
+
 def fitness_from_rule(rule: Rule, data: EncodedDataset) -> float:
     """Weighted confidence + support + shortness of one decoded rule: the
     oracle that the batch ``pso.fitness`` must equal bit for bit. The weights
     are read as it runs, so a test may patch them."""
-    support, confidence, _ = rule_quality(rule.antecedent, rule.class_index, data)
+    support, confidence = support_confidence(rule, data)
     total_attributes = len(data.schema.attributes)
     shortness = 1.0 - len(rule.antecedent) / total_attributes
     return (

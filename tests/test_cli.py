@@ -1259,6 +1259,89 @@ class TestUnmatchableSpellings:
             ["predict", "--model", str(model), "--input", str(workdir / "frag.csv")], capsys)
 
 
+# each an input that is well formed JSON or CSV but breaks a rule of its
+# kind, with the start of the error it gives
+_MALFORMED_SCHEMAS = [
+    (("attributes", 1, "values", 1), "band_1", "nominal attribute 'band' repeats a value"),
+    (("attributes", 2, "values"), ["a", "b"],
+     "numeric attribute 'score' must not declare values"),
+    (("attributes",), [], "schema declares no predictor attributes"),
+    (("attributes", 1, "name"), "sector", "attribute names must be unique"),
+    (("class_labels", 1), "common", "class labels must be unique"),
+]
+_MALFORMED_CSVS = [
+    ("train", "sector,band,score,score,group\n", "duplicate column 'score' in header"),
+    ("evaluate", "sector,band,score,score,group\n", "duplicate column 'score' in header"),
+    ("predict", "sector,band,score,score,group\n", "duplicate column 'score' in header"),
+    ("train", "", "CSV is empty (no header row)"),
+    ("evaluate", "", "CSV is empty (no header row)"),
+    ("predict", "", "CSV is empty (no header row)"),
+    ("train", "sector,band,score,group\n", "cannot encode an empty dataset"),
+    ("evaluate", "sector,band,score,group\n", "cannot encode an empty dataset"),
+]
+_MALFORMED_MODELS = [
+    (_RULE + ("antecedent",),
+     [{"kind": "membership", "attribute": "score", "allowed": ["x"]}],
+     "invalid rule in document: 'score' is not a nominal attribute"),
+    (_RULE + ("antecedent",),
+     [{"kind": "interval", "attribute": "sector", "lo": 0.1, "hi": 0.5}],
+     "invalid rule in document: 'sector' is not a numeric attribute"),
+    (("rule_list", "default_class"), 5, "default class index 5 out of range"),
+    (("rule_list", "default_class"), -1, "default class index -1 out of range"),
+]
+
+
+class TestMalformedInputs:
+    """A schema, CSV or model that breaks a rule of its kind exits 1 with
+    the error that names the fault, and train writes neither of its files."""
+
+    @staticmethod
+    def _assert_data_error(argv, capsys, message):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DATA, captured.err
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("path, value, message", _MALFORMED_SCHEMAS,
+                             ids=[m for _, _, m in _MALFORMED_SCHEMAS])
+    def test_schema(self, workdir, tmp_path, capsys, path, value, message):
+        doc = _mutated(json.loads((workdir / "frag.schema.json").read_text()), path, value)
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(doc))
+        self._assert_data_error(
+            ["train", "--data", str(workdir / "frag.csv"), "--schema", str(schema),
+             "--out", str(tmp_path / "m.json")], capsys, message)
+        assert sorted(os.listdir(tmp_path)) == ["schema.json"]
+
+    @pytest.mark.parametrize("command, text, message", _MALFORMED_CSVS,
+                             ids=[f"{c}-{m}" for c, _, m in _MALFORMED_CSVS])
+    def test_csv(self, workdir, tmp_path, capsys, command, text, message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        argv = {
+            "train": ["train", "--data", str(data),
+                      "--schema", str(workdir / "frag.schema.json"),
+                      "--out", str(tmp_path / "m.json")],
+            "evaluate": ["evaluate", "--model", str(workdir / "fmodel.json"),
+                         "--data", str(data), "--out", str(tmp_path / "e.json")],
+            "predict": ["predict", "--model", str(workdir / "fmodel.json"),
+                        "--input", str(data), "--out", str(tmp_path / "p.csv")],
+        }[command]
+        self._assert_data_error(argv, capsys, message)
+        assert sorted(os.listdir(tmp_path)) == ["data.csv"]
+
+    @pytest.mark.parametrize("path, value, message", _MALFORMED_MODELS,
+                             ids=[m for _, _, m in _MALFORMED_MODELS])
+    def test_model(self, workdir, tmp_path, capsys, path, value, message):
+        doc = _mutated(json.loads((workdir / "fmodel.json").read_text()), path, value)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        self._assert_data_error(
+            ["predict", "--model", str(model), "--input", str(workdir / "frag.csv")],
+            capsys, message)
+
+
 # a mutation deletes a key (or list item) or sets it to one of these; no
 # large numbers, so a mutated count cannot make a run slow or large
 _FUZZ_VALUES = [_DELETE, -1, 0, 2.5, "x", [], {}, None, True]

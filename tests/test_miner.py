@@ -46,7 +46,9 @@ def _separable(numeric_schema, n=200, seed=7):
 
 def _failed_attempts(report) -> Counter:
     """Launches per class whose candidate failed a gate."""
-    return Counter(log.class_index for log in report.swarm_logs if log.outcome in GATES)
+    return Counter(
+        log.candidate.class_index for log in report.swarm_logs if log.outcome in GATES
+    )
 
 
 def _emitted(report) -> list:
@@ -73,7 +75,7 @@ def _assert_gates(data, config, report) -> None:
         correct = round(log.support * len(sub))
         assert correct / len(sub) == log.support
         assert correct == log.correct
-        uncovered_c = int(np.count_nonzero(sub.y == log.class_index))
+        uncovered_c = int(np.count_nonzero(sub.y == log.candidate.class_index))
         floor = config.support_factor * uncovered_c
         assert floor == log.floor
         gates = (correct >= floor, log.confidence >= config.min_confidence)
@@ -119,7 +121,7 @@ class TestFloorInRows:
         k = 1
         for log in report.swarm_logs:
             sub_y = data.y[report.uncovered_before(k)]
-            uncovered_c = int(np.count_nonzero(sub_y == log.class_index))
+            uncovered_c = int(np.count_nonzero(sub_y == log.candidate.class_index))
             assert 0 < log.floor <= uncovered_c
             k += log.outcome == "emitted"
 
@@ -268,9 +270,8 @@ class TestRecordInvariants:
         data, _, report = mined
         for k, log in enumerate(_emitted(report), start=1):
             assert log.confidence >= SMALL.min_confidence
-            unc_c = int(
-                np.count_nonzero(data.y[report.uncovered_before(k)] == log.class_index)
-            )
+            target = log.candidate.class_index
+            unc_c = int(np.count_nonzero(data.y[report.uncovered_before(k)] == target))
             assert log.floor == SMALL.support_factor * unc_c
             assert log.correct >= log.floor
             assert np.count_nonzero(report.covered_by == k) >= 1
@@ -313,9 +314,15 @@ class TestRecordInvariants:
         _assert_gates(data, SMALL, report)
 
     def test_swarm_logs_align_with_iterations(self, mined):
-        _, _, report = mined
-        for log in report.swarm_logs:
-            assert log.candidate.class_index == log.class_index
+        data, _, report = mined
+        json_logs = report.to_dict(data.schema)["swarm_logs"]
+        k = 1
+        for log, json_log in zip(report.swarm_logs, json_logs, strict=True):
+            # a launch's class is its candidate's, a class left uncovered then
+            target = log.candidate.class_index
+            assert json_log["class"] == data.schema.class_labels[target]
+            assert np.count_nonzero(data.y[report.uncovered_before(k)] == target) > 0
+            k += log.outcome == "emitted"
 
     def test_swarm_logs_say_why_each_swarm_stopped(self, mined):
         data, _, report = mined
@@ -457,7 +464,7 @@ class TestScatteredMinority:
         # 20 minority rows under support_factor 0.9: a candidate needs 18 of
         # them correct, and a pure fragment falls short of that
         _, _, report = scattered_minority
-        minority = [log for log in report.swarm_logs if log.class_index == 1]
+        minority = [log for log in report.swarm_logs if log.candidate.class_index == 1]
         assert {log.floor for log in minority} == {0.9 * 20}
         assert any(log.outcome == "floor" and log.confidence == 1.0
                    and 0 < log.correct < log.floor for log in minority)
@@ -543,7 +550,7 @@ class TestRandomDatasets:
             if report.swarm_logs[-1].outcome == "folded":
                 folds += 1
                 _assert_fold_keeps_classification(
-                    rule_list, report.swarm_logs[-1].class_index, data)
+                    rule_list, report.swarm_logs[-1].candidate.class_index, data)
             # the JSON's counters and launch numbers are counts over its swarm logs
             doc = report.to_dict(data.schema)
             logs = doc["swarm_logs"]

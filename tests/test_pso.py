@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_counts, build_encoded, fitness_from_rule
+from conftest import brute_force_counts, build_encoded, fitness_from_rule, support_confidence
 from rulemine import pso
 from rulemine.errors import ConfigError, DataError
 from rulemine.lvq import LvqConfig, LvqNetwork, fit_network
@@ -21,7 +21,6 @@ from rulemine.rules import (
     Rule,
     count_matches,
     pack_rows,
-    rule_quality,
     validate_rule,
 )
 from rulemine.schema import Attribute, AttributeSchema
@@ -211,7 +210,7 @@ class TestFitness:
             genes = np.sort(rng.random((2, 2)), axis=1)
             rule = decode_state(position, genes, data.layout, 1)
             direct = fitness_from_rule(rule, data)
-            support, confidence, _ = rule_quality(rule.antecedent, 1, data)
+            support, confidence = support_confidence(rule, data)
             recomputed = (
                 pso.WEIGHT_CONFIDENCE * confidence
                 + pso.WEIGHT_SUPPORT * support
@@ -220,11 +219,6 @@ class TestFitness:
             )
             assert direct == recomputed  # identical arithmetic, not just close
             assert 0.0 <= direct <= 1.0
-
-    def test_empty_dataset_rejected(self, numeric_schema):
-        data = build_encoded(numeric_schema, np.zeros((0, 2)), [])
-        with pytest.raises(DataError):
-            fitness_from_rule(Rule((), 0), data)
 
     def test_batch_fitness_scores_each_particle(self, credit_schema):
         data = _credit_data(credit_schema, n=60, seed=3)
@@ -330,7 +324,7 @@ class TestBatchFitnessOracle:
         got = self._check(position, genes, 1, data)
         rule = decode_state(position[0], genes[0], layout, 1)
         assert len(rule) == 1
-        assert rule_quality(rule.antecedent, 1, data)[:2] == (0.0, 0.0)
+        assert support_confidence(rule, data) == (0.0, 0.0)
         assert got[0] == pso.WEIGHT_LENGTH * (1 - 1 / len(data.schema.attributes))
 
     def test_empty_dataset_rejected(self, numeric_schema):
@@ -639,7 +633,7 @@ class TestEvolve:
         cfg = PsoConfig(swarm_size=10, max_iterations=40, stagnation_limit=10, seed=1)
         net = fit_network(data, LvqConfig(centroid_count=4, seed=0))
         swarm = seed_swarm(net, 1, 1, data, cfg)
-        rule = evolve(swarm, cfg)
+        rule, _ = evolve(swarm, cfg)
         validate_rule(rule, credit_schema)
         assert rule.class_index == 1
         # the reported best is the fitness of the rule actually returned
@@ -650,18 +644,18 @@ class TestEvolve:
         cfg = PsoConfig(swarm_size=6, max_iterations=500, stagnation_limit=5, seed=2)
         net = fit_network(data, LvqConfig(centroid_count=4, seed=0))
         swarm = seed_swarm(net, 0, 1, data, cfg)
-        evolve(swarm, cfg)
+        _, stop_reason = evolve(swarm, cfg)
         assert len(swarm.trace) - 1 < 500
-        assert swarm.stop_reason == "stagnation"
+        assert stop_reason == "stagnation"
 
     def test_iteration_cap_respected(self, credit_schema):
         data = _credit_data(credit_schema, n=30, seed=10)
         cfg = PsoConfig(swarm_size=4, max_iterations=7, stagnation_limit=100, seed=3)
         net = fit_network(data, LvqConfig(centroid_count=4, seed=0))
         swarm = seed_swarm(net, 0, 1, data, cfg)
-        evolve(swarm, cfg)
+        _, stop_reason = evolve(swarm, cfg)
         assert len(swarm.trace) - 1 <= 7
-        assert swarm.stop_reason == "max_iterations"
+        assert stop_reason == "max_iterations"
 
 
 class TestSubsetSwarm:
@@ -688,7 +682,7 @@ class TestSubsetSwarm:
             assert got.tobytes() != fitness(
                 swarm.position, swarm.genes, 1, pack_rows(data)).tobytes()
             step(swarm)
-        rule = evolve(swarm, cfg)
+        rule, _ = evolve(swarm, cfg)
         g = swarm.gbest
         assert rule == decode_state(
             swarm.best_position[g], swarm.best_genes[g], swarm.rows.layout, 1)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_counts, build_encoded, first_match, random_mixed_dataset
+from conftest import (
+    brute_force_counts,
+    build_encoded,
+    first_match,
+    random_mixed_dataset,
+    support_confidence,
+)
 from rulemine.errors import DataError, SchemaError
 from rulemine.schema import encode
 from rulemine.synth import generate
@@ -14,11 +20,11 @@ from rulemine.rules import (
     choose_default_class,
     classify_dataset,
     match_mask,
+    render_condition,
     render_rule,
     render_rule_list,
     rule_list_from_dict,
     rule_list_to_dict,
-    rule_quality,
     validate_rule,
 )
 
@@ -128,11 +134,11 @@ class TestMatches:
 
 
 def support(rule, data):
-    return rule_quality(rule.antecedent, rule.class_index, data)[0]
+    return support_confidence(rule, data)[0]
 
 
 def confidence(rule, data):
-    return rule_quality(rule.antecedent, rule.class_index, data)[1]
+    return support_confidence(rule, data)[1]
 
 
 class TestSupportConfidence:
@@ -145,7 +151,7 @@ class TestSupportConfidence:
 
     def test_mask_flags_every_matched_row(self, tiny, married_rule):
         # rows 0-3 match whatever their class; row 3 is not of class 1
-        _, _, mask = rule_quality(married_rule.antecedent, 1, tiny)
+        mask = match_mask(married_rule.antecedent, tiny)
         assert np.flatnonzero(mask).tolist() == [0, 1, 2, 3]
 
     def test_empty_antecedent_is_class_frequency(self, tiny):
@@ -162,11 +168,6 @@ class TestSupportConfidence:
         # rows 1 and 6 have age 0.9; row 1 is class 1 -> not pure. Narrow more.
         rule = Rule(antecedent=(NumericInterval("age", 0.75, 0.85),), class_index=1)
         assert confidence(rule, tiny) == 1.0
-
-    def test_empty_data_rejected(self, tiny, married_rule):
-        empty = tiny.subset(np.array([], dtype=np.int64))
-        with pytest.raises(DataError):
-            support(married_rule, empty)
 
 
 class TestClassify:
@@ -236,6 +237,12 @@ class TestRendering:
         rule = Rule(antecedent=(NumericInterval("salary", 0.2, 0.55),), class_index=1)
         text = render_rule(rule, credit_schema, {"salary": (0.0, 100.0)})
         assert "salary IN [20.00, 55.00]" in text
+
+    def test_constant_column_renders_its_one_value(self, numeric_schema):
+        # a column constant in training scaled every row to 0.0, so each end
+        # of an interval on it reads back as that one value
+        cond = NumericInterval("x", 0.0, 1.0)
+        assert render_condition(cond, numeric_schema, {"x": (5.0, 5.0)}) == "x IN [5.00, 5.00]"
 
     def test_empty_antecedent_renders_true(self, credit_schema):
         rule = Rule(antecedent=(), class_index=0)
@@ -352,7 +359,7 @@ def test_brute_force_oracle_agreement(payload):
     X, y, rule = payload
     data = build_encoded(_schema(), X, y)
     matched, correct = brute_force_counts(rule, data)
-    assert np.count_nonzero(rule_quality(rule.antecedent, rule.class_index, data)[2]) == matched
+    assert np.count_nonzero(match_mask(rule.antecedent, data)) == matched
     assert support(rule, data) == correct / len(data)
     assert confidence(rule, data) == (correct / matched if matched else 0.0)
     if matched:

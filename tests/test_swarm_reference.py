@@ -217,7 +217,7 @@ def test_array_swarm_matches_per_particle_reference(kind, swarm_size, seeding, p
 
     swarm = seed_swarm(network, target, min_represented, data, config)
     ref = ref_seed_swarm(network, target, min_represented, data, config)
-    rule = evolve(swarm, config)
+    rule, stop_reason = evolve(swarm, config)
     ref_rule = ref_evolve(ref, data, config)
 
     assert swarm.trace == ref.trace
@@ -226,6 +226,8 @@ def test_array_swarm_matches_per_particle_reference(kind, swarm_size, seeding, p
     assert np.array_equal(swarm.best_position[swarm.gbest], ref.best_position)
     assert np.array_equal(swarm.best_genes[swarm.gbest], ref.best_genes)
     assert rule == ref_rule
+    assert stop_reason == ("max_iterations" if ref.iteration == config.max_iterations
+                           else "stagnation")
     for name in ("position", "veloc1", "veloc2", "genes", "gene_veloc",
                  "best_position", "best_genes", "best_fitness"):
         expected = np.array([getattr(p, name) for p in ref.particles])
