@@ -61,23 +61,6 @@ class LvqNetwork:
     stop_reason: str  # "stability", "repeated_assignment" or "max_epochs"
 
 
-def move_toward(position: np.ndarray, example: np.ndarray, rate: float) -> np.ndarray:
-    """Attraction step: the new distance to the example is (1 - rate) times
-    the old one, exactly.
-
-    Under round-to-nearest fl(a - b) = -fl(b - a) and fl(r * -v) =
-    -fl(r * v), so ``position - rate * (position - example)`` rounds to the
-    same bits as ``position + rate * (example - position)``.
-    """
-    return position - rate * (position - example)
-
-
-def move_away(position: np.ndarray, example: np.ndarray, rate: float) -> np.ndarray:
-    """Repulsion step: the new distance to the example is (1 + rate) times
-    the old one, exactly."""
-    return position + rate * (position - example)
-
-
 def allocate_per_class(class_counts: np.ndarray, total_centroids: int) -> dict[int, int]:
     """Distribute centroids across classes in proportion to class frequency.
 
@@ -178,8 +161,9 @@ def _present(positions: np.ndarray, class_indices: np.ndarray, train: EncodedDat
             second = int(d2.argmin())
             assign[i] = first
             label = labels[i]
-            # move rows in place, each from its row of diff, as move_toward
-            # and move_away compute. A repulsion can leave [0, 1] and is
+            # move rows in place, each from its row of diff, as the reference
+            # loop in tests/test_lvq_reference.py computes with move_toward
+            # and move_away. A repulsion can leave [0, 1] and is
             # clamped; an attraction cannot. Per coordinate, with p and x in
             # [0, 1] and 0 < rate < 1, it computes fl(p - fl(rate * fl(p - x))),
             # and round-to-nearest is monotone with fl(v) = v for a double v:

@@ -124,16 +124,15 @@ class PackedRows:
     many antecedents at once (support counting on row bitmaps, as in Burdick
     et al., "MAFIA", ICDE 2001). Bits are laid out as ``_pack`` lays them.
 
-    Each nominal attribute's values go in groups of 8: a group's table holds,
-    at index m, the rows whose value is one of the group's values set in m
-    (bit j of m for the group's j-th value). A numeric column is padded with
-    NaN to whole words, so that a comparison never sets a padding bit.
+    Each encoded nominal column has one bitset: the rows that take its value.
+    A numeric column is padded with NaN to whole words, so that a comparison
+    never sets a padding bit.
     """
 
     layout: ColumnLayout
     n_rows: int
     every: np.ndarray  # (W,) all rows
-    unions: tuple[tuple[np.ndarray, ...], ...]  # per attribute, per group: (2**k, W)
+    values: np.ndarray  # (d, W) the rows of each nominal column; 0 for numeric ones
     numeric: np.ndarray  # (a, 64 W) the numeric attributes' values
     classes: np.ndarray  # (classes, W) the rows of each class
 
@@ -141,16 +140,8 @@ class PackedRows:
 def pack_rows(data: EncodedDataset) -> PackedRows:
     layout = data.layout
     n = len(data)
-    unions = []
-    for cols, codes in zip(layout.blocks, data.value_index.T):
-        values = _pack(np.arange(cols.start, cols.stop)[:, None] == codes)
-        groups = []
-        for start in range(0, len(cols), 8):
-            table = np.zeros((1, values.shape[1]), dtype="<u8")
-            for bits in values[start : start + 8]:
-                table = np.concatenate([table, table | bits])
-            groups.append(table)
-        unions.append(tuple(groups))
+    values = np.zeros((layout.dimension, n), dtype=bool)
+    values[data.value_index, np.arange(n)[:, None]] = True
     words = -(-n // 64)
     numeric = np.full((layout.numeric_columns.size, 64 * words), np.nan)
     numeric[:, :n] = data.X[:, layout.numeric_columns].T
@@ -158,7 +149,7 @@ def pack_rows(data: EncodedDataset) -> PackedRows:
         layout=layout,
         n_rows=n,
         every=_pack(np.ones((1, n), dtype=bool))[0],
-        unions=tuple(unions),
+        values=_pack(values),
         numeric=numeric,
         classes=_pack(np.arange(len(layout.schema.class_labels))[:, None] == data.y),
     )
@@ -192,14 +183,16 @@ def count_matches(
     condition, and each numeric column it restricts. ``bounds`` (S, a, 2)
     holds the (lo, hi) of each numeric attribute in
     ``rows.layout.numeric_names`` order, read only where its column is flagged.
+    A nominal block matches the union of its admitted values' bitsets, and a
+    numeric column the rows inside its interval, packed as bits.
     """
     mask = np.tile(rows.every, (len(allowed), 1))
-    for cols, tables in zip(rows.layout.blocks, rows.unions):
-        index = np.packbits(allowed[:, cols.start : cols.stop], axis=1, bitorder="little")
-        hit = tables[0][index[:, 0]]
-        for table, group in zip(tables[1:], index.T[1:]):
-            hit |= table[group]
-        mask &= hit
+    # a row holds exactly one value of each attribute and padding bits are 0,
+    # so the admitted values' words have disjoint bits: their sum is exactly
+    # their union, with no carries
+    for cols in rows.layout.blocks:
+        block = slice(cols.start, cols.stop)
+        mask &= allowed[:, block].astype(np.uint64) @ rows.values[block]
     for i, col in enumerate(rows.layout.numeric_columns):
         on = np.flatnonzero(allowed[:, col])
         if on.size:

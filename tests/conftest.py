@@ -53,6 +53,23 @@ def first_match(rule_list, data, i):
     return rule_list.default_class, None
 
 
+def move_toward(position: np.ndarray, example: np.ndarray, rate: float) -> np.ndarray:
+    """Attraction step: the new distance to the example is (1 - rate) times
+    the old one, exactly.
+
+    Under round-to-nearest fl(a - b) = -fl(b - a) and fl(r * -v) =
+    -fl(r * v), so ``position - rate * (position - example)`` rounds to the
+    same bits as ``position + rate * (example - position)``.
+    """
+    return position - rate * (position - example)
+
+
+def move_away(position: np.ndarray, example: np.ndarray, rate: float) -> np.ndarray:
+    """Repulsion step: the new distance to the example is (1 + rate) times
+    the old one, exactly."""
+    return position + rate * (position - example)
+
+
 @pytest.fixture
 def credit_schema() -> AttributeSchema:
     # 1 nominal (3 values) + 2 numeric -> 5 encoded columns

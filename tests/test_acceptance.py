@@ -9,7 +9,7 @@ import json
 import time
 
 import numpy as np
-from conftest import brute_force_counts, random_mixed_dataset
+from conftest import brute_force_counts, move_away, move_toward, random_mixed_dataset
 
 from rulemine import cli
 from rulemine.evaluation import (
@@ -19,7 +19,7 @@ from rulemine.evaluation import (
     mine_greedy_baseline,
     type_i_error_from_matrix,
 )
-from rulemine.lvq import LvqConfig, fit_network, move_away, move_toward
+from rulemine.lvq import LvqConfig, fit_network
 from rulemine.miner import MinerConfig, mine
 from rulemine.pso import PsoConfig, binarize, sigmoid
 from rulemine.rules import classify_dataset

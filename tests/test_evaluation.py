@@ -62,6 +62,8 @@ class TestMatrixMetrics:
             ConfusionMatrix(counts=np.zeros((3, 3)), labels=("a", "b"))
         with pytest.raises(DataError):
             accuracy_from_matrix(_matrix([[0.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(DataError, match="confusion matrix is empty"):
+            type_i_error_from_matrix(_matrix([[0.0, 0.0], [0.0, 0.0]]), 0)
         with pytest.raises(DataError):
             type_i_error_from_matrix(_matrix([[1.0, 0.0], [0.0, 1.0]]), 2)
 

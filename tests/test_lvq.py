@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_encoded
+from conftest import build_encoded, move_away, move_toward
 from rulemine import lvq
 from rulemine.errors import ConfigError, DataError
 from rulemine.lvq import (
@@ -14,8 +14,6 @@ from rulemine.lvq import (
     _present,
     allocate_per_class,
     fit_network,
-    move_away,
-    move_toward,
 )
 from rulemine.miner import MinerConfig, mine
 from rulemine.schema import encode, stratified_split

@@ -15,15 +15,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import build_encoded
+from conftest import build_encoded, move_away, move_toward
 from rulemine import lvq
 from rulemine.lvq import (
     LvqConfig,
     _final_statistics,
     _place_centroids,
     fit_network,
-    move_away,
-    move_toward,
 )
 from rulemine.schema import Attribute, AttributeSchema
 

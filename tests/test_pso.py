@@ -344,10 +344,10 @@ PACKED_SCHEMAS = {
 
 
 def _packed_data(kind, n, seed):
-    """n rows over nominal attributes of 9 and 17 values, so that the union
-    tables have two and three groups of 8, and numeric values on a grid, so
-    that many rows tie on an interval end. No row takes the last value of a
-    nominal attribute."""
+    """n rows over nominal attributes of 9 and 17 values, so that a nominal
+    block is wider than one byte, and numeric values on a grid, so that many
+    rows tie on an interval end. No row takes the last value of a nominal
+    attribute."""
     schema = AttributeSchema(PACKED_SCHEMAS[kind], "cls", ("a", "b", "c"))
     rng = np.random.default_rng(seed)
     blocks = []
@@ -364,7 +364,7 @@ def _packed_data(kind, n, seed):
 class TestPackedKernel:
     """``count_matches`` counts on packed row bits: it must agree with the
     brute-force double loop, and ``fitness`` with ``fitness_from_rule`` byte
-    for byte, at word edges, across union groups and on ties."""
+    for byte, at word edges, across wide nominal blocks and on ties."""
 
     @staticmethod
     def _allowed(position, layout):
@@ -428,9 +428,14 @@ class TestPackedKernel:
         for c in range(3):
             assert unpack(rows.classes[c]).tolist() == (
                 (data.y == c).tolist() + [False] * (64 * words - n))
-        assert [len(groups) for groups in rows.unions] == [2, 3]
-        assert [table.shape for table in rows.unions[1]] == [
-            (256, words), (256, words), (2, words)]
+        assert rows.values.shape == (data.dimension, words)
+        padding = [0] * (64 * words - n)
+        for attr in data.schema.nominal_attributes:
+            for j in data.layout.nominal_columns(attr.name):
+                assert unpack(rows.values[j]).tolist() == (
+                    (data.X[:, j] == 1.0).tolist() + padding)
+        for j in data.layout.numeric_columns:
+            assert not rows.values[j].any()
 
     @pytest.mark.parametrize("kind", sorted(PACKED_SCHEMAS))
     def test_blocks_none_or_all_set_match_every_row(self, kind):
@@ -454,7 +459,7 @@ class TestPackedKernel:
             genes[0, 0] = [0.1, 0.2]  # between grid values
             genes[1, 0] = [0.3, 0.3]
         else:
-            # the last values: in the second group of 8, and alone in the third
+            # the last values, which no row takes: past the first byte of a block
             position[0, layout.nominal_columns("nine")[8]] = 1.0
             position[1, layout.nominal_columns("seventeen")[16]] = 1.0
         rules = self._check(position, genes, data)

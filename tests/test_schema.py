@@ -425,6 +425,12 @@ class TestEncode:
         raw = parse_csv(io.StringIO("x,y,cls\n0.1,0.2,neg\n0.3,0.4,pos\n"), numeric_schema)
         assert encode(raw).value_index.shape == (2, 0)
 
+    def test_missing_class_labels_rejected(self, credit_schema):
+        raw = parse_csv(io.StringIO(CSV_OK), credit_schema)
+        short = RawDataset(raw.schema, raw.rows, raw.classes[:-1])
+        with pytest.raises(DataError, match="dataset rows are missing class labels"):
+            encode(short)
+
     def test_numeric_midpoint(self, credit_schema):
         text = (
             "marital_status,salary,age,status\n"
@@ -658,6 +664,11 @@ class TestStratifiedSplit:
         data = build_encoded(numeric_schema, X, [0, 0, 1])
         with pytest.raises(DataError):
             stratified_split(data, 0.5, seed=0)
+
+    def test_empty_dataset_rejected(self, numeric_schema):
+        empty = self._dataset(numeric_schema).subset(np.array([], dtype=np.intp))
+        with pytest.raises(DataError, match="cannot split an empty dataset"):
+            stratified_split(empty, 0.5, seed=0)
 
     def test_fraction_bounds(self, numeric_schema):
         data = self._dataset(numeric_schema)
