@@ -1,8 +1,8 @@
 """What one rule-search run looks like from the inside.
 
 The miner's inner loop has two stages: a prototype network summarizes each
-class, then a binary particle swarm — seeded from those prototypes — searches
-for the single best rule for one class. This script runs the stages by hand
+class, then a binary particle swarm — seeded from those prototypes and from
+the best one-condition rule — searches for the single best rule for one class. This script runs the stages by hand
 so their intermediate state can be inspected.
 """
 
@@ -38,6 +38,8 @@ target = 1
 config = PsoConfig(swarm_size=30, max_iterations=150, stagnation_limit=25, seed=4)
 swarm = seed_swarm(network, target, 2, data, config)
 print(f"\nswarm of {len(swarm.position)} particles seeded for class {labels[target]!r}")
+print(f"warm start: the best of {swarm.warm_start_candidates} one-condition rules "
+      f"holds the last particle, fitness {swarm.best_fitness[-1]:.4f}")
 print(f"initial best fitness: {swarm.trace[-1]:.4f}")
 
 best_rule, stop_reason = evolve(swarm, config)  # scores against the rows it was seeded on

@@ -86,6 +86,7 @@ class SwarmLog:
     correct: int  # the rows it matches and classifies correctly
     floor: float  # the correct rows it needed: support_factor * uncovered_c
     outcome: str  # "emitted", "folded" into the default, or the first gate failed
+    warm_start_candidates: int  # one-condition rules scored before the first round
 
 
 @dataclass
@@ -140,8 +141,11 @@ class MiningReport:
                     "correct": log.correct,
                     "floor": log.floor,
                     "stop_reason": log.stop_reason,
-                    # one fitness evaluation per particle per round
-                    "fitness_evals": self.swarm_size * len(log.trace),
+                    "warm_start_candidates": log.warm_start_candidates,
+                    # one fitness evaluation per warm-start candidate, and one
+                    # per particle per round
+                    "fitness_evals": (log.warm_start_candidates
+                                      + self.swarm_size * len(log.trace)),
                     "best_fitness_trace": list(log.trace),
                 }
                 for i, log in launches
@@ -251,7 +255,8 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
         else:  # IF TRUE fires on every row left: its class becomes the default
             outcome, default = "folded", target
         swarm_logs.append(SwarmLog(swarm.trace, swarm_stop, candidate, support_value,
-                                   confidence_value, correct, floor, outcome))
+                                   confidence_value, correct, floor, outcome,
+                                   swarm.warm_start_candidates))
 
     residue_y = train.y[covered_by == 0]
     if default is None:

@@ -10,7 +10,10 @@ position, which is clamped to [0, 1] with lo <= hi repaired by swapping.
 
 Fitness of a decoded rule is a weighted sum of confidence, support, and a
 shortness term, so the swarm prefers pure rules, then broad ones, then short
-ones.
+ones. Confidence is an m-estimate (Cestnik, "Estimating Probabilities", ECAI
+1990): a rule that matches few rows is pulled toward its class's base rate,
+so a pure fragment of a handful of rows does not outscore a broad rule. Each
+swarm is warm-started with the best one-condition rule under that fitness.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .rules import (
     Rule,
     count_matches,
     pack_rows,
+    popcount,
 )
 from .schema import NOMINAL, ColumnLayout, EncodedDataset
 
@@ -42,6 +46,12 @@ VELOC2_BOUNDS = (-4.0, 4.0)
 WEIGHT_CONFIDENCE = 0.6  # the three fitness weights sum to 1
 WEIGHT_SUPPORT = 0.3
 WEIGHT_LENGTH = 0.1
+M_ESTIMATE = 20  # rows of the class's base rate added to every rule's confidence
+# the warm start's candidates: intervals between this many quantile points of
+# each numeric attribute, and every proper subset of each nominal attribute's
+# values, or above FULL_SUBSETS_MAX values only each value and its complement
+WARM_START_QUANTILES = 16
+FULL_SUBSETS_MAX = 8
 MAX_SWARM_SIZE = 100_000  # far above any use; a larger swarm overflows numpy sizes
 
 
@@ -80,6 +90,7 @@ class Swarm:
     rng: np.random.Generator
     rows: PackedRows  # pack_rows of the dataset the swarm was seeded on
     trace: list[float]  # gbest after seeding, then each step
+    warm_start_candidates: int  # one-condition rules scored to warm-start it
 
 
 def sigmoid(values: np.ndarray) -> np.ndarray:
@@ -132,8 +143,11 @@ def fitness(
     Scores the swarm in one pass without decoding it, with the rules of
     decode_state: a nominal attribute places a condition when some but not
     all of its bits are set (none set admits every value), a numeric one when
-    its column bit is set. Equal, bit for bit, to the same weighted sum over
-    the ``match_mask`` counts of each particle's decoded rule on the rows.
+    its column bit is set. Confidence is the m-estimate (correct + m p) /
+    (matched + m), with m = M_ESTIMATE and p the share of the rows in class
+    ``class_index``; a rule that matches no row scores p. Equal, bit for bit,
+    to the same weighted sum over the ``match_mask`` counts of each particle's
+    decoded rule on the rows.
     """
     if rows.n_rows == 0:
         raise DataError("support and confidence are undefined on an empty dataset")
@@ -147,7 +161,8 @@ def fitness(
     lengths += np.count_nonzero(allowed[:, rows.layout.numeric_columns], axis=1)
     matched, correct = count_matches(rows, allowed, genes, class_index)
     support = correct / rows.n_rows
-    confidence = np.divide(correct, matched, out=np.zeros(len(allowed)), where=matched > 0)
+    prior = popcount(rows.classes[class_index : class_index + 1])[0] / rows.n_rows
+    confidence = (correct + M_ESTIMATE * prior) / (matched + M_ESTIMATE)
     shortness = 1.0 - lengths / len(rows.layout.schema.attributes)
     return (
         WEIGHT_CONFIDENCE * confidence
@@ -171,6 +186,45 @@ def _update_bests(swarm: Swarm, fit: np.ndarray) -> None:
     swarm.trace.append(float(swarm.best_fitness[swarm.gbest]))
 
 
+def one_condition_rules(data: EncodedDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The warm start's candidates as particle states: (C, d) bits and
+    (C, a, 2) genes, one condition each, in schema attribute order.
+
+    A nominal attribute of k values gives every proper subset of them, or
+    above FULL_SUBSETS_MAX values each value and its complement (2k, not
+    2^k - 2). A numeric attribute gives each interval [q_i, q_j], i <= j,
+    between WARM_START_QUANTILES quantile points of its values in ``data``.
+    """
+    layout = data.layout
+    d, a = layout.dimension, layout.numeric_columns.size
+    lo, hi = np.triu_indices(WARM_START_QUANTILES)
+    cuts = np.linspace(0.0, 1.0, WARM_START_QUANTILES)
+    bits, genes = [], []
+    for attr in layout.schema.attributes:
+        if attr.kind == NOMINAL:
+            cols = layout.nominal_columns(attr.name)
+            k = len(cols)
+            if k <= FULL_SUBSETS_MAX:
+                chosen = (np.arange(1, 2**k - 1)[:, None] >> np.arange(k)) & 1
+            else:
+                chosen = np.vstack([np.eye(k), 1.0 - np.eye(k)])
+            block = np.zeros((len(chosen), d))
+            block[:, cols.start : cols.stop] = chosen
+            bits.append(block)
+            genes.append(np.zeros((len(chosen), a, 2)))
+        else:
+            col = layout.numeric_column(attr.name)
+            i = layout.numeric_names.index(attr.name)
+            q = np.quantile(data.X[:, col], cuts)
+            block = np.zeros((lo.size, d))
+            block[:, col] = 1.0
+            gene = np.zeros((lo.size, a, 2))
+            gene[:, i, 0], gene[:, i, 1] = q[lo], q[hi]
+            bits.append(block)
+            genes.append(gene)
+    return np.concatenate(bits), np.concatenate(genes)
+
+
 def seed_swarm(
     network: LvqNetwork,
     class_index: int,
@@ -183,7 +237,10 @@ def seed_swarm(
     Seeds come from the network's centroids of the target class that
     represent at least ``min_represented`` examples, or from all centroids of
     the class if none qualify. Extra particles beyond the seed pool are
-    perturbed copies of the seeds. A network with no centroid of the class
+    perturbed copies of the seeds. The last particle is then replaced by the
+    best of ``one_condition_rules`` under ``fitness`` (the first on ties),
+    with veloc2 at the bound its bits point to, so that no launch starts
+    below the best single condition. A network with no centroid of the class
     raises DataError: ``allocate_per_class`` gives every class present in the
     training data at least one.
     """
@@ -236,6 +293,13 @@ def seed_swarm(
         bit_draw[s] = rng.random(d)
     position = binarize(veloc2, bit_draw)
     rows = pack_rows(data)
+    # a schema has an attribute, and a nominal one 2 values: never 0 candidates
+    warm_bits, warm_genes = one_condition_rules(data)
+    best = int(np.argmax(fitness(warm_bits, warm_genes, class_index, rows)))
+    position[-1] = warm_bits[best]
+    veloc2[-1] = np.where(warm_bits[best] >= 0.5, ub2, lb2)
+    on = warm_bits[best, numeric_cols] >= 0.5
+    genes[-1, on] = warm_genes[best, on]
     fit = fitness(position, genes, class_index, rows)
     gbest = int(np.argmax(fit))  # the first particle on ties, as _update_bests picks
     return Swarm(
@@ -252,6 +316,7 @@ def seed_swarm(
         rng=rng,
         rows=rows,
         trace=[float(fit[gbest])],
+        warm_start_candidates=len(warm_bits),
     )
 
 

@@ -162,7 +162,7 @@ _H01 = np.uint64(0x0101010101010101)
 _1, _2, _4, _56 = (np.uint64(k) for k in (1, 2, 4, 56))
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
+def popcount(words: np.ndarray) -> np.ndarray:
     """Set bits of each row of (m, W) words, summed along the row: a SWAR
     count per word. The shifts and masks are np.uint64, since numpy 1.x
     promotes a uint64 array shifted by a Python int to float or raises."""
@@ -199,7 +199,7 @@ def count_matches(
             lo, hi = bounds[on, i, 0, None], bounds[on, i, 1, None]
             hit = (rows.numeric[i] >= lo) & (rows.numeric[i] <= hi)
             mask[on] &= np.packbits(hit, axis=1, bitorder="little").view("<u8")
-    return _popcount(mask), _popcount(mask & rows.classes[class_index])
+    return popcount(mask), popcount(mask & rows.classes[class_index])
 
 
 def match_mask(conditions: Sequence[Condition], data: EncodedDataset) -> np.ndarray:

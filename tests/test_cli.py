@@ -1365,12 +1365,13 @@ def _paths(node, prefix=()):
 def fuzzdir(tmp_path_factory):
     """A 60-row dataset, its schema, the full small config and a model.
 
-    The model has nominal and numeric conditions for the fuzz to reach: on
-    synth seed 4 the small config mines only IF TRUE, which folds into the
-    default and leaves no rule."""
+    The model has nominal and numeric conditions for the fuzz to reach. The
+    data is credit3, whose hidden rules use both kinds: fragmented's numeric
+    attribute is noise, which the small config's model on 60 fragmented rows
+    does not condition on."""
     d = tmp_path_factory.mktemp("fuzz")
-    assert _silent(["synth", "--rows", "60", "--seed", "5",
-                    "--profile", "fragmented", "--out", str(d / "tiny")]) == 0
+    assert _silent(["synth", "--rows", "60", "--seed", "3",
+                    "--profile", "credit3", "--out", str(d / "tiny")]) == 0
     # every settable key; the seeds come from --seed
     config = MinerConfig.from_dict(SMALL_CONFIG).to_dict()
     for section in (config, config["lvq"], config["pso"]):
@@ -1433,7 +1434,7 @@ def csvfuzz(tmp_path_factory):
     """A credit3 model, loaded and on disk, and the text of a 60-row credit3
     file to mutate."""
     d = tmp_path_factory.mktemp("csvfuzz")
-    assert _silent(["synth", "--rows", "200", "--seed", "3",
+    assert _silent(["synth", "--rows", "200", "--seed", "1",
                     "--profile", "credit3", "--out", str(d / "credit")]) == 0
     (d / "small.json").write_text(json.dumps(SMALL_CONFIG))
     assert _silent(["train", "--data", str(d / "credit.csv"),

@@ -21,19 +21,19 @@ from rulemine import cli
 GOLDEN = {
     "credit3": {
         "data.csv": "e6d9f774dec73b9280057d042074a7b2aae7c9c6bf73e0119e693298103c9a16",
-        "train.stdout": "aa6b192ce18db1e3dbd1e30115d235c25ffc1a56c1599c31687da91e5da8e8eb",
-        "model.json": "6e0678b0ad18ac2c5d9002061cd4f756d569b3ec0b6f1663c161e79501ba0a0c",
-        "model.report.json": "1503095803371ea4e240148a5ee88377d59f3f5711647da6960f18a463f8a093",
-        "scored.csv": "c25b43ab9cd3841b1ac6306493f7a4c2bf85a183a04113b3afa467ed2541394d",
-        "eval.json": "4411f3aa59d8116cd48143ee554fb70d924dc27f9d149110309268a21fd2b6db",
+        "train.stdout": "df67e7e28541d72dba3301f86e79bd1eec84ce6a2d714f8f08099e811938a9e6",
+        "model.json": "b39ae480b452030682629b6026ca28f9f64857041bcce3e83af71d4b11bbe2f5",
+        "model.report.json": "848db00ca9d36a6d140bd789662af547339b6ecea1aeec1ee6dba58304f0c736",
+        "scored.csv": "1e386fa626b3e9eb78b70b091b57026a7210365ac0a722376175f5828e632cea",
+        "eval.json": "f505cbb9c3aec1896e1b14c2d049984f51425f818900a5a095670d4b4d37c38c",
     },
     "fragmented": {
         "data.csv": "76ff151eeec3651a3611c261aa4029b38189f2c958dab80f87c3e2e5db06a7c9",
-        "train.stdout": "f3a3e01eb0c325fb2de186e98322acea0451722790cd4e57535b7d5505ad5753",
-        "model.json": "0e908823e040dc95ca94dc047d5f50e618f7f2187619fa33889c8b5020a24bb6",
-        "model.report.json": "4bdf239f739e93658a32874d46dbb518d5186020dbaf0d19f991759fba8e7e81",
-        "scored.csv": "f61566eb0a8fe071215a5334167580cef854be3ec35a7e48d2cff2d81b8978ad",
-        "eval.json": "1cb7b5400c48aee4de785df608a516cfe075e02bc6c64be398f380768a4575e5",
+        "train.stdout": "57cc93523bfa5b1fe64d875c2e4d448681154b2622ea38b624ea531d7e6eea6f",
+        "model.json": "26176c4a18b21021522ca9020712fca088c7992ec854a3b3e6a0d6654ebce660",
+        "model.report.json": "7dcf6d6fd667d890b32596e67a4664307f05ce3f8b4a958059623bd3f1b7d1f4",
+        "scored.csv": "f1c15d2d9cff0a8437c52e12b771cb85e1dc66047f5cccc8d663bbaf0583f069",
+        "eval.json": "155eed4e53384c45f24e35c9f2755e59c0e85e8f0e3172a61ea87416a1e7f005",
     },
 }
 

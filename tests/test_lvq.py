@@ -224,11 +224,13 @@ class TestTraining:
         assert (net.churn[-1] == 0.0) == (stop == "repeated_assignment")
 
     def test_stability_stop_fires_at_the_default_threshold(self):
-        # the separable profile as mine fits it: the last epoch's movement
-        # (9.32e-5) is the first below the default threshold of 1e-4
+        # the separable profile as mine fits it on a 20-epoch schedule: the
+        # last epoch's movement (9.32e-5) is the first below the default
+        # threshold of 1e-4
         data = encode(generate("separable", rows=2000, seed=1).to_raw())
         train_part, _ = stratified_split(data, 0.3, 1)
-        network = mine(train_part, MinerConfig(seed=1))[1].network
+        config = MinerConfig(seed=1, lvq=LvqConfig(max_epochs=20))
+        network = mine(train_part, config)[1].network
         assert lvq.STABILITY_THRESHOLD == 1e-4
         assert network.stop_reason == "stability"
         assert len(network.trace) == 20

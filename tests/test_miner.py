@@ -330,7 +330,8 @@ class TestRecordInvariants:
         json_logs = report.to_dict(data.schema)["swarm_logs"]
         for log, json_log in zip(report.swarm_logs, json_logs, strict=True):
             steps = len(log.trace) - 1
-            assert json_log["fitness_evals"] == pso.swarm_size * (steps + 1)
+            assert json_log["fitness_evals"] == (
+                log.warm_start_candidates + pso.swarm_size * (steps + 1))
             if steps == pso.max_iterations:
                 assert log.stop_reason == "max_iterations"
             else:
@@ -353,7 +354,8 @@ class TestRecordInvariants:
         assert parsed["stop_reason"] == report.stop_reason
         assert parsed["train_size"] == len(data) == len(report.covered_by)
         assert [(log["stop_reason"], log["fitness_evals"]) for log in parsed["swarm_logs"]] == [
-            (log.stop_reason, SMALL.pso.swarm_size * len(log.trace)) for log in report.swarm_logs
+            (log.stop_reason, log.warm_start_candidates + SMALL.pso.swarm_size * len(log.trace))
+            for log in report.swarm_logs
         ]
         # each rule entry names its launch, whose log holds the rule itself
         assert len(parsed["rules"]) == len(rule_list.rules) >= 1
@@ -404,22 +406,29 @@ def nothing_minable():
     return data, rule_list, report
 
 
+SCATTERED_CONFIG = MinerConfig(
+    seed=9,
+    support_factor=0.9,
+    min_confidence=0.95,
+    max_attempts_per_class=2,
+    lvq=LvqConfig(centroid_count=4, max_epochs=20),
+    pso=PsoConfig(swarm_size=10, max_iterations=20, stagnation_limit=8),
+)
+
+
 @pytest.fixture(scope="module")
 def scattered_minority():
+    # 12 minority rows at the low end of x, and 8 more scattered above them:
+    # the m-estimate scores a fragment of a few rows below IF TRUE, so only a
+    # pure pocket this large wins a minority launch
     rng = np.random.default_rng(2)
     X = rng.uniform(0, 1, (120, 1))
     y = np.zeros(120, dtype=np.int64)
-    y[::6] = 1
+    order = np.argsort(X[:, 0])
+    y[order[:12]] = 1
+    y[order[18::13]] = 1
     data = build_encoded(_one_numeric_schema(), X, y)
-    cfg = MinerConfig(
-        seed=9,
-        support_factor=0.9,
-        min_confidence=0.95,
-        max_attempts_per_class=2,
-        lvq=LvqConfig(centroid_count=4, max_epochs=20),
-        pso=PsoConfig(swarm_size=10, max_iterations=20, stagnation_limit=8),
-    )
-    rule_list, report = mine(data, cfg)
+    rule_list, report = mine(data, SCATTERED_CONFIG)
     return data, rule_list, report
 
 
@@ -450,9 +459,10 @@ class TestNothingMinable:
 
 
 class TestScatteredMinority:
-    """A thin minority scattered through the majority: under a high support
-    factor no pure box can cover enough of it, so the floor (not confidence
-    alone) is what keeps junk fragments out of the list."""
+    """A thin minority, a pure pocket of it and the rest scattered through the
+    majority: under a high support factor no pure box can cover enough of it,
+    so the floor (not confidence alone) is what keeps the pocket out of the
+    list."""
 
     def test_minority_never_emits(self, scattered_minority):
         _, _, report = scattered_minority
@@ -462,7 +472,7 @@ class TestScatteredMinority:
 
     def test_the_floor_counts_correct_rows(self, scattered_minority):
         # 20 minority rows under support_factor 0.9: a candidate needs 18 of
-        # them correct, and a pure fragment falls short of that
+        # them correct, and the pure pocket of 12 falls short of that
         _, _, report = scattered_minority
         minority = [log for log in report.swarm_logs if log.candidate.class_index == 1]
         assert {log.floor for log in minority} == {0.9 * 20}
@@ -578,9 +588,16 @@ class TestRandomDatasets:
             failed += sum(log.outcome in GATES for log in report.swarm_logs)
         assert failed > 0
 
-    def test_outcomes_recompute_from_the_report_of_criterion_7(self, criterion_7_runs):
+    def test_outcomes_recompute_from_the_report_of_criterion_7(
+        self, criterion_7_runs, scattered_minority
+    ):
+        # no candidate of these runs falls below its floor: at support_factor
+        # 0.1 only a fragment of a few rows would, and the m-estimate scores
+        # those below a broader rule. The scattered minority's pocket does.
+        data, _, report = scattered_minority
+        runs = [*criterion_7_runs, (data, SCATTERED_CONFIG, None, report)]
         outcomes = Counter()
-        for data, config, _, report in criterion_7_runs:
+        for data, config, _, report in runs:
             doc = json.loads(json.dumps(report.to_dict(data.schema)))
             _assert_outcomes_recompute(doc, config.min_confidence)
             outcomes.update(log["outcome"] for log in doc["swarm_logs"])

@@ -5,12 +5,14 @@ from conftest import brute_force_counts, build_encoded, fitness_from_rule, suppo
 from rulemine import pso
 from rulemine.errors import ConfigError, DataError
 from rulemine.lvq import LvqConfig, LvqNetwork, fit_network
+from rulemine.miner import MinerConfig, mine
 from rulemine.pso import (
     PsoConfig,
     binarize,
     decode_state,
     evolve,
     fitness,
+    one_condition_rules,
     seed_swarm,
     sigmoid,
     step,
@@ -23,7 +25,8 @@ from rulemine.rules import (
     pack_rows,
     validate_rule,
 )
-from rulemine.schema import Attribute, AttributeSchema
+from rulemine.schema import Attribute, AttributeSchema, encode
+from rulemine.synth import generate
 
 # 10-digit reference values for the logistic squash
 SIGMOID_TABLE = {
@@ -182,9 +185,10 @@ class TestFitness:
             ),
             class_index=1,
         )
-        # confidence 3/4, support 3/10, shortness 1 - 2/8
-        expected = 0.6 * 0.75 + 0.3 * 0.3 + 0.1 * 0.75
-        assert expected == pytest.approx(0.615, abs=1e-12)
+        # confidence (3 + 20 * 3/10) / (4 + 20), the m-estimate of 3 of 4
+        # matched rows at the class's 3/10 share; support 3/10, shortness 1 - 2/8
+        expected = 0.6 * 0.375 + 0.3 * 0.3 + 0.1 * 0.75
+        assert expected == pytest.approx(0.39, abs=1e-12)
         got = fitness_from_rule(rule, data)
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -194,12 +198,13 @@ class TestFitness:
         rule = Rule(antecedent=(), class_index=1)
         assert fitness_from_rule(rule, data) == pytest.approx(1.0, abs=1e-12)
 
-    def test_match_nothing_scores_only_shortness(self, numeric_schema):
+    def test_match_nothing_scores_the_class_share_and_shortness(self, numeric_schema):
+        # no matched row leaves the m-estimate at the class's share, 3/10
         X = np.full((10, 2), 0.5)
-        data = build_encoded(numeric_schema, X, np.zeros(10, dtype=np.int64))
-        rule = Rule(antecedent=(NumericInterval("x", 0.9, 1.0),), class_index=0)
+        data = build_encoded(numeric_schema, X, [0] * 7 + [1] * 3)
+        rule = Rule(antecedent=(NumericInterval("x", 0.9, 1.0),), class_index=1)
         assert fitness_from_rule(rule, data) == pytest.approx(
-            pso.WEIGHT_LENGTH * (1 - 1 / 2), abs=1e-12
+            pso.WEIGHT_CONFIDENCE * 0.3 + pso.WEIGHT_LENGTH * (1 - 1 / 2), abs=1e-12
         )
 
     def test_matches_support_confidence_recomputation(self, credit_schema):
@@ -210,7 +215,10 @@ class TestFitness:
             genes = np.sort(rng.random((2, 2)), axis=1)
             rule = decode_state(position, genes, data.layout, 1)
             direct = fitness_from_rule(rule, data)
-            support, confidence = support_confidence(rule, data)
+            matched, correct = brute_force_counts(rule, data)
+            prior = np.count_nonzero(data.y == 1) / len(data)
+            support = correct / len(data)
+            confidence = (correct + pso.M_ESTIMATE * prior) / (matched + pso.M_ESTIMATE)
             recomputed = (
                 pso.WEIGHT_CONFIDENCE * confidence
                 + pso.WEIGHT_SUPPORT * support
@@ -292,9 +300,11 @@ class TestBatchFitnessOracle:
     @pytest.mark.parametrize("swarm_size", [1, 2, 40])
     @pytest.mark.parametrize("kind", sorted(ORACLE_SCHEMAS))
     def test_random_swarms(self, kind, swarm_size, monkeypatch):
-        # weights other than the defaults, which fitness and the oracle both read
+        # weights and an m other than the defaults, which fitness and the
+        # oracle both read
         for name, weight in [("CONFIDENCE", 0.5), ("SUPPORT", 0.3), ("LENGTH", 0.2)]:
             monkeypatch.setattr(pso, f"WEIGHT_{name}", weight)
+        monkeypatch.setattr(pso, "M_ESTIMATE", 3)
         data = _oracle_data(kind, seed=swarm_size)
         rng = np.random.default_rng(swarm_size + 1)
         for class_index in range(3):
@@ -325,7 +335,13 @@ class TestBatchFitnessOracle:
         rule = decode_state(position[0], genes[0], layout, 1)
         assert len(rule) == 1
         assert support_confidence(rule, data) == (0.0, 0.0)
-        assert got[0] == pso.WEIGHT_LENGTH * (1 - 1 / len(data.schema.attributes))
+        # the m-estimate of no matched row is the class's share of the rows
+        prior = np.count_nonzero(data.y == 1) / len(data)
+        assert got[0] == (
+            pso.WEIGHT_CONFIDENCE * (pso.M_ESTIMATE * prior / pso.M_ESTIMATE)
+            + pso.WEIGHT_SUPPORT * 0.0
+            + pso.WEIGHT_LENGTH * (1 - 1 / len(data.schema.attributes))
+        )
 
     def test_empty_dataset_rejected(self, numeric_schema):
         data = build_encoded(numeric_schema, np.zeros((0, 2)), [])
@@ -487,11 +503,13 @@ def _hand_network(position, numeric_deviation, represented=5, class_index=0):
 
 
 class TestSeeding:
+    # two particles: particle 0 is seeded from the centroid, and the last one
+    # is replaced by the warm start
     def test_tight_numeric_dimension_saturates_accumulator(self, credit_schema):
         # zero deviation -> raw participation 1.0 -> top of the veloc2 range
         data = _credit_data(credit_schema)
         net = _hand_network([1.0, 0.0, 0.0, 0.4, 0.5], [0.0, 0.2])
-        swarm = seed_swarm(net, 0, 1, data, PsoConfig(swarm_size=1, seed=0))
+        swarm = seed_swarm(net, 0, 1, data, PsoConfig(swarm_size=2, seed=0))
         v2 = swarm.veloc2[0]
         assert v2[3] == 4.0  # salary: deviation 0
         assert v2[0] == 4.0  # nominal coordinate 1.0
@@ -500,7 +518,7 @@ class TestSeeding:
     def test_loose_numeric_dimension_floors_accumulator(self, credit_schema):
         data = _credit_data(credit_schema)
         net = _hand_network([0.0, 1.0, 0.0, 0.5, 0.5], [0.8, 0.25])
-        swarm = seed_swarm(net, 0, 1, data, PsoConfig(swarm_size=1, seed=0))
+        swarm = seed_swarm(net, 0, 1, data, PsoConfig(swarm_size=2, seed=0))
         v2 = swarm.veloc2[0]
         assert v2[3] == -4.0  # 1 - 1.5*0.8 clamps to 0
         assert v2[4] == pytest.approx(-4.0 + (1 - 1.5 * 0.25) * 8.0, abs=1e-12)
@@ -508,7 +526,7 @@ class TestSeeding:
     def test_genes_span_center_plus_minus_spread(self, credit_schema):
         data = _credit_data(credit_schema)
         net = _hand_network([0.0, 1.0, 0.0, 0.4, 0.9], [0.2, 0.2])
-        swarm = seed_swarm(net, 0, 1, data, PsoConfig(swarm_size=1, seed=0))
+        swarm = seed_swarm(net, 0, 1, data, PsoConfig(swarm_size=2, seed=0))
         genes = swarm.genes[0]
         assert genes[0] == pytest.approx([0.1, 0.7], abs=1e-12)
         assert genes[1] == pytest.approx([0.6, 1.0], abs=1e-12)  # clipped at 1
@@ -518,14 +536,14 @@ class TestSeeding:
         light = [0.0, 0.0, 1.0, 0.9, 0.9]
         heavy = [1.0, 0.0, 0.0, 0.3, 0.3]
         net = _network([light, heavy], np.zeros((2, 5)), [1, 9], [0, 0])
-        swarm = seed_swarm(net, 0, 3, data, PsoConfig(swarm_size=1, seed=0))
+        swarm = seed_swarm(net, 0, 3, data, PsoConfig(swarm_size=2, seed=0))
         # only the heavy centroid qualifies, so particle 0 mirrors it exactly
         assert np.array_equal(swarm.genes[0][0], [0.3, 0.3])
 
     def test_filter_falls_back_to_all_class_centroids(self, credit_schema):
         data = _credit_data(credit_schema)
         net = _network([[0.0, 0.0, 1.0, 0.9, 0.9]], np.zeros((1, 5)), [1], [0])
-        swarm = seed_swarm(net, 0, 5, data, PsoConfig(swarm_size=1, seed=0))
+        swarm = seed_swarm(net, 0, 5, data, PsoConfig(swarm_size=2, seed=0))
         assert np.array_equal(swarm.genes[0][0], [0.9, 0.9])
 
     def test_class_without_centroids_is_rejected(self, credit_schema):
@@ -692,3 +710,89 @@ class TestSubsetSwarm:
         assert rule == decode_state(
             swarm.best_position[g], swarm.best_genes[g], swarm.rows.layout, 1)
         assert fitness_from_rule(rule, sub) == swarm.trace[-1]
+
+
+def _credit3_sample(rows, seed):
+    return encode(generate("credit3", rows, seed).to_raw())
+
+
+WARM_START_CASES = {
+    # (data, target class): a nominal block of 3 values, blocks of 9 and 17
+    # values (only single values and their complements), and credit3's mix
+    "small_nominal": (lambda: _oracle_data("mixed", seed=4), 1),
+    "wide_nominal": (lambda: _packed_data("mixed", 150, seed=5), 2),
+    "credit3": (lambda: _credit3_sample(300, 2), 0),
+}
+
+
+class TestWarmStart:
+    """Each swarm starts with the best one-condition rule in its last
+    particle, so no launch returns a rule that scores below it."""
+
+    @staticmethod
+    def _best_one_condition(data, class_index):
+        bits, genes = one_condition_rules(data)
+        scores = [fitness_from_rule(decode_state(b, g, data.layout, class_index), data)
+                  for b, g in zip(bits, genes)]
+        return bits[int(np.argmax(scores))], max(scores)
+
+    def test_candidates_are_one_condition_rules(self, credit_schema):
+        data = _credit_data(credit_schema)
+        bits, genes = one_condition_rules(data)
+        rules = [decode_state(b, g, data.layout, 0) for b, g in zip(bits, genes)]
+        assert all(len(rule) == 1 for rule in rules)
+        # the 6 proper subsets of marital_status's 3 values, then 136
+        # intervals between 16 quantile points of each numeric attribute
+        assert len(rules) == 6 + 2 * 136
+        assert [set(r.antecedent[0].allowed) for r in rules[:6]] == [
+            {"single"}, {"married"}, {"single", "married"}, {"divorced"},
+            {"single", "divorced"}, {"married", "divorced"}]
+        salary = data.X[:, data.layout.numeric_column("salary")]
+        lo = [r.antecedent[0].lo for r in rules[6 : 6 + 136]]
+        hi = [r.antecedent[0].hi for r in rules[6 : 6 + 136]]
+        assert (lo[0], hi[-1]) == (salary.min(), salary.max())
+        assert all(a <= b for a, b in zip(lo, hi))
+
+    def test_wide_nominal_attributes_give_values_and_complements(self):
+        data = _packed_data("mixed", 150, seed=5)
+        bits, genes = one_condition_rules(data)
+        # 9 and 17 values give 18 and 34 candidates, not 510 and 131,070
+        assert len(bits) == 2 * 9 + 136 + 2 * 17 + 136
+        sets = [set(decode_state(b, g, data.layout, 0).antecedent[0].allowed)
+                for b, g in zip(bits[:18], genes[:18])]
+        values = set(NINE.values)
+        assert sets == [{v} for v in NINE.values] + [values - {v} for v in NINE.values]
+
+    @pytest.mark.parametrize("pso_seed", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(WARM_START_CASES))
+    def test_no_launch_returns_below_its_warm_start(self, case, pso_seed):
+        make, target = WARM_START_CASES[case]
+        data = make()
+        net = fit_network(data, LvqConfig(centroid_count=6, max_epochs=5, seed=pso_seed))
+        cfg = PsoConfig(swarm_size=6, max_iterations=30, stagnation_limit=8, seed=pso_seed)
+        swarm = seed_swarm(net, target, 1, data, cfg)
+        best_bits, best = self._best_one_condition(data, target)
+        assert swarm.warm_start_candidates == len(one_condition_rules(data)[0])
+        # the last particle is the best candidate, its veloc2 at the bounds
+        assert np.array_equal(swarm.position[-1], best_bits)
+        assert np.array_equal(swarm.veloc2[-1], np.where(best_bits == 1.0, 4.0, -4.0))
+        assert swarm.best_fitness[-1] == best
+        rule, _ = evolve(swarm, cfg)
+        assert fitness_from_rule(rule, data) >= best
+
+    def test_no_launch_of_mine_returns_below_its_warm_start(self):
+        data = _credit3_sample(400, 3)
+        config = MinerConfig(
+            seed=4,
+            lvq=LvqConfig(centroid_count=6),
+            pso=PsoConfig(swarm_size=10, max_iterations=40, stagnation_limit=10),
+        )
+        _, report = mine(data, config)
+        assert len(report.swarm_logs) > 1
+        k = 1
+        for log in report.swarm_logs:
+            # each launch is scored on the rows left uncovered before it
+            rows = data.subset(report.uncovered_before(k))
+            _, best = self._best_one_condition(rows, log.candidate.class_index)
+            assert fitness_from_rule(log.candidate, rows) >= best
+            k += log.outcome == "emitted"

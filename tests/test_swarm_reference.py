@@ -2,7 +2,8 @@
 
 The reference below seeds and steps one particle object at a time, taking
 each particle's random numbers in turn, the way the swarm was written before
-its state became arrays. Given the same seed and data, the array swarm must
+its state became arrays. Its warm start scores each one-condition rule on its
+own, as a decoded ``Rule``. Given the same seed and data, the array swarm must
 reproduce it bit for bit: every trace value, the global best, the returned
 rule and the final state of every particle.
 """
@@ -10,6 +11,7 @@ rule and the final state of every particle.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from rulemine.pso import (
     evolve,
     seed_swarm,
 )
+from rulemine.rules import NominalMembership, NumericInterval, Rule
 from rulemine.schema import Attribute, AttributeSchema
 
 
@@ -55,6 +58,32 @@ class RefSwarm:
 def _ref_fitness(p, class_index, data):
     rule = decode_state(p.position, p.genes, data.layout, class_index)
     return fitness_from_rule(rule, data)
+
+
+def ref_one_condition_rules(data, class_index):
+    """Each warm-start candidate as a rule, in schema attribute order: the
+    proper subsets of a nominal attribute's values in the order of their
+    bitmasks (bit j for value j), or each value and then each complement
+    above ``pso.FULL_SUBSETS_MAX`` values; a numeric attribute's intervals
+    [q_i, q_j], i <= j, in order of i then j."""
+    rules = []
+    for attr in data.schema.attributes:
+        if attr.kind == "nominal":
+            k = len(attr.values)
+            if k <= pso.FULL_SUBSETS_MAX:
+                subsets = [{attr.values[j] for j in range(k) if mask >> j & 1}
+                           for mask in range(1, 2**k - 1)]
+            else:
+                subsets = ([{v} for v in attr.values]
+                           + [set(attr.values) - {v} for v in attr.values])
+            rules += [Rule((NominalMembership(attr.name, frozenset(c)),), class_index)
+                      for c in subsets]
+        else:
+            values = data.X[:, data.layout.numeric_column(attr.name)]
+            q = np.quantile(values, np.linspace(0.0, 1.0, pso.WARM_START_QUANTILES))
+            rules += [Rule((NumericInterval(attr.name, float(lo), float(hi)),), class_index)
+                      for lo, hi in combinations_with_replacement(q, 2)]
+    return rules
 
 
 def ref_seed_swarm(network, class_index, min_represented, data, config):
@@ -98,6 +127,27 @@ def ref_seed_swarm(network, class_index, min_represented, data, config):
         p.fitness = _ref_fitness(p, class_index, data)
         p.best_fitness = p.fitness
         particles.append(p)
+
+    # the last particle becomes the first best one-condition rule, its bits
+    # with veloc2 at the bound they point to and its interval in its genes
+    best, best_fitness = None, -np.inf
+    for rule in ref_one_condition_rules(data, class_index):
+        f = fitness_from_rule(rule, data)
+        if f > best_fitness:
+            best, best_fitness = rule, f
+    p = particles[-1]
+    (cond,) = best.antecedent
+    p.position = np.zeros(d)
+    if isinstance(cond, NominalMembership):
+        cols = layout.nominal_columns(cond.attribute)
+        values = data.schema.attribute(cond.attribute).values
+        p.position[cols.start : cols.stop] = [v in cond.allowed for v in values]
+    else:
+        p.position[layout.numeric_column(cond.attribute)] = 1.0
+        p.genes[layout.numeric_names.index(cond.attribute)] = (cond.lo, cond.hi)
+    p.veloc2 = np.where(p.position == 1.0, ub2, lb2)
+    p.best_position, p.best_genes = p.position.copy(), p.genes.copy()
+    p.fitness = p.best_fitness = _ref_fitness(p, class_index, data)
 
     swarm = RefSwarm(particles=particles, class_index=class_index, rng=rng, trace=[])
     for p in particles:

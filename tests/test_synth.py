@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from rulemine.errors import ConfigError
@@ -78,6 +79,35 @@ class TestCredit:
         kinds = [a.kind for a in schema.attributes]
         assert kinds.count("numeric") == 6 and kinds.count("nominal") == 4
         assert schema.attribute("job_type").values[0] == "employee"
+
+    @staticmethod
+    def _hidden_label(row) -> str:
+        """The label credit3's three hidden rules give a row, read off its
+        printed money values: liabilities above 0.7 of 80,000 deny, a salary
+        from 0.5 of 12,000-120,000 accepts, as does an employee asking at
+        most 0.5 of 500-50,000."""
+        amount, salary, liabilities, job = float(row[0]), float(row[1]), float(row[4]), row[7]
+        if liabilities > 56000.0:
+            return "Deny"
+        if salary >= 66000.0 or (job == "employee" and amount <= 25250.0):
+            return "Accept"
+        return "Deny"
+
+    @pytest.mark.parametrize("noise, low, high", [(0.0, 0.0, 0.0), (0.1, 0.08, 0.12)])
+    def test_noise_flips_that_share_of_labels(self, noise, low, high):
+        data = generate("credit3", 2000, 3, noise=noise)
+        flipped = np.mean([label != self._hidden_label(row)
+                           for row, label in zip(data.rows, data.classes)])
+        assert low <= flipped <= high
+
+    def test_default_noise_is_five_percent(self):
+        assert generate("credit3", 300, 4).csv_text() == generate(
+            "credit3", 300, 4, noise=0.05).csv_text()
+
+    @pytest.mark.parametrize("noise", [-0.1, 1.5])
+    def test_noise_outside_the_unit_interval_rejected(self, noise):
+        with pytest.raises(ConfigError, match="noise must lie in"):
+            generate("credit3", 100, 0, noise=noise)
 
     def test_values_look_like_money_and_categories(self):
         data = generate("credit3", 100, 0)
