@@ -2,8 +2,9 @@
 
 The miner's inner loop has two stages: a prototype network summarizes each
 class, then a binary particle swarm — seeded from those prototypes and from
-the best one-condition rule — searches for the single best rule for one class. This script runs the stages by hand
-so their intermediate state can be inspected.
+the best one-condition rule — searches for the single best rule for one
+class. This script runs the stages by hand so their intermediate state can be
+inspected.
 """
 
 import numpy as np

@@ -32,9 +32,10 @@ class LvqConfig:
     rather than a safety cap: late epochs move centroids little because the
     rate is small, not because training has converged. The default of 5
     costs a quarter of the presentations of 20: each swarm's warm start from
-    the best one-condition rule (``pso.seed_swarm``) keeps the credit3 and
-    fragmented acceptance protocols at the same rule counts, and within 0.07
-    points of accuracy, at 5, 10 and 20 epochs. Training may stop
+    the best one-condition rule (``pso.seed_swarm``) keeps the credit3
+    acceptance protocol at one-condition rules within 0.07 points of
+    accuracy, and the fragmented one at 4 rules and 100%, at 5, 10 and 20
+    epochs. Training may stop
     sooner on stability or on a repeated assignment (see ``fit_network``).
     """
 

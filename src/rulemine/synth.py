@@ -4,8 +4,8 @@ Three profiles with known structure, used for demos and end-to-end checks:
 
 - ``separable``: two numeric attributes, class decided by x1 > 0.5.
 - ``credit3``: a credit-scoring shape (6 numeric + 4 nominal attributes)
-  labeled by three hidden rules plus 5% label noise by default, class
-  balance kept within 35-65%.
+  labeled by three hidden rules plus 5% label noise, class balance kept
+  within 35-65%.
 - ``fragmented``: one class lives in 8 disjoint nominal pockets, so covering
   it with single-value conditions takes many rules while set-valued
   conditions can merge pockets.
@@ -29,7 +29,7 @@ PROFILES = ("separable", "credit3", "fragmented")
 MIN_ROWS = 50
 _MARGIN = 0.02
 
-_CREDIT_NOISE = 0.05  # the share of credit3 labels flipped by default
+_CREDIT_NOISE = 0.05
 _CREDIT_BALANCE = (0.35, 0.65)
 
 # raw display ranges for credit3's latent [0, 1] draws
@@ -106,7 +106,7 @@ _CREDIT_SCHEMA = AttributeSchema(
 )
 
 
-def _credit3_once(rows: int, rng: np.random.Generator, noise: float) -> SyntheticDataset:
+def _credit3_once(rows: int, rng: np.random.Generator) -> SyntheticDataset:
     amount = _uniform_away_from(rng, rows, (0.5,))
     salary = _uniform_away_from(rng, rows, (0.5,))
     cash = rng.uniform(0.0, 1.0, rows)
@@ -124,7 +124,7 @@ def _credit3_once(rows: int, rng: np.random.Generator, noise: float) -> Syntheti
     #   3. job_type = employee and amount <= 0.5    -> Accept
     #   otherwise                                   -> Deny
     accept = (liabilities <= 0.7) & ((salary >= 0.5) | ((job == 0) & (amount <= 0.5)))
-    flip = rng.uniform(0.0, 1.0, rows) < noise
+    flip = rng.uniform(0.0, 1.0, rows) < _CREDIT_NOISE
     accept = accept ^ flip
 
     def money(name: str, u: np.ndarray) -> list[str]:
@@ -148,10 +148,10 @@ def _credit3_once(rows: int, rng: np.random.Generator, noise: float) -> Syntheti
     return SyntheticDataset(schema=_CREDIT_SCHEMA, rows=data_rows, classes=classes)
 
 
-def _credit3(rows: int, rng: np.random.Generator, noise: float) -> SyntheticDataset:
+def _credit3(rows: int, rng: np.random.Generator) -> SyntheticDataset:
     lo, hi = _CREDIT_BALANCE
     for _ in range(100):
-        data = _credit3_once(rows, rng, noise)
+        data = _credit3_once(rows, rng)
         share = data.classes.count("Accept") / rows
         if lo <= share <= hi:
             return data
@@ -190,21 +190,15 @@ def _fragmented(rows: int, rng: np.random.Generator) -> SyntheticDataset:
     return SyntheticDataset(schema=_FRAGMENT_SCHEMA, rows=data_rows, classes=classes)
 
 
-def generate(profile: str, rows: int, seed: int, noise: float = _CREDIT_NOISE) -> SyntheticDataset:
-    """Generate ``rows`` examples of the named profile, deterministically.
-
-    ``noise`` is the share of credit3 labels flipped after the hidden rules
-    label them; the other profiles have no label noise.
-    """
+def generate(profile: str, rows: int, seed: int) -> SyntheticDataset:
+    """Generate ``rows`` examples of the named profile, deterministically."""
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; choose from {PROFILES}")
     if rows < MIN_ROWS:
         raise ConfigError(f"need at least {MIN_ROWS} rows, got {rows}")
-    if not 0.0 <= noise <= 1.0:
-        raise ConfigError(f"noise must lie in [0, 1], got {noise}")
     rng = np.random.default_rng(seed)
     if profile == "separable":
         return _separable(rows, rng)
     if profile == "credit3":
-        return _credit3(rows, rng, noise)
+        return _credit3(rows, rng)
     return _fragmented(rows, rng)

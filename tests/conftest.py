@@ -166,13 +166,15 @@ def support_confidence(rule: Rule, data: EncodedDataset) -> tuple[float, float]:
 def fitness_from_rule(rule: Rule, data: EncodedDataset) -> float:
     """Weighted m-estimate confidence + support + shortness of one decoded
     rule: the oracle that the batch ``pso.fitness`` must equal bit for bit.
-    The weights and m are read as it runs, so a test may patch them."""
+    The weights and m's share are read as it runs, so a test may patch them."""
     mask = match_mask(rule.antecedent, data)
     matched = int(np.count_nonzero(mask))
     correct = int(np.count_nonzero(data.y[mask] == rule.class_index))
     support = correct / len(data)
-    prior = int(np.count_nonzero(data.y == rule.class_index)) / len(data)
-    confidence = (correct + pso.M_ESTIMATE * prior) / (matched + pso.M_ESTIMATE)
+    class_rows = int(np.count_nonzero(data.y == rule.class_index))
+    confidence = (correct + pso.M_ESTIMATE_SHARE * class_rows) / (
+        matched + pso.M_ESTIMATE_SHARE * len(data)
+    )
     total_attributes = len(data.schema.attributes)
     shortness = 1.0 - len(rule.antecedent) / total_attributes
     return (

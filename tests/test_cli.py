@@ -276,6 +276,25 @@ class TestTrain:
         assert report["mining"]["stop_reason"] == "all_covered"
         assert report["evaluation"]["accuracy_percent"] == pytest.approx(100.0)
 
+    def test_small_credit3_mines_rules_of_both_kinds(self, tmp_path, capsys):
+        # 200 rows under the small config: the base rate's weight in the
+        # m-estimate is a share of the launch's rows, so it does not drown a
+        # launch this small. A fixed m of 20 rows would leave every launch's
+        # rule below min_confidence, and train would exit 3 with no model
+        assert _silent(["synth", "--rows", "200", "--seed", "3", "--profile", "credit3",
+                        "--out", str(tmp_path / "credit")]) == 0
+        (tmp_path / "small.json").write_text(json.dumps(SMALL_CONFIG))
+        code = cli.main(["train", "--data", str(tmp_path / "credit.csv"),
+                         "--schema", str(tmp_path / "credit.schema.json"),
+                         "--out", str(tmp_path / "m.json"),
+                         "--seed", "3", "--config", str(tmp_path / "small.json")])
+        capsys.readouterr()
+        assert code == cli.EXIT_OK
+        rules = json.loads((tmp_path / "m.json").read_text())["rule_list"]["rules"]
+        assert len(rules) >= 1
+        assert {cond["kind"] for rule in rules for cond in rule["antecedent"]} == {
+            "membership", "interval"}
+
     def test_network_goes_to_report_not_model(self, workdir):
         model = json.loads((workdir / "fmodel.json").read_text())
         report = json.loads((workdir / "fmodel.report.json").read_text())
@@ -477,7 +496,7 @@ class TestTrain:
         # which passes min_confidence 0.6: it becomes the default, so the
         # model keeps no rule
         d = str(tmp_path)
-        assert _silent(["synth", "--rows", "60", "--seed", "4", "--profile", "fragmented",
+        assert _silent(["synth", "--rows", "60", "--seed", "1", "--profile", "fragmented",
                         "--out", f"{d}/tiny"]) == 0
         (tmp_path / "small.json").write_text(json.dumps({**SMALL_CONFIG, "min_confidence": 0.6}))
         code = cli.main(["train", "--data", f"{d}/tiny.csv", "--schema", f"{d}/tiny.schema.json",
@@ -1365,13 +1384,12 @@ def _paths(node, prefix=()):
 def fuzzdir(tmp_path_factory):
     """A 60-row dataset, its schema, the full small config and a model.
 
-    The model has nominal and numeric conditions for the fuzz to reach. The
-    data is credit3, whose hidden rules use both kinds: fragmented's numeric
-    attribute is noise, which the small config's model on 60 fragmented rows
-    does not condition on."""
+    The model has nominal and numeric conditions for the fuzz to reach: on
+    synth seed 4 the small config mines only IF TRUE, which folds into the
+    default and leaves no rule."""
     d = tmp_path_factory.mktemp("fuzz")
-    assert _silent(["synth", "--rows", "60", "--seed", "3",
-                    "--profile", "credit3", "--out", str(d / "tiny")]) == 0
+    assert _silent(["synth", "--rows", "60", "--seed", "5",
+                    "--profile", "fragmented", "--out", str(d / "tiny")]) == 0
     # every settable key; the seeds come from --seed
     config = MinerConfig.from_dict(SMALL_CONFIG).to_dict()
     for section in (config, config["lvq"], config["pso"]):
@@ -1434,7 +1452,7 @@ def csvfuzz(tmp_path_factory):
     """A credit3 model, loaded and on disk, and the text of a 60-row credit3
     file to mutate."""
     d = tmp_path_factory.mktemp("csvfuzz")
-    assert _silent(["synth", "--rows", "200", "--seed", "1",
+    assert _silent(["synth", "--rows", "200", "--seed", "3",
                     "--profile", "credit3", "--out", str(d / "credit")]) == 0
     (d / "small.json").write_text(json.dumps(SMALL_CONFIG))
     assert _silent(["train", "--data", str(d / "credit.csv"),

@@ -21,17 +21,17 @@ from rulemine import cli
 GOLDEN = {
     "credit3": {
         "data.csv": "e6d9f774dec73b9280057d042074a7b2aae7c9c6bf73e0119e693298103c9a16",
-        "train.stdout": "df67e7e28541d72dba3301f86e79bd1eec84ce6a2d714f8f08099e811938a9e6",
-        "model.json": "b39ae480b452030682629b6026ca28f9f64857041bcce3e83af71d4b11bbe2f5",
-        "model.report.json": "848db00ca9d36a6d140bd789662af547339b6ecea1aeec1ee6dba58304f0c736",
-        "scored.csv": "1e386fa626b3e9eb78b70b091b57026a7210365ac0a722376175f5828e632cea",
-        "eval.json": "f505cbb9c3aec1896e1b14c2d049984f51425f818900a5a095670d4b4d37c38c",
+        "train.stdout": "7d359ea336029665fc276f3ec91360f457a29ebf1d060c6f0ec8e6f325eca45e",
+        "model.json": "c1b145df47779c77c4fe0cfc37a4c30cc794ea2e98ce5149a77ec9aa278b76fb",
+        "model.report.json": "ea87e984139492961eb722513faa38fd2f6b96ffb669d07306d7c7241068632a",
+        "scored.csv": "18216c6e6a9aa4112aac86ff7a51e82ae386123fd9ff116797e9d47549f7787f",
+        "eval.json": "5a805c9577b0ef91448d2cf2658ef0642121af616e0fdfd502416239bb5ce766",
     },
     "fragmented": {
         "data.csv": "76ff151eeec3651a3611c261aa4029b38189f2c958dab80f87c3e2e5db06a7c9",
         "train.stdout": "57cc93523bfa5b1fe64d875c2e4d448681154b2622ea38b624ea531d7e6eea6f",
         "model.json": "26176c4a18b21021522ca9020712fca088c7992ec854a3b3e6a0d6654ebce660",
-        "model.report.json": "7dcf6d6fd667d890b32596e67a4664307f05ce3f8b4a958059623bd3f1b7d1f4",
+        "model.report.json": "82e9a85fe5dee54651aab0fa0d325c7db7fde53e8cf4ba7a5e4fb1a168e2f522",
         "scored.csv": "f1c15d2d9cff0a8437c52e12b771cb85e1dc66047f5cccc8d663bbaf0583f069",
         "eval.json": "155eed4e53384c45f24e35c9f2755e59c0e85e8f0e3172a61ea87416a1e7f005",
     },

@@ -418,15 +418,10 @@ SCATTERED_CONFIG = MinerConfig(
 
 @pytest.fixture(scope="module")
 def scattered_minority():
-    # 12 minority rows at the low end of x, and 8 more scattered above them:
-    # the m-estimate scores a fragment of a few rows below IF TRUE, so only a
-    # pure pocket this large wins a minority launch
     rng = np.random.default_rng(2)
     X = rng.uniform(0, 1, (120, 1))
     y = np.zeros(120, dtype=np.int64)
-    order = np.argsort(X[:, 0])
-    y[order[:12]] = 1
-    y[order[18::13]] = 1
+    y[::6] = 1
     data = build_encoded(_one_numeric_schema(), X, y)
     rule_list, report = mine(data, SCATTERED_CONFIG)
     return data, rule_list, report
@@ -459,10 +454,9 @@ class TestNothingMinable:
 
 
 class TestScatteredMinority:
-    """A thin minority, a pure pocket of it and the rest scattered through the
-    majority: under a high support factor no pure box can cover enough of it,
-    so the floor (not confidence alone) is what keeps the pocket out of the
-    list."""
+    """A thin minority scattered through the majority: under a high support
+    factor no pure box can cover enough of it, so the floor (not confidence
+    alone) is what keeps junk fragments out of the list."""
 
     def test_minority_never_emits(self, scattered_minority):
         _, _, report = scattered_minority
@@ -472,7 +466,7 @@ class TestScatteredMinority:
 
     def test_the_floor_counts_correct_rows(self, scattered_minority):
         # 20 minority rows under support_factor 0.9: a candidate needs 18 of
-        # them correct, and the pure pocket of 12 falls short of that
+        # them correct, and a pure fragment falls short of that
         _, _, report = scattered_minority
         minority = [log for log in report.swarm_logs if log.candidate.class_index == 1]
         assert {log.floor for log in minority} == {0.9 * 20}
@@ -591,9 +585,9 @@ class TestRandomDatasets:
     def test_outcomes_recompute_from_the_report_of_criterion_7(
         self, criterion_7_runs, scattered_minority
     ):
-        # no candidate of these runs falls below its floor: at support_factor
-        # 0.1 only a fragment of a few rows would, and the m-estimate scores
-        # those below a broader rule. The scattered minority's pocket does.
+        # no launch of these runs falls below its floor: each returns at least
+        # its best one-condition rule, which clears a support_factor of 0.1.
+        # The scattered minority's fragments do fall below theirs.
         data, _, report = scattered_minority
         runs = [*criterion_7_runs, (data, SCATTERED_CONFIG, None, report)]
         outcomes = Counter()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from rulemine import synth
 from rulemine.evaluation import evaluate
 from rulemine.miner import MinerConfig, mine
 from rulemine.pso import PsoConfig
@@ -45,10 +46,11 @@ def test_rule_shape_is_the_same_for_every_master_seed():
     assert len(shape) >= 1
 
 
-def test_ten_percent_noise_arm_stays_within_a_point_of_the_hidden_rules():
+def test_ten_percent_noise_arm_stays_within_a_point_of_the_hidden_rules(monkeypatch):
+    monkeypatch.setattr(synth, "_CREDIT_NOISE", 0.1)
     accuracies, counts = [], []
     for seed in range(1, 11):
-        data = encode(generate("credit3", 5000, seed, noise=0.1).to_raw())
+        data = encode(generate("credit3", 5000, seed).to_raw())
         train, test = stratified_split(data, 0.3, seed)
         config = MinerConfig(seed=seed, **{**CRITERION_3, "min_confidence": 0.7})
         rule_list, _ = mine(train, config)

@@ -185,10 +185,10 @@ class TestFitness:
             ),
             class_index=1,
         )
-        # confidence (3 + 20 * 3/10) / (4 + 20), the m-estimate of 3 of 4
-        # matched rows at the class's 3/10 share; support 3/10, shortness 1 - 2/8
-        expected = 0.6 * 0.375 + 0.3 * 0.3 + 0.1 * 0.75
-        assert expected == pytest.approx(0.39, abs=1e-12)
+        # confidence (3 + 0.1 * 3/10) / (4 + 0.1), the m-estimate of 3 of 4
+        # matched rows at the class's 3/10 share with m = 0.01 * 10 rows;
+        # support 3/10, shortness 1 - 2/8
+        expected = 0.6 * (3.03 / 4.1) + 0.3 * 0.3 + 0.1 * 0.75
         got = fitness_from_rule(rule, data)
         assert got == pytest.approx(expected, abs=1e-12)
 
@@ -216,9 +216,10 @@ class TestFitness:
             rule = decode_state(position, genes, data.layout, 1)
             direct = fitness_from_rule(rule, data)
             matched, correct = brute_force_counts(rule, data)
-            prior = np.count_nonzero(data.y == 1) / len(data)
+            class_rows = np.count_nonzero(data.y == 1)
             support = correct / len(data)
-            confidence = (correct + pso.M_ESTIMATE * prior) / (matched + pso.M_ESTIMATE)
+            confidence = (correct + pso.M_ESTIMATE_SHARE * class_rows) / (
+                matched + pso.M_ESTIMATE_SHARE * len(data))
             recomputed = (
                 pso.WEIGHT_CONFIDENCE * confidence
                 + pso.WEIGHT_SUPPORT * support
@@ -300,11 +301,11 @@ class TestBatchFitnessOracle:
     @pytest.mark.parametrize("swarm_size", [1, 2, 40])
     @pytest.mark.parametrize("kind", sorted(ORACLE_SCHEMAS))
     def test_random_swarms(self, kind, swarm_size, monkeypatch):
-        # weights and an m other than the defaults, which fitness and the
+        # weights and an m share other than the defaults, which fitness and the
         # oracle both read
         for name, weight in [("CONFIDENCE", 0.5), ("SUPPORT", 0.3), ("LENGTH", 0.2)]:
             monkeypatch.setattr(pso, f"WEIGHT_{name}", weight)
-        monkeypatch.setattr(pso, "M_ESTIMATE", 3)
+        monkeypatch.setattr(pso, "M_ESTIMATE_SHARE", 0.3)
         data = _oracle_data(kind, seed=swarm_size)
         rng = np.random.default_rng(swarm_size + 1)
         for class_index in range(3):
@@ -336,9 +337,10 @@ class TestBatchFitnessOracle:
         assert len(rule) == 1
         assert support_confidence(rule, data) == (0.0, 0.0)
         # the m-estimate of no matched row is the class's share of the rows
-        prior = np.count_nonzero(data.y == 1) / len(data)
+        class_rows = np.count_nonzero(data.y == 1)
         assert got[0] == (
-            pso.WEIGHT_CONFIDENCE * (pso.M_ESTIMATE * prior / pso.M_ESTIMATE)
+            pso.WEIGHT_CONFIDENCE
+            * (pso.M_ESTIMATE_SHARE * class_rows / (pso.M_ESTIMATE_SHARE * len(data)))
             + pso.WEIGHT_SUPPORT * 0.0
             + pso.WEIGHT_LENGTH * (1 - 1 / len(data.schema.attributes))
         )
@@ -546,6 +548,19 @@ class TestSeeding:
         swarm = seed_swarm(net, 0, 5, data, PsoConfig(swarm_size=2, seed=0))
         assert np.array_equal(swarm.genes[0][0], [0.9, 0.9])
 
+    def test_one_particle_is_the_warm_start(self, credit_schema):
+        # the warm start replaces the last particle even when it is the only
+        # centroid seed: the centroid would set salary's veloc2 to 4.0 and
+        # age's to 1.6, the warm start sets every veloc2 to +-4
+        data = _credit_data(credit_schema)
+        net = _hand_network([1.0, 0.0, 0.0, 0.4, 0.5], [0.0, 0.2])
+        swarm = seed_swarm(net, 0, 1, data, PsoConfig(swarm_size=1, seed=0))
+        bits, genes = one_condition_rules(data)
+        best = int(np.argmax(fitness(bits, genes, 0, pack_rows(data))))
+        assert np.array_equal(swarm.position[0], bits[best])
+        assert np.array_equal(swarm.veloc2[0], np.where(bits[best] == 1.0, 4.0, -4.0))
+        assert swarm.trace == [fitness(bits, genes, 0, pack_rows(data))[best]]
+
     def test_class_without_centroids_is_rejected(self, credit_schema):
         data = _credit_data(credit_schema)
         net = _hand_network([1.0, 0.0, 0.0, 0.4, 0.5], [0.0, 0.2], class_index=0)
@@ -741,12 +756,12 @@ class TestWarmStart:
         bits, genes = one_condition_rules(data)
         rules = [decode_state(b, g, data.layout, 0) for b, g in zip(bits, genes)]
         assert all(len(rule) == 1 for rule in rules)
-        # the 6 proper subsets of marital_status's 3 values, then 136
+        # marital_status's 3 values and then their complements, then 136
         # intervals between 16 quantile points of each numeric attribute
         assert len(rules) == 6 + 2 * 136
         assert [set(r.antecedent[0].allowed) for r in rules[:6]] == [
-            {"single"}, {"married"}, {"single", "married"}, {"divorced"},
-            {"single", "divorced"}, {"married", "divorced"}]
+            {"single"}, {"married"}, {"divorced"},
+            {"married", "divorced"}, {"single", "divorced"}, {"single", "married"}]
         salary = data.X[:, data.layout.numeric_column("salary")]
         lo = [r.antecedent[0].lo for r in rules[6 : 6 + 136]]
         hi = [r.antecedent[0].hi for r in rules[6 : 6 + 136]]

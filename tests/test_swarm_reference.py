@@ -61,21 +61,14 @@ def _ref_fitness(p, class_index, data):
 
 
 def ref_one_condition_rules(data, class_index):
-    """Each warm-start candidate as a rule, in schema attribute order: the
-    proper subsets of a nominal attribute's values in the order of their
-    bitmasks (bit j for value j), or each value and then each complement
-    above ``pso.FULL_SUBSETS_MAX`` values; a numeric attribute's intervals
-    [q_i, q_j], i <= j, in order of i then j."""
+    """Each warm-start candidate as a rule, in schema attribute order: each
+    of a nominal attribute's values and then each one's complement; a numeric
+    attribute's intervals [q_i, q_j], i <= j, in order of i then j."""
     rules = []
     for attr in data.schema.attributes:
         if attr.kind == "nominal":
-            k = len(attr.values)
-            if k <= pso.FULL_SUBSETS_MAX:
-                subsets = [{attr.values[j] for j in range(k) if mask >> j & 1}
-                           for mask in range(1, 2**k - 1)]
-            else:
-                subsets = ([{v} for v in attr.values]
-                           + [set(attr.values) - {v} for v in attr.values])
+            subsets = ([{v} for v in attr.values]
+                       + [set(attr.values) - {v} for v in attr.values])
             rules += [Rule((NominalMembership(attr.name, frozenset(c)),), class_index)
                       for c in subsets]
         else:
