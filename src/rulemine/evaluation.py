@@ -214,11 +214,9 @@ def mine_greedy_baseline(train: EncodedDataset, min_confidence: float) -> RuleLi
         key = (-1.0, -1)
 
         while not conditions or key[0] < min_confidence:
-            # rows matched per encoded nominal column, and those of the target
-            seen, good = (
-                np.bincount(codes.ravel(), minlength=layout.dimension).tolist()
-                for codes in (train.value_index[matched], train.value_index[matched & hit])
-            )
+            # rows matched per encoded nominal column, and those of the target:
+            # sums of one-hot columns (numeric columns' sums are not read)
+            seen, good = ((rows @ train.X).tolist() for rows in (matched, matched & hit))
             used = {c.attribute for c in conditions}
             best = None
             for attr in schema.attributes:

@@ -35,8 +35,8 @@ class LvqConfig:
     the best one-condition rule (``pso.seed_swarm``) keeps the credit3
     acceptance protocol at one-condition rules within 0.07 points of
     accuracy, and the fragmented one at 4 rules and 100%, at 5, 10 and 20
-    epochs. Training may stop
-    sooner on stability or on a repeated assignment (see ``fit_network``).
+    epochs. Training may stop sooner on stability or on a repeated assignment
+    (see ``fit_network``).
     """
 
     centroid_count: int = 30

@@ -343,7 +343,8 @@ def step(swarm: Swarm, data=None, config=None) -> None:
     ``swarm.rows``, personal bests, and the global best are updated. Best
     updates require strict improvement. Particle s takes its random numbers
     from row s of one block, in the order r1, r2, bit draw, g1, g2. ``data``
-    and ``config`` are not read: they remain for callers that still pass them.
+    and ``config`` are not read: they remain because ``bench/probes.py``
+    passes them.
     """
     S, d = swarm.position.shape
     g = swarm.genes[0].size

@@ -124,9 +124,10 @@ class PackedRows:
     many antecedents at once (support counting on row bitmaps, as in Burdick
     et al., "MAFIA", ICDE 2001). Bits are laid out as ``_pack`` lays them.
 
-    Each encoded nominal column has one bitset: the rows that take its value.
-    A numeric column is padded with NaN to whole words, so that a comparison
-    never sets a padding bit.
+    Each encoded nominal column has one bitset: the rows that take its value,
+    read off the 1.0 entries of ``X``. A numeric column's bitset is all zero,
+    since a scaled value can be 1.0 too; its values are padded with NaN to
+    whole words, so that a comparison never sets a padding bit.
     """
 
     layout: ColumnLayout
@@ -140,8 +141,8 @@ class PackedRows:
 def pack_rows(data: EncodedDataset) -> PackedRows:
     layout = data.layout
     n = len(data)
-    values = np.zeros((layout.dimension, n), dtype=bool)
-    values[data.value_index, np.arange(n)[:, None]] = True
+    values = (data.X == 1.0).T
+    values[layout.numeric_columns] = False
     words = -(-n // 64)
     numeric = np.full((layout.numeric_columns.size, 64 * words), np.nan)
     numeric[:, :n] = data.X[:, layout.numeric_columns].T
@@ -209,11 +210,10 @@ def match_mask(conditions: Sequence[Condition], data: EncodedDataset) -> np.ndar
     for cond in conditions:
         if isinstance(cond, NominalMembership):
             attr = layout.schema.attribute(cond.attribute)
-            admits = np.zeros(layout.dimension, dtype=bool)
             cols = layout.nominal_columns(cond.attribute)
-            admits[cols.start : cols.stop] = [v in cond.allowed for v in attr.values]
-            codes = data.value_index[:, layout.schema.nominal_attributes.index(attr)]
-            mask &= admits[codes]
+            admits = [v in cond.allowed for v in attr.values]
+            # a row's block holds one 1.0, in the column of its value
+            mask &= data.X[:, cols.start : cols.stop] @ admits > 0
         else:
             values = data.X[:, layout.numeric_column(cond.attribute)]
             mask &= (values >= cond.lo) & (values <= cond.hi)

@@ -283,16 +283,15 @@ class EncodedDataset:
     """Dummy-coded, min-max scaled examples in [0, 1]^d with class indices.
 
     ``y`` is empty when the rows were encoded without class labels (rows
-    to be scored). ``value_index`` holds, per row and nominal attribute (in
-    schema order), the encoded column of the row's value: the one column of
-    the attribute's block that is 1 in ``X``.
+    to be scored). ``X`` is the one record of a row's nominal values: each
+    nominal attribute's block holds 1.0 in the column of the row's value and
+    0.0 in the others.
     """
 
     X: np.ndarray
     y: np.ndarray
     layout: ColumnLayout
     numeric_ranges: dict[str, tuple[float, float]]
-    value_index: np.ndarray  # (n, nominal attributes) int32
 
     def __len__(self) -> int:
         return int(self.X.shape[0])
@@ -315,7 +314,6 @@ class EncodedDataset:
             y=self.y[indices],
             layout=self.layout,
             numeric_ranges=self.numeric_ranges,
-            value_index=self.value_index[indices],
         )
 
 
@@ -588,10 +586,10 @@ def encode(
     table = np.asarray(raw.rows, dtype=np.float64)
     nominal = [j for j, a in enumerate(schema.attributes) if a.kind == NOMINAL]
     starts = np.array([cols.start for cols in layout.blocks], dtype=np.int32)
-    # int32: half the memory of intp, and gathers through it are no slower
-    value_index = table[:, nominal].astype(np.int32) + starts
+    # int32: half the memory of intp
+    hot = table[:, nominal].astype(np.int32) + starts
     X = np.zeros((n, layout.dimension), dtype=np.float64)
-    X[np.arange(n)[:, None], value_index] = 1.0
+    X[np.arange(n)[:, None], hot] = 1.0
     for j, a in enumerate(schema.attributes):
         if a.kind == NUMERIC:
             values = table[:, j]
@@ -600,13 +598,7 @@ def encode(
             lo, hi = ranges[a.name]
             X[:, layout.numeric_column(a.name)] = scale_numeric(values, lo, hi)
     y = np.array(raw.classes, dtype=np.int64)
-    return EncodedDataset(
-        X=X,
-        y=y,
-        layout=layout,
-        numeric_ranges=ranges,
-        value_index=value_index,
-    )
+    return EncodedDataset(X=X, y=y, layout=layout, numeric_ranges=ranges)
 
 
 def _round_half_up(value: float) -> int:

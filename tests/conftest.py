@@ -20,22 +20,19 @@ from rulemine.schema import Attribute, AttributeSchema, ColumnLayout, EncodedDat
 def build_encoded(schema: AttributeSchema, X, y) -> EncodedDataset:
     """Wrap raw arrays in an EncodedDataset with the schema's column layout.
 
-    Each nominal block of ``X`` must be one-hot; its hot column becomes the
-    row's entry in ``value_index``.
+    ``X`` is the dataset's only record of each row's nominal values, so every
+    nominal block must be one-hot: exactly one 1.0 per row, 0.0 elsewhere.
     """
     X = np.asarray(X, dtype=np.float64)
     layout = ColumnLayout(schema)
+    for cols in layout.blocks:
+        block = X[:, cols.start : cols.stop]
+        assert np.isin(block, (0.0, 1.0)).all() and (block.sum(axis=1) == 1.0).all(), (
+            f"nominal columns {cols} of X are not one-hot"
+        )
     ranges = {a.name: (0.0, 1.0) for a in schema.attributes if a.kind == "numeric"}
-    blocks = [layout.nominal_columns(a.name) for a in schema.nominal_attributes]
-    value_index = np.array(
-        [X[:, b.start : b.stop].argmax(axis=1) + b.start for b in blocks], dtype=np.int32
-    ).reshape(len(blocks), X.shape[0]).T
     return EncodedDataset(
-        X=X,
-        y=np.asarray(y, dtype=np.int64),
-        layout=layout,
-        numeric_ranges=ranges,
-        value_index=value_index,
+        X=X, y=np.asarray(y, dtype=np.int64), layout=layout, numeric_ranges=ranges
     )
 
 

@@ -434,16 +434,23 @@ class TestPackedKernel:
         for _ in range(3):
             self._check(*self._states(rng, data), data)
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, "encoded"])
     def test_packed_layout(self, n):
-        data = _packed_data("mixed", n, seed=n)
+        # an encoded dataset scales each numeric column's training maximum to
+        # exactly 1.0, which must not set a bit of the column's ``values`` row
+        if n == "encoded":
+            data = _credit3_sample(130, 1)
+            n = len(data)
+            assert (data.X[:, data.layout.numeric_columns] == 1.0).any(axis=0).all()
+        else:
+            data = _packed_data("mixed", n, seed=n)
         rows = pack_rows(data)
         words = -(-n // 64)
         def unpack(bits):
             return np.unpackbits(bits.view(np.uint8), bitorder="little")
         assert rows.every.shape == (words,)
         assert unpack(rows.every).tolist() == [1] * n + [0] * (64 * words - n)
-        for c in range(3):
+        for c in range(len(data.schema.class_labels)):
             assert unpack(rows.classes[c]).tolist() == (
                 (data.y == c).tolist() + [False] * (64 * words - n))
         assert rows.values.shape == (data.dimension, words)

@@ -406,24 +406,18 @@ class TestEncode:
         assert list(enc.X[0, cols]) == [0.0, 1.0, 0.0]
         assert list(enc.X[1, cols]) == [1.0, 0.0, 0.0]
 
-    def test_value_index_names_the_hot_column(self, credit_schema):
+    def test_subset_keeps_the_hot_column(self, credit_schema):
         raw = parse_csv(io.StringIO(CSV_OK), credit_schema)
         enc = encode(raw)
-        start = enc.layout.nominal_columns("marital_status").start
-        # married, single: one entry per row and nominal attribute
-        assert enc.value_index.tolist() == [[start + 1], [start]]
-        assert (enc.X[np.arange(len(enc))[:, None], enc.value_index] == 1.0).all()
-        assert enc.subset(np.array([1])).value_index.tolist() == [[start]]
+        cols = enc.layout.nominal_columns("marital_status")
+        # married, single: the subset of row 1 keeps single's one-hot block
+        assert enc.subset(np.array([1])).X[:, cols].tolist() == [[1.0, 0.0, 0.0]]
 
     def test_schema_is_read_from_the_layout(self, credit_schema):
         # one copy of the schema: the encoding's, which a subset shares
         enc = encode(parse_csv(io.StringIO(CSV_OK), credit_schema))
         assert enc.schema is enc.layout.schema == credit_schema
         assert enc.subset(np.array([1])).schema is enc.layout.schema
-
-    def test_value_index_without_nominal_attributes(self, numeric_schema):
-        raw = parse_csv(io.StringIO("x,y,cls\n0.1,0.2,neg\n0.3,0.4,pos\n"), numeric_schema)
-        assert encode(raw).value_index.shape == (2, 0)
 
     def test_missing_class_labels_rejected(self, credit_schema):
         raw = parse_csv(io.StringIO(CSV_OK), credit_schema)
@@ -526,8 +520,8 @@ class TestEncodeMatchesPerRowFormula:
 
     @pytest.mark.parametrize("kind", ["nominal", "numeric"])
     def test_one_kind_schema(self, kind):
-        # no nominal column leaves value_index with no columns; no numeric
-        # column leaves the one-hot assignment to fill X on its own
+        # no nominal column leaves the one-hot assignment nothing to fill; no
+        # numeric column leaves it to fill X on its own
         rng = np.random.default_rng(9)
         values = ("lo", "mid", "hi")
         schema = AttributeSchema(
@@ -559,12 +553,6 @@ class TestEncodeMatchesPerRowFormula:
             [_encode_row_reference(schema, enc.numeric_ranges, r) for r in rows])
         assert enc.X.dtype == np.float64 and enc.y.size == 0
         assert enc.X.tobytes() == expected.tobytes()
-        # value_index holds each nominal block's hot column, in schema order
-        blocks = [enc.layout.nominal_columns(a.name) for a in schema.nominal_attributes]
-        assert enc.value_index.dtype == np.int32
-        assert enc.value_index.tolist() == [
-            [b.start + int(np.argmax(x[b.start : b.stop])) for b in blocks] for x in expected
-        ]
 
 
 # random schemas for the structural laws
