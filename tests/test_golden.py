@@ -1,8 +1,9 @@
 """Pinned bytes of the command-line walkthrough.
 
 ``train``, ``predict`` and ``evaluate`` run as the CI walkthrough runs them,
-on 600 credit3 rows and on 600 fragmented rows, and the SHA-256 of everything
-they write is compared with pinned values. Same seed, same bytes is a
+on 600 credit3 rows and on 600 fragmented rows, and again on the benchmark's
+two training sets with its two ``--config`` files, and the SHA-256 of
+everything they write is compared with pinned values. Same seed, same bytes is a
 contract on every supported Python and numpy: a platform that gives other
 bytes breaks it. A change meant to alter these outputs updates the pins and
 says so.
@@ -13,11 +14,23 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from rulemine import cli
 
+_SWARM = {"swarm_size": 60, "max_iterations": 400, "stagnation_limit": 60}
+# each case's profile, rows and --config; the -bench cases are the training
+# runs of bench/run.py, with its rows, synth seed 1 and configs
+CASES = {
+    "credit3": ("credit3", 600, None),
+    "fragmented": ("fragmented", 600, None),
+    "credit3-bench": ("credit3", 5000, {"support_factor": 0.45, "min_confidence": 0.85,
+                                        "max_attempts_per_class": 3, "pso": _SWARM}),
+    "fragmented-bench": ("fragmented", 2000, {"min_confidence": 0.9,
+                                              "lvq": {"max_epochs": 15}, "pso": _SWARM}),
+}
 GOLDEN = {
     "credit3": {
         "data.csv": "e6d9f774dec73b9280057d042074a7b2aae7c9c6bf73e0119e693298103c9a16",
@@ -35,6 +48,22 @@ GOLDEN = {
         "scored.csv": "f1c15d2d9cff0a8437c52e12b771cb85e1dc66047f5cccc8d663bbaf0583f069",
         "eval.json": "155eed4e53384c45f24e35c9f2755e59c0e85e8f0e3172a61ea87416a1e7f005",
     },
+    "credit3-bench": {
+        "data.csv": "66dd76bf23b594076cb0d2b6bc879ac3f6dbd038bca9a46b9ab464f091d17bca",
+        "train.stdout": "4b0ca9c5ac3ae544eedbe0760a0ff99d95a57cdb8a9b8731daad3e0682db6ff7",
+        "model.json": "2f8dea1a087d4951ac5c6e50bc0aea7c5f4cfb9306c99b3f3aded524582f7c09",
+        "model.report.json": "3407148affd37e051c8f1c6fdd0e46e50f903352ca3307563a9bc07de989b3e4",
+        "scored.csv": "3865c0073e0f22d4bb3402d191757a7a65e4d11ad13faf709d60f79daa0e3019",
+        "eval.json": "b081696e7019e416789aab4546cf6c6b12d36f92c1fb04d4fe2d6b19b6894c13",
+    },
+    "fragmented-bench": {
+        "data.csv": "d6ba65f98883dd50340c27348792a2c69613c034ea4cfc8e03753cae32685de6",
+        "train.stdout": "85d5de1bc7c5e88a77279bf3993bb4b25c754c1079749c16ec270fcfd2122c3e",
+        "model.json": "922264cc6e6954bf8f28af14d0ead32cd999adc8a19723b2b5eaf30415dbad66",
+        "model.report.json": "d0227f510a6468ab995962cab237922235126ab7e95c2dd3e84a4acd09ad1fae",
+        "scored.csv": "15867bde59b1c4836040d10101af095a574af74890194870c966a3d8ac40c6e0",
+        "eval.json": "e7ba2107e8bb17aa17c26c132861d6646514e7cb5b6bd524761ecadf50c269f1",
+    },
 }
 
 
@@ -46,18 +75,24 @@ def _run(argv: list[str]) -> str:
     return out.getvalue()
 
 
-@pytest.mark.parametrize("profile", sorted(GOLDEN))
-def test_walkthrough_bytes(profile, tmp_path):
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_walkthrough_bytes(case, tmp_path):
+    profile, rows, config = CASES[case]
     d = str(tmp_path)
-    _run(["synth", "--rows", "600", "--seed", "1", "--profile", profile,
+    options = []
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        options = ["--config", f"{d}/config.json"]
+    _run(["synth", "--rows", str(rows), "--seed", "1", "--profile", profile,
           "--out", f"{d}/data"])
     train_out = _run(["train", "--data", f"{d}/data.csv", "--schema", f"{d}/data.schema.json",
-                      "--out", f"{d}/model.json", "--seed", "1", "--test-fraction", "0.3"])
+                      "--out", f"{d}/model.json", "--seed", "1", "--test-fraction", "0.3",
+                      *options])
     (tmp_path / "train.stdout").write_text(train_out)
     _run(["predict", "--model", f"{d}/model.json", "--input", f"{d}/data.csv",
           "--out", f"{d}/scored.csv"])
     _run(["evaluate", "--model", f"{d}/model.json", "--data", f"{d}/data.csv",
           "--baseline", "--out", f"{d}/eval.json"])
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in GOLDEN[profile]}
-    assert got == GOLDEN[profile]
+           for name in GOLDEN[case]}
+    assert got == GOLDEN[case]
