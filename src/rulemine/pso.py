@@ -33,7 +33,6 @@ from .rules import (
     Rule,
     count_matches,
     pack_rows,
-    popcount,
 )
 from .schema import NOMINAL, ColumnLayout, EncodedDataset
 
@@ -164,7 +163,7 @@ def fitness(
     lengths += np.count_nonzero(allowed[:, rows.layout.numeric_columns], axis=1)
     matched, correct = count_matches(rows, allowed, genes, class_index)
     support = correct / rows.n_rows
-    class_rows = popcount(rows.classes[class_index : class_index + 1])[0]
+    class_rows = np.bitwise_count(rows.classes[class_index]).sum(dtype=np.int64)
     confidence = (correct + M_ESTIMATE_SHARE * class_rows) / (
         matched + M_ESTIMATE_SHARE * rows.n_rows
     )

@@ -122,7 +122,8 @@ def _pack(flags: np.ndarray) -> np.ndarray:
 class PackedRows:
     """The rows of one dataset as packed bitsets, for counting the matches of
     many antecedents at once (support counting on row bitmaps, as in Burdick
-    et al., "MAFIA", ICDE 2001). Bits are laid out as ``_pack`` lays them.
+    et al., "MAFIA", ICDE 2001). Bits are laid out as ``_pack`` lays them, and
+    a count is the set bits of a bitset, which ``np.bitwise_count`` gives.
 
     Each encoded nominal column has one bitset: the rows that take its value,
     read off the 1.0 entries of ``X``. A numeric column's bitset is all zero,
@@ -156,23 +157,6 @@ def pack_rows(data: EncodedDataset) -> PackedRows:
     )
 
 
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
-_1, _2, _4, _56 = (np.uint64(k) for k in (1, 2, 4, 56))
-
-
-def popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits of each row of (m, W) words, summed along the row: a SWAR
-    count per word. The shifts and masks are np.uint64, since numpy 1.x
-    promotes a uint64 array shifted by a Python int to float or raises."""
-    x = words - ((words >> _1) & _M1)
-    x = (x & _M2) + ((x >> _2) & _M2)
-    x = (x + (x >> _4)) & _M4
-    return ((x * _H01) >> _56).sum(axis=1).astype(np.int64)
-
-
 def count_matches(
     rows: PackedRows, allowed: np.ndarray, bounds: np.ndarray, class_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +169,8 @@ def count_matches(
     holds the (lo, hi) of each numeric attribute in
     ``rows.layout.numeric_names`` order, read only where its column is flagged.
     A nominal block matches the union of its admitted values' bitsets, and a
-    numeric column the rows inside its interval, packed as bits.
+    numeric column the rows inside its interval, packed as bits. Each count
+    sums ``np.bitwise_count`` over the words of an antecedent's bitset.
     """
     mask = np.tile(rows.every, (len(allowed), 1))
     # a row holds exactly one value of each attribute and padding bits are 0,
@@ -200,7 +185,10 @@ def count_matches(
             lo, hi = bounds[on, i, 0, None], bounds[on, i, 1, None]
             hit = (rows.numeric[i] >= lo) & (rows.numeric[i] <= hi)
             mask[on] &= np.packbits(hit, axis=1, bitorder="little").view("<u8")
-    return popcount(mask), popcount(mask & rows.classes[class_index])
+    return (
+        np.bitwise_count(mask).sum(axis=1, dtype=np.int64),
+        np.bitwise_count(mask & rows.classes[class_index]).sum(axis=1, dtype=np.int64),
+    )
 
 
 def match_mask(conditions: Sequence[Condition], data: EncodedDataset) -> np.ndarray:
