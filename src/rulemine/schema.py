@@ -90,10 +90,6 @@ class AttributeSchema:
         return tuple(a.name for a in self.attributes)
 
     @property
-    def nominal_attributes(self) -> tuple[Attribute, ...]:
-        return tuple(a for a in self.attributes if a.kind == NOMINAL)
-
-    @property
     def numeric_attributes(self) -> tuple[Attribute, ...]:
         return tuple(a for a in self.attributes if a.kind == NUMERIC)
 

@@ -388,8 +388,7 @@ class TestPackedKernel:
     def _allowed(position, layout):
         # as fitness passes it: a block with no bit set admits every value
         allowed = position >= 0.5
-        for attr in layout.schema.nominal_attributes:
-            cols = layout.nominal_columns(attr.name)
+        for cols in layout.blocks:
             block = allowed[:, cols.start : cols.stop]
             block[~block.any(axis=1)] = True
         return allowed
@@ -416,8 +415,7 @@ class TestPackedKernel:
         on grid values (every row value), on ties (lo == hi) or between."""
         layout = data.layout
         position = (rng.random((S, data.dimension)) < rng.random((S, 1))).astype(float)
-        for attr in data.schema.nominal_attributes:
-            cols = layout.nominal_columns(attr.name)
+        for cols in layout.blocks:
             position[0, cols.start : cols.stop] = 0.0
             position[1, cols.start : cols.stop] = 1.0
         genes = np.where(rng.random((S, layout.numeric_columns.size, 2)) < 0.7,
@@ -455,8 +453,8 @@ class TestPackedKernel:
                 (data.y == c).tolist() + [False] * (64 * words - n))
         assert rows.values.shape == (data.dimension, words)
         padding = [0] * (64 * words - n)
-        for attr in data.schema.nominal_attributes:
-            for j in data.layout.nominal_columns(attr.name):
+        for cols in data.layout.blocks:
+            for j in cols:
                 assert unpack(rows.values[j]).tolist() == (
                     (data.X[:, j] == 1.0).tolist() + padding)
         for j in data.layout.numeric_columns:
