@@ -15,7 +15,8 @@ ones. Confidence is an m-estimate (Cestnik, "Estimating Probabilities", ECAI
 so a pure fragment of a handful of rows does not outscore a broad rule. The
 base rate weighs as a fixed share of the swarm's rows, so it pulls as hard on
 200 rows as on 5,000. Each swarm is warm-started with the best one-condition
-rule under that fitness.
+rule under that fitness. The swarm scores its particles on its own packed rows:
+``count_matches`` counts every particle's antecedent on row bitsets at once.
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .lvq import LvqNetwork
-from .rules import (
-    NominalMembership,
-    NumericInterval,
-    PackedRows,
-    Rule,
-    count_matches,
-    pack_rows,
-)
+from .rules import NominalMembership, NumericInterval, Rule
 from .schema import NOMINAL, ColumnLayout, EncodedDataset
 
 _PERTURB_VELOC_SCALE = 0.1  # fraction of the veloc2 span, for perturbed copies
@@ -136,38 +130,112 @@ def decode_state(
     return Rule(antecedent=tuple(conditions), class_index=class_index)
 
 
+def _pack(flags: np.ndarray) -> np.ndarray:
+    """(m, n) booleans -> (m, W) words: row i is bit i % 64 of word i // 64,
+    and the padding bits past row n are 0."""
+    m, n = flags.shape
+    padded = np.zeros((m, -(-n // 64) * 64), dtype=bool)
+    padded[:, :n] = flags
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+@dataclass(frozen=True)
+class PackedRows:
+    """The rows of one dataset as packed bitsets, for counting the matches of
+    many antecedents at once (support counting on row bitmaps, as in Burdick
+    et al., "MAFIA", ICDE 2001). Bits are laid out as ``_pack`` lays them, and
+    a count is the set bits of a bitset, which ``np.bitwise_count`` gives.
+
+    Each encoded nominal column has one bitset: the rows that take its value,
+    read off the 1.0 entries of ``X``. A numeric column's bitset is all zero,
+    since a scaled value can be 1.0 too; its values are padded with NaN to
+    whole words, so that a comparison never sets a padding bit.
+    """
+
+    layout: ColumnLayout
+    n_rows: int
+    every: np.ndarray  # (W,) all rows
+    values: np.ndarray  # (d, W) the rows of each nominal column; 0 for numeric ones
+    numeric: np.ndarray  # (a, 64 W) the numeric attributes' values
+    classes: np.ndarray  # (classes, W) the rows of each class
+
+
+def pack_rows(data: EncodedDataset) -> PackedRows:
+    layout = data.layout
+    n = len(data)
+    values = (data.X == 1.0).T
+    values[layout.numeric_columns] = False
+    words = -(-n // 64)
+    numeric = np.full((layout.numeric_columns.size, 64 * words), np.nan)
+    numeric[:, :n] = data.X[:, layout.numeric_columns].T
+    return PackedRows(
+        layout=layout,
+        n_rows=n,
+        every=_pack(np.ones((1, n), dtype=bool))[0],
+        values=_pack(values),
+        numeric=numeric,
+        classes=_pack(np.arange(len(layout.schema.class_labels))[:, None] == data.y),
+    )
+
+
+def count_matches(
+    rows: PackedRows, position: np.ndarray, genes: np.ndarray, class_index: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conditions, rows matched, and matched rows of ``class_index`` of each
+    particle: (S, d) bits and (S, a, 2) genes -> three (S,) int64 arrays.
+
+    Decodes as decode_state does, without building rules: a nominal block
+    places a condition when some but not all of its bits are set, and matches
+    the union of its set values' bitsets (every row when none is set); a
+    numeric column places one when its bit is set, and matches the rows inside
+    its gene interval. A count sums ``np.bitwise_count`` over a bitset's words.
+    """
+    chosen = position >= 0.5
+    conditions = np.zeros(len(position), dtype=np.int64)
+    mask = np.tile(rows.every, (len(position), 1))
+    # a row holds exactly one value of each attribute and padding bits are 0,
+    # so the admitted values' words have disjoint bits: their sum is exactly
+    # their union, with no carries
+    for cols in rows.layout.blocks:
+        block = chosen[:, cols.start : cols.stop]
+        n_set = np.count_nonzero(block, axis=1)
+        conditions += (n_set > 0) & (n_set < len(cols))
+        block[n_set == 0] = True
+        mask &= block.astype(np.uint64) @ rows.values[cols.start : cols.stop]
+    for i, col in enumerate(rows.layout.numeric_columns):
+        on = np.flatnonzero(chosen[:, col])
+        conditions[on] += 1
+        lo, hi = genes[on, i, 0, None], genes[on, i, 1, None]
+        hit = (rows.numeric[i] >= lo) & (rows.numeric[i] <= hi)
+        mask[on] &= np.packbits(hit, axis=1, bitorder="little").view("<u8")
+    return (
+        conditions,
+        np.bitwise_count(mask).sum(axis=1, dtype=np.int64),
+        np.bitwise_count(mask & rows.classes[class_index]).sum(axis=1, dtype=np.int64),
+    )
+
+
 def fitness(
     position: np.ndarray, genes: np.ndarray, class_index: int, rows: PackedRows
 ) -> np.ndarray:
     """Fitness of every particle: (S, d) bits and (S, a, 2) genes -> (S,).
 
-    Scores the swarm in one pass without decoding it, with the rules of
-    decode_state: a nominal attribute places a condition when some but not
-    all of its bits are set (none set admits every value), a numeric one when
-    its column bit is set. Confidence is the m-estimate (correct + m p) /
-    (matched + m), with m = M_ESTIMATE_SHARE times the number of rows and p
-    the share of the rows in class ``class_index``, so m p is that share of
-    the class's rows; a rule that matches no row scores p. Equal, bit for bit,
-    to the same weighted sum over the ``match_mask`` counts of each particle's
-    decoded rule on the rows.
+    A weighted sum over the ``count_matches`` counts. Confidence is the
+    m-estimate (correct + m p) / (matched + m), with m = M_ESTIMATE_SHARE times
+    the number of rows and p the share of the rows in class ``class_index``,
+    so m p is that share of the class's rows; a rule that matches no row
+    scores p. Equal, bit for bit, to the same sum over the ``match_mask``
+    counts of each particle's decoded rule on the rows.
     """
     if rows.n_rows == 0:
         raise DataError("support and confidence are undefined on an empty dataset")
-    allowed = position >= 0.5
-    lengths = np.zeros(len(position), dtype=np.int64)
-    for cols in rows.layout.blocks:
-        block = allowed[:, cols.start : cols.stop]
-        chosen = np.count_nonzero(block, axis=1)
-        lengths += (chosen > 0) & (chosen < len(cols))
-        block[chosen == 0] = True
-    lengths += np.count_nonzero(allowed[:, rows.layout.numeric_columns], axis=1)
-    matched, correct = count_matches(rows, allowed, genes, class_index)
+    conditions, matched, correct = count_matches(rows, position, genes, class_index)
     support = correct / rows.n_rows
     class_rows = np.bitwise_count(rows.classes[class_index]).sum(dtype=np.int64)
     confidence = (correct + M_ESTIMATE_SHARE * class_rows) / (
         matched + M_ESTIMATE_SHARE * rows.n_rows
     )
-    shortness = 1.0 - lengths / len(rows.layout.schema.attributes)
+    shortness = 1.0 - conditions / len(rows.layout.schema.attributes)
     return (
         WEIGHT_CONFIDENCE * confidence
         + WEIGHT_SUPPORT * support

@@ -18,7 +18,6 @@ from .errors import DataError
 from .schema import (
     NOMINAL,
     AttributeSchema,
-    ColumnLayout,
     EncodedDataset,
     json_object,
     json_value,
@@ -107,88 +106,6 @@ def validate_rule(rule: Rule, schema: AttributeSchema) -> None:
                 raise ValueError(f"{cond.attribute!r} is not a numeric attribute")
     if not 0 <= rule.class_index < len(schema.class_labels):
         raise ValueError(f"class index {rule.class_index} out of range")
-
-
-def _pack(flags: np.ndarray) -> np.ndarray:
-    """(m, n) booleans -> (m, W) words: row i is bit i % 64 of word i // 64,
-    and the padding bits past row n are 0."""
-    m, n = flags.shape
-    padded = np.zeros((m, -(-n // 64) * 64), dtype=bool)
-    padded[:, :n] = flags
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
-
-
-@dataclass(frozen=True)
-class PackedRows:
-    """The rows of one dataset as packed bitsets, for counting the matches of
-    many antecedents at once (support counting on row bitmaps, as in Burdick
-    et al., "MAFIA", ICDE 2001). Bits are laid out as ``_pack`` lays them, and
-    a count is the set bits of a bitset, which ``np.bitwise_count`` gives.
-
-    Each encoded nominal column has one bitset: the rows that take its value,
-    read off the 1.0 entries of ``X``. A numeric column's bitset is all zero,
-    since a scaled value can be 1.0 too; its values are padded with NaN to
-    whole words, so that a comparison never sets a padding bit.
-    """
-
-    layout: ColumnLayout
-    n_rows: int
-    every: np.ndarray  # (W,) all rows
-    values: np.ndarray  # (d, W) the rows of each nominal column; 0 for numeric ones
-    numeric: np.ndarray  # (a, 64 W) the numeric attributes' values
-    classes: np.ndarray  # (classes, W) the rows of each class
-
-
-def pack_rows(data: EncodedDataset) -> PackedRows:
-    layout = data.layout
-    n = len(data)
-    values = (data.X == 1.0).T
-    values[layout.numeric_columns] = False
-    words = -(-n // 64)
-    numeric = np.full((layout.numeric_columns.size, 64 * words), np.nan)
-    numeric[:, :n] = data.X[:, layout.numeric_columns].T
-    return PackedRows(
-        layout=layout,
-        n_rows=n,
-        every=_pack(np.ones((1, n), dtype=bool))[0],
-        values=_pack(values),
-        numeric=numeric,
-        classes=_pack(np.arange(len(layout.schema.class_labels))[:, None] == data.y),
-    )
-
-
-def count_matches(
-    rows: PackedRows, allowed: np.ndarray, bounds: np.ndarray, class_index: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows matched, and matched rows of ``class_index``, for each of S
-    antecedents given as arrays: two (S,) int64 counts.
-
-    ``allowed`` (S, d) flags the encoded nominal columns whose values each
-    antecedent admits, a whole attribute block being True where it places no
-    condition, and each numeric column it restricts. ``bounds`` (S, a, 2)
-    holds the (lo, hi) of each numeric attribute in
-    ``rows.layout.numeric_names`` order, read only where its column is flagged.
-    A nominal block matches the union of its admitted values' bitsets, and a
-    numeric column the rows inside its interval, packed as bits. Each count
-    sums ``np.bitwise_count`` over the words of an antecedent's bitset.
-    """
-    mask = np.tile(rows.every, (len(allowed), 1))
-    # a row holds exactly one value of each attribute and padding bits are 0,
-    # so the admitted values' words have disjoint bits: their sum is exactly
-    # their union, with no carries
-    for cols in rows.layout.blocks:
-        block = slice(cols.start, cols.stop)
-        mask &= allowed[:, block].astype(np.uint64) @ rows.values[block]
-    for i, col in enumerate(rows.layout.numeric_columns):
-        on = np.flatnonzero(allowed[:, col])
-        if on.size:
-            lo, hi = bounds[on, i, 0, None], bounds[on, i, 1, None]
-            hit = (rows.numeric[i] >= lo) & (rows.numeric[i] <= hi)
-            mask[on] &= np.packbits(hit, axis=1, bitorder="little").view("<u8")
-    return (
-        np.bitwise_count(mask).sum(axis=1, dtype=np.int64),
-        np.bitwise_count(mask & rows.classes[class_index]).sum(axis=1, dtype=np.int64),
-    )
 
 
 def match_mask(conditions: Sequence[Condition], data: EncodedDataset) -> np.ndarray:

@@ -9,10 +9,12 @@ from rulemine.miner import MinerConfig, mine
 from rulemine.pso import (
     PsoConfig,
     binarize,
+    count_matches,
     decode_state,
     evolve,
     fitness,
     one_condition_rules,
+    pack_rows,
     seed_swarm,
     sigmoid,
     step,
@@ -21,8 +23,6 @@ from rulemine.rules import (
     NominalMembership,
     NumericInterval,
     Rule,
-    count_matches,
-    pack_rows,
     validate_rule,
 )
 from rulemine.schema import Attribute, AttributeSchema, encode
@@ -380,26 +380,20 @@ def _packed_data(kind, n, seed):
 
 
 class TestPackedKernel:
-    """``count_matches`` counts on packed row bits: it must agree with the
-    brute-force double loop, and ``fitness`` with ``fitness_from_rule`` byte
-    for byte, at word edges, across wide nominal blocks and on ties."""
-
-    @staticmethod
-    def _allowed(position, layout):
-        # as fitness passes it: a block with no bit set admits every value
-        allowed = position >= 0.5
-        for cols in layout.blocks:
-            block = allowed[:, cols.start : cols.stop]
-            block[~block.any(axis=1)] = True
-        return allowed
+    """``count_matches`` decodes raw particle states and counts on packed row
+    bits: its condition counts must equal the lengths of the ``decode_state``
+    rules, its matched and correct counts the brute-force double loop, and
+    ``fitness`` must equal ``fitness_from_rule`` byte for byte, at word edges,
+    across wide nominal blocks and on ties."""
 
     def _check(self, position, genes, data):
         layout = data.layout
         rules = [decode_state(p, g, layout, 0) for p, g in zip(position, genes)]
         rows = pack_rows(data)
         for class_index in range(3):
-            matched, correct = count_matches(
-                rows, self._allowed(position, layout), genes, class_index)
+            conditions, matched, correct = count_matches(
+                rows, position, genes, class_index)
+            assert conditions.tolist() == [len(r) for r in rules]
             expected = [brute_force_counts(Rule(r.antecedent, class_index), data)
                         for r in rules]
             assert list(zip(matched.tolist(), correct.tolist())) == expected
