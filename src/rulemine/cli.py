@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 schema/parse/data problems (undecodable input and
 unwritable output paths among them), 2 configuration problems, 3 training
 finished without emitting any rules (the model file is still written,
 carrying only the default class). A command whose stdout is closed early,
-as by `| head`, ends quietly with 0.
+as by `| head`, ends quietly with 0: each command writes its files before it
+prints, so none is left unwritten.
 
 Every command that uses randomness takes --seed; when absent, the
 RULEMINE_SEED environment variable is used, then 0.
@@ -116,14 +117,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     save_model(artifact, args.out)
 
-    report_doc = {"mining": report.to_dict(schema), "evaluation": None}
+    eval_report = None if test_data is None else evaluate(rule_list, test_data)
+    write_json({"mining": report.to_dict(schema),
+                "evaluation": None if eval_report is None else eval_report.to_dict()},
+               report_path)
     print(render_rule_list(rule_list, schema, data.numeric_ranges))
-    if test_data is not None:
-        eval_report = evaluate(rule_list, test_data)
-        report_doc["evaluation"] = eval_report.to_dict()
+    if eval_report is not None:
         print()
         print(eval_report.format_table())
-    write_json(report_doc, report_path)
 
     if not rule_list.rules:
         print("warning: no rules were emitted; model falls back to the default class",
@@ -189,7 +190,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     data = encode(raw, ranges_from=artifact.numeric_ranges)
     report = evaluate(artifact.rule_list, data)
     doc = {"model": report.to_dict(), "baseline": None}
-    print(report.format_table())
+    lines = [report.format_table()]
 
     if args.baseline:
         # fit on 70% and compare on the other 30%: scored on its own training
@@ -206,16 +207,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "model": held_out.to_dict(),
             "greedy": baseline_report.to_dict(),
         }
-        print()
-        print(f"rule count comparison (lower is simpler), on {len(compared_rows)} "
-              f"held-out rows; the baseline was fit on the other {len(fit_rows)}:")
-        print(f"{'  miner':<12}{held_out.rule_count:>6}  "
-              f"accuracy {held_out.accuracy_percent:6.2f}%")
-        print(f"{'  baseline':<12}{baseline_report.rule_count:>6}  "
-              f"accuracy {baseline_report.accuracy_percent:6.2f}%")
+        lines += [
+            "",
+            f"rule count comparison (lower is simpler), on {len(compared_rows)} "
+            f"held-out rows; the baseline was fit on the other {len(fit_rows)}:",
+            f"{'  miner':<12}{held_out.rule_count:>6}  "
+            f"accuracy {held_out.accuracy_percent:6.2f}%",
+            f"{'  baseline':<12}{baseline_report.rule_count:>6}  "
+            f"accuracy {baseline_report.accuracy_percent:6.2f}%",
+        ]
 
     if args.out:
         write_json(doc, args.out)
+    print("\n".join(lines))
     return EXIT_OK
 
 

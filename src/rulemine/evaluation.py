@@ -157,7 +157,7 @@ def _best_numeric_condition(
     the matched rows share one value.
     """
     rows = np.flatnonzero(matched)
-    values = data.X[rows, data.layout.numeric_column(attribute)]
+    values = data.X[rows, data.layout.numeric[attribute]]
     order = np.argsort(values, kind="stable")
     values = values[order]
     cum_correct = np.cumsum(data.y[rows][order] == target)
@@ -199,8 +199,6 @@ def mine_greedy_baseline(train: EncodedDataset, min_confidence: float) -> RuleLi
         raise DataError("cannot mine an empty dataset")
     layout = train.layout
     schema = train.schema
-    n_classes = len(schema.class_labels)
-    total_counts = np.bincount(train.y, minlength=n_classes)
     uncovered = np.ones(len(train), dtype=bool)
     rules: list[Rule] = []
 
@@ -223,7 +221,7 @@ def mine_greedy_baseline(train: EncodedDataset, min_confidence: float) -> RuleLi
                 if attr.name in used:
                     continue
                 if attr.kind == NOMINAL:
-                    cols = layout.nominal_columns(attr.name)
+                    cols = layout.nominal[attr.name]
                     for col, value in zip(cols, attr.values):
                         conf = good[col] / seen[col] if seen[col] else 0.0
                         if (conf, good[col]) > key:
@@ -246,5 +244,5 @@ def mine_greedy_baseline(train: EncodedDataset, min_confidence: float) -> RuleLi
         rules.append(Rule(tuple(conditions), target))
         uncovered &= ~matched
 
-    default = choose_default_class(train.y[uncovered], total_counts)
+    default = choose_default_class(train.y[uncovered], train.class_counts())
     return RuleList(rules=tuple(rules), default_class=default)

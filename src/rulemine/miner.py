@@ -193,7 +193,7 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
     if n == 0:
         raise DataError("cannot mine an empty dataset")
     n_classes = len(train.schema.class_labels)
-    total_counts = np.bincount(train.y, minlength=n_classes)
+    total_counts = train.class_counts()
     if np.count_nonzero(total_counts) < 2:
         raise DataError("mining needs at least 2 classes present in the data")
 

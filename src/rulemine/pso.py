@@ -118,13 +118,13 @@ def decode_state(
     numeric_index = {name: i for i, name in enumerate(layout.numeric_names)}
     for attr in schema.attributes:
         if attr.kind == NOMINAL:
-            cols = layout.nominal_columns(attr.name)
+            cols = layout.nominal[attr.name]
             bits = position[cols.start : cols.stop]
             chosen = [v for v, b in zip(attr.values, bits) if b >= 0.5]
             if 0 < len(chosen) < len(attr.values):
                 conditions.append(NominalMembership(attr.name, frozenset(chosen)))
         else:
-            if position[layout.numeric_column(attr.name)] >= 0.5:
+            if position[layout.numeric[attr.name]] >= 0.5:
                 lo, hi = genes[numeric_index[attr.name]]
                 conditions.append(NumericInterval(attr.name, float(lo), float(hi)))
     return Rule(antecedent=tuple(conditions), class_index=class_index)
@@ -275,14 +275,14 @@ def one_condition_rules(data: EncodedDataset) -> tuple[np.ndarray, np.ndarray]:
     bits, genes = [], []
     for attr in layout.schema.attributes:
         if attr.kind == NOMINAL:
-            cols = layout.nominal_columns(attr.name)
+            cols = layout.nominal[attr.name]
             chosen = np.vstack([np.eye(len(cols)), 1.0 - np.eye(len(cols))])
             block = np.zeros((len(chosen), d))
             block[:, cols.start : cols.stop] = chosen
             bits.append(block)
             genes.append(np.zeros((len(chosen), a, 2)))
         else:
-            col = layout.numeric_column(attr.name)
+            col = layout.numeric[attr.name]
             i = layout.numeric_names.index(attr.name)
             q = np.quantile(data.X[:, col], cuts)
             block = np.zeros((lo.size, d))

@@ -115,12 +115,12 @@ def match_mask(conditions: Sequence[Condition], data: EncodedDataset) -> np.ndar
     for cond in conditions:
         if isinstance(cond, NominalMembership):
             attr = layout.schema.attribute(cond.attribute)
-            cols = layout.nominal_columns(cond.attribute)
+            cols = layout.nominal[cond.attribute]
             admits = [v in cond.allowed for v in attr.values]
             # a row's block holds one 1.0, in the column of its value
             mask &= data.X[:, cols.start : cols.stop] @ admits > 0
         else:
-            values = data.X[:, layout.numeric_column(cond.attribute)]
+            values = data.X[:, layout.numeric[cond.attribute]]
             mask &= (values >= cond.lo) & (values <= cond.hi)
     return mask
 

@@ -233,45 +233,41 @@ def save_schema(schema: AttributeSchema, path: str | Path) -> None:
 class RawDataset:
     """Checked, unencoded rows as one ``(rows, attributes)`` float table in
     schema order, with the values ``coerce_row`` gives: a nominal value's
-    index among the attribute's values, or a number. ``classes`` holds each
-    row's class label index, and is empty for rows to score."""
+    index among the attribute's values, or a number. ``y`` is the int64
+    array of each row's class label index, as in ``EncodedDataset``, and is
+    empty for rows to score."""
 
     schema: AttributeSchema
     rows: np.ndarray
-    classes: list[int]
+    y: np.ndarray
 
     def __len__(self) -> int:
         return len(self.rows)
 
 
 class ColumnLayout:
-    """Mapping between schema attributes and encoded column indices."""
+    """Mapping between schema attributes and encoded column indices:
+    ``nominal`` maps each nominal attribute to its block of one-hot columns,
+    ``numeric`` each numeric attribute to its one column, both in schema
+    order."""
 
     def __init__(self, schema: AttributeSchema) -> None:
-        self._nominal_cols: dict[str, range] = {}
-        self._numeric_col: dict[str, int] = {}
+        self.nominal: dict[str, range] = {}
+        self.numeric: dict[str, int] = {}
         self.dimension = 0
         for a in schema.attributes:
             if a.kind == NOMINAL:
                 end = self.dimension + len(a.values)
-                self._nominal_cols[a.name] = range(self.dimension, end)
+                self.nominal[a.name] = range(self.dimension, end)
                 self.dimension = end
             else:
-                self._numeric_col[a.name] = self.dimension
+                self.numeric[a.name] = self.dimension
                 self.dimension += 1
         self.schema = schema
         # each nominal attribute's encoded columns, in schema order
-        self.blocks = tuple(self._nominal_cols.values())
-        self.numeric_names = tuple(a.name for a in schema.numeric_attributes)
-        self.numeric_columns = np.array(
-            [self._numeric_col[name] for name in self.numeric_names], dtype=np.intp
-        )
-
-    def nominal_columns(self, name: str) -> range:
-        return self._nominal_cols[name]
-
-    def numeric_column(self, name: str) -> int:
-        return self._numeric_col[name]
+        self.blocks = tuple(self.nominal.values())
+        self.numeric_names = tuple(self.numeric)
+        self.numeric_columns = np.array(list(self.numeric.values()), dtype=np.intp)
 
 
 @dataclass
@@ -434,8 +430,8 @@ def read_chunks(
     position among the chunk's data rows, in row order. Blank lines are
     skipped but still counted in the 1-based row numbers. With ``labels``,
     the header must have the class column, whose labels are checked and
-    converted into ``raw.classes``; without, the column may be present and
-    is not read.
+    converted into ``raw.y``; without, the column may be present and is not
+    read, and each chunk's ``y`` is empty.
 
     A line that cannot be read (a byte that is not UTF-8, a CSV syntax
     error) raises its DataError after the lines before it have come as a
@@ -505,7 +501,8 @@ def _chunks(reader, schema, predictor_pos, class_pos, width):
             keep[[i for i, _ in errors]] = False
             table, classes = table[keep], classes[keep]
         del rows, numbers
-        yield RawDataset(schema, table, [] if class_pos is None else classes.tolist()), errors
+        y = np.empty(0, np.int64) if class_pos is None else classes
+        yield RawDataset(schema, table, y), errors
     if failure is not None:
         raise failure
 
@@ -532,13 +529,13 @@ def parse_csv(source, schema: AttributeSchema) -> RawDataset:
     DataError of the first offending row, naming its 1-based data row.
     """
     tables = [np.empty((0, len(schema.attributes)))]
-    classes: list[int] = []
+    labels = [np.empty(0, np.int64)]
     for raw, errors in read_chunks(source, schema):
         if errors:
             raise errors[0][1]
         tables.append(raw.rows)
-        classes += raw.classes
-    return RawDataset(schema, np.concatenate(tables), classes)
+        labels.append(raw.y)
+    return RawDataset(schema, np.concatenate(tables), np.concatenate(labels))
 
 
 def scale_numeric(values, lo: float, hi: float):
@@ -568,13 +565,13 @@ def encode(
     Scaling ranges come from ``ranges_from`` when given ({attribute: (min,
     max)}, so that test data reuses training ranges and out-of-range values
     clamp to the [0, 1] boundary), otherwise from the observed (min, max) of
-    each numeric column of ``raw``. Rows without class labels
-    (``raw.classes`` empty) encode with an empty ``y``.
+    each numeric column of ``raw``. Rows without class labels (``raw.y``
+    empty) encode with an empty ``y``.
     """
     n = len(raw)
     if n == 0:
         raise DataError("cannot encode an empty dataset")
-    if raw.classes and len(raw.classes) != n:
+    if len(raw.y) and len(raw.y) != n:
         raise DataError("dataset rows are missing class labels")
     schema = raw.schema
     layout = ColumnLayout(schema)
@@ -592,9 +589,8 @@ def encode(
             if ranges_from is None:
                 ranges[a.name] = (values.min().item(), values.max().item())
             lo, hi = ranges[a.name]
-            X[:, layout.numeric_column(a.name)] = scale_numeric(values, lo, hi)
-    y = np.array(raw.classes, dtype=np.int64)
-    return EncodedDataset(X=X, y=y, layout=layout, numeric_ranges=ranges)
+            X[:, layout.numeric[a.name]] = scale_numeric(values, lo, hi)
+    return EncodedDataset(X=X, y=raw.y, layout=layout, numeric_ranges=ranges)
 
 
 def _round_half_up(value: float) -> int:

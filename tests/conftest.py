@@ -120,9 +120,7 @@ def random_mixed_dataset(rng: np.random.Generator) -> EncodedDataset:
             cols.append(rng.uniform(0.0, 1.0, (n, 1)))
     X = np.hstack(cols)
     data = build_encoded(schema, X, np.zeros(n, dtype=np.int64))
-    first_num = data.layout.numeric_column(
-        next(a.name for a in attrs if a.kind == "numeric")
-    )
+    first_num = data.layout.numeric[next(a.name for a in attrs if a.kind == "numeric")]
     y = (X[:, first_num] * n_classes).astype(np.int64).clip(0, n_classes - 1)
     flip = rng.uniform(0.0, 1.0, n) < 0.15
     y[flip] = rng.integers(0, n_classes, int(flip.sum()))
@@ -195,7 +193,7 @@ def brute_force_counts(rule, data: EncodedDataset) -> tuple[int, int]:
             if hasattr(cond, "allowed"):
                 active = None
                 values = data.schema.attribute(cond.attribute).values
-                for value, j in zip(values, layout.nominal_columns(cond.attribute)):
+                for value, j in zip(values, layout.nominal[cond.attribute]):
                     if data.X[i, j] == 1.0:
                         active = value
                         break
@@ -203,7 +201,7 @@ def brute_force_counts(rule, data: EncodedDataset) -> tuple[int, int]:
                     row_ok = False
                     break
             else:
-                v = data.X[i, layout.numeric_column(cond.attribute)]
+                v = data.X[i, layout.numeric[cond.attribute]]
                 if not (cond.lo <= v <= cond.hi):
                     row_ok = False
                     break

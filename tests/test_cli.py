@@ -795,6 +795,39 @@ class TestPredict:
         assert code == cli.EXIT_OK, stderr
         assert stderr == ""
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_closed_stdout_still_writes_every_file(self, workdir, tmp_path, command):
+        # unbuffered, the first print meets the closed pipe at once; the read
+        # end is closed before the child starts, so no output can get through
+        if command == "train":
+            argv = ["train", "--data", str(workdir / "frag.csv"),
+                    "--schema", str(workdir / "frag.schema.json"),
+                    "--out", str(tmp_path / "m.json"), "--seed", "2",
+                    "--config", str(workdir / "small.json"), "--test-fraction", "0.3"]
+        else:
+            argv = ["evaluate", "--model", str(workdir / "fmodel.json"),
+                    "--data", str(workdir / "frag.csv"), "--baseline",
+                    "--out", str(tmp_path / "e.json")]
+        env = {**os.environ, "PYTHONPATH": str(Path(rulemine.__file__).parents[1]),
+               "PYTHONUNBUFFERED": "1"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "rulemine.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stderr == ""
+        if command == "train":
+            assert load_model(tmp_path / "m.json").rule_list.rules
+            report = json.loads((tmp_path / "m.report.json").read_text())
+            assert report["mining"] and report["evaluation"]
+        else:
+            doc = json.loads((tmp_path / "e.json").read_text())
+            assert doc["model"] and doc["baseline"]
+
     def test_summary_line_on_stderr(self, workdir, capsys, tmp_path):
         score = tmp_path / "score.csv"
         score.write_text(
@@ -927,7 +960,7 @@ def _oracle_line(artifact, fields, width, positions, row_number):
         values, _ = coerce_row(schema, fields, width, positions, None, row_number)
     except DataError as exc:
         return ["ERROR", "-", str(exc)]
-    raw = RawDataset(schema, np.array([values], dtype=np.float64), [])
+    raw = RawDataset(schema, np.array([values], dtype=np.float64), np.empty(0, np.int64))
     predicted, fired = classify_dataset(artifact.rule_list, encode(raw, ranges_from=ranges))
     label, f = schema.class_labels[predicted[0]], int(fired[0])
     if f == 0:

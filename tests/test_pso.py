@@ -147,7 +147,7 @@ class TestDecode:
         salary_row = data.layout.numeric_names.index("salary")
         assert salary_row == 0
         position = np.zeros(5)
-        position[data.layout.numeric_column("salary")] = 1.0
+        position[data.layout.numeric["salary"]] = 1.0
         rule = decode_state(position, genes, data.layout, 1)
         assert rule.antecedent == (NumericInterval("salary", 0.2, 0.8),)
 
@@ -328,10 +328,10 @@ class TestBatchFitnessOracle:
         position = np.zeros((3, data.dimension))
         genes = np.tile([0.0, 1.0], (3, len(layout.numeric_names), 1))
         if kind == "numeric_only":
-            position[0, layout.numeric_column("size")] = 1.0
+            position[0, layout.numeric["size"]] = 1.0
             genes[0, 0] = [0.9, 1.0]  # above every row's value
         else:
-            position[0, layout.nominal_columns("colour")[2]] = 1.0  # only 'blue'
+            position[0, layout.nominal["colour"][2]] = 1.0  # only 'blue'
         got = self._check(position, genes, 1, data)
         rule = decode_state(position[0], genes[0], layout, 1)
         assert len(rule) == 1
@@ -472,13 +472,13 @@ class TestPackedKernel:
         position = np.zeros((2, data.dimension))
         genes = np.tile([0.0, 1.0], (2, layout.numeric_columns.size, 1))
         if kind == "numeric_only":
-            position[:, layout.numeric_column("u")] = 1.0
+            position[:, layout.numeric["u"]] = 1.0
             genes[0, 0] = [0.1, 0.2]  # between grid values
             genes[1, 0] = [0.3, 0.3]
         else:
             # the last values, which no row takes: past the first byte of a block
-            position[0, layout.nominal_columns("nine")[8]] = 1.0
-            position[1, layout.nominal_columns("seventeen")[16]] = 1.0
+            position[0, layout.nominal["nine"][8]] = 1.0
+            position[1, layout.nominal["seventeen"][16]] = 1.0
         rules = self._check(position, genes, data)
         assert [brute_force_counts(rule, data) for rule in rules] == [(0, 0), (0, 0)]
 
@@ -761,7 +761,7 @@ class TestWarmStart:
         assert [set(r.antecedent[0].allowed) for r in rules[:6]] == [
             {"single"}, {"married"}, {"divorced"},
             {"married", "divorced"}, {"single", "divorced"}, {"single", "married"}]
-        salary = data.X[:, data.layout.numeric_column("salary")]
+        salary = data.X[:, data.layout.numeric["salary"]]
         lo = [r.antecedent[0].lo for r in rules[6 : 6 + 136]]
         hi = [r.antecedent[0].hi for r in rules[6 : 6 + 136]]
         assert (lo[0], hi[-1]) == (salary.min(), salary.max())

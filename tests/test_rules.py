@@ -122,7 +122,7 @@ class TestMatches:
     def test_closed_interval_boundary(self, tiny):
         rule = Rule(antecedent=(NumericInterval("salary", 0.3, 0.7),), class_index=0)
         row = tiny.subset(np.array([1]))  # salary exactly 0.4; adjust to the boundary
-        row.X[0, tiny.layout.numeric_column("salary")] = 0.3
+        row.X[0, tiny.layout.numeric["salary"]] = 0.3
         assert fires(rule, row)[0]
 
     def test_membership_exclusion(self, tiny):
@@ -376,11 +376,11 @@ def _dummy_column_mask(conditions, data):
     for cond in conditions:
         if isinstance(cond, NominalMembership):
             attr = layout.schema.attribute(cond.attribute)
-            cols = layout.nominal_columns(cond.attribute)
+            cols = layout.nominal[cond.attribute]
             picked = [cols.start + i for i, v in enumerate(attr.values) if v in cond.allowed]
             mask &= data.X[:, picked].sum(axis=1) > 0.5
         else:
-            values = data.X[:, layout.numeric_column(cond.attribute)]
+            values = data.X[:, layout.numeric[cond.attribute]]
             mask &= (values >= cond.lo) & (values <= cond.hi)
     return mask
 
@@ -396,7 +396,7 @@ def _random_conditions(rng, data):
             picked = rng.choice(len(attr.values), size=k, replace=False)
             conds.append(NominalMembership(attr.name, frozenset(attr.values[i] for i in picked)))
         else:
-            column = data.X[:, data.layout.numeric_column(attr.name)]
+            column = data.X[:, data.layout.numeric[attr.name]]
             ends = rng.choice(column, 2) if rng.random() < 0.5 else rng.random(2)
             lo, hi = np.sort(ends)
             conds.append(NumericInterval(attr.name, float(lo), float(hi)))

@@ -44,14 +44,14 @@ class TestParseCsv:
         # its index among the labels
         assert raw.rows.shape == (2, 3) and raw.rows.dtype == np.float64
         assert raw.rows[0].tolist() == [1.0, 100.0, 30.0]
-        assert raw.classes == [1, 0]
+        assert raw.y.dtype == np.int64 and raw.y.tolist() == [1, 0]
 
     def test_header_order_insensitive(self, credit_schema):
         text = "age,status,salary,marital_status\n30,Accept,100,married\n"
         raw = parse_csv(io.StringIO(text), credit_schema)
         assert raw.rows.shape == (1, 3) and raw.rows.dtype == np.float64
         assert raw.rows[0].tolist() == [1.0, 100.0, 30.0]
-        assert raw.classes == [1]
+        assert raw.y.tolist() == [1]
 
     def test_undeclared_nominal_names_row(self, credit_schema):
         text = CSV_OK + "widowed,10,20,Deny\n"
@@ -100,7 +100,7 @@ class TestParseCsv:
             source.write_bytes(b"\xef\xbb\xbf" + text.encode())
         raw = parse_csv(source, credit_schema)
         plain = parse_csv(io.StringIO(CSV_OK), credit_schema)
-        assert (raw.rows.tolist(), raw.classes) == (plain.rows.tolist(), plain.classes)
+        assert (raw.rows.tolist(), raw.y.tolist()) == (plain.rows.tolist(), plain.y.tolist())
 
     @pytest.mark.parametrize(
         "tail, match",
@@ -178,7 +178,9 @@ def _chunked(text, schema, chunk_rows, labels=True):
         chunks = list(read_chunks(io.StringIO(text), schema, labels=labels))
     for raw, errors in chunks:
         assert raw.rows.dtype == np.float64 and raw.rows.shape[1] == len(schema.attributes)
-        classes = raw.classes or [None] * len(raw)
+        # one int64 label per row, or none at all when the class column is not read
+        assert raw.y.dtype == np.int64 and raw.y.shape == ((len(raw),) if labels else (0,))
+        classes = raw.y.tolist() or [None] * len(raw)
         rows = [(tuple(v.hex() for v in row), c) for row, c in zip(raw.rows.tolist(), classes)]
         for position, exc in errors:
             rows.insert(position, str(exc))
@@ -226,7 +228,7 @@ class TestColumnReaderMatchesPerRowCheck:
         raw = parse_csv(io.StringIO("".join(good)), edge_schema)
         rows = [e for e in expected if isinstance(e, tuple)]
         assert [tuple(v.hex() for v in row) for row in raw.rows.tolist()] == [v for v, _ in rows]
-        assert raw.classes == [c for _, c in rows]
+        assert raw.y.tolist() == [c for _, c in rows]
 
     @staticmethod
     def _long_csv(bad):
@@ -247,6 +249,9 @@ class TestColumnReaderMatchesPerRowCheck:
         assert _chunked(text, credit_schema, 4096) == _per_row_reference(text, credit_schema)
         with pytest.raises(DataError, match="^row 4096: value 'widowed'"):
             parse_csv(io.StringIO(text), credit_schema)
+        # the chunks' labels join into one int64 array
+        raw = parse_csv(io.StringIO(self._long_csv({})), credit_schema)
+        assert raw.y.dtype == np.int64 and raw.y.tolist() == [1] * 5000
 
     @pytest.mark.parametrize("first, second", [
         ("married,100,30,Maybe", "married,lots,30,Accept"),
@@ -386,7 +391,7 @@ class TestSchemaJson:
         )
         raw = parse_csv(io.StringIO(",c,cls\n1.5,b,\n2, a ,pos\n"), schema)
         assert raw.rows.tolist() == [[1.5, 1.0], [2.0, 0.0]]
-        assert raw.classes == [0, 1]
+        assert raw.y.tolist() == [0, 1]
 
     def test_class_attribute_not_a_predictor(self):
         with pytest.raises(SchemaError):
@@ -401,7 +406,8 @@ class TestEncode:
     def test_dummy_coding(self, credit_schema):
         raw = parse_csv(io.StringIO(CSV_OK), credit_schema)
         enc = encode(raw)
-        cols = enc.layout.nominal_columns("marital_status")
+        assert enc.y.dtype == np.int64 and np.array_equal(enc.y, raw.y)
+        cols = enc.layout.nominal["marital_status"]
         # married -> (0, 1, 0) in declared value order
         assert list(enc.X[0, cols]) == [0.0, 1.0, 0.0]
         assert list(enc.X[1, cols]) == [1.0, 0.0, 0.0]
@@ -409,7 +415,7 @@ class TestEncode:
     def test_subset_keeps_the_hot_column(self, credit_schema):
         raw = parse_csv(io.StringIO(CSV_OK), credit_schema)
         enc = encode(raw)
-        cols = enc.layout.nominal_columns("marital_status")
+        cols = enc.layout.nominal["marital_status"]
         # married, single: the subset of row 1 keeps single's one-hot block
         assert enc.subset(np.array([1])).X[:, cols].tolist() == [[1.0, 0.0, 0.0]]
 
@@ -421,7 +427,7 @@ class TestEncode:
 
     def test_missing_class_labels_rejected(self, credit_schema):
         raw = parse_csv(io.StringIO(CSV_OK), credit_schema)
-        short = RawDataset(raw.schema, raw.rows, raw.classes[:-1])
+        short = RawDataset(raw.schema, raw.rows, raw.y[:-1])
         with pytest.raises(DataError, match="dataset rows are missing class labels"):
             encode(short)
 
@@ -431,7 +437,7 @@ class TestEncode:
             "single,10,30,Deny\nmarried,15,30,Accept\ndivorced,20,30,Deny\n"
         )
         enc = encode(parse_csv(io.StringIO(text), credit_schema))
-        j = enc.layout.numeric_column("salary")
+        j = enc.layout.numeric["salary"]
         assert enc.X[1, j] == pytest.approx(0.5)
 
     def test_out_of_range_clamped(self, credit_schema):
@@ -443,7 +449,7 @@ class TestEncode:
         train_raw = parse_csv(io.StringIO(train_text), credit_schema)
         test_raw = parse_csv(io.StringIO(test_text), credit_schema)
         enc = encode(test_raw, ranges_from=encode(train_raw).numeric_ranges)
-        assert enc.X[0, enc.layout.numeric_column("salary")] == 1.0
+        assert enc.X[0, enc.layout.numeric["salary"]] == 1.0
 
     def test_constant_numeric_encodes_to_zero(self, credit_schema):
         text = (
@@ -451,14 +457,14 @@ class TestEncode:
             "single,10,30,Deny\nmarried,10,40,Accept\n"
         )
         enc = encode(parse_csv(io.StringIO(text), credit_schema))
-        assert np.all(enc.X[:, enc.layout.numeric_column("salary")] == 0.0)
+        assert np.all(enc.X[:, enc.layout.numeric["salary"]] == 0.0)
 
     def test_ranges_accept_plain_mapping(self, credit_schema):
         text = "marital_status,salary,age,status\nsingle,15,35,Deny\n"
         raw = parse_csv(io.StringIO(text), credit_schema)
         enc = encode(raw, ranges_from={"salary": (10.0, 20.0), "age": (30.0, 40.0)})
-        assert enc.X[0, enc.layout.numeric_column("salary")] == pytest.approx(0.5)
-        assert enc.X[0, enc.layout.numeric_column("age")] == pytest.approx(0.5)
+        assert enc.X[0, enc.layout.numeric["salary"]] == pytest.approx(0.5)
+        assert enc.X[0, enc.layout.numeric["age"]] == pytest.approx(0.5)
 
     def test_everything_in_unit_interval(self, credit_schema):
         raw = parse_csv(io.StringIO(CSV_OK), credit_schema)
@@ -473,7 +479,7 @@ class TestEncode:
         )
         enc = encode(parse_csv(io.StringIO(text), credit_schema))
         for name in ("salary", "age"):
-            col = enc.X[:, enc.layout.numeric_column(name)]
+            col = enc.X[:, enc.layout.numeric[name]]
             assert col.min() == 0.0 and col.max() == 1.0
 
 
@@ -483,11 +489,11 @@ def _encode_row_reference(schema, ranges, row):
     x = np.zeros(layout.dimension)
     for a, value in zip(schema.attributes, row):
         if a.kind == "nominal":
-            x[layout.nominal_columns(a.name).start + a.values.index(value)] = 1.0
+            x[layout.nominal[a.name].start + a.values.index(value)] = 1.0
         else:
             lo, hi = ranges[a.name]
             scaled = 0.0 if hi <= lo else min(1.0, max(0.0, (float(value) - lo) / (hi - lo)))
-            x[layout.numeric_column(a.name)] = scaled
+            x[layout.numeric[a.name]] = scaled
     return x
 
 
@@ -547,7 +553,7 @@ class TestEncodeMatchesPerRowFormula:
         positions = range(len(schema.attributes))
         table = [coerce_row(schema, r, len(r), positions, None, i)[0]
                  for i, r in enumerate(rows, 1)]
-        raw = RawDataset(schema, np.array(table, dtype=np.float64), [])
+        raw = RawDataset(schema, np.array(table, dtype=np.float64), np.empty(0, np.int64))
         enc = encode(raw, ranges_from=ranges)
         expected = np.vstack(
             [_encode_row_reference(schema, enc.numeric_ranges, r) for r in rows])
@@ -598,7 +604,7 @@ def test_nominal_round_trip(schema, rnd):
     for a in schema.attributes:
         if a.kind != "nominal":
             continue
-        cols = enc.layout.nominal_columns(a.name)
+        cols = enc.layout.nominal[a.name]
         block = enc.X[0, cols]
         assert block.sum() == 1.0
         decoded = a.values[int(np.argmax(block))]

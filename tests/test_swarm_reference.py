@@ -72,7 +72,7 @@ def ref_one_condition_rules(data, class_index):
             rules += [Rule((NominalMembership(attr.name, frozenset(c)),), class_index)
                       for c in subsets]
         else:
-            values = data.X[:, data.layout.numeric_column(attr.name)]
+            values = data.X[:, data.layout.numeric[attr.name]]
             q = np.quantile(values, np.linspace(0.0, 1.0, pso.WARM_START_QUANTILES))
             rules += [Rule((NumericInterval(attr.name, float(lo), float(hi)),), class_index)
                       for lo, hi in combinations_with_replacement(q, 2)]
@@ -83,7 +83,7 @@ def ref_seed_swarm(network, class_index, min_represented, data, config):
     layout = data.layout
     d = layout.dimension
     numeric_cols = np.array(
-        [layout.numeric_column(n) for n in layout.numeric_names], dtype=np.int64
+        [layout.numeric[n] for n in layout.numeric_names], dtype=np.int64
     )
     numeric_mask = np.zeros(d, dtype=bool)
     numeric_mask[numeric_cols] = True
@@ -132,11 +132,11 @@ def ref_seed_swarm(network, class_index, min_represented, data, config):
     (cond,) = best.antecedent
     p.position = np.zeros(d)
     if isinstance(cond, NominalMembership):
-        cols = layout.nominal_columns(cond.attribute)
+        cols = layout.nominal[cond.attribute]
         values = data.schema.attribute(cond.attribute).values
         p.position[cols.start : cols.stop] = [v in cond.allowed for v in values]
     else:
-        p.position[layout.numeric_column(cond.attribute)] = 1.0
+        p.position[layout.numeric[cond.attribute]] = 1.0
         p.genes[layout.numeric_names.index(cond.attribute)] = (cond.lo, cond.hi)
     p.veloc2 = np.where(p.position == 1.0, ub2, lb2)
     p.best_position, p.best_genes = p.position.copy(), p.genes.copy()
