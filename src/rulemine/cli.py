@@ -3,9 +3,12 @@
 Exit codes: 0 success, 1 schema/parse/data problems (undecodable input and
 unwritable output paths among them), 2 configuration problems, 3 training
 finished without emitting any rules (the model file is still written,
-carrying only the default class). A command whose stdout is closed early,
-as by `| head`, ends quietly with 0: each command writes its files before it
-prints, so none is left unwritten.
+carrying only the default class). Each command returns its exit code and
+the text for stdout, which ``main`` prints, so a command writes its files,
+and ``train`` its no-rules warning, before anything is printed. A command
+whose stdout is closed early, as by `| head`, then ends quietly with the code
+it returned, with no file left unwritten; ``predict``, which streams its rows
+to stdout itself, ends with 0.
 
 Every command that uses randomness takes --seed; when absent, the
 RULEMINE_SEED environment variable is used, then 0.
@@ -92,7 +95,7 @@ def _refuse_overwrite(inputs: dict, outputs: dict) -> None:
         named[flag] = path
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> tuple[int, str]:
     report_path = _report_path(args.out, args.report)
     _refuse_overwrite({"--data": args.data, "--schema": args.schema, "--config": args.config},
                       {"--out": args.out, "--report": report_path})
@@ -121,16 +124,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     write_json({"mining": report.to_dict(schema),
                 "evaluation": None if eval_report is None else eval_report.to_dict()},
                report_path)
-    print(render_rule_list(rule_list, schema, data.numeric_ranges))
+    lines = [render_rule_list(rule_list, schema, data.numeric_ranges)]
     if eval_report is not None:
-        print()
-        print(eval_report.format_table())
-
+        lines += ["", eval_report.format_table()]
     if not rule_list.rules:
         print("warning: no rules were emitted; model falls back to the default class",
               file=sys.stderr)
-        return EXIT_NO_RULES
-    return EXIT_OK
+        return EXIT_NO_RULES, "\n".join(lines)
+    return EXIT_OK, "\n".join(lines)
 
 
 def _csv_line(fields: list) -> str:
@@ -140,7 +141,7 @@ def _csv_line(fields: list) -> str:
     return buf.getvalue()
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
     _refuse_overwrite({"--model": args.model, "--input": args.input}, {"--out": args.out})
     artifact = load_model(args.model)
     schema = artifact.schema
@@ -176,13 +177,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     if total == 0:
         print("error: input contains no data rows", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_DATA, ""
     scored = total - errors
     print(f"scored {scored} rows, {errors} ERROR, {defaults} default", file=sys.stderr)
-    return EXIT_OK if scored > 0 else EXIT_DATA
+    return (EXIT_OK if scored > 0 else EXIT_DATA), ""
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> tuple[int, str]:
     _refuse_overwrite({"--model": args.model, "--data": args.data}, {"--out": args.out})
     artifact = load_model(args.model)
     schema = artifact.schema
@@ -219,11 +220,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     if args.out:
         write_json(doc, args.out)
-    print("\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines)
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> tuple[int, str]:
     seed = _resolve_seed(args.seed)
     data = generate(args.profile, args.rows, seed)
     csv_path = Path(args.out + ".csv")
@@ -233,8 +233,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     save_schema(data.schema, schema_path)
     counts = {label: data.classes.count(label) for label in data.schema.class_labels}
     summary = ", ".join(f"{label}: {count}" for label, count in counts.items())
-    print(f"wrote {csv_path} and {schema_path} ({args.rows} rows; {summary})")
-    return EXIT_OK
+    return EXIT_OK, f"wrote {csv_path} and {schema_path} ({args.rows} rows; {summary})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,14 +285,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = EXIT_OK  # until the command returns, as predict's stream may break first
     try:
-        code = args.func(args)
+        code, text = args.func(args)
+        if text:
+            print(text)
         sys.stdout.flush()  # a closed stdout raises here rather than at exit
         return code
     except BrokenPipeError:  # the reader of stdout is gone, as after `| head`
         # end quietly, with stdout on devnull so that the exit flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,7 +1,9 @@
 """Iterative rule learning over a fitted centroid network.
 
-One swarm run produces one candidate rule for the class with the most
-uncovered examples. A candidate is emitted only if the rows it classifies
+One swarm run produces one candidate rule for the class that has failed the
+fewest times in a row, and among those the one with the most uncovered
+examples: a failed launch covers nothing, so it waits behind the classes whose
+search can still change. A candidate is emitted only if the rows it classifies
 correctly reach the floor in force for its class and it meets the confidence
 threshold; an emitted rule removes every uncovered example it matches, as
 first-match scoring fires it on all of them. The floor is a row count,
@@ -10,7 +12,9 @@ least: the floor shrinks as mining progresses, but never so fast that
 single-digit fragments qualify while a class is still broadly uncovered.
 Classes retire after too many failed attempts in a row. A candidate with an
 empty antecedent would match every remaining row, so it ends mining as the
-default class instead of as a rule.
+default class instead of as a rule. Once the rows left are all of one class,
+that candidate is the only one a swarm can emit, so they fold into the
+default without a launch.
 """
 
 from __future__ import annotations
@@ -185,9 +189,14 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
     """Mine an ordered rule list from encoded training data.
 
     The centroid network is fitted once up front and only re-filtered by
-    class between swarm runs. Sub-seeds for the network fit and for every
-    swarm launch are drawn from the master seed, so a given (data, config)
-    pair reproduces the identical rule list.
+    class between swarm runs. Each launch targets the viable class with the
+    fewest consecutive failures, then the most uncovered rows, then the lowest
+    index. Mining ends with ``all_covered`` once the rows left hold one class
+    or none: on rows of one class ``IF TRUE`` scores 1.0 (m-estimate
+    confidence, support and shortness all 1) and any rule with a condition
+    scores less, so no swarm is launched there. Sub-seeds for the network
+    fit and for every swarm launch are drawn from the master seed, so a given
+    (data, config) pair reproduces the identical rule list.
     """
     n = len(train)
     if n == 0:
@@ -216,9 +225,10 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
 
     while default is None:
         uncovered_idx = np.flatnonzero(covered_by == 0)
-        if uncovered_idx.size == 0:
-            break
         uncovered_counts = np.bincount(train.y[uncovered_idx], minlength=n_classes)
+        # a residue of one class, or none, ends mining: IF TRUE would fold there
+        if np.count_nonzero(uncovered_counts) < 2:
+            break
         # a class stays viable while anything of it is uncovered (a rule
         # covering all of it always clears the floor, support_factor <= 1)
         # and it has failed fewer than max_attempts_per_class times in a row
@@ -230,7 +240,8 @@ def mine(train: EncodedDataset, config: MinerConfig) -> tuple[RuleList, MiningRe
         if not viable:
             stop_reason = STOP_NO_VIABLE_CLASS
             break
-        target = min(viable, key=lambda c: (-int(uncovered_counts[c]), c))
+        target = min(viable, key=lambda c: (consecutive_failures[c],
+                                            -int(uncovered_counts[c]), c))
         if len(swarm_logs) >= launch_bound:
             raise RuntimeError("mining loop exceeded its iteration bound")
 

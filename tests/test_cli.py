@@ -114,6 +114,22 @@ def _write_interleaved(directory):
     return csv_path, schema_path, config_path
 
 
+def _run_into_closed_pipe(argv):
+    """Run a command unbuffered, with a stdout pipe whose read end is closed
+    before the child starts: its first print meets the closed pipe at once,
+    and no output can get through."""
+    env = {**os.environ, "PYTHONPATH": str(Path(rulemine.__file__).parents[1]),
+           "PYTHONUNBUFFERED": "1"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "rulemine.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Shared artifacts: synthetic datasets plus trained models."""
@@ -797,8 +813,6 @@ class TestPredict:
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_closed_stdout_still_writes_every_file(self, workdir, tmp_path, command):
-        # unbuffered, the first print meets the closed pipe at once; the read
-        # end is closed before the child starts, so no output can get through
         if command == "train":
             argv = ["train", "--data", str(workdir / "frag.csv"),
                     "--schema", str(workdir / "frag.schema.json"),
@@ -808,16 +822,7 @@ class TestPredict:
             argv = ["evaluate", "--model", str(workdir / "fmodel.json"),
                     "--data", str(workdir / "frag.csv"), "--baseline",
                     "--out", str(tmp_path / "e.json")]
-        env = {**os.environ, "PYTHONPATH": str(Path(rulemine.__file__).parents[1]),
-               "PYTHONUNBUFFERED": "1"}
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run([sys.executable, "-m", "rulemine.cli", *argv],
-                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
-                                  env=env, timeout=120)
-        finally:
-            os.close(write_end)
+        proc = _run_into_closed_pipe(argv)
         assert proc.returncode == cli.EXIT_OK, proc.stderr
         assert proc.stderr == ""
         if command == "train":
@@ -827,6 +832,18 @@ class TestPredict:
         else:
             doc = json.loads((tmp_path / "e.json").read_text())
             assert doc["model"] and doc["baseline"]
+
+    def test_closed_stdout_keeps_the_no_rules_exit_and_warning(self, tmp_path):
+        # the warning and the exit code are settled before the first print
+        csv_path, schema_path, config_path = _write_interleaved(tmp_path)
+        argv = ["train", "--data", str(csv_path), "--schema", str(schema_path),
+                "--out", str(tmp_path / "zero.json"),
+                "--seed", "5", "--config", str(config_path)]
+        proc = _run_into_closed_pipe(argv)
+        assert proc.returncode == cli.EXIT_NO_RULES, proc.stderr
+        assert proc.stderr == (
+            "warning: no rules were emitted; model falls back to the default class\n")
+        assert load_model(tmp_path / "zero.json").rule_list.rules == ()
 
     def test_summary_line_on_stderr(self, workdir, capsys, tmp_path):
         score = tmp_path / "score.csv"

@@ -36,17 +36,17 @@ GOLDEN = {
         "data.csv": "e6d9f774dec73b9280057d042074a7b2aae7c9c6bf73e0119e693298103c9a16",
         "train.stdout": "7d359ea336029665fc276f3ec91360f457a29ebf1d060c6f0ec8e6f325eca45e",
         "model.json": "c1b145df47779c77c4fe0cfc37a4c30cc794ea2e98ce5149a77ec9aa278b76fb",
-        "model.report.json": "ea87e984139492961eb722513faa38fd2f6b96ffb669d07306d7c7241068632a",
+        "model.report.json": "4a4e4df3c39329a312692db94d89e9fca0ada281fb3b47d822581f36c1e6c2b7",
         "scored.csv": "18216c6e6a9aa4112aac86ff7a51e82ae386123fd9ff116797e9d47549f7787f",
         "eval.json": "5a805c9577b0ef91448d2cf2658ef0642121af616e0fdfd502416239bb5ce766",
     },
     "fragmented": {
         "data.csv": "76ff151eeec3651a3611c261aa4029b38189f2c958dab80f87c3e2e5db06a7c9",
-        "train.stdout": "57cc93523bfa5b1fe64d875c2e4d448681154b2622ea38b624ea531d7e6eea6f",
-        "model.json": "26176c4a18b21021522ca9020712fca088c7992ec854a3b3e6a0d6654ebce660",
-        "model.report.json": "82e9a85fe5dee54651aab0fa0d325c7db7fde53e8cf4ba7a5e4fb1a168e2f522",
-        "scored.csv": "f1c15d2d9cff0a8437c52e12b771cb85e1dc66047f5cccc8d663bbaf0583f069",
-        "eval.json": "155eed4e53384c45f24e35c9f2755e59c0e85e8f0e3172a61ea87416a1e7f005",
+        "train.stdout": "f3a3e01eb0c325fb2de186e98322acea0451722790cd4e57535b7d5505ad5753",
+        "model.json": "115503e1461c92aa214cd13bddb9bc5afa70693e3dff540b29a8c7afea44871e",
+        "model.report.json": "bb5bc0614e71026136f59c4be48cc432f729b0bf2afa1070f1ed3410ef6f8785",
+        "scored.csv": "f61566eb0a8fe071215a5334167580cef854be3ec35a7e48d2cff2d81b8978ad",
+        "eval.json": "1cb7b5400c48aee4de785df608a516cfe075e02bc6c64be398f380768a4575e5",
     },
     "credit3-bench": {
         "data.csv": "66dd76bf23b594076cb0d2b6bc879ac3f6dbd038bca9a46b9ab464f091d17bca",
@@ -60,7 +60,7 @@ GOLDEN = {
         "data.csv": "d6ba65f98883dd50340c27348792a2c69613c034ea4cfc8e03753cae32685de6",
         "train.stdout": "85d5de1bc7c5e88a77279bf3993bb4b25c754c1079749c16ec270fcfd2122c3e",
         "model.json": "922264cc6e6954bf8f28af14d0ead32cd999adc8a19723b2b5eaf30415dbad66",
-        "model.report.json": "d0227f510a6468ab995962cab237922235126ab7e95c2dd3e84a4acd09ad1fae",
+        "model.report.json": "f6972577a11a801951b98d1ae1deb04a26467f07cf2f9a362353cdf5326cb63c",
         "scored.csv": "15867bde59b1c4836040d10101af095a574af74890194870c966a3d8ac40c6e0",
         "eval.json": "e7ba2107e8bb17aa17c26c132861d6646514e7cb5b6bd524761ecadf50c269f1",
     },

@@ -211,8 +211,9 @@ def test_no_assert_statements_in_package():
 
 class TestSeparable:
     def test_one_rule_and_the_default_cover_everything(self, numeric_schema):
-        # the second launch finds IF TRUE for the rows left, all of class 0:
-        # it becomes the default, and those rows its residue
+        # the rows left after the first rule are all of class 0, where IF TRUE
+        # would win: no swarm is launched, class 0 becomes the default, and
+        # those rows its residue
         data = _separable(numeric_schema)
         rule_list, report = mine(data, MinerConfig(seed=0))
         assert len(rule_list.rules) == 1
@@ -221,7 +222,7 @@ class TestSeparable:
         assert np.array_equal(pred, data.y)
         assert report.stop_reason == STOP_ALL_COVERED
         assert report.uncovered_residue == {0: int(np.count_nonzero(data.y == 0)), 1: 0}
-        assert [log.outcome for log in report.swarm_logs] == ["emitted", "folded"]
+        assert [log.outcome for log in report.swarm_logs] == ["emitted"]
         assert _failed_attempts(report) == {}
 
     def test_majority_class_mined_first(self, numeric_schema):
@@ -581,6 +582,44 @@ class TestRandomDatasets:
             _assert_gates(data, config, report)
             failed += sum(log.outcome in GATES for log in report.swarm_logs)
         assert failed > 0
+
+    def test_each_launch_of_criterion_7_targets_the_class_its_turn_names(
+        self, criterion_7_runs
+    ):
+        # replayed from the report: each launch's uncovered rows from
+        # covered_by, and each class's failures in a row from the outcomes
+        waited = 0
+        for data, config, _, report in criterion_7_runs:
+            n_classes = len(data.schema.class_labels)
+            failures = dict.fromkeys(range(n_classes), 0)
+
+            def viable(counts):
+                return [c for c in range(n_classes)
+                        if counts[c] and failures[c] < config.max_attempts_per_class]
+
+            k = 1
+            for log in report.swarm_logs:
+                counts = np.bincount(data.y[report.uncovered_before(k)], minlength=n_classes)
+                # a residue of one class folds into the default unsearched
+                assert np.count_nonzero(counts) >= 2
+                target = log.candidate.class_index
+                assert target == min(viable(counts),
+                                     key=lambda c: (failures[c], -counts[c], c))
+                # a class that just failed goes behind one that has not
+                waited += target != min(viable(counts), key=lambda c: (-counts[c], c))
+                if log.outcome in GATES:
+                    failures[target] += 1
+                elif log.outcome == "emitted":
+                    failures[target] = 0
+                    k += 1
+            # and the run stopped where its stop reason says
+            counts = np.bincount(data.y[report.covered_by == 0], minlength=n_classes)
+            if report.stop_reason == STOP_NO_VIABLE_CLASS:
+                assert not viable(counts) and np.count_nonzero(counts) >= 2
+            else:
+                assert (report.swarm_logs[-1].outcome == "folded"
+                        or np.count_nonzero(counts) < 2)
+        assert waited > 0
 
     def test_outcomes_recompute_from_the_report_of_criterion_7(
         self, criterion_7_runs, scattered_minority
