@@ -27,6 +27,7 @@ from .schema import Attribute, AttributeSchema, RawDataset, parse_csv
 
 PROFILES = ("separable", "credit3", "fragmented")
 MIN_ROWS = 50
+MAX_ROWS = 10_000_000  # far above any use; a much larger count is beyond numpy sizes or memory
 _MARGIN = 0.02
 
 _CREDIT_NOISE = 0.05
@@ -194,8 +195,8 @@ def generate(profile: str, rows: int, seed: int) -> SyntheticDataset:
     """Generate ``rows`` examples of the named profile, deterministically."""
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; choose from {PROFILES}")
-    if rows < MIN_ROWS:
-        raise ConfigError(f"need at least {MIN_ROWS} rows, got {rows}")
+    if not MIN_ROWS <= rows <= MAX_ROWS:
+        raise ConfigError(f"rows must lie in [{MIN_ROWS}, {MAX_ROWS}], got {rows}")
     rng = np.random.default_rng(seed)
     if profile == "separable":
         return _separable(rows, rng)

@@ -174,12 +174,17 @@ class TestSynth:
         digest = hashlib.sha256((tmp_path / "g.csv").read_bytes()).hexdigest()
         assert digest == GOLDEN_SEPARABLE_SHA256
 
-    def test_too_few_rows_is_config_error(self, tmp_path, capsys):
-        code = cli.main(["synth", "--rows", "10", "--seed", "1",
+    # too few rows, or more than synth.MAX_ROWS up to counts beyond numpy's
+    # reach: each is refused before anything is drawn
+    @pytest.mark.parametrize("rows", ["10", "10000001", "2147483648",
+                                      "9223372036854775808", "100000000000000000000"])
+    def test_too_few_rows_is_config_error(self, tmp_path, capsys, rows):
+        code = cli.main(["synth", "--rows", rows, "--seed", "1",
                          "--profile", "separable", "--out", str(tmp_path / "toy")])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
-        assert "error:" in err
+        assert err.startswith("error: rows must lie in ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RULEMINE_SEED", "42")
@@ -734,21 +739,33 @@ class TestPredict:
 
     def test_model_with_top_level_seed_gives_the_same_output(self, workdir, capsys, tmp_path):
         # models written before the seed lived only in miner_config carry a
-        # copy at the top level; it loads, unread
+        # copy at the top level; it loads, unread. The oldest models carry it
+        # with the retired settings at their old values and each rule's
+        # provenance, and give the same output too
         doc = json.loads((workdir / "fmodel.json").read_text())
         assert "seed" not in doc
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps({"seed": doc["miner_config"]["seed"], **doc}, indent=2))
+        old = {"seed": doc["miner_config"]["seed"], **doc}
+        (tmp_path / "old.json").write_text(json.dumps(old, indent=2))
+        mining = json.loads((workdir / "fmodel.report.json").read_text())["mining"]
+        mined = [mining["swarm_logs"][r["iteration"] - 1] for r in mining["rules"]]
+        for section, values in RETIRED_DEFAULTS.items():
+            old["miner_config"][section].update(values)
+        rules = old["rule_list"]["rules"]
+        assert len(rules) == len(mined) >= 1
+        for k, (rule, launch) in enumerate(zip(rules, mined), start=1):
+            rule["provenance"] = {"emission_order": k, "support": launch["support"],
+                                  "confidence": launch["confidence"]}
+        (tmp_path / "oldest.json").write_text(json.dumps(old, indent=2))
         outputs = []
-        for name, model in (("new", workdir / "fmodel.json"), ("old", old)):
+        for name in ("new", "old", "oldest"):
+            model = workdir / "fmodel.json" if name == "new" else tmp_path / f"{name}.json"
             assert cli.main(["predict", "--model", str(model),
                              "--input", str(workdir / "frag.csv")]) == 0
             assert cli.main(["evaluate", "--model", str(model), "--data",
                              str(workdir / "frag.csv"), "--baseline",
                              "--out", str(tmp_path / f"{name}.eval.json")]) == 0
-            outputs.append(capsys.readouterr())
-        assert outputs[0] == outputs[1]
-        assert (tmp_path / "new.eval.json").read_bytes() == (tmp_path / "old.eval.json").read_bytes()
+            outputs.append((capsys.readouterr(), (tmp_path / f"{name}.eval.json").read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize(
         "path, value",
@@ -933,13 +950,13 @@ class TestPredict:
         self, workdir, capsys, tmp_path, monkeypatch, chunk_rows
     ):
         # odd numeric and nominal spellings, a byte-order mark, blank lines,
-        # too-wide and too-narrow rows and a shuffled header, each checked
-        # against coerce_row on its own row
+        # too-wide and too-narrow rows and a shuffled, padded header, each
+        # checked against coerce_row on its own row
         monkeypatch.setattr(rulemine.schema, "CHUNK_ROWS", chunk_rows)
         scores = ["1_000", "\u0663", "+.5", "1e-320", "-0", "infinity", "nan", "1e400",
                   "0x10", "12.5.0", "", "  ", " 0.5 ", "0.25"]
         sectors = [" sector_a ", "SECTOR_A", "sector_b", "sector_z", ""]
-        header = "score,band,sector"
+        header = " score , band ,sector"
         rows = [f"{x},band_{1 + i % 4},{c}" for i, (x, c) in
                 enumerate(itertools.product(scores, sectors))]
         rows[3:3] = ["", "0.5,band_1,sector_a,extra", ""]

@@ -1,9 +1,10 @@
 """Pinned bytes of the command-line walkthrough.
 
-``train``, ``predict`` and ``evaluate`` run as the CI walkthrough runs them,
-on 600 credit3 rows and on 600 fragmented rows, and again on the benchmark's
-two training sets with its two ``--config`` files, and the SHA-256 of
-everything they write is compared with pinned values. Same seed, same bytes is a
+``synth``, ``train``, ``predict`` and ``evaluate --baseline`` run in process
+with the arguments CI's console-script smoke run gives the installed
+``rulemine``, on 600 credit3 rows and on 600 fragmented rows, and again on
+the benchmark's two training sets with its two ``--config`` files, and the
+SHA-256 of everything they write is compared with pinned values. Same seed, same bytes is a
 contract on every supported Python and numpy: a platform that gives other
 bytes breaks it. A change meant to alter these outputs updates the pins and
 says so.
