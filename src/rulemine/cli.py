@@ -65,11 +65,12 @@ def _resolve_seed(value: int | None) -> int:
 
 def _load_miner_config(path: str | None, seed: int) -> MinerConfig:
     doc = {} if path is None else read_json(path, ConfigError, "config")
-    config = MinerConfig.from_dict(doc)
-    # mine draws the LVQ and swarm seeds from --seed; one set here would go unused
-    if "seed" in doc or any("seed" in doc.get(section, {}) for section in ("lvq", "pso")):
+    # mine draws the LVQ and swarm seeds from --seed; one set here would go
+    # unused, so a seed is refused first, whatever its value
+    sections = [doc, doc.get("lvq"), doc.get("pso")] if isinstance(doc, dict) else []
+    if any(isinstance(section, dict) and "seed" in section for section in sections):
         raise ConfigError("a config file cannot set 'seed': use --seed or RULEMINE_SEED")
-    return replace(config, seed=seed)
+    return replace(MinerConfig.from_dict(doc), seed=seed)
 
 
 def _report_path(out: str, explicit: str | None) -> Path:
@@ -121,9 +122,13 @@ def cmd_train(args: argparse.Namespace) -> tuple[int, str]:
     save_model(artifact, args.out)
 
     eval_report = None if test_data is None else evaluate(rule_list, test_data)
-    write_json({"mining": report.to_dict(schema),
-                "evaluation": None if eval_report is None else eval_report.to_dict()},
-               report_path)
+    try:
+        write_json({"mining": report.to_dict(schema),
+                    "evaluation": None if eval_report is None else eval_report.to_dict()},
+                   report_path)
+    except OSError:  # a failed run leaves neither file
+        os.remove(args.out)
+        raise
     lines = [render_rule_list(rule_list, schema, data.numeric_ranges)]
     if eval_report is not None:
         lines += ["", eval_report.format_table()]

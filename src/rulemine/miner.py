@@ -54,6 +54,8 @@ class MinerConfig:
             raise ConfigError("max_attempts_per_class must be >= 1")
         if self.min_represented < 0:
             raise ConfigError("min_represented must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @staticmethod
     def from_dict(doc: dict) -> "MinerConfig":

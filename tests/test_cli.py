@@ -38,7 +38,7 @@ GOLDEN_SEPARABLE_SHA256 = (
     "8c1e5afd314395a1b7fef6fe6c2ad26f6de378bd2bd4c7124294cfef2115e950"
 )
 
-_DELETE = object()  # marks a key to remove from a saved model
+_DELETE = object()  # marks a key to remove from a JSON document
 
 SMALL_CONFIG = {
     "max_attempts_per_class": 2,
@@ -54,7 +54,6 @@ RETIRED_DEFAULTS = {
             "veloc1_bounds": [-1.0, 1.0], "veloc2_bounds": [-4.0, 4.0],
             "weight_confidence": 0.6, "weight_support": 0.3, "weight_length": 0.1},
 }
-RETIRED_KEYS = [(section, key) for section, keys in RETIRED_DEFAULTS.items() for key in keys]
 
 
 def _silent(argv):
@@ -77,6 +76,22 @@ def _mutated(doc, path, value):
     else:
         node[path[-1]] = value
     return doc
+
+
+def _run_to_error(argv, capsys, exit_code, message="..."):
+    """Run ``argv`` in process, check that it exits ``exit_code`` with one
+    line on stderr, ``error: `` and ``message``, and return its stdout. A
+    message ending in "..." gives the start of the line, where the rest is
+    Python's own text; the default takes any error line."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == exit_code, captured.err
+    if message.endswith("..."):
+        assert captured.err.startswith(f"error: {message[:-3]}"), captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), captured.err
+    else:
+        assert captured.err == f"error: {message}\n"
+    return captured.out
 
 
 def _write_interleaved(directory):
@@ -388,111 +403,6 @@ class TestTrain:
         assert captured.out == ""
         assert sorted(os.listdir(tmp_path)) == ["link.json"]
 
-    def test_broken_schema_is_data_error(self, workdir, tmp_path, capsys):
-        doc = json.loads((workdir / "sep.schema.json").read_text())
-        del doc["class_labels"]
-        bad = tmp_path / "bad.schema.json"
-        bad.write_text(json.dumps(doc))
-        code = cli.main(["train", "--data", str(workdir / "sep.csv"),
-                         "--schema", str(bad), "--out", str(tmp_path / "m.json")])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_DATA
-        assert "class_labels" in err
-
-    def test_unknown_config_key_is_config_error(self, workdir, tmp_path, capsys):
-        cfg = tmp_path / "typo.json"
-        cfg.write_text(json.dumps({"support_fraction": 0.2}))
-        code = cli.main(["train", "--data", str(workdir / "sep.csv"),
-                         "--schema", str(workdir / "sep.schema.json"),
-                         "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_CONFIG
-        assert "support_fraction" in err
-
-    @pytest.mark.parametrize("value", [2.5, True, "abc"])
-    @pytest.mark.parametrize(
-        "section, key",
-        [
-            (None, "max_attempts_per_class"),
-            (None, "min_represented"),
-            ("lvq", "centroid_count"),
-            ("lvq", "max_epochs"),
-            ("lvq", "seed"),
-            ("pso", "swarm_size"),
-            ("pso", "max_iterations"),
-            ("pso", "stagnation_limit"),
-            ("pso", "seed"),
-        ],
-    )
-    def test_non_integer_config_value_is_config_error(
-        self, workdir, tmp_path, capsys, section, key, value
-    ):
-        # the top-level seed comes from --seed / RULEMINE_SEED, not the file
-        cfg = tmp_path / "typed.json"
-        cfg.write_text(json.dumps({key: value} if section is None else {section: {key: value}}))
-        code = cli.main(["train", "--data", str(workdir / "sep.csv"),
-                         "--schema", str(workdir / "sep.schema.json"),
-                         "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_CONFIG
-        assert f"{key!r} must be an integer" in err
-        assert not (tmp_path / "m.json").exists()
-
-    def test_string_values_in_schema_is_data_error(self, workdir, tmp_path, capsys):
-        bad = tmp_path / "bad.schema.json"
-        bad.write_text(json.dumps({
-            "attributes": [{"name": "x1", "kind": "nominal", "values": "yes"},
-                           {"name": "x2", "kind": "numeric"}],
-            "class_attribute": "label",
-            "class_labels": ["a", "b"],
-        }))
-        code = cli.main(["train", "--data", str(workdir / "sep.csv"),
-                         "--schema", str(bad), "--out", str(tmp_path / "m.json")])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_DATA
-        assert "must be a list" in err
-
-    def test_numeric_values_in_schema_is_data_error(self, workdir, tmp_path, capsys):
-        doc = json.loads((workdir / "frag.schema.json").read_text())
-        doc["attributes"][0]["values"] = list(range(len(doc["attributes"][0]["values"])))
-        bad = tmp_path / "bad.schema.json"
-        bad.write_text(json.dumps(doc))
-        code = cli.main(["train", "--data", str(workdir / "frag.csv"),
-                         "--schema", str(bad), "--out", str(tmp_path / "m.json")])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_DATA
-        assert "must be strings" in err
-        assert not (tmp_path / "m.json").exists()
-
-    @pytest.mark.parametrize("doc", [{"seed": 5}, {"lvq": {"seed": 7}}, {"pso": {"seed": 9}}],
-                             ids=["seed", "lvq.seed", "pso.seed"])
-    def test_seed_in_config_is_config_error(self, workdir, tmp_path, capsys, doc):
-        # mine draws every sub-seed from --seed: a seed in the file would go unused
-        cfg = tmp_path / "seeded.json"
-        cfg.write_text(json.dumps(doc))
-        code = cli.main(["train", "--data", str(workdir / "sep.csv"),
-                         "--schema", str(workdir / "sep.schema.json"),
-                         "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_CONFIG
-        assert err.startswith("error: ") and "--seed" in err
-        assert not (tmp_path / "m.json").exists()
-        assert not (tmp_path / "m.report.json").exists()
-
-    @pytest.mark.parametrize("section, key", RETIRED_KEYS)
-    def test_retired_setting_in_config_is_config_error(
-        self, workdir, tmp_path, capsys, section, key
-    ):
-        cfg = tmp_path / "retired.json"
-        cfg.write_text(json.dumps({section: {key: RETIRED_DEFAULTS[section][key]}}))
-        code = cli.main(["train", "--data", str(workdir / "sep.csv"),
-                         "--schema", str(workdir / "sep.schema.json"),
-                         "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_CONFIG
-        assert f"unknown key {key!r}" in err
-        assert not (tmp_path / "m.json").exists()
-
     def test_missing_data_file_is_data_error(self, workdir, tmp_path, capsys):
         code = cli.main(["train", "--data", str(tmp_path / "absent.csv"),
                          "--schema", str(workdir / "sep.schema.json"),
@@ -671,143 +581,6 @@ class TestPredict:
         err = capsys.readouterr().err
         assert code == cli.EXIT_DATA
         assert "no data rows" in err
-
-    def test_model_with_network_section_predicts_the_same(self, workdir, capsys, tmp_path):
-        # models written before the network moved to the report carry it
-        doc = json.loads((workdir / "fmodel.json").read_text())
-        network = json.loads((workdir / "fmodel.report.json").read_text())["mining"]["network"]
-        doc["network"] = {k: network[k] for k in ("allocation", "centroids")}
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps(doc, indent=2))
-        outputs = []
-        for model in (workdir / "fmodel.json", old):
-            code = cli.main(["predict", "--model", str(model),
-                             "--input", str(workdir / "frag.csv")])
-            assert code == 0
-            outputs.append(capsys.readouterr())
-        assert outputs[0] == outputs[1]
-
-    @pytest.mark.parametrize("junk", [False, True], ids=["defaults", "junk"])
-    def test_model_with_retired_settings_predicts_the_same(
-        self, workdir, capsys, tmp_path, junk
-    ):
-        # models written when the LVQ and swarm constants were config keys
-        # carry them; they load whatever the values, which are not read
-        doc = json.loads((workdir / "fmodel.json").read_text())
-        for section, values in RETIRED_DEFAULTS.items():
-            doc["miner_config"][section].update(
-                dict.fromkeys(values, "abc") if junk else values)
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps(doc, indent=2))
-        outputs = []
-        for model in (workdir / "fmodel.json", old):
-            code = cli.main(["predict", "--model", str(model),
-                             "--input", str(workdir / "frag.csv")])
-            assert code == 0
-            outputs.append(capsys.readouterr())
-        assert outputs[0] == outputs[1]
-        assert load_model(old).miner_config == load_model(workdir / "fmodel.json").miner_config
-
-    def test_model_with_rule_provenance_predicts_the_same(self, workdir, capsys, tmp_path):
-        # models written before each rule's support and confidence lived only
-        # in the train report carry them, with the emission order, on each
-        # rule; they load whatever the values, which are not read
-        doc = json.loads((workdir / "fmodel.json").read_text())
-        mining = json.loads((workdir / "fmodel.report.json").read_text())["mining"]
-        mined = [mining["swarm_logs"][r["iteration"] - 1] for r in mining["rules"]]
-        assert len(mined) == len(doc["rule_list"]["rules"]) >= 1
-        true_values = [{"emission_order": k, "support": r["support"],
-                        "confidence": r["confidence"]} for k, r in enumerate(mined, 1)]
-        junk = [{"emission_order": 99}] * len(mined)
-        models = {"new": workdir / "fmodel.json"}
-        for name, provenances in (("true", true_values), ("junk", junk)):
-            for rule, provenance in zip(doc["rule_list"]["rules"], provenances):
-                rule["provenance"] = provenance
-            models[name] = tmp_path / f"{name}.json"
-            models[name].write_text(json.dumps(doc, indent=2))
-        outputs = []
-        for name, model in models.items():
-            assert cli.main(["predict", "--model", str(model),
-                             "--input", str(workdir / "frag.csv")]) == 0
-            predicted = capsys.readouterr()
-            assert cli.main(["evaluate", "--model", str(model), "--data",
-                             str(workdir / "frag.csv"), "--baseline",
-                             "--out", str(tmp_path / f"{name}.eval.json")]) == 0
-            capsys.readouterr()
-            outputs.append((predicted, (tmp_path / f"{name}.eval.json").read_bytes()))
-        assert outputs[0] == outputs[1] == outputs[2]
-
-    def test_model_with_top_level_seed_gives_the_same_output(self, workdir, capsys, tmp_path):
-        # models written before the seed lived only in miner_config carry a
-        # copy at the top level; it loads, unread. The oldest models carry it
-        # with the retired settings at their old values and each rule's
-        # provenance, and give the same output too
-        doc = json.loads((workdir / "fmodel.json").read_text())
-        assert "seed" not in doc
-        old = {"seed": doc["miner_config"]["seed"], **doc}
-        (tmp_path / "old.json").write_text(json.dumps(old, indent=2))
-        mining = json.loads((workdir / "fmodel.report.json").read_text())["mining"]
-        mined = [mining["swarm_logs"][r["iteration"] - 1] for r in mining["rules"]]
-        for section, values in RETIRED_DEFAULTS.items():
-            old["miner_config"][section].update(values)
-        rules = old["rule_list"]["rules"]
-        assert len(rules) == len(mined) >= 1
-        for k, (rule, launch) in enumerate(zip(rules, mined), start=1):
-            rule["provenance"] = {"emission_order": k, "support": launch["support"],
-                                  "confidence": launch["confidence"]}
-        (tmp_path / "oldest.json").write_text(json.dumps(old, indent=2))
-        outputs = []
-        for name in ("new", "old", "oldest"):
-            model = workdir / "fmodel.json" if name == "new" else tmp_path / f"{name}.json"
-            assert cli.main(["predict", "--model", str(model),
-                             "--input", str(workdir / "frag.csv")]) == 0
-            assert cli.main(["evaluate", "--model", str(model), "--data",
-                             str(workdir / "frag.csv"), "--baseline",
-                             "--out", str(tmp_path / f"{name}.eval.json")]) == 0
-            outputs.append((capsys.readouterr(), (tmp_path / f"{name}.eval.json").read_bytes()))
-        assert outputs[0] == outputs[1] == outputs[2]
-
-    @pytest.mark.parametrize(
-        "path, value",
-        [
-            (("rule_list", "rules", 0, "class_index"), "abc"),
-            (("numeric_ranges", "score"), 5),
-            (("rule_list", "rules", 0, "antecedent"), _DELETE),
-            (("rule_list", "rules"), 5),
-            (("rule_list", "rules", 0, "antecedent", 0, "attribute"), _DELETE),
-            (("rule_list", "rules", 0, "antecedent", 0, "allowed"), 5),
-            (("rule_list",), []),
-            (("rule_list", "default_class"), _DELETE),
-            (("rule_list", "rules", 0, "provenance"), "abc"),
-            pytest.param(("rule_list", "rules", 0, "antecedent", 0),
-                         {"kind": "interval", "attribute": "score", "lo": 0.9, "hi": 0.1},
-                         id="interval-lo-above-hi"),
-            (("seed",), "abc"),
-            (("miner_config",), "abc"),
-            (("miner_config", "pso", "swarm_size"), "abc"),
-            (("schema", "attributes", 0, "values", 0), 5),
-        ],
-        ids=lambda v: (
-            "/".join(map(str, v)) if isinstance(v, tuple)
-            else "deleted" if v is _DELETE else repr(v)
-        ),
-    )
-    def test_malformed_model_is_data_error_without_traceback(
-        self, workdir, tmp_path, path, value
-    ):
-        doc = _mutated(json.loads((workdir / "fmodel.json").read_text()), path, value)
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc))
-        env = {**os.environ, "PYTHONPATH": str(Path(rulemine.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "rulemine.cli", "predict", "--model", str(model),
-             "--input", str(workdir / "frag.csv")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == cli.EXIT_DATA, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ")
-        assert proc.stdout == ""
 
     def test_closed_stdout_ends_quietly_with_ok(self, workdir, tmp_path):
         # far more output than a pipe buffers, so predict is still writing
@@ -1138,12 +911,6 @@ def _huge_field_csv(path):
 class TestNoTraceback:
     """Undecodable input and unwritable outputs are data errors (exit 1)."""
 
-    def _assert_data_error(self, code, capsys):
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_DATA
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize("make_csv", [_latin1_csv, _huge_field_csv],
                              ids=["latin1-byte", "huge-field"])
     @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
@@ -1157,7 +924,7 @@ class TestNoTraceback:
             "predict": ["predict", "--model", model, "--input", str(data)],
             "evaluate": ["evaluate", "--model", model, "--data", str(data)],
         }[command]
-        self._assert_data_error(cli.main(argv), capsys)
+        _run_to_error(argv, capsys, cli.EXIT_DATA)
         assert not (tmp_path / "m.json").exists()
 
     def test_bad_row_before_a_late_unreadable_byte(self, workdir, tmp_path, capsys):
@@ -1183,178 +950,26 @@ class TestNoTraceback:
         assert "can't decode byte 0xe9" in capsys.readouterr().err
         assert out.read_text().splitlines()[1].startswith("ERROR,-,row 1: cannot parse 'lots'")
 
-    @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "synth"])
+    @pytest.mark.parametrize("command", ["train", "train-report", "predict", "evaluate", "synth"])
     def test_out_in_missing_directory(self, workdir, tmp_path, capsys, command):
-        out = str(tmp_path / "missing" / "out")
+        # a failed run leaves no file: train-report fails after the model is
+        # written, and takes it away
+        missing = str(tmp_path / "missing" / "out")
         sep, model = str(workdir / "sep.csv"), str(workdir / "model.json")
+        train = ["train", "--data", sep, "--schema", str(workdir / "sep.schema.json"),
+                 "--config", str(workdir / "small.json")]
         argv = {
-            "train": ["train", "--data", sep, "--schema", str(workdir / "sep.schema.json"),
-                      "--config", str(workdir / "small.json")],
-            "predict": ["predict", "--model", model, "--input", sep],
-            "evaluate": ["evaluate", "--model", model, "--data", sep],
-            "synth": ["synth", "--rows", "80", "--profile", "separable"],
+            "train": train + ["--out", missing],
+            "train-report": train + ["--out", str(tmp_path / "m.json"), "--report", missing],
+            "predict": ["predict", "--model", model, "--input", sep, "--out", missing],
+            "evaluate": ["evaluate", "--model", model, "--data", sep, "--out", missing],
+            "synth": ["synth", "--rows", "80", "--profile", "separable", "--out", missing],
         }[command]
-        self._assert_data_error(cli.main(argv + ["--out", out]), capsys)
-
-    @pytest.mark.parametrize(
-        "flag, exit_code", [("--model", cli.EXIT_DATA), ("--schema", cli.EXIT_DATA),
-                            ("--config", cli.EXIT_CONFIG)])
-    def test_random_bytes_json_file(self, workdir, tmp_path, capsys, flag, exit_code):
-        junk = tmp_path / "junk.json"
-        junk.write_bytes(random.Random(0).randbytes(100))
-        sep = str(workdir / "sep.csv")
-        files = {"--schema": str(workdir / "sep.schema.json"),
-                 "--config": str(workdir / "small.json"), flag: str(junk)}
-        if flag == "--model":
-            argv = ["predict", "--model", str(junk), "--input", sep]
-        else:
-            argv = ["train", "--data", sep, "--schema", files["--schema"],
-                    "--config", files["--config"], "--out", str(tmp_path / "m.json")]
-        code = cli.main(argv)
-        err = capsys.readouterr().err
-        assert code == exit_code
-        assert err.startswith("error: ") and "file is not valid JSON" in err
+        assert _run_to_error(argv, capsys, cli.EXIT_DATA,
+                             "[Errno 2] No such file or directory: ...") == ""
+        assert os.listdir(tmp_path) == []
 
 
-# edits loading must reject, each a value of the wrong JSON type or an
-# unknown key; the schema edits apply to a schema file and to a model's schema
-_RULE, _COND = ("rule_list", "rules", 0), ("rule_list", "rules", 0, "antecedent", 0)
-_SCHEMA_EDITS = [
-    (("class_labels",), [0, 1]),
-    (("class_attribute",), 7),
-    (("attributes", 0, "name"), None),
-]
-_MODEL_EDITS = [
-    (_RULE + ("class_index",), True),
-    (_RULE + ("class_index",), 1.7),
-    (_RULE + ("class_index",), "0"),
-    (("rule_list", "default_class"), 0.9),
-    (("rule_list", "default_class"), "1"),
-    (_COND, {"kind": "interval", "attribute": "score", "lo": "0.5", "hi": 0.9}),
-    (("numeric_ranges", "score"), ["18", "70"]),
-    (("numeric_ranges", "score"), [False, True]),
-    (("numeric_ranges", "score"), [0, 10**400]),  # no float holds it
-    (("seed",), True),
-    (_RULE + ("note",), "unknown key"),
-    (("note",), "unknown key"),
-    (_COND + ("note",), "unknown key"),
-    (_RULE + ("provenance",), None),
-] + [(("schema",) + path, value) for path, value in _SCHEMA_EDITS]
-
-
-def _edit_id(edit):
-    path, value = edit
-    return "/".join(map(str, path)) + "=" + json.dumps(value)[:40]
-
-
-class TestJsonTypeRules:
-    """Schema, config and model files share one set of JSON type rules: a
-    wrong type or an unknown key is an error, never a coerced value."""
-
-    def _assert_data_error(self, argv, capsys):
-        code = cli.main(argv)
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_DATA, err
-        assert err.startswith("error: ")
-        # the type rule names the fault, not a later mismatch with the data
-        assert " must be " in err or " unknown key " in err, err
-
-    @pytest.mark.parametrize("edit", _MODEL_EDITS, ids=_edit_id)
-    def test_model_edit_is_data_error(self, workdir, tmp_path, capsys, edit):
-        doc = _mutated(json.loads((workdir / "fmodel.json").read_text()), *edit)
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc))
-        self._assert_data_error(
-            ["predict", "--model", str(model), "--input", str(workdir / "frag.csv")], capsys)
-
-    @pytest.mark.parametrize("edit", _SCHEMA_EDITS, ids=_edit_id)
-    def test_schema_edit_is_data_error(self, workdir, tmp_path, capsys, edit):
-        doc = _mutated(json.loads((workdir / "frag.schema.json").read_text()), *edit)
-        schema = tmp_path / "schema.json"
-        schema.write_text(json.dumps(doc))
-        self._assert_data_error(
-            ["train", "--data", str(workdir / "frag.csv"), "--schema", str(schema),
-             "--out", str(tmp_path / "m.json")], capsys)
-        assert not (tmp_path / "m.json").exists()
-
-    @pytest.mark.parametrize("reversed_ends", [True, False], ids=["reversed", "equal"])
-    def test_numeric_range_needs_low_at_most_high(
-        self, workdir, tmp_path, capsys, reversed_ends
-    ):
-        # reversed ends would scale every value to 0.0; equal ends are what a
-        # constant training column gives, so they load
-        doc = json.loads((workdir / "fmodel.json").read_text())
-        lo, hi = doc["numeric_ranges"]["score"]
-        doc["numeric_ranges"]["score"] = [hi, lo] if reversed_ends else [lo, lo]
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc))
-        argv = ["predict", "--model", str(model), "--input", str(workdir / "frag.csv"),
-                "--out", str(tmp_path / "scored.csv")]
-        code = cli.main(argv)
-        err = capsys.readouterr().err
-        if reversed_ends:
-            assert code == cli.EXIT_DATA, err
-            assert err.startswith("error: ") and "low <= high" in err
-        else:
-            assert code == 0, err
-
-
-# spellings no CSV field can match, as fields are read stripped of
-# surrounding whitespace, and an empty value, which reads as a missing one
-_UNMATCHABLE_EDITS = [
-    (("attributes", 0, "name"), " sector"),
-    (("attributes", 2, "name"), "score\t"),
-    (("class_attribute",), "group "),
-    (("attributes", 0, "values", 0), " sector_a"),
-    (("attributes", 1, "values", 3), "band_4 "),
-    (("class_labels", 1), " rare "),
-    (("attributes", 0, "values", 0), ""),
-]
-
-
-class TestUnmatchableSpellings:
-    """A schema declares only spellings a CSV field can match, whether it is
-    read from a schema file or from inside a model."""
-
-    @staticmethod
-    def _assert_rejected(argv, capsys):
-        code = cli.main(argv)
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_DATA, err
-        assert err.startswith("error: ")
-        assert "surrounding whitespace" in err or "declares an empty value" in err, err
-
-    @pytest.mark.parametrize("edit", _UNMATCHABLE_EDITS, ids=_edit_id)
-    def test_schema_file(self, workdir, tmp_path, capsys, edit):
-        doc = _mutated(json.loads((workdir / "frag.schema.json").read_text()), *edit)
-        schema = tmp_path / "schema.json"
-        schema.write_text(json.dumps(doc))
-        self._assert_rejected(
-            ["train", "--data", str(workdir / "frag.csv"), "--schema", str(schema),
-             "--out", str(tmp_path / "m.json")], capsys)
-        assert not (tmp_path / "m.json").exists()
-
-    @pytest.mark.parametrize("edit", _UNMATCHABLE_EDITS, ids=_edit_id)
-    def test_model_schema(self, workdir, tmp_path, capsys, edit):
-        path, value = edit
-        doc = _mutated(json.loads((workdir / "fmodel.json").read_text()), ("schema", *path),
-                       value)
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc))
-        self._assert_rejected(
-            ["predict", "--model", str(model), "--input", str(workdir / "frag.csv")], capsys)
-
-
-# each an input that is well formed JSON or CSV but breaks a rule of its
-# kind, with the start of the error it gives
-_MALFORMED_SCHEMAS = [
-    (("attributes", 1, "values", 1), "band_1", "nominal attribute 'band' repeats a value"),
-    (("attributes", 2, "values"), ["a", "b"],
-     "numeric attribute 'score' must not declare values"),
-    (("attributes",), [], "schema declares no predictor attributes"),
-    (("attributes", 1, "name"), "sector", "attribute names must be unique"),
-    (("class_labels", 1), "common", "class labels must be unique"),
-]
 _MALFORMED_CSVS = [
     ("train", "sector,band,score,score,group\n", "duplicate column 'score' in header"),
     ("evaluate", "sector,band,score,score,group\n", "duplicate column 'score' in header"),
@@ -1365,40 +980,11 @@ _MALFORMED_CSVS = [
     ("train", "sector,band,score,group\n", "cannot encode an empty dataset"),
     ("evaluate", "sector,band,score,group\n", "cannot encode an empty dataset"),
 ]
-_MALFORMED_MODELS = [
-    (_RULE + ("antecedent",),
-     [{"kind": "membership", "attribute": "score", "allowed": ["x"]}],
-     "invalid rule in document: 'score' is not a nominal attribute"),
-    (_RULE + ("antecedent",),
-     [{"kind": "interval", "attribute": "sector", "lo": 0.1, "hi": 0.5}],
-     "invalid rule in document: 'sector' is not a numeric attribute"),
-    (("rule_list", "default_class"), 5, "default class index 5 out of range"),
-    (("rule_list", "default_class"), -1, "default class index -1 out of range"),
-]
 
 
 class TestMalformedInputs:
-    """A schema, CSV or model that breaks a rule of its kind exits 1 with
-    the error that names the fault, and train writes neither of its files."""
-
-    @staticmethod
-    def _assert_data_error(argv, capsys, message):
-        code = cli.main(argv)
-        captured = capsys.readouterr()
-        assert code == cli.EXIT_DATA, captured.err
-        assert captured.err == f"error: {message}\n"
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("path, value, message", _MALFORMED_SCHEMAS,
-                             ids=[m for _, _, m in _MALFORMED_SCHEMAS])
-    def test_schema(self, workdir, tmp_path, capsys, path, value, message):
-        doc = _mutated(json.loads((workdir / "frag.schema.json").read_text()), path, value)
-        schema = tmp_path / "schema.json"
-        schema.write_text(json.dumps(doc))
-        self._assert_data_error(
-            ["train", "--data", str(workdir / "frag.csv"), "--schema", str(schema),
-             "--out", str(tmp_path / "m.json")], capsys, message)
-        assert sorted(os.listdir(tmp_path)) == ["schema.json"]
+    """A CSV that breaks a rule of its kind exits 1 with the error that names
+    the fault, and writes no output file."""
 
     @pytest.mark.parametrize("command, text, message", _MALFORMED_CSVS,
                              ids=[f"{c}-{m}" for c, _, m in _MALFORMED_CSVS])
@@ -1414,18 +1000,321 @@ class TestMalformedInputs:
             "predict": ["predict", "--model", str(workdir / "fmodel.json"),
                         "--input", str(data), "--out", str(tmp_path / "p.csv")],
         }[command]
-        self._assert_data_error(argv, capsys, message)
+        assert _run_to_error(argv, capsys, cli.EXIT_DATA, message) == ""
         assert sorted(os.listdir(tmp_path)) == ["data.csv"]
 
-    @pytest.mark.parametrize("path, value, message", _MALFORMED_MODELS,
-                             ids=[m for _, _, m in _MALFORMED_MODELS])
-    def test_model(self, workdir, tmp_path, capsys, path, value, message):
-        doc = _mutated(json.loads((workdir / "fmodel.json").read_text()), path, value)
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(doc))
-        self._assert_data_error(
-            ["predict", "--model", str(model), "--input", str(workdir / "frag.csv")],
-            capsys, message)
+
+# The rules of the three JSON input files, one table per file kind. A row is
+# (edit, value, message). The edit is a path into the file's document, whose
+# key or index is deleted (value _DELETE) or set to value; or a name, and
+# value is the raw file body (None: no file). The message is what follows
+# "error: " on stderr, or, ending in "...", its start, where Python's own
+# text follows; a model row with no message loads.
+_RULE, _COND = ("rule_list", "rules", 0), ("rule_list", "rules", 0, "antecedent", 0)
+_JUNK = random.Random(0).randbytes(100)
+
+
+def _unmatchable(what, text):
+    return f"{what} {text!r} has surrounding whitespace, which no CSV field can match"
+
+
+_SCHEMA_ROWS = [
+    ("no-file", None, "cannot read schema file: ..."),
+    ("random-bytes", _JUNK, "schema file is not valid JSON: ..."),
+    ("not-an-object", b"[1, 2, 3]", "schema must be a JSON object, got [1, 2, 3]"),
+    # keys and JSON types: a wrong type is an error, never a coerced value
+    (("class_labels",), _DELETE, "schema is missing key 'class_labels'"),
+    (("extra",), 1, "schema has unknown key 'extra'"),
+    (("class_labels",), [0, 1], "schema key 'class_labels' must be strings"),
+    (("class_attribute",), 7, "schema key 'class_attribute' must be a string, got 7"),
+    (("attributes", 0, "name"), None, "attribute key 'name' must be a string, got None"),
+    (("attributes", 0, "values"), "yes", "'values' of 'sector' must be a list, got 'yes'"),
+    (("attributes", 0, "values"), {"y": 1},
+     "'values' of 'sector' must be a list, got {'y': 1}"),
+    (("attributes", 0, "values"), 3, "'values' of 'sector' must be a list, got 3"),
+    (("attributes", 0, "values"), list(range(8)), "'values' of 'sector' must be strings"),
+    (("attributes", 0, "values", 0), 5, "'values' of 'sector' must be strings"),
+    (("attributes", 0, "values", 1), None, "'values' of 'sector' must be strings"),
+    (("attributes", 0, "values", 1), ["a"], "'values' of 'sector' must be strings"),
+    # the attributes and labels a schema declares
+    (("attributes",), [], "schema declares no predictor attributes"),
+    (("attributes", 1, "name"), "sector", "attribute names must be unique"),
+    (("attributes", 2, "kind"), "ordinal", "attribute 'score': unknown kind 'ordinal'"),
+    (("attributes", 1, "values"), ["band_1"],
+     "nominal attribute 'band' must declare at least 2 values"),
+    (("attributes", 1, "values", 1), "band_1", "nominal attribute 'band' repeats a value"),
+    (("attributes", 2, "values"), ["a", "b"],
+     "numeric attribute 'score' must not declare values"),
+    (("class_attribute",), "sector", "class attribute 'sector' also appears as a predictor"),
+    (("class_labels",), ["common"], "schema must declare at least 2 class labels"),
+    (("class_labels", 1), "common", "class labels must be unique"),
+    # spellings no CSV field can match: fields are read stripped of their
+    # surrounding whitespace, and an empty field is a missing value
+    (("attributes", 0, "name"), " sector", _unmatchable("attribute name", " sector")),
+    (("attributes", 2, "name"), "score\t", _unmatchable("attribute name", "score\t")),
+    (("class_attribute",), "group ", _unmatchable("class attribute", "group ")),
+    (("class_labels", 1), " rare ", _unmatchable("class label", " rare ")),
+    (("attributes", 0, "values", 0), " sector_a",
+     _unmatchable("nominal attribute 'sector': value", " sector_a")),
+    (("attributes", 0, "values", 1), "sector_b\n",
+     _unmatchable("nominal attribute 'sector': value", "sector_b\n")),
+    (("attributes", 0, "values", 2), "sector_c\u00a0",
+     _unmatchable("nominal attribute 'sector': value", "sector_c\u00a0")),
+    (("attributes", 0, "values", 3), "  ",
+     _unmatchable("nominal attribute 'sector': value", "  ")),
+    (("attributes", 1, "values", 3), "band_4 ",
+     _unmatchable("nominal attribute 'band': value", "band_4 ")),
+    (("attributes", 0, "values", 0), "", "nominal attribute 'sector' declares an empty "
+     "value, but an empty field is a missing value"),
+]
+
+_MODEL_ROWS = [
+    ("no-file", None, "cannot read model file: ..."),
+    ("not-json", b"{not json", "model file is not valid JSON: ..."),
+    ("random-bytes", _JUNK, "model file is not valid JSON: ..."),
+    ("too-deep", b"[" * 100_000 + b"]" * 100_000, "model file is not valid JSON: ..."),
+    ("not-an-object", b"[1, 2, 3]", "model must be a JSON object, got [1, 2, 3]"),
+    # its sections
+    (("format_version",), 2, "unsupported model format version 2; expected 1"),
+    (("schema",), _DELETE, "model is missing key 'schema'"),
+    (("numeric_ranges",), _DELETE, "model is missing key 'numeric_ranges'"),
+    (("miner_config",), _DELETE, "model is missing key 'miner_config'"),
+    (("rule_list",), _DELETE, "model is missing key 'rule_list'"),
+    (("note",), "unknown key", "model has unknown key 'note'"),
+    (("seed",), True, "model key 'seed' must be an integer, got True"),
+    (("seed",), "abc", "model key 'seed' must be an integer, got 'abc'"),
+    (("miner_config",), "abc", "model key 'miner_config' must be a JSON object, got 'abc'"),
+    (("rule_list",), [], "model key 'rule_list' must be a JSON object, got []"),
+    # numeric ranges: equal ends are what a constant training column gives,
+    # reversed ends would scale every value to 0.0
+    (("numeric_ranges", "score"), 5, "numeric range 'score' must be a list, got 5"),
+    (("numeric_ranges", "score"), ["18", "70"],
+     "numeric range 'score' must be a number, got '18'"),
+    (("numeric_ranges", "score"), [False, True],
+     "numeric range 'score' must be a number, got False"),
+    (("numeric_ranges", "score"), [0, 10**400],  # no float holds it
+     "numeric range 'score' must be a number, got 1" + "0" * 59),
+    (("numeric_ranges", "score"), [0.9, 0.1],
+     "numeric range 'score' must be [low, high] with low <= high, got [0.9, 0.1]"),
+    (("numeric_ranges", "score"), [0.5, 0.5], None),
+    (("numeric_ranges", "bogus"), [0.0, 1.0],
+     "numeric_ranges do not match the schema's numeric attributes"),
+    (("numeric_ranges", "score"), _DELETE,
+     "numeric_ranges do not match the schema's numeric attributes"),
+    # the miner config, by the config file's rules
+    (("miner_config", "pso", "swarm_size"), "abc", "malformed miner_config: config "
+     "section 'pso' key 'swarm_size' must be an integer, got 'abc'"),
+    (("miner_config", "seed"), -1, "malformed miner_config: seed must be >= 0"),
+    (("miner_config", "seed"), 1.5,
+     "malformed miner_config: config key 'seed' must be an integer, got 1.5"),
+    (("miner_config", "lvq", "seed"), "abc", "malformed miner_config: config section "
+     "'lvq' key 'seed' must be an integer, got 'abc'"),
+    (("miner_config", "pso", "seed"), False, "malformed miner_config: config section "
+     "'pso' key 'seed' must be an integer, got False"),
+    # the rule list, a rule and a condition
+    (("rule_list", "rules"), 5, "rule list key 'rules' must be a list, got 5"),
+    (("rule_list", "default_class"), _DELETE, "rule list is missing key 'default_class'"),
+    (("rule_list", "default_class"), 0.9,
+     "rule list key 'default_class' must be an integer, got 0.9"),
+    (("rule_list", "default_class"), "1",
+     "rule list key 'default_class' must be an integer, got '1'"),
+    (("rule_list", "default_class"), 5, "default class index 5 out of range"),
+    (("rule_list", "default_class"), -1, "default class index -1 out of range"),
+    (_RULE + ("antecedent",), _DELETE, "rule is missing key 'antecedent'"),
+    (_RULE + ("note",), "unknown key", "rule has unknown key 'note'"),
+    (_RULE + ("class_index",), True, "rule key 'class_index' must be an integer, got True"),
+    (_RULE + ("class_index",), 1.7, "rule key 'class_index' must be an integer, got 1.7"),
+    (_RULE + ("class_index",), "0", "rule key 'class_index' must be an integer, got '0'"),
+    (_RULE + ("class_index",), "abc",
+     "rule key 'class_index' must be an integer, got 'abc'"),
+    (_RULE + ("provenance",), None, "rule key 'provenance' must be a JSON object, got None"),
+    (_RULE + ("provenance",), "abc",
+     "rule key 'provenance' must be a JSON object, got 'abc'"),
+    (_RULE + ("provenance",), [1], "rule key 'provenance' must be a JSON object, got [1]"),
+    (_RULE + ("antecedent",), [{"kind": "membership", "attribute": "score", "allowed": ["x"]}],
+     "invalid rule in document: 'score' is not a nominal attribute"),
+    (_RULE + ("antecedent",),
+     [{"kind": "interval", "attribute": "sector", "lo": 0.1, "hi": 0.5}],
+     "invalid rule in document: 'sector' is not a numeric attribute"),
+    (_COND + ("attribute",), _DELETE, "membership condition is missing key 'attribute'"),
+    (_COND + ("allowed",), 5, "membership condition key 'allowed' must be a list, got 5"),
+    (_COND + ("note",), "unknown key", "membership condition has unknown key 'note'"),
+    (_COND, {"kind": "interval", "attribute": "score", "lo": "0.5", "hi": 0.9},
+     "interval condition key 'lo' must be a number, got '0.5'"),
+    (_COND, {"kind": "interval", "attribute": "score", "lo": 0.9, "hi": 0.1},
+     "invalid rule in document: interval for 'score' must satisfy 0 <= lo <= hi <= 1, "
+     "got [0.9, 0.1]"),
+] + [
+    # a model's schema follows the schema file's rules
+    (("schema", *edit), value, message) for edit, value, message in _SCHEMA_ROWS
+    if not isinstance(edit, str)
+]
+
+
+def _integer_rule(path, value):
+    where = "config" if len(path) == 1 else f"config section {path[0]!r}"
+    return f"{where} key {path[-1]!r} must be an integer, got {value!r}"
+
+
+_CONFIG_ROWS = [
+    ("no-file", None, "cannot read config file: ..."),
+    ("random-bytes", _JUNK, "config file is not valid JSON: ..."),
+    ("not-an-object", b"[1, 2, 3]", "config must be a JSON object, got [1, 2, 3]"),
+    (("support_fraction",), 0.2, "config has unknown key 'support_fraction'"),
+    (("pso", "swarm"), 10, "config section 'pso' has unknown key 'swarm'"),
+    (("pso",), [10], "config key 'pso' must be a JSON object, got [10]"),
+    # an integral float is no JSON integer either
+    (("lvq", "centroid_count"), 2.0, _integer_rule(("lvq", "centroid_count"), 2.0)),
+    # values out of range
+    (("support_factor",), 0.0, "support_factor must lie in (0, 1]"),
+    (("support_factor",), 1.5, "support_factor must lie in (0, 1]"),
+    (("min_confidence",), 0.0, "min_confidence must lie in (0, 1]"),
+    (("min_confidence",), 1.01, "min_confidence must lie in (0, 1]"),
+    (("max_attempts_per_class",), 0, "max_attempts_per_class must be >= 1"),
+    (("min_represented",), -1, "min_represented must be >= 0"),
+    (("lvq", "max_epochs"), 0, "max_epochs must be >= 1"),
+    (("pso", "max_iterations"), 0, "max_iterations must be >= 1"),
+    (("pso", "stagnation_limit"), 0, "stagnation_limit must be >= 1"),
+] + [
+    ((section, key), value, f"{key} must lie in [1, 100000]")
+    for section, key in (("lvq", "centroid_count"), ("pso", "swarm_size"))
+    for value in (0, 100_001, 10**20, 2**63)
+] + [
+    # every integer setting, the seeds aside, takes only a JSON integer
+    (path, value, _integer_rule(path, value))
+    for path in (("max_attempts_per_class",), ("min_represented",),
+                 ("lvq", "centroid_count"), ("lvq", "max_epochs"), ("pso", "swarm_size"),
+                 ("pso", "max_iterations"), ("pso", "stagnation_limit"))
+    for value in (2.5, True, "abc")
+] + [
+    # mine draws every seed from --seed, whatever the file would set
+    (path, value, "a config file cannot set 'seed': use --seed or RULEMINE_SEED")
+    for path in (("seed",), ("lvq", "seed"), ("pso", "seed"))
+    for value in (5, -1, 2.5, True, "abc")
+] + [
+    # the settings that became lvq and pso constants
+    ((section, key), value, f"config section {section!r} has unknown key {key!r}")
+    for section, values in RETIRED_DEFAULTS.items() for key, value in values.items()
+]
+
+
+def _table(rows):
+    """A table's rows as pytest params, each named by its edit."""
+    def name(edit, value):
+        if isinstance(edit, str):
+            return edit
+        return "/".join(map(str, edit)) + "=" + (
+            "deleted" if value is _DELETE else json.dumps(value)[:70])
+    return [pytest.param(*row, id=name(*row[:2])) for row in rows]
+
+
+def _edited(source, dest, edit, value):
+    """Write ``dest`` as the JSON file ``source`` with one table edit, or
+    as the raw body of a named row, and return its path."""
+    if isinstance(edit, str):
+        if value is not None:
+            dest.write_bytes(value)
+    else:
+        dest.write_text(json.dumps(_mutated(json.loads(source.read_text()), edit, value)))
+    return str(dest)
+
+
+@pytest.mark.parametrize("edit, value, message", _table(_MODEL_ROWS))
+def test_model_file(workdir, tmp_path, capsys, edit, value, message):
+    model = _edited(workdir / "fmodel.json", tmp_path / "model.json", edit, value)
+    argv = ["predict", "--model", model, "--input", str(workdir / "frag.csv")]
+    if message is None:
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().err.startswith("scored 200 rows, 0 ERROR")
+    else:
+        assert _run_to_error(argv, capsys, cli.EXIT_DATA, message) == ""
+
+
+@pytest.mark.parametrize("edit, value, message", _table(_SCHEMA_ROWS))
+def test_schema_file(workdir, tmp_path, capsys, edit, value, message):
+    schema = _edited(workdir / "frag.schema.json", tmp_path / "schema.json", edit, value)
+    argv = ["train", "--data", str(workdir / "frag.csv"), "--schema", schema,
+            "--out", str(tmp_path / "m.json")]
+    assert _run_to_error(argv, capsys, cli.EXIT_DATA, message) == ""
+    assert set(os.listdir(tmp_path)) <= {"schema.json"}
+
+
+@pytest.mark.parametrize("edit, value, message", _table(_CONFIG_ROWS))
+def test_config_file(workdir, tmp_path, capsys, edit, value, message):
+    config = _edited(workdir / "small.json", tmp_path / "config.json", edit, value)
+    argv = ["train", "--data", str(workdir / "frag.csv"),
+            "--schema", str(workdir / "frag.schema.json"), "--config", config,
+            "--out", str(tmp_path / "m.json")]
+    assert _run_to_error(argv, capsys, cli.EXIT_CONFIG, message) == ""
+    assert set(os.listdir(tmp_path)) <= {"config.json"}
+
+
+def _legacy_edits(doc, mining, form):
+    """The edits that give the current model ``doc`` an older form: the
+    LVQ network of its run, a top-level seed, the retired settings at their
+    old values or junk ones, or a provenance on each rule, true, junk or empty."""
+    logs = [mining["swarm_logs"][rule["iteration"] - 1] for rule in mining["rules"]]
+    true = [{"emission_order": k, "support": log["support"], "confidence": log["confidence"]}
+            for k, log in enumerate(logs, start=1)]
+
+    def on_each_rule(provenances):
+        return [(("rule_list", "rules", i, "provenance"), p) for i, p in enumerate(provenances)]
+
+    network = {key: mining["network"][key] for key in ("allocation", "centroids")}
+    forms = {
+        "network": [(("network",), network)],
+        "seed": [(("seed",), doc["miner_config"]["seed"])],
+        "other-seed": [(("seed",), 12345)],
+        "retired": [(("miner_config", section, key), value)
+                    for section, values in RETIRED_DEFAULTS.items()
+                    for key, value in values.items()],
+        "retired-junk": [(("miner_config", section, key), "abc")
+                         for section, values in RETIRED_DEFAULTS.items() for key in values],
+        "provenance": on_each_rule(true),
+        "provenance-junk": on_each_rule([{"emission_order": 99}] * len(logs)),
+        "provenance-empty": on_each_rule([{}] * len(logs)),
+    }
+    forms["all"] = forms["network"] + forms["seed"] + forms["retired"] + forms["provenance"]
+    return forms[form]
+
+
+@pytest.mark.parametrize("form", ["network", "seed", "other-seed", "retired", "retired-junk",
+                                  "provenance", "provenance-junk", "provenance-empty", "all"])
+def test_legacy_model_form(workdir, tmp_path, capsys, form):
+    # models written by older versions carry these, unread: each loads as the
+    # current model and gives the same predict and evaluate --baseline bytes
+    doc = json.loads((workdir / "fmodel.json").read_text())
+    mining = json.loads((workdir / "fmodel.report.json").read_text())["mining"]
+    assert len(doc["rule_list"]["rules"]) == len(mining["rules"]) >= 1
+    for edit, value in _legacy_edits(doc, mining, form):
+        doc = _mutated(doc, edit, value)
+    (tmp_path / "old.json").write_text(json.dumps(doc, indent=2))
+    outputs = []
+    for model in (str(workdir / "fmodel.json"), str(tmp_path / "old.json")):
+        assert cli.main(["predict", "--model", model, "--input", str(workdir / "frag.csv")]) == 0
+        assert cli.main(["evaluate", "--model", model, "--data", str(workdir / "frag.csv"),
+                         "--baseline", "--out", str(tmp_path / "eval.json")]) == 0
+        outputs.append((capsys.readouterr(), (tmp_path / "eval.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert load_model(tmp_path / "old.json") == load_model(workdir / "fmodel.json")
+
+
+def test_malformed_model_is_one_error_line_in_a_subprocess(workdir, tmp_path):
+    # the tables run in process, where an unhandled exception fails the row;
+    # python -m rulemine.cli ends in one error line too, with no traceback
+    doc = _mutated(json.loads((workdir / "fmodel.json").read_text()), _COND,
+                   {"kind": "interval", "attribute": "score", "lo": 0.9, "hi": 0.1})
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": str(Path(rulemine.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rulemine.cli", "predict", "--model", str(tmp_path / "model.json"),
+         "--input", str(workdir / "frag.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_DATA
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: invalid rule in document: interval for 'score' must "
+                           "satisfy 0 <= lo <= hi <= 1, got [0.9, 0.1]\n")
 
 
 # a mutation deletes a key (or list item) or sets it to one of these; no

@@ -35,20 +35,6 @@ class TestConfig:
         assert cfg.centroid_count == 30
         assert lvq.REPULSION_RATIO == 1.2
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"centroid_count": 0},
-            {"centroid_count": 100_001},
-            {"centroid_count": 10**20},
-            {"centroid_count": 2**63},
-            {"max_epochs": 0},
-        ],
-    )
-    def test_invalid_values(self, kwargs):
-        with pytest.raises(ConfigError):
-            LvqConfig(**kwargs)
-
 
 class TestAllocation:
     def test_exact_proportional_split(self):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import brute_force_counts, build_encoded, fitness_from_rule, support_confidence
 from rulemine import pso
-from rulemine.errors import ConfigError, DataError
+from rulemine.errors import DataError
 from rulemine.lvq import LvqConfig, LvqNetwork, fit_network
 from rulemine.miner import MinerConfig, mine
 from rulemine.pso import (
@@ -48,23 +48,6 @@ def _credit_data(credit_schema, n=40, seed=0):
     y = (X[:, 3] > 0.5).astype(np.int64)
     y[:2] = [0, 1]
     return build_encoded(credit_schema, X, y)
-
-
-class TestConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"swarm_size": 0},
-            {"swarm_size": 100_001},
-            {"swarm_size": 10**20},
-            {"swarm_size": 2**63},
-            {"max_iterations": 0},
-            {"stagnation_limit": 0},
-        ],
-    )
-    def test_invalid_values(self, kwargs):
-        with pytest.raises(ConfigError):
-            PsoConfig(**kwargs)
 
 
 class TestSigmoid:

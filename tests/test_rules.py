@@ -9,7 +9,7 @@ from conftest import (
     random_mixed_dataset,
     support_confidence,
 )
-from rulemine.errors import DataError, SchemaError
+from rulemine.errors import SchemaError
 from rulemine.schema import encode
 from rulemine.synth import generate
 from rulemine.rules import (
@@ -279,28 +279,6 @@ class TestSerialization:
         assert set(doc["rules"][0]) == {"antecedent", "class_index"}
         back = rule_list_from_dict(doc, credit_schema)
         assert back == rl
-
-    def test_rule_provenance_loads_unread(self, credit_schema, married_rule):
-        # rules written before support and confidence moved to the train
-        # report carry a provenance object: any object loads, nothing else does
-        rl = RuleList(rules=(married_rule,), default_class=0)
-        doc = rule_list_to_dict(rl, credit_schema)
-        for provenance in ({"emission_order": 1, "support": 0.3, "confidence": 0.75},
-                           {"emission_order": 99}, {}):
-            doc["rules"][0]["provenance"] = provenance
-            assert rule_list_from_dict(doc, credit_schema) == rl
-        for provenance in (None, "abc", [1]):
-            doc["rules"][0]["provenance"] = provenance
-            with pytest.raises(DataError):
-                rule_list_from_dict(doc, credit_schema)
-
-    def test_invalid_document_rejected(self, credit_schema):
-        rl = RuleList(rules=(), default_class=0)
-        doc = rule_list_to_dict(rl, credit_schema)
-        doc["default_class"] = "NotALabel"
-        with pytest.raises(DataError):
-            rule_list_from_dict(doc, credit_schema)
-
 
 # --- brute-force agreement on randomized rules and data -----------------
 
