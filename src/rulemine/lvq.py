@@ -1,11 +1,13 @@
 """Supervised vector quantization over encoded examples.
 
-Centroids are class-labeled points in [0, 1]^d. Training presents examples
-one at a time: the nearest centroid is pulled toward same-class examples and
-pushed away from different-class ones, and a different-class second-nearest
-centroid inside 1.2x the winning distance is pushed away as well. The fitted
-centroids, together with the per-dimension spread of the examples each one
-represents, later seed the rule search.
+Centroids are class-labeled points in [0, 1]^d. Training takes one batch
+step per epoch, as Kohonen's batch map does (*Self-Organizing Maps*, 3rd ed.,
+2001): every example picks its nearest centroid at the epoch's start, which
+it pulls toward itself if their classes match and pushes away if not, and a
+different-class second-nearest centroid inside 1.2x the winning distance is
+pushed away as well. Each centroid then moves by the mean of its pulls and
+pushes. The fitted centroids, together with the per-dimension spread of the
+examples each one represents, later seed the rule search.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .schema import EncodedDataset
 
-ADAPT_RATE = 0.05  # the first epoch's learning rate; _present's range proof needs (0, 1)
+ADAPT_RATE = 0.5  # the first epoch's learning rate
 STABILITY_THRESHOLD = 1e-4  # an epoch's mean centroid movement below this ends training
 REPULSION_RATIO = 1.2  # the runner-up's distance ratio for a push away
 MAX_CENTROIDS = 100_000  # far above any use; a larger count overflows numpy sizes
@@ -31,12 +33,10 @@ class LvqConfig:
     ``max_epochs``, so ``max_epochs`` is the length of the annealing schedule
     rather than a safety cap: late epochs move centroids little because the
     rate is small, not because training has converged. The default of 5
-    costs a quarter of the presentations of 20: each swarm's warm start from
-    the best one-condition rule (``pso.seed_swarm``) keeps the credit3
-    acceptance protocol at one-condition rules within 0.07 points of
-    accuracy, and the fragmented one at 4 rules and 100%, at 5, 10 and 20
-    epochs. Training may stop sooner on stability or on a repeated assignment
-    (see ``fit_network``).
+    epochs is short because each swarm's warm start from the best
+    one-condition rule (``pso.seed_swarm``) does most of the seeding work.
+    Training may stop sooner on stability or on a repeated assignment (see
+    ``fit_network``).
     """
 
     centroid_count: int = 30
@@ -114,17 +114,24 @@ def _place_centroids(train: EncodedDataset, config: LvqConfig,
     return train.X[np.concatenate(rows)], np.repeat(list(alloc), list(alloc.values()))
 
 
+def _squared_distances(X: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances from each row to each centroid.
+
+    Direct differences, one centroid at a time: the largest temporary is
+    (n, d), and no float matmul rounds a near-tie the wrong way or makes the
+    bytes depend on BLAS threads.
+    """
+    d2 = np.empty((len(X), len(positions)))
+    for j, position in enumerate(positions):
+        diff = X - position
+        d2[:, j] = np.einsum("nd,nd->n", diff, diff)
+    return d2
+
+
 def _final_statistics(positions: np.ndarray,
                       train: EncodedDataset) -> tuple[np.ndarray, np.ndarray]:
     """Represented counts and deviations of the final positions."""
-    # one clean assignment pass, with the presentation loop's
-    # direct-difference distance; one centroid at a time keeps the largest
-    # temporary at (n, d)
-    d2 = np.empty((len(train), len(positions)))
-    for j, position in enumerate(positions):
-        diff = train.X - position
-        d2[:, j] = np.einsum("nd,nd->n", diff, diff)
-    assign = np.argmin(d2, axis=1)
+    assign = _squared_distances(train.X, positions).argmin(axis=1)
     represented_counts = np.bincount(assign, minlength=len(positions))
     deviations = np.zeros_like(positions)
     for k in np.flatnonzero(represented_counts >= 2):
@@ -132,70 +139,57 @@ def _final_statistics(positions: np.ndarray,
     return represented_counts, deviations
 
 
+def _batch_step(positions: np.ndarray, class_indices: np.ndarray, train: EncodedDataset,
+                rate: float) -> np.ndarray:
+    """Move ``positions`` in place by one batch epoch; return each row's
+    winner at the epoch's start.
+
+    Each row pulls its winner (the lowest index on ties) by +(x - p) if the
+    classes match and pushes it by -(x - p) if not; a different-class
+    runner-up within ``REPULSION_RATIO`` of the winner's distance is pushed
+    by -(x - p) too. Each touched centroid moves by ``rate`` times the mean
+    of its terms, and every position is then clamped to [0, 1].
+    """
+    X, y = train.X, train.y
+    rows = np.arange(len(X))
+    d2 = _squared_distances(X, positions)
+    first = d2.argmin(axis=1)
+    d2_first = d2[rows, first]
+    d2[rows, first] = np.inf
+    second = d2.argmin(axis=1)
+    pushed = (class_indices[second] != y) & (d2[rows, second] < REPULSION_RATIO**2 * d2_first)
+    sources = np.concatenate([rows, rows[pushed]])
+    targets = np.concatenate([first, second[pushed]])
+    signs = np.concatenate([np.where(class_indices[first] == y, 1.0, -1.0),
+                            np.full(np.count_nonzero(pushed), -1.0)])
+    sums = np.zeros_like(positions)
+    # unbuffered sums in index order: the bytes cannot depend on BLAS threads
+    np.add.at(sums, targets, signs[:, None] * (X[sources] - positions[targets]))
+    counts = np.bincount(targets, minlength=len(positions))
+    touched = counts > 0
+    positions[touched] += rate * (sums[touched] / counts[touched, None])
+    np.clip(positions, 0.0, 1.0, out=positions)
+    return first
+
+
 def _present(positions: np.ndarray, class_indices: np.ndarray, train: EncodedDataset,
-             config: LvqConfig, rng: np.random.Generator) -> tuple[list[float], list[float], str]:
+             config: LvqConfig) -> tuple[list[float], list[float], str]:
     """Move ``positions`` in place for up to ``config.max_epochs`` epochs;
     return the trace, the churn and the stop reason (see ``fit_network``)."""
-    # Python lists and in-place row updates into preallocated arrays: per
-    # presentation, only the distance, argmin, move and clamp calls touch numpy
-    classes = class_indices.tolist()
-    labels = train.y.tolist()
-    rows = list(train.X)
-    n = len(train)
-    ratio_sq = REPULSION_RATIO**2
-    diff = np.empty_like(positions)
-    d2 = np.empty(len(positions))
-    prev_assign: list[int] | None = None
+    prev_assign: np.ndarray | None = None
     trace: list[float] = []
     churn: list[float] = []
-
     for epoch in range(config.max_epochs):
         rate = ADAPT_RATE * (1.0 - epoch / config.max_epochs)
         start = positions.copy()
-        assign = [0] * n
-        for i in rng.permutation(n).tolist():
-            x = rows[i]
-            np.subtract(positions, x, out=diff)
-            # (diff * diff).sum(1) rounds differently
-            np.einsum("kd,kd->k", diff, diff, out=d2)
-            first = int(d2.argmin())  # the lowest index on ties
-            d2_first = d2[first]
-            d2[first] = np.inf
-            second = int(d2.argmin())
-            assign[i] = first
-            label = labels[i]
-            # move rows in place, each from its row of diff, as the reference
-            # loop in tests/test_lvq_reference.py computes with move_toward
-            # and move_away. A repulsion can leave [0, 1] and is
-            # clamped; an attraction cannot. Per coordinate, with p and x in
-            # [0, 1] and 0 < rate < 1, it computes fl(p - fl(rate * fl(p - x))),
-            # and round-to-nearest is monotone with fl(v) = v for a double v:
-            # - p >= x: 0 <= fl(rate * fl(p - x)) <= fl(p - x) <= fl(p) = p,
-            #   so the result lies in [fl(p - p), fl(p)] = [0, p];
-            # - p < x: the step is -t with 0 <= t = fl(rate * fl(x - p))
-            #   <= fl(x - p) <= fl(1 - p), so the result lies in
-            #   [p, fl(p + fl(1 - p))]. fl(1 - p) is exact for p >= 1/2 and
-            #   otherwise at most 2**-54 above 1 - p, which fl(p + ...) rounds
-            #   away (doubles above 1 are 2**-52 apart): so it is <= 1.
-            p = positions[first]
-            if classes[first] == label:
-                p -= rate * diff[first]
-            else:
-                p += rate * diff[first]
-                np.maximum(p, 0.0, out=p)
-                np.minimum(p, 1.0, out=p)
-            if classes[second] != label and d2[second] < ratio_sq * d2_first:
-                q = positions[second]
-                q += rate * diff[second]
-                np.maximum(q, 0.0, out=q)
-                np.minimum(q, 1.0, out=q)
+        assign = _batch_step(positions, class_indices, train, rate)
         movement = float(np.mean(np.sqrt(((positions - start) ** 2).sum(axis=1))))
         trace.append(movement)
         if prev_assign is not None:
-            churn.append(sum(a != b for a, b in zip(assign, prev_assign)) / n)
+            churn.append(float(np.mean(assign != prev_assign)))
         if movement < STABILITY_THRESHOLD:
             return trace, churn, "stability"
-        if assign == prev_assign:
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
             return trace, churn, "repeated_assignment"
         prev_assign = assign
     return trace, churn, "max_epochs"
@@ -204,8 +198,8 @@ def _present(positions: np.ndarray, class_indices: np.ndarray, train: EncodedDat
 def fit_network(train: EncodedDataset, config: LvqConfig) -> LvqNetwork:
     """Place centroids on training examples of each class and train them.
 
-    Presentation order is reshuffled each epoch from the seeded generator,
-    and the rate anneals linearly to 0 at max_epochs. Training stops when
+    Placement draws from the seeded generator; each epoch is one batch
+    step, and the rate anneals linearly to 0 at max_epochs. Training stops when
     the mean centroid displacement in an epoch falls below the stability
     threshold, when example-to-centroid assignments repeat across two
     consecutive epochs, or at max_epochs. The network records which of the
@@ -215,9 +209,10 @@ def fit_network(train: EncodedDataset, config: LvqConfig) -> LvqNetwork:
     """
     if len(train) == 0:
         raise DataError("cannot fit a network to an empty dataset")
-    seeds = np.random.SeedSequence(config.seed).spawn(2)
-    place_rng, present_rng = map(np.random.default_rng, seeds)
-    positions, class_indices = _place_centroids(train, config, place_rng)
-    trace, churn, stop_reason = _present(positions, class_indices, train, config, present_rng)
+    # the seed's first child: spawn(1)[0] equals spawn(2)[0], so a fixed seed
+    # keeps the placement that models fitted with two children had
+    (place_seed,) = np.random.SeedSequence(config.seed).spawn(1)
+    positions, class_indices = _place_centroids(train, config, np.random.default_rng(place_seed))
+    trace, churn, stop_reason = _present(positions, class_indices, train, config)
     counts, deviations = _final_statistics(positions, train)
     return LvqNetwork(positions, class_indices, counts, deviations, trace, churn, stop_reason)

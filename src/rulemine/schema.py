@@ -152,7 +152,10 @@ def json_value(value, kind: str, error: type[RulemineError], what: str):
     wrong_type = isinstance(value, bool) or not isinstance(value, types)
     # NaN, Infinity and integers too large for a float are no numbers here
     if wrong_type or kind == "number" and not abs(value) <= sys.float_info.max:
-        raise error(f"{what} must be {noun}, got {value!r:.60}")
+        shown = repr(value)
+        if len(shown) > 60:
+            shown = shown[:60] + "…"
+        raise error(f"{what} must be {noun}, got {shown}")
     return value
 
 

@@ -1093,7 +1093,7 @@ _MODEL_ROWS = [
     (("numeric_ranges", "score"), [False, True],
      "numeric range 'score' must be a number, got False"),
     (("numeric_ranges", "score"), [0, 10**400],  # no float holds it
-     "numeric range 'score' must be a number, got 1" + "0" * 59),
+     "numeric range 'score' must be a number, got 1" + "0" * 59 + "…"),
     (("numeric_ranges", "score"), [0.9, 0.1],
      "numeric range 'score' must be [low, high] with low <= high, got [0.9, 0.1]"),
     (("numeric_ranges", "score"), [0.5, 0.5], None),

@@ -35,35 +35,35 @@ CASES = {
 GOLDEN = {
     "credit3": {
         "data.csv": "e6d9f774dec73b9280057d042074a7b2aae7c9c6bf73e0119e693298103c9a16",
-        "train.stdout": "7d359ea336029665fc276f3ec91360f457a29ebf1d060c6f0ec8e6f325eca45e",
-        "model.json": "c1b145df47779c77c4fe0cfc37a4c30cc794ea2e98ce5149a77ec9aa278b76fb",
-        "model.report.json": "4a4e4df3c39329a312692db94d89e9fca0ada281fb3b47d822581f36c1e6c2b7",
-        "scored.csv": "18216c6e6a9aa4112aac86ff7a51e82ae386123fd9ff116797e9d47549f7787f",
-        "eval.json": "5a805c9577b0ef91448d2cf2658ef0642121af616e0fdfd502416239bb5ce766",
+        "train.stdout": "f12feec13b81d96b1a1eab4d52e2d9cec7f4a96950a4c543e9d9b7b4d5deb12d",
+        "model.json": "15eb81cc21f99fbad7351ad245c74c83fe67a4237ed052dc1e1cf2dfe13e0166",
+        "model.report.json": "686f63caa3c7ac229ac6d6796e01a6d66fd3c9905f90d9350b3981af446c312f",
+        "scored.csv": "4f8850fc229f0e9d1836c64d7294011b3f1cd36969ff83f37745ca9242781218",
+        "eval.json": "7cc7348a57f75b645266582e833f4d5aef14a4d5baaa47516a813a65b7b6baf2",
     },
     "fragmented": {
         "data.csv": "76ff151eeec3651a3611c261aa4029b38189f2c958dab80f87c3e2e5db06a7c9",
         "train.stdout": "f3a3e01eb0c325fb2de186e98322acea0451722790cd4e57535b7d5505ad5753",
         "model.json": "115503e1461c92aa214cd13bddb9bc5afa70693e3dff540b29a8c7afea44871e",
-        "model.report.json": "bb5bc0614e71026136f59c4be48cc432f729b0bf2afa1070f1ed3410ef6f8785",
+        "model.report.json": "29be80a14c7834df19704f244a5d738b85a14e70489a64e06375bdbd4b4e2657",
         "scored.csv": "f61566eb0a8fe071215a5334167580cef854be3ec35a7e48d2cff2d81b8978ad",
         "eval.json": "1cb7b5400c48aee4de785df608a516cfe075e02bc6c64be398f380768a4575e5",
     },
     "credit3-bench": {
         "data.csv": "66dd76bf23b594076cb0d2b6bc879ac3f6dbd038bca9a46b9ab464f091d17bca",
-        "train.stdout": "4b0ca9c5ac3ae544eedbe0760a0ff99d95a57cdb8a9b8731daad3e0682db6ff7",
-        "model.json": "2f8dea1a087d4951ac5c6e50bc0aea7c5f4cfb9306c99b3f3aded524582f7c09",
-        "model.report.json": "3407148affd37e051c8f1c6fdd0e46e50f903352ca3307563a9bc07de989b3e4",
-        "scored.csv": "3865c0073e0f22d4bb3402d191757a7a65e4d11ad13faf709d60f79daa0e3019",
+        "train.stdout": "05a412e22966c1466303b906d966e9cf12335ecb2f9a39ea4a3b119d69880431",
+        "model.json": "efb7ec4cd26918eddc8300ae02a9f65b350aecdbdbf0103132ca0f2da6f24d24",
+        "model.report.json": "a432d6ad2e231510fa39b53881484b1450f7fb09b2bf00df967f6201364c55b1",
+        "scored.csv": "ba7fbd143e96c959b2553bbe5e7819760fd4c11572abde030c72b0976c2ebbe5",
         "eval.json": "b081696e7019e416789aab4546cf6c6b12d36f92c1fb04d4fe2d6b19b6894c13",
     },
     "fragmented-bench": {
         "data.csv": "d6ba65f98883dd50340c27348792a2c69613c034ea4cfc8e03753cae32685de6",
-        "train.stdout": "85d5de1bc7c5e88a77279bf3993bb4b25c754c1079749c16ec270fcfd2122c3e",
-        "model.json": "922264cc6e6954bf8f28af14d0ead32cd999adc8a19723b2b5eaf30415dbad66",
-        "model.report.json": "f6972577a11a801951b98d1ae1deb04a26467f07cf2f9a362353cdf5326cb63c",
-        "scored.csv": "15867bde59b1c4836040d10101af095a574af74890194870c966a3d8ac40c6e0",
-        "eval.json": "e7ba2107e8bb17aa17c26c132861d6646514e7cb5b6bd524761ecadf50c269f1",
+        "train.stdout": "ed1bd52588a16ed1d6f42450f8b825d9f0fba1d725f8dac190f95308ba73b65e",
+        "model.json": "ec7923192ce25a25341cab8879090a1bd81121efeb99bd61e7cdb6928c82f03f",
+        "model.report.json": "58d7cf496844e48f83ecf80984a4c84e174bc541a829155b287c21492a04bce0",
+        "scored.csv": "0074d64ab267e00f5efdf9e34c27310d9b2ccb0cc67e6a84239a1d2879afcd1c",
+        "eval.json": "3e71f7aea78af656870a8f0a6c5098b62112d72f6ad42229d298ff26d2a79e1f",
     },
 }
 
