@@ -148,7 +148,11 @@ def _batch_step(positions: np.ndarray, class_indices: np.ndarray, train: Encoded
     classes match and pushes it by -(x - p) if not; a different-class
     runner-up within ``REPULSION_RATIO`` of the winner's distance is pushed
     by -(x - p) too. Each touched centroid moves by ``rate`` times the mean
-    of its terms, and every position is then clamped to [0, 1].
+    of its terms, and every position is then clamped to [0, 1]. On one-hot
+    columns a push from a row at another corner points out of the unit cube
+    and the clamp undoes it, so a corner centroid whose off-corner rows are
+    mostly of another class stays put: on nominal values that do not depend
+    on the class, the first epoch can move 0.0 and stop on ``stability``.
     """
     X, y = train.X, train.y
     rows = np.arange(len(X))

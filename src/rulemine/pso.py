@@ -147,33 +147,28 @@ class PackedRows:
     a count is the set bits of a bitset, which ``np.bitwise_count`` gives.
 
     Each encoded nominal column has one bitset: the rows that take its value,
-    read off the 1.0 entries of ``X``. A numeric column's bitset is all zero,
-    since a scaled value can be 1.0 too; its values are padded with NaN to
-    whole words, so that a comparison never sets a padding bit.
+    read off the 1.0 entries of ``X``; a numeric column's is never read. Every
+    match mask starts from ``every``, whose padding bits are 0, and is only
+    ANDed after that, so no padding bit of another bitset can be counted.
     """
 
     layout: ColumnLayout
     n_rows: int
     every: np.ndarray  # (W,) all rows
-    values: np.ndarray  # (d, W) the rows of each nominal column; 0 for numeric ones
-    numeric: np.ndarray  # (a, 64 W) the numeric attributes' values
+    values: np.ndarray  # (d, W) the rows where each encoded column is 1.0
+    numeric: np.ndarray  # (a, 64 W) the numeric attributes' values, 0-padded
     classes: np.ndarray  # (classes, W) the rows of each class
 
 
 def pack_rows(data: EncodedDataset) -> PackedRows:
     layout = data.layout
     n = len(data)
-    values = (data.X == 1.0).T
-    values[layout.numeric_columns] = False
-    words = -(-n // 64)
-    numeric = np.full((layout.numeric_columns.size, 64 * words), np.nan)
-    numeric[:, :n] = data.X[:, layout.numeric_columns].T
     return PackedRows(
         layout=layout,
         n_rows=n,
         every=_pack(np.ones((1, n), dtype=bool))[0],
-        values=_pack(values),
-        numeric=numeric,
+        values=_pack((data.X == 1.0).T),
+        numeric=np.pad(data.X[:, layout.numeric_columns].T, ((0, 0), (0, -n % 64))),
         classes=_pack(np.arange(len(layout.schema.class_labels))[:, None] == data.y),
     )
 

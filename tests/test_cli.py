@@ -1317,6 +1317,24 @@ def test_malformed_model_is_one_error_line_in_a_subprocess(workdir, tmp_path):
                            "satisfy 0 <= lo <= hi <= 1, got [0.9, 0.1]\n")
 
 
+def test_hash_seed_leaves_the_model_and_report(workdir, tmp_path):
+    # no set or dict order that string hashing decides may reach a written byte
+    env = {**os.environ, "PYTHONPATH": str(Path(rulemine.__file__).parents[1])}
+    written = []
+    for hash_seed in ("0", "1"):
+        (tmp_path / hash_seed).mkdir()
+        model = tmp_path / hash_seed / "model.json"
+        subprocess.run(
+            [sys.executable, "-m", "rulemine.cli", "train", "--data", str(workdir / "frag.csv"),
+             "--schema", str(workdir / "frag.schema.json"), "--out", str(model),
+             "--seed", "3"],
+            capture_output=True, env={**env, "PYTHONHASHSEED": hash_seed}, timeout=120,
+            check=True,
+        )
+        written.append((model.read_bytes(), model.with_suffix(".report.json").read_bytes()))
+    assert written[0] == written[1]
+
+
 # a mutation deletes a key (or list item) or sets it to one of these; no
 # large numbers, so a mutated count cannot make a run slow or large
 _FUZZ_VALUES = [_DELETE, -1, 0, 2.5, "x", [], {}, None, True]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_counts, build_encoded, fitness_from_rule, support_confidence
+from conftest import brute_force_counts, build_encoded, fitness_from_rule
 from rulemine import pso
 from rulemine.errors import DataError
 from rulemine.lvq import LvqConfig, LvqNetwork, fit_network
@@ -212,150 +212,32 @@ class TestFitness:
             assert direct == recomputed  # identical arithmetic, not just close
             assert 0.0 <= direct <= 1.0
 
-    def test_batch_fitness_scores_each_particle(self, credit_schema):
-        data = _credit_data(credit_schema, n=60, seed=3)
-        rng = np.random.default_rng(6)
-        position = (rng.random((9, 5)) < 0.5).astype(float)
-        genes = np.sort(rng.random((9, 2, 2)), axis=2)
-        got = fitness(position, genes, 1, pack_rows(data))
-        assert got.shape == (9,)
-        for s in range(9):
-            rule = decode_state(position[s], genes[s], data.layout, 1)
-            assert got[s] == fitness_from_rule(rule, data)
-
-
-ORACLE_SCHEMAS = {
-    "mixed": (
-        Attribute("colour", "nominal", ("red", "green", "blue")),
-        Attribute("size", "numeric"),
-        Attribute("shape", "nominal", ("round", "square")),
-        Attribute("weight", "numeric"),
-    ),
-    "nominal_only": (
-        Attribute("colour", "nominal", ("red", "green", "blue")),
-        Attribute("shape", "nominal", ("round", "square")),
-    ),
-    "numeric_only": (Attribute("size", "numeric"), Attribute("weight", "numeric")),
-}
-
-
-def _oracle_data(kind, seed, n=70):
-    """Random rows that never take the value 'blue' and keep numeric values
-    in [0, 0.6], so a particle can ask for what no row has."""
-    schema = AttributeSchema(ORACLE_SCHEMAS[kind], "cls", ("neg", "pos", "other"))
-    rng = np.random.default_rng(seed)
-    blocks = []
-    for attr in schema.attributes:
-        if attr.kind == "nominal":
-            block = np.zeros((n, len(attr.values)))
-            block[np.arange(n), rng.integers(0, 2, n)] = 1.0
-        else:
-            block = rng.uniform(0.0, 0.6, (n, 1))
-        blocks.append(block)
-    return build_encoded(schema, np.hstack(blocks), rng.integers(0, 3, n))
-
-
-class TestBatchFitnessOracle:
-    """``fitness`` scores a swarm in one pass; it must equal, byte for byte,
-    ``fitness_from_rule`` of each particle's decoded rule."""
-
-    @staticmethod
-    def _check(position, genes, class_index, data):
-        got = fitness(position, genes, class_index, pack_rows(data))
-        expected = np.array([
-            fitness_from_rule(decode_state(p, g, data.layout, class_index), data)
-            for p, g in zip(position, genes)
-        ])
-        assert got.shape == (len(position),)
-        assert got.tobytes() == expected.tobytes()
-        return got
-
-    @staticmethod
-    def _genes(rng, S, data):
-        """Random interval genes; about half end exactly on row values."""
-        a = len(data.layout.numeric_names)
-        genes = rng.random((S, a, 2))
-        on_rows = rng.random((S, a, 2)) < 0.5
-        for i, col in enumerate(data.layout.numeric_columns):
-            values = rng.choice(data.X[:, col], (S, 2))
-            genes[:, i] = np.where(on_rows[:, i], values, genes[:, i])
-        return np.sort(genes, axis=2)
-
-    @pytest.mark.parametrize("swarm_size", [1, 2, 40])
-    @pytest.mark.parametrize("kind", sorted(ORACLE_SCHEMAS))
-    def test_random_swarms(self, kind, swarm_size, monkeypatch):
-        # weights and an m share other than the defaults, which fitness and the
-        # oracle both read
-        for name, weight in [("CONFIDENCE", 0.5), ("SUPPORT", 0.3), ("LENGTH", 0.2)]:
-            monkeypatch.setattr(pso, f"WEIGHT_{name}", weight)
-        monkeypatch.setattr(pso, "M_ESTIMATE_SHARE", 0.3)
-        data = _oracle_data(kind, seed=swarm_size)
-        rng = np.random.default_rng(swarm_size + 1)
-        for class_index in range(3):
-            for density in (0.2, 0.5, 0.8):
-                position = (rng.random((swarm_size, data.dimension)) < density).astype(float)
-                self._check(position, self._genes(rng, swarm_size, data), class_index, data)
-
-    @pytest.mark.parametrize("bit", [0.0, 1.0])
-    @pytest.mark.parametrize("kind", sorted(ORACLE_SCHEMAS))
-    def test_all_bits_equal(self, kind, bit):
-        data = _oracle_data(kind, seed=7)
-        rng = np.random.default_rng(8)
-        position = np.full((5, data.dimension), bit)
-        self._check(position, self._genes(rng, 5, data), 1, data)
-
-    @pytest.mark.parametrize("kind", sorted(ORACLE_SCHEMAS))
-    def test_particle_matching_no_row(self, kind):
-        data = _oracle_data(kind, seed=9)
-        layout = data.layout
-        position = np.zeros((3, data.dimension))
-        genes = np.tile([0.0, 1.0], (3, len(layout.numeric_names), 1))
-        if kind == "numeric_only":
-            position[0, layout.numeric["size"]] = 1.0
-            genes[0, 0] = [0.9, 1.0]  # above every row's value
-        else:
-            position[0, layout.nominal["colour"][2]] = 1.0  # only 'blue'
-        got = self._check(position, genes, 1, data)
-        rule = decode_state(position[0], genes[0], layout, 1)
-        assert len(rule) == 1
-        assert support_confidence(rule, data) == (0.0, 0.0)
-        # the m-estimate of no matched row is the class's share of the rows
-        class_rows = np.count_nonzero(data.y == 1)
-        assert got[0] == (
-            pso.WEIGHT_CONFIDENCE
-            * (pso.M_ESTIMATE_SHARE * class_rows / (pso.M_ESTIMATE_SHARE * len(data)))
-            + pso.WEIGHT_SUPPORT * 0.0
-            + pso.WEIGHT_LENGTH * (1 - 1 / len(data.schema.attributes))
-        )
-
-    def test_empty_dataset_rejected(self, numeric_schema):
-        data = build_encoded(numeric_schema, np.zeros((0, 2)), [])
-        with pytest.raises(DataError):
-            fitness(np.ones((2, 2)), np.zeros((2, 2, 2)), 0, pack_rows(data))
-
 
 NINE = Attribute("nine", "nominal", tuple(f"n{i}" for i in range(9)))
 SEVENTEEN = Attribute("seventeen", "nominal", tuple(f"s{i}" for i in range(17)))
+U, V = Attribute("u", "numeric"), Attribute("v", "numeric")
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 PACKED_SCHEMAS = {
-    "mixed": (NINE, Attribute("u", "numeric"), SEVENTEEN, Attribute("v", "numeric")),
+    "mixed": (NINE, U, SEVENTEEN, V),
     "nominal_only": (NINE, SEVENTEEN),
-    "numeric_only": (Attribute("u", "numeric"), Attribute("v", "numeric")),
+    "numeric_only": (U, V),
+    "small": (Attribute("three", "nominal", ("r", "g", "b")), U,
+              Attribute("two", "nominal", ("p", "q")), V),
 }
 
 
 def _packed_data(kind, n, seed):
-    """n rows over nominal attributes of 9 and 17 values, so that a nominal
-    block is wider than one byte, and numeric values on a grid, so that many
-    rows tie on an interval end. No row takes the last value of a nominal
-    attribute."""
+    """n rows over nominal attributes of 3 and 2 values, or of 9 and 17 so
+    that a nominal block is wider than one byte, and numeric values on a grid,
+    so that many rows tie on an interval end. No row takes the last value of
+    a nominal attribute of more than two values."""
     schema = AttributeSchema(PACKED_SCHEMAS[kind], "cls", ("a", "b", "c"))
     rng = np.random.default_rng(seed)
     blocks = []
     for attr in schema.attributes:
         if attr.kind == "nominal":
             block = np.zeros((n, len(attr.values)))
-            block[np.arange(n), rng.integers(0, len(attr.values) - 1, n)] = 1.0
+            block[np.arange(n), rng.integers(0, max(2, len(attr.values) - 1), n)] = 1.0
         else:
             block = rng.choice(GRID, (n, 1))
         blocks.append(block)
@@ -364,10 +246,11 @@ def _packed_data(kind, n, seed):
 
 class TestPackedKernel:
     """``count_matches`` decodes raw particle states and counts on packed row
-    bits: its condition counts must equal the lengths of the ``decode_state``
-    rules, its matched and correct counts the brute-force double loop, and
-    ``fitness`` must equal ``fitness_from_rule`` byte for byte, at word edges,
-    across wide nominal blocks and on ties."""
+    bits, and ``fitness`` scores a swarm from those counts in one pass: the
+    condition counts must equal the lengths of the ``decode_state`` rules, the
+    matched and correct counts the brute-force double loop, and ``fitness``
+    ``fitness_from_rule`` byte for byte, at word edges, across narrow and wide
+    nominal blocks and on ties."""
 
     def _check(self, position, genes, data):
         layout = data.layout
@@ -387,65 +270,68 @@ class TestPackedKernel:
         return rules
 
     @staticmethod
-    def _states(rng, data, S=24):
-        """Random bits, whole blocks none or all set, and intervals that end
-        on grid values (every row value), on ties (lo == hi) or between."""
-        layout = data.layout
-        position = (rng.random((S, data.dimension)) < rng.random((S, 1))).astype(float)
-        for cols in layout.blocks:
-            position[0, cols.start : cols.stop] = 0.0
-            position[1, cols.start : cols.stop] = 1.0
-        genes = np.where(rng.random((S, layout.numeric_columns.size, 2)) < 0.7,
-                         rng.choice(GRID, (S, layout.numeric_columns.size, 2)),
-                         rng.random((S, layout.numeric_columns.size, 2)))
-        genes[2, :, 1] = genes[2, :, 0]  # lo == hi: a tie
-        return position, np.sort(genes, axis=2)
+    def _states(rng, data, S, density):
+        """S states with bits set at ``density``, and intervals that end on
+        grid values (every row value) or between, and in particle 2 on a tie
+        (lo == hi)."""
+        position = (rng.random((S, data.dimension)) < density).astype(float)
+        shape = (S, data.layout.numeric_columns.size, 2)
+        genes = np.sort(np.where(rng.random(shape) < 0.7, rng.choice(GRID, shape),
+                                 rng.random(shape)), axis=2)
+        genes[2:3, :, 1] = genes[2:3, :, 0]
+        return position, genes
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 129])
     @pytest.mark.parametrize("kind", sorted(PACKED_SCHEMAS))
     def test_word_edges(self, kind, n):
         data = _packed_data(kind, n, seed=n)
         rng = np.random.default_rng(n + 1)
-        for _ in range(3):
-            self._check(*self._states(rng, data), data)
+        for density in (0.2, 0.5, 0.8):
+            self._check(*self._states(rng, data, 24, density), data)
+
+    @pytest.mark.parametrize("swarm_size", [1, 2, 40])
+    @pytest.mark.parametrize("kind", sorted(PACKED_SCHEMAS))
+    def test_swarm_sizes_and_weights(self, kind, swarm_size, monkeypatch):
+        # weights and an m share other than the defaults, which fitness and the
+        # oracle both read
+        for name, weight in [("CONFIDENCE", 0.5), ("SUPPORT", 0.2), ("LENGTH", 0.3)]:
+            monkeypatch.setattr(pso, f"WEIGHT_{name}", weight)
+        monkeypatch.setattr(pso, "M_ESTIMATE_SHARE", 0.3)
+        data = _packed_data(kind, 70, seed=swarm_size)
+        rng = np.random.default_rng(swarm_size + 1)
+        for density in (0.2, 0.5, 0.8):
+            self._check(*self._states(rng, data, swarm_size, density), data)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, "encoded"])
     def test_packed_layout(self, n):
-        # an encoded dataset scales each numeric column's training maximum to
-        # exactly 1.0, which must not set a bit of the column's ``values`` row
-        if n == "encoded":
-            data = _credit3_sample(130, 1)
-            n = len(data)
-            assert (data.X[:, data.layout.numeric_columns] == 1.0).any(axis=0).all()
-        else:
-            data = _packed_data("mixed", n, seed=n)
+        data = _credit3_sample(130, 1) if n == "encoded" else _packed_data("mixed", n, seed=n)
+        n = len(data)
         rows = pack_rows(data)
         words = -(-n // 64)
-        def unpack(bits):
-            return np.unpackbits(bits.view(np.uint8), bitorder="little")
-        assert rows.every.shape == (words,)
-        assert unpack(rows.every).tolist() == [1] * n + [0] * (64 * words - n)
-        for c in range(len(data.schema.class_labels)):
-            assert unpack(rows.classes[c]).tolist() == (
-                (data.y == c).tolist() + [False] * (64 * words - n))
-        assert rows.values.shape == (data.dimension, words)
         padding = [0] * (64 * words - n)
+        def unpack(bits):
+            return np.unpackbits(bits.view(np.uint8), bitorder="little").tolist()
+        assert rows.every.shape == (words,)
+        assert unpack(rows.every) == [1] * n + padding
+        for c in range(len(data.schema.class_labels)):
+            assert unpack(rows.classes[c]) == (data.y == c).tolist() + padding
+        assert rows.values.shape == (data.dimension, words)
         for cols in data.layout.blocks:
             for j in cols:
-                assert unpack(rows.values[j]).tolist() == (
-                    (data.X[:, j] == 1.0).tolist() + padding)
-        for j in data.layout.numeric_columns:
-            assert not rows.values[j].any()
+                assert unpack(rows.values[j]) == (data.X[:, j] == 1.0).tolist() + padding
 
     @pytest.mark.parametrize("kind", sorted(PACKED_SCHEMAS))
-    def test_blocks_none_or_all_set_match_every_row(self, kind):
+    def test_all_zero_and_all_one_states(self, kind):
+        # particles 0 and 2 set no bit, 1 and 3 every bit; 0 and 1 take the
+        # whole unit interval, so both match every row
         data = _packed_data(kind, 65, seed=4)
-        position = np.zeros((2, data.dimension))
-        position[1] = 1.0
-        genes = np.tile([0.0, 1.0], (2, data.layout.numeric_columns.size, 1))
+        position, genes = self._states(np.random.default_rng(4), data, 4, 0.5)
+        position[:] = [[0.0], [1.0], [0.0], [1.0]]
+        genes[:2] = [0.0, 1.0]
         rules = self._check(position, genes, data)
-        assert len(rules[0]) == 0
-        assert len(rules[1]) == len(data.schema.numeric_attributes)
+        numeric = len(data.schema.numeric_attributes)
+        assert [len(rule) for rule in rules] == [0, numeric, 0, numeric]
+        assert [brute_force_counts(rule, data)[0] for rule in rules[:2]] == [65, 65]
 
     @pytest.mark.parametrize("n", [1, 64, 129])
     @pytest.mark.parametrize("kind", sorted(PACKED_SCHEMAS))
@@ -459,11 +345,23 @@ class TestPackedKernel:
             genes[0, 0] = [0.1, 0.2]  # between grid values
             genes[1, 0] = [0.3, 0.3]
         else:
-            # the last values, which no row takes: past the first byte of a block
-            position[0, layout.nominal["nine"][8]] = 1.0
-            position[1, layout.nominal["seventeen"][16]] = 1.0
+            # last values, which no row takes: in the widest block past its first byte
+            position[0, layout.blocks[0].stop - 1] = 1.0
+            position[1, max(layout.blocks, key=len).stop - 1] = 1.0
         rules = self._check(position, genes, data)
         assert [brute_force_counts(rule, data) for rule in rules] == [(0, 0), (0, 0)]
+        # the m-estimate of no matched row is the class's share of the rows
+        m = pso.M_ESTIMATE_SHARE
+        for c in range(3):
+            expected = (pso.WEIGHT_CONFIDENCE * (m * np.count_nonzero(data.y == c) / (m * n))
+                        + pso.WEIGHT_SUPPORT * 0.0
+                        + pso.WEIGHT_LENGTH * (1 - 1 / len(data.schema.attributes)))
+            assert fitness(position, genes, c, pack_rows(data)).tolist() == [expected] * 2
+
+    def test_empty_dataset_rejected(self, numeric_schema):
+        data = build_encoded(numeric_schema, np.zeros((0, 2)), [])
+        with pytest.raises(DataError):
+            fitness(np.ones((2, 2)), np.zeros((2, 2, 2)), 0, pack_rows(data))
 
 
 def _network(positions, deviations, represented, class_indices):
@@ -716,7 +614,7 @@ def _credit3_sample(rows, seed):
 WARM_START_CASES = {
     # (data, target class): a nominal block of 3 values, blocks of 9 and 17
     # values (only single values and their complements), and credit3's mix
-    "small_nominal": (lambda: _oracle_data("mixed", seed=4), 1),
+    "small_nominal": (lambda: _packed_data("small", 70, seed=4), 1),
     "wide_nominal": (lambda: _packed_data("mixed", 150, seed=5), 2),
     "credit3": (lambda: _credit3_sample(300, 2), 0),
 }

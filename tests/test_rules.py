@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import (
     brute_force_counts,
@@ -280,88 +279,6 @@ class TestSerialization:
         back = rule_list_from_dict(doc, credit_schema)
         assert back == rl
 
-# --- brute-force agreement on randomized rules and data -----------------
-
-@st.composite
-def dataset_and_rule(draw):
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
-    n = draw(st.integers(min_value=1, max_value=60))
-    X = np.zeros((n, 5))
-    pick = rng.integers(0, 3, n)
-    X[np.arange(n), pick] = 1.0
-    X[:, 3:] = rng.uniform(0, 1, (n, 2))
-    y = rng.integers(0, 2, n)
-    conds = []
-    if draw(st.booleans()):
-        values = ("single", "married", "divorced")
-        allowed = frozenset(
-            v for v in values if draw(st.booleans())
-        ) or frozenset({"married"})
-        if len(allowed) == 3:
-            allowed = frozenset({"single", "married"})
-        conds.append(NominalMembership("marital_status", allowed))
-    if draw(st.booleans()):
-        lo = draw(st.floats(min_value=0.0, max_value=1.0, width=32))
-        hi = draw(st.floats(min_value=0.0, max_value=1.0, width=32))
-        lo, hi = min(lo, hi), max(lo, hi)
-        conds.append(NumericInterval("salary", lo, hi))
-    rule = Rule(antecedent=tuple(conds), class_index=draw(st.integers(0, 1)))
-    return X, y, rule
-
-
-_SCHEMA = None
-
-
-def _schema():
-    global _SCHEMA
-    if _SCHEMA is None:
-        from rulemine.schema import Attribute, AttributeSchema
-
-        _SCHEMA = AttributeSchema(
-            attributes=(
-                Attribute(
-                    "marital_status", "nominal", ("single", "married", "divorced")
-                ),
-                Attribute("salary", "numeric"),
-                Attribute("age", "numeric"),
-            ),
-            class_attribute="status",
-            class_labels=("Deny", "Accept"),
-        )
-    return _SCHEMA
-
-
-@given(dataset_and_rule())
-@settings(max_examples=120, deadline=None)
-def test_brute_force_oracle_agreement(payload):
-    X, y, rule = payload
-    data = build_encoded(_schema(), X, y)
-    matched, correct = brute_force_counts(rule, data)
-    assert np.count_nonzero(match_mask(rule.antecedent, data)) == matched
-    assert support(rule, data) == correct / len(data)
-    assert confidence(rule, data) == (correct / matched if matched else 0.0)
-    if matched:
-        assert support(rule, data) <= confidence(rule, data)
-    class_freq = float(np.mean(data.y == rule.class_index))
-    assert support(rule, data) <= class_freq + 1e-12
-
-
-def _dummy_column_mask(conditions, data):
-    """The membership test as first written: a row matches when the sum of
-    its allowed dummy columns exceeds one half."""
-    layout = data.layout
-    mask = np.ones(len(data), dtype=bool)
-    for cond in conditions:
-        if isinstance(cond, NominalMembership):
-            attr = layout.schema.attribute(cond.attribute)
-            cols = layout.nominal[cond.attribute]
-            picked = [cols.start + i for i, v in enumerate(attr.values) if v in cond.allowed]
-            mask &= data.X[:, picked].sum(axis=1) > 0.5
-        else:
-            values = data.X[:, layout.numeric[cond.attribute]]
-            mask &= (values >= cond.lo) & (values <= cond.hi)
-    return mask
-
 
 def _random_conditions(rng, data):
     """Random conditions; half the intervals end exactly on row values."""
@@ -378,17 +295,23 @@ def _random_conditions(rng, data):
             ends = rng.choice(column, 2) if rng.random() < 0.5 else rng.random(2)
             lo, hi = np.sort(ends)
             conds.append(NumericInterval(attr.name, float(lo), float(hi)))
-    return [conds[i] for i in rng.permutation(len(conds))]
+    return tuple(conds[i] for i in rng.permutation(len(conds)))
 
 
 @pytest.mark.parametrize("source", ["random", "credit3", "fragmented"])
 @pytest.mark.parametrize("seed", range(8))
-def test_match_mask_gather_agrees_with_dummy_column_sum(source, seed):
+def test_match_mask_agrees_with_brute_force(source, seed):
     rng = np.random.default_rng(seed)
     if source == "random":
         data = random_mixed_dataset(rng)
-    else:  # the value index as encode builds it
+    else:  # the one-hot columns as encode builds them
         data = encode(generate(source, 300, seed).to_raw())
+    n_classes = len(data.schema.class_labels)
     for _ in range(25):
-        conds = _random_conditions(rng, data)
-        assert np.array_equal(match_mask(conds, data), _dummy_column_mask(conds, data))
+        rule = Rule(_random_conditions(rng, data), int(rng.integers(n_classes)))
+        matched, correct = brute_force_counts(rule, data)
+        assert np.count_nonzero(match_mask(rule.antecedent, data)) == matched
+        sup, conf = support_confidence(rule, data)
+        assert (sup, conf) == (correct / len(data), correct / matched if matched else 0.0)
+        assert sup <= conf
+        assert sup <= np.count_nonzero(data.y == rule.class_index) / len(data)
