@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import os
 import sys
+from contextlib import closing, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -161,9 +163,10 @@ def cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
     # reads and matches the header now, so a bad one stops before --out opens
     chunks = read_chunks(args.input, schema, labels=False)
 
-    out_fh = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     total = errors = defaults = 0
-    try:
+    # the input closes however this ends, an --out that cannot be opened too
+    with closing(chunks), (open(args.out, "w", encoding="utf-8", newline="") if args.out
+                           else nullcontext(sys.stdout)) as out_fh:
         out_fh.write(_csv_line(["prediction", "fired_rule", "rule"]))
         for raw, bad in chunks:
             fired: list[int] = []
@@ -176,9 +179,6 @@ def cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
             total += len(lines)
             errors += len(bad)
             defaults += fired.count(0)
-    finally:
-        if args.out:
-            out_fh.close()
 
     if total == 0:
         print("error: input contains no data rows", file=sys.stderr)
@@ -288,6 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # run as the program: what the imports built lives until exit, so no
+        # collection, the final ones at exit included, needs to walk it
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     code = EXIT_OK  # until the command returns, as predict's stream may break first

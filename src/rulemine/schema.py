@@ -14,10 +14,11 @@ import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Generator, Mapping, Sequence
 
 import numpy as np
 
@@ -366,31 +367,6 @@ def coerce_row(
         raise DataError(f"row {row_number}: class label {label!r} is not declared") from None
 
 
-def _open_csv(source) -> Iterator[list[str]]:
-    try:
-        if isinstance(source, (str, Path)):
-            try:
-                fh = open(source, "r", encoding="utf-8", newline="")
-            except OSError as exc:
-                raise DataError(f"cannot read input file: {exc}") from exc
-            with fh:
-                yield from csv.reader(_without_bom(fh))
-        else:
-            yield from csv.reader(_without_bom(source))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read input CSV: {exc}") from exc
-
-
-def _without_bom(lines) -> Iterator[str]:
-    """The lines of a CSV text less a leading byte-order mark (as Excel's "CSV
-    UTF-8" writes), dropped before parsing so a quoted header still parses."""
-    lines = iter(lines)
-    first = next(lines, None)
-    if first is not None:
-        yield first.removeprefix("\ufeff")
-        yield from lines
-
-
 def read_header(header: list[str], schema: AttributeSchema, labels: bool):
     """Match a CSV header against the schema, order-insensitively.
 
@@ -423,18 +399,20 @@ CHUNK_ROWS = 4096
 
 def read_chunks(
     source, schema: AttributeSchema, labels: bool = True
-) -> Iterator[tuple[RawDataset, list[tuple[int, DataError]]]]:
+) -> Generator[tuple[RawDataset, list[tuple[int, DataError]]], None, None]:
     """Read a header-first CSV ``CHUNK_ROWS`` lines at a time.
 
-    The header is read and matched against the schema (order-insensitive)
-    before this returns, so a bad header raises at once. Each chunk is
-    ``(raw, errors)``: ``raw`` holds the chunk's rows that pass every check,
-    and ``errors`` the DataError of each row that fails one, with the row's
-    position among the chunk's data rows, in row order. Blank lines are
-    skipped but still counted in the 1-based row numbers. With ``labels``,
-    the header must have the class column, whose labels are checked and
-    converted into ``raw.y``; without, the column may be present and is not
-    read, and each chunk's ``y`` is empty.
+    ``source`` is a path, opened as UTF-8, or an iterable of text lines. The
+    header is read and matched against the schema (order-insensitive)
+    before this returns, so a bad header raises at once. A path's file is
+    closed when the chunks run out, raise or are closed or dropped undrawn.
+    Each chunk is ``(raw, errors)``: ``raw`` holds the chunk's rows that pass
+    every check, and ``errors`` the DataError of each row that fails one,
+    with the row's position among the chunk's data rows, in row order. Blank
+    lines are skipped but still counted in the 1-based row numbers. With
+    ``labels``, the header must have the class column, whose labels are
+    checked and converted into ``raw.y``; without, the column may be present
+    and is not read, and each chunk's ``y`` is empty.
 
     A line that cannot be read (a byte that is not UTF-8, a CSV syntax
     error) raises its DataError after the lines before it have come as a
@@ -446,12 +424,37 @@ def read_chunks(
     field that is no finite number) goes through ``coerce_row`` on its own,
     which converts it after all (``" married"``) or raises its exact error.
     """
-    reader = _open_csv(source)
-    header = next(reader, None)
-    if header is None:
-        raise SchemaError("CSV is empty (no header row)")
-    predictor_pos, class_pos = read_header(header, schema, labels)
-    return _chunks(reader, schema, predictor_pos, class_pos, len(header))
+    chunks = _open_chunks(source, schema, labels)
+    next(chunks)  # opens the input and matches its header
+    return chunks
+
+
+def _open_chunks(source, schema, labels):
+    """read_chunks' generator: None once the header is matched, then the
+    chunks. The input stays open from the header on, so closing or dropping
+    the generator closes a file it opened."""
+    try:
+        fh = (open(source, "r", encoding="utf-8", newline="")
+              if isinstance(source, (str, Path)) else nullcontext(source))
+    except OSError as exc:
+        raise DataError(f"cannot read input file: {exc}") from exc
+    with fh as stream:
+        lines = iter(stream)
+        try:
+            first = next(lines, None)
+            if first is not None:
+                # a leading byte-order mark (as Excel's "CSV UTF-8" writes)
+                # goes before parsing, so a quoted header still parses
+                lines = chain([first.removeprefix("\ufeff")], lines)
+            reader = csv.reader(lines)
+            header = next(reader, None)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"cannot read input CSV: {exc}") from exc
+        if header is None:
+            raise SchemaError("CSV is empty (no header row)")
+        predictor_pos, class_pos = read_header(header, schema, labels)
+        yield None
+        yield from _chunks(reader, schema, predictor_pos, class_pos, len(header))
 
 
 def _chunks(reader, schema, predictor_pos, class_pos, width):
@@ -466,7 +469,7 @@ def _chunks(reader, schema, predictor_pos, class_pos, width):
         try:
             # extend keeps the lines it appended before the reader raised
             lines.extend(islice(reader, CHUNK_ROWS))
-        except DataError as exc:
+        except (UnicodeDecodeError, csv.Error) as exc:
             failure = exc
         if not lines:
             break
@@ -507,7 +510,7 @@ def _chunks(reader, schema, predictor_pos, class_pos, width):
         y = np.empty(0, np.int64) if class_pos is None else classes
         yield RawDataset(schema, table, y), errors
     if failure is not None:
-        raise failure
+        raise DataError(f"cannot read input CSV: {failure}") from failure
 
 
 def _floats(column: Sequence[str]) -> list[float]:

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import gc
 import hashlib
 import io
 import itertools
@@ -100,7 +101,7 @@ def _write_interleaved(directory):
     rng = np.random.default_rng(11)
     x = rng.uniform(0, 1, 60)
     csv_path = directory / "interleaved.csv"
-    with open(csv_path, "w") as fh:
+    with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("x,label\n")
         for i, v in enumerate(x):
             fh.write(f"{v:.6f},{'a' if i % 2 == 0 else 'b'}\n")
@@ -112,7 +113,8 @@ def _write_interleaved(directory):
                 "class_attribute": "label",
                 "class_labels": ["a", "b"],
             }
-        )
+        ),
+        encoding="utf-8",
     )
     config_path = directory / "strict.json"
     config_path.write_text(
@@ -124,7 +126,8 @@ def _write_interleaved(directory):
                 "lvq": {"centroid_count": 4, "max_epochs": 10},
                 "pso": {"swarm_size": 8, "max_iterations": 10, "stagnation_limit": 5},
             }
-        )
+        ),
+        encoding="utf-8",
     )
     return csv_path, schema_path, config_path
 
@@ -139,7 +142,7 @@ def _run_into_closed_pipe(argv):
     os.close(read_end)
     try:
         return subprocess.run([sys.executable, "-m", "rulemine.cli", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              stdout=write_end, stderr=subprocess.PIPE, encoding="utf-8",
                               env=env, timeout=120)
     finally:
         os.close(write_end)
@@ -156,7 +159,7 @@ def workdir(tmp_path_factory):
                     "--out", str(d / "model.json"),
                     "--seed", "7", "--test-fraction", "0.3"]) == 0
 
-    (d / "small.json").write_text(json.dumps(SMALL_CONFIG))
+    (d / "small.json").write_text(json.dumps(SMALL_CONFIG), encoding="utf-8")
     assert _silent(["synth", "--rows", "200", "--seed", "4",
                     "--profile", "fragmented", "--out", str(d / "frag")]) == 0
     assert _silent(["train", "--data", str(d / "frag.csv"),
@@ -283,7 +286,7 @@ def test_output_naming_an_input_is_config_error(
 def test_data_without_the_class_column_is_data_error(workdir, tmp_path, capsys, command):
     # predict scores such a file; train and evaluate need its labels
     data = tmp_path / "unlabeled.csv"
-    data.write_text("x1,x2\n0.9,0.1\n0.1,0.9\n")
+    data.write_text("x1,x2\n0.9,0.1\n0.1,0.9\n", encoding="utf-8")
     argv = {
         "train": ["train", "--data", str(data), "--schema", str(workdir / "sep.schema.json"),
                   "--out", str(tmp_path / "m.json")],
@@ -308,7 +311,7 @@ class TestTrain:
         assert "accuracy (%)" in out
         assert "100.00" in out  # the separable profile is learned perfectly
         assert (tmp_path / "m.json").exists()
-        report = json.loads((tmp_path / "m.report.json").read_text())
+        report = json.loads((tmp_path / "m.report.json").read_text(encoding="utf-8"))
         assert report["mining"]["stop_reason"] == "all_covered"
         assert report["evaluation"]["accuracy_percent"] == pytest.approx(100.0)
 
@@ -319,21 +322,21 @@ class TestTrain:
         # rule below min_confidence, and train would exit 3 with no model
         assert _silent(["synth", "--rows", "200", "--seed", "3", "--profile", "credit3",
                         "--out", str(tmp_path / "credit")]) == 0
-        (tmp_path / "small.json").write_text(json.dumps(SMALL_CONFIG))
+        (tmp_path / "small.json").write_text(json.dumps(SMALL_CONFIG), encoding="utf-8")
         code = cli.main(["train", "--data", str(tmp_path / "credit.csv"),
                          "--schema", str(tmp_path / "credit.schema.json"),
                          "--out", str(tmp_path / "m.json"),
                          "--seed", "3", "--config", str(tmp_path / "small.json")])
         capsys.readouterr()
         assert code == cli.EXIT_OK
-        rules = json.loads((tmp_path / "m.json").read_text())["rule_list"]["rules"]
+        rules = json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["rule_list"]["rules"]
         assert len(rules) >= 1
         assert {cond["kind"] for rule in rules for cond in rule["antecedent"]} == {
             "membership", "interval"}
 
     def test_network_goes_to_report_not_model(self, workdir):
-        model = json.loads((workdir / "fmodel.json").read_text())
-        report = json.loads((workdir / "fmodel.report.json").read_text())
+        model = json.loads((workdir / "fmodel.json").read_text(encoding="utf-8"))
+        report = json.loads((workdir / "fmodel.report.json").read_text(encoding="utf-8"))
         assert "network" not in model
         network = report["mining"]["network"]
         assert sum(network["allocation"].values()) == SMALL_CONFIG["lvq"]["centroid_count"]
@@ -359,7 +362,7 @@ class TestTrain:
         out = capsys.readouterr().out
         assert code == 0
         assert "accuracy (%)" not in out
-        report = json.loads((tmp_path / "m.report.json").read_text())
+        report = json.loads((tmp_path / "m.report.json").read_text(encoding="utf-8"))
         assert report["evaluation"] is None
 
     @pytest.mark.parametrize("fraction", ["-0.3", "nan"])
@@ -429,22 +432,23 @@ class TestTrain:
         d = str(tmp_path)
         assert _silent(["synth", "--rows", "60", "--seed", "1", "--profile", "fragmented",
                         "--out", f"{d}/tiny"]) == 0
-        (tmp_path / "small.json").write_text(json.dumps({**SMALL_CONFIG, "min_confidence": 0.6}))
+        (tmp_path / "small.json").write_text(
+            json.dumps({**SMALL_CONFIG, "min_confidence": 0.6}), encoding="utf-8")
         code = cli.main(["train", "--data", f"{d}/tiny.csv", "--schema", f"{d}/tiny.schema.json",
                          "--out", f"{d}/model.json", "--seed", "2",
                          "--config", f"{d}/small.json"])
         assert code == cli.EXIT_NO_RULES
         assert "warning: no rules were emitted" in capsys.readouterr().err
-        mining = json.loads((tmp_path / "model.report.json").read_text())["mining"]
+        mining = json.loads((tmp_path / "model.report.json").read_text(encoding="utf-8"))["mining"]
         assert [log["outcome"] for log in mining["swarm_logs"]] == ["folded"]
         assert mining["rules"] == [] and mining["failed_attempts"] == {"common": 0, "rare": 0}
-        model = json.loads((tmp_path / "model.json").read_text())
+        model = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
         assert model["rule_list"] == {"rules": [], "default_class": 0}
         # the list as mined without the fold: the rule, then a default it hides
         unfolded = copy.deepcopy(model)
         unfolded["rule_list"] = {"rules": [{"antecedent": [], "class_index": 0}],
                                  "default_class": 1}
-        (tmp_path / "unfolded.json").write_text(json.dumps(unfolded))
+        (tmp_path / "unfolded.json").write_text(json.dumps(unfolded), encoding="utf-8")
         outputs = {}
         for name in ("model", "unfolded"):
             assert cli.main(["predict", "--model", f"{d}/{name}.json",
@@ -462,10 +466,10 @@ class TestTrain:
         # one class leaves nothing to separate: a fault of the data (exit 1)
         assert _silent(["synth", "--rows", "800", "--seed", "1", "--profile", "credit3",
                         "--out", str(tmp_path / "credit")]) == 0
-        header, *rows = (tmp_path / "credit.csv").read_text().splitlines()
+        header, *rows = (tmp_path / "credit.csv").read_text(encoding="utf-8").splitlines()
         deny = [row for row in rows if row.endswith(",Deny")][:300]
         assert len(deny) == 300
-        (tmp_path / "deny.csv").write_text("\n".join([header, *deny]) + "\n")
+        (tmp_path / "deny.csv").write_text("\n".join([header, *deny]) + "\n", encoding="utf-8")
         code = cli.main(["train", "--data", str(tmp_path / "deny.csv"),
                          "--schema", str(tmp_path / "credit.schema.json"),
                          "--out", str(tmp_path / "m.json"), "--test-fraction", test_fraction])
@@ -478,7 +482,7 @@ class TestTrain:
 class TestPredict:
     def test_scores_rows_with_fired_rule_detail(self, workdir, capsys, tmp_path):
         points = tmp_path / "points.csv"
-        points.write_text("x1,x2\n0.900000,0.100000\n0.100000,0.900000\n")
+        points.write_text("x1,x2\n0.900000,0.100000\n0.100000,0.900000\n", encoding="utf-8")
         code = cli.main(["predict", "--model", str(workdir / "model.json"),
                          "--input", str(points)])
         out = capsys.readouterr().out
@@ -502,9 +506,10 @@ class TestPredict:
         rows = [("0.900000,0.100000", "pos"), ("0.100000,0.900000", "positive"),
                 ("0.900000,0.100000", "")]
         labeled = tmp_path / "labeled.csv"
-        labeled.write_text("x1,x2,label\n" + "".join(f"{x},{c}\n" for x, c in rows))
+        labeled.write_text("x1,x2,label\n" + "".join(f"{x},{c}\n" for x, c in rows),
+                           encoding="utf-8")
         bare = tmp_path / "bare.csv"
-        bare.write_text("x1,x2\n" + "".join(f"{x}\n" for x, _ in rows))
+        bare.write_text("x1,x2\n" + "".join(f"{x}\n" for x, _ in rows), encoding="utf-8")
         outputs = []
         for points in (labeled, bare):
             code = cli.main(["predict", "--model", str(workdir / "model.json"),
@@ -531,7 +536,8 @@ class TestPredict:
             "sector_a,band_1,0.5\n"
             "sector_z,band_1,0.5\n"      # undeclared nominal value
             "sector_b,band_2,oops\n"     # unparsable numeric
-            "sector_c,band_4,0.25\n"
+            "sector_c,band_4,0.25\n",
+            encoding="utf-8",
         )
         code = cli.main(["predict", "--model", str(workdir / "fmodel.json"),
                          "--input", str(score)])
@@ -546,14 +552,14 @@ class TestPredict:
 
     def test_out_flag_writes_file(self, workdir, capsys, tmp_path):
         points = tmp_path / "points.csv"
-        points.write_text("x1,x2\n0.900000,0.100000\n")
+        points.write_text("x1,x2\n0.900000,0.100000\n", encoding="utf-8")
         dest = tmp_path / "scored.csv"
         code = cli.main(["predict", "--model", str(workdir / "model.json"),
                          "--input", str(points), "--out", str(dest)])
         out = capsys.readouterr().out
         assert code == 0
         assert "prediction" not in out  # CSV went to the file, not stdout
-        assert dest.read_text().startswith("prediction,fired_rule,rule\n")
+        assert dest.read_text(encoding="utf-8").startswith("prediction,fired_rule,rule\n")
 
     @pytest.mark.parametrize("link", [None, os.symlink, os.link],
                              ids=["same-path", "symlink", "hard-link"])
@@ -575,7 +581,7 @@ class TestPredict:
 
     def test_header_only_input_is_data_error(self, workdir, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
-        empty.write_text("x1,x2\n")
+        empty.write_text("x1,x2\n", encoding="utf-8")
         code = cli.main(["predict", "--model", str(workdir / "model.json"),
                          "--input", str(empty)])
         err = capsys.readouterr().err
@@ -585,14 +591,15 @@ class TestPredict:
     def test_closed_stdout_ends_quietly_with_ok(self, workdir, tmp_path):
         # far more output than a pipe buffers, so predict is still writing
         # when the reader goes away after the first line, as `| head -1` does
-        header, *rows = (workdir / "frag.csv").read_text().splitlines(keepends=True)
+        text = (workdir / "frag.csv").read_text(encoding="utf-8")
+        header, *rows = text.splitlines(keepends=True)
         score = tmp_path / "score.csv"
-        score.write_text(header + "".join(rows * 50))
+        score.write_text(header + "".join(rows * 50), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(Path(rulemine.__file__).parents[1])}
         with subprocess.Popen(
             [sys.executable, "-m", "rulemine.cli", "predict",
              "--model", str(workdir / "fmodel.json"), "--input", str(score)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8", env=env,
         ) as proc:
             assert proc.stdout.readline() == "prediction,fired_rule,rule\n"
             proc.stdout.close()
@@ -617,10 +624,10 @@ class TestPredict:
         assert proc.stderr == ""
         if command == "train":
             assert load_model(tmp_path / "m.json").rule_list.rules
-            report = json.loads((tmp_path / "m.report.json").read_text())
+            report = json.loads((tmp_path / "m.report.json").read_text(encoding="utf-8"))
             assert report["mining"] and report["evaluation"]
         else:
-            doc = json.loads((tmp_path / "e.json").read_text())
+            doc = json.loads((tmp_path / "e.json").read_text(encoding="utf-8"))
             assert doc["model"] and doc["baseline"]
 
     def test_closed_stdout_keeps_the_no_rules_exit_and_warning(self, tmp_path):
@@ -642,13 +649,14 @@ class TestPredict:
             "sector_a,band_1,0.5\n"
             "sector_z,band_1,0.5\n"
             "\n"
-            "sector_c,band_4,0.25\n"
+            "sector_c,band_4,0.25\n",
+            encoding="utf-8",
         )
         dest = tmp_path / "scored.csv"
         code = cli.main(["predict", "--model", str(workdir / "fmodel.json"),
                          "--input", str(score), "--out", str(dest)])
         captured = capsys.readouterr()
-        lines = dest.read_text().splitlines()
+        lines = dest.read_text(encoding="utf-8").splitlines()
         assert code == 0
         assert captured.out == ""
         assert len(lines) == 4  # the summary is not part of the CSV
@@ -657,7 +665,8 @@ class TestPredict:
 
     def test_all_rows_bad_is_data_error_with_summary(self, workdir, capsys, tmp_path):
         score = tmp_path / "score.csv"
-        score.write_text("sector,band,score\nsector_z,band_1,0.5\nsector_a,band_1,\n")
+        score.write_text("sector,band,score\nsector_z,band_1,0.5\nsector_a,band_1,\n",
+                         encoding="utf-8")
         code = cli.main(["predict", "--model", str(workdir / "fmodel.json"),
                          "--input", str(score)])
         captured = capsys.readouterr()
@@ -670,7 +679,7 @@ class TestPredict:
         self, workdir, capsys, tmp_path, monkeypatch, labeled
     ):
         monkeypatch.setattr(rulemine.schema, "CHUNK_ROWS", 7)
-        header, *rows = (workdir / "frag.csv").read_text().splitlines()[:61]
+        header, *rows = (workdir / "frag.csv").read_text(encoding="utf-8").splitlines()[:61]
         if not labeled:
             header = header.rsplit(",", 1)[0]
             rows = [row.rsplit(",", 1)[0] for row in rows]
@@ -686,7 +695,7 @@ class TestPredict:
         for i in (0, 10, 11, 33, 52):
             rows.insert(i, "")
         points = tmp_path / "points.csv"
-        points.write_text(header + "\n" + "\n".join(rows) + "\n")
+        points.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
 
         code = cli.main(["predict", "--model", str(workdir / "fmodel.json"),
                          "--input", str(points)])
@@ -699,7 +708,7 @@ class TestPredict:
 
     def test_bad_header_writes_nothing(self, workdir, capsys, tmp_path):
         points = tmp_path / "points.csv"
-        points.write_text("x1,x3\n0.9,0.1\n")
+        points.write_text("x1,x3\n0.9,0.1\n", encoding="utf-8")
         code = cli.main(["predict", "--model", str(workdir / "model.json"),
                          "--input", str(points)])
         captured = capsys.readouterr()
@@ -710,7 +719,7 @@ class TestPredict:
     def test_bad_header_opens_no_out_file(self, workdir, capsys, tmp_path):
         # the header is matched before --out is opened
         points = tmp_path / "points.csv"
-        points.write_text("x1,x3\n0.9,0.1\n")
+        points.write_text("x1,x3\n0.9,0.1\n", encoding="utf-8")
         dest = tmp_path / "scored.csv"
         code = cli.main(["predict", "--model", str(workdir / "model.json"),
                          "--input", str(points), "--out", str(dest)])
@@ -783,7 +792,7 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert code == 0
         assert "accuracy (%)" in out
-        doc = json.loads(dest.read_text())
+        doc = json.loads(dest.read_text(encoding="utf-8"))
         artifact = load_model(workdir / "model.json")
         raw = parse_csv(str(workdir / "sep.csv"), artifact.schema)
         data = encode(raw, ranges_from=artifact.numeric_ranges)
@@ -800,7 +809,7 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert code == 0
         assert "rule count comparison" in out
-        doc = json.loads(dest.read_text())
+        doc = json.loads(dest.read_text(encoding="utf-8"))
         comparison = doc["baseline"]
         # on the pocket data the swarm-mined list is the more parsimonious one
         assert comparison["model"]["rule_count"] < comparison["greedy"]["rule_count"]
@@ -823,10 +832,10 @@ class TestEvaluate:
             artifact.rule_list, data).confusion.counts.tolist()
 
     def test_one_class_test_set(self, workdir, capsys, tmp_path):
-        lines = (workdir / "sep.csv").read_text().splitlines()
+        lines = (workdir / "sep.csv").read_text(encoding="utf-8").splitlines()
         pos_only = [lines[0]] + [l for l in lines[1:] if l.endswith(",pos")]
         data = tmp_path / "onlypos.csv"
-        data.write_text("\n".join(pos_only) + "\n")
+        data.write_text("\n".join(pos_only) + "\n", encoding="utf-8")
         code = cli.main(["evaluate", "--model", str(workdir / "model.json"),
                          "--data", str(data)])
         out = capsys.readouterr().out
@@ -835,7 +844,7 @@ class TestEvaluate:
 
     def test_unknown_label_is_data_error(self, workdir, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
-        bad.write_text("x1,x2,label\n0.9,0.1,positive\n")
+        bad.write_text("x1,x2,label\n0.9,0.1,positive\n", encoding="utf-8")
         code = cli.main(["evaluate", "--model", str(workdir / "model.json"),
                          "--data", str(bad)])
         err = capsys.readouterr().err
@@ -905,7 +914,7 @@ def _latin1_csv(path):
 
 def _huge_field_csv(path):
     # one field past the csv module's 131,072-character limit
-    path.write_text("x1,x2,label\n0.5,0.5,pos\n" + "1" * 200_000 + ",0.5,neg\n")
+    path.write_text("x1,x2,label\n0.5,0.5,pos\n" + "1" * 200_000 + ",0.5,neg\n", encoding="utf-8")
 
 
 class TestNoTraceback:
@@ -948,7 +957,8 @@ class TestNoTraceback:
                          "--input", str(data), "--out", str(out)])
         assert code == cli.EXIT_DATA
         assert "can't decode byte 0xe9" in capsys.readouterr().err
-        assert out.read_text().splitlines()[1].startswith("ERROR,-,row 1: cannot parse 'lots'")
+        scored = out.read_text(encoding="utf-8").splitlines()
+        assert scored[1].startswith("ERROR,-,row 1: cannot parse 'lots'")
 
     @pytest.mark.parametrize("command", ["train", "train-report", "predict", "evaluate", "synth"])
     def test_out_in_missing_directory(self, workdir, tmp_path, capsys, command):
@@ -968,6 +978,21 @@ class TestNoTraceback:
         assert _run_to_error(argv, capsys, cli.EXIT_DATA,
                              "[Errno 2] No such file or directory: ...") == ""
         assert os.listdir(tmp_path) == []
+
+
+def test_only_the_program_freezes_the_heap(tmp_path, capsys, monkeypatch):
+    # main freezes what the imports built when it runs as the program, with
+    # no argv; a caller that passes argv keeps its collector as it was
+    argv = ["synth", "--rows", "80", "--profile", "separable", "--out", str(tmp_path / "s")]
+    frozen = gc.get_freeze_count()
+    try:
+        assert cli.main(argv) == cli.EXIT_OK
+        assert gc.get_freeze_count() == frozen
+        monkeypatch.setattr(sys, "argv", ["rulemine", *argv])
+        assert cli.main() == cli.EXIT_OK
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
 
 
 _MALFORMED_CSVS = [
@@ -990,7 +1015,7 @@ class TestMalformedInputs:
                              ids=[f"{c}-{m}" for c, _, m in _MALFORMED_CSVS])
     def test_csv(self, workdir, tmp_path, capsys, command, text, message):
         data = tmp_path / "data.csv"
-        data.write_text(text)
+        data.write_text(text, encoding="utf-8")
         argv = {
             "train": ["train", "--data", str(data),
                       "--schema", str(workdir / "frag.schema.json"),
@@ -1215,7 +1240,8 @@ def _edited(source, dest, edit, value):
         if value is not None:
             dest.write_bytes(value)
     else:
-        dest.write_text(json.dumps(_mutated(json.loads(source.read_text()), edit, value)))
+        doc = json.loads(source.read_text(encoding="utf-8"))
+        dest.write_text(json.dumps(_mutated(doc, edit, value)), encoding="utf-8")
     return str(dest)
 
 
@@ -1283,12 +1309,12 @@ def _legacy_edits(doc, mining, form):
 def test_legacy_model_form(workdir, tmp_path, capsys, form):
     # models written by older versions carry these, unread: each loads as the
     # current model and gives the same predict and evaluate --baseline bytes
-    doc = json.loads((workdir / "fmodel.json").read_text())
-    mining = json.loads((workdir / "fmodel.report.json").read_text())["mining"]
+    doc = json.loads((workdir / "fmodel.json").read_text(encoding="utf-8"))
+    mining = json.loads((workdir / "fmodel.report.json").read_text(encoding="utf-8"))["mining"]
     assert len(doc["rule_list"]["rules"]) == len(mining["rules"]) >= 1
     for edit, value in _legacy_edits(doc, mining, form):
         doc = _mutated(doc, edit, value)
-    (tmp_path / "old.json").write_text(json.dumps(doc, indent=2))
+    (tmp_path / "old.json").write_text(json.dumps(doc, indent=2), encoding="utf-8")
     outputs = []
     for model in (str(workdir / "fmodel.json"), str(tmp_path / "old.json")):
         assert cli.main(["predict", "--model", model, "--input", str(workdir / "frag.csv")]) == 0
@@ -1302,14 +1328,14 @@ def test_legacy_model_form(workdir, tmp_path, capsys, form):
 def test_malformed_model_is_one_error_line_in_a_subprocess(workdir, tmp_path):
     # the tables run in process, where an unhandled exception fails the row;
     # python -m rulemine.cli ends in one error line too, with no traceback
-    doc = _mutated(json.loads((workdir / "fmodel.json").read_text()), _COND,
+    doc = _mutated(json.loads((workdir / "fmodel.json").read_text(encoding="utf-8")), _COND,
                    {"kind": "interval", "attribute": "score", "lo": 0.9, "hi": 0.1})
-    (tmp_path / "model.json").write_text(json.dumps(doc))
+    (tmp_path / "model.json").write_text(json.dumps(doc), encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(Path(rulemine.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "rulemine.cli", "predict", "--model", str(tmp_path / "model.json"),
          "--input", str(workdir / "frag.csv")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, encoding="utf-8", env=env, timeout=120,
     )
     assert proc.returncode == cli.EXIT_DATA
     assert proc.stdout == ""
@@ -1368,11 +1394,11 @@ def fuzzdir(tmp_path_factory):
     config = MinerConfig.from_dict(SMALL_CONFIG).to_dict()
     for section in (config, config["lvq"], config["pso"]):
         del section["seed"]
-    (d / "config.json").write_text(json.dumps(config))
+    (d / "config.json").write_text(json.dumps(config), encoding="utf-8")
     assert _silent(["train", "--data", str(d / "tiny.csv"),
                     "--schema", str(d / "tiny.schema.json"), "--out", str(d / "model.json"),
                     "--seed", "2", "--config", str(d / "config.json")]) == 0
-    rules = json.loads((d / "model.json").read_text())["rule_list"]["rules"]
+    rules = json.loads((d / "model.json").read_text(encoding="utf-8"))["rule_list"]["rules"]
     assert {cond["kind"] for rule in rules for cond in rule["antecedent"]} == {
         "membership", "interval"}
     return d
@@ -1383,11 +1409,11 @@ class TestJsonFuzz:
     never in an exception."""
 
     def _mutate(self, data, path):
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
         key_path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
         value = data.draw(st.sampled_from(_FUZZ_VALUES), label="value")
         mutated = path.with_name("mutated.json")
-        mutated.write_text(json.dumps(_mutated(doc, key_path, value)))
+        mutated.write_text(json.dumps(_mutated(doc, key_path, value)), encoding="utf-8")
         return str(mutated)
 
     def _train(self, d, **files):
@@ -1428,7 +1454,7 @@ def csvfuzz(tmp_path_factory):
     d = tmp_path_factory.mktemp("csvfuzz")
     assert _silent(["synth", "--rows", "200", "--seed", "3",
                     "--profile", "credit3", "--out", str(d / "credit")]) == 0
-    (d / "small.json").write_text(json.dumps(SMALL_CONFIG))
+    (d / "small.json").write_text(json.dumps(SMALL_CONFIG), encoding="utf-8")
     assert _silent(["train", "--data", str(d / "credit.csv"),
                     "--schema", str(d / "credit.schema.json"), "--out", str(d / "model.json"),
                     "--seed", "3", "--config", str(d / "small.json")]) == 0

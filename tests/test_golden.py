@@ -82,14 +82,14 @@ def test_walkthrough_bytes(case, tmp_path):
     d = str(tmp_path)
     options = []
     if config is not None:
-        (tmp_path / "config.json").write_text(json.dumps(config))
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
         options = ["--config", f"{d}/config.json"]
     _run(["synth", "--rows", str(rows), "--seed", "1", "--profile", profile,
           "--out", f"{d}/data"])
     train_out = _run(["train", "--data", f"{d}/data.csv", "--schema", f"{d}/data.schema.json",
                       "--out", f"{d}/model.json", "--seed", "1", "--test-fraction", "0.3",
                       *options])
-    (tmp_path / "train.stdout").write_text(train_out)
+    (tmp_path / "train.stdout").write_text(train_out, encoding="utf-8")
     _run(["predict", "--model", f"{d}/model.json", "--input", f"{d}/data.csv",
           "--out", f"{d}/scored.csv"])
     _run(["evaluate", "--model", f"{d}/model.json", "--data", f"{d}/data.csv",

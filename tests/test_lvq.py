@@ -274,8 +274,8 @@ class TestTraining:
         env = {**os.environ, "PYTHONPATH": str(Path(rulemine.__file__).parents[1])}
         outputs = [
             subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                           env={**env, "OPENBLAS_NUM_THREADS": threads}, timeout=120,
-                           check=True).stdout
+                           encoding="utf-8", env={**env, "OPENBLAS_NUM_THREADS": threads},
+                           timeout=120, check=True).stdout
             for threads in ("1", "2")
         ]
         assert outputs[0] == outputs[1] != ""

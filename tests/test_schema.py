@@ -149,21 +149,24 @@ def _per_row_reference(text, schema, labels=True):
     """Each data row of ``text`` checked on its own by coerce_row (its width,
     its values, then its class label with ``labels``): ``(values as float
     bits, class or None)`` or the error message of the first check that
-    fails."""
+    fails. A record csv.reader cannot read ends the list with its message."""
     lines = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     header = next(lines)
     positions, class_pos = read_header(header, schema, labels)
     out = []
-    for number, fields in enumerate(lines, start=1):
-        if not fields:
-            continue
-        try:
-            values, label = coerce_row(schema, fields, len(header), positions, class_pos,
-                                       number)
-        except DataError as exc:
-            out.append(str(exc))
-            continue
-        out.append((tuple(float(v).hex() for v in values), label if labels else None))
+    try:
+        for number, fields in enumerate(lines, start=1):
+            if not fields:
+                continue
+            try:
+                values, label = coerce_row(schema, fields, len(header), positions, class_pos,
+                                           number)
+            except DataError as exc:
+                out.append(str(exc))
+                continue
+            out.append((tuple(float(v).hex() for v in values), label if labels else None))
+    except csv.Error as exc:
+        out.append(f"cannot read input CSV: {exc}")
     return out
 
 
@@ -173,16 +176,22 @@ def _chunked(text, schema, chunk_rows, labels=True):
     out = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rulemine.schema, "CHUNK_ROWS", chunk_rows)
-        chunks = list(read_chunks(io.StringIO(text), schema, labels=labels))
-    for raw, errors in chunks:
-        assert raw.rows.dtype == np.float64 and raw.rows.shape[1] == len(schema.attributes)
-        # one int64 label per row, or none at all when the class column is not read
-        assert raw.y.dtype == np.int64 and raw.y.shape == ((len(raw),) if labels else (0,))
-        classes = raw.y.tolist() or [None] * len(raw)
-        rows = [(tuple(v.hex() for v in row), c) for row, c in zip(raw.rows.tolist(), classes)]
-        for position, exc in errors:
-            rows.insert(position, str(exc))
-        out.extend(rows)
+        try:
+            for raw, errors in read_chunks(io.StringIO(text), schema, labels=labels):
+                assert raw.rows.dtype == np.float64
+                assert raw.rows.shape[1] == len(schema.attributes)
+                # one int64 label per row, or none at all when the class
+                # column is not read
+                assert raw.y.dtype == np.int64
+                assert raw.y.shape == ((len(raw),) if labels else (0,))
+                classes = raw.y.tolist() or [None] * len(raw)
+                rows = [(tuple(v.hex() for v in row), c)
+                        for row, c in zip(raw.rows.tolist(), classes)]
+                for position, exc in errors:
+                    rows.insert(position, str(exc))
+                out.extend(rows)
+        except DataError as exc:
+            out.append(str(exc))
     return out
 
 
@@ -211,6 +220,33 @@ class TestColumnReaderMatchesPerRowCheck:
             assert kind in messages
         assert ("class label 'POS' is not declared" in messages) == labels
         assert _chunked(text, edge_schema, chunk_rows, labels) == expected
+
+    @pytest.mark.parametrize("line", [
+        '"mar,\nried",100,30,Accept',
+        "married,100,30,Accept\r",
+        # a CR inside a line, which csv.reader refuses
+        "married,100\r,30,Accept",
+        "mar\0ried,100,30,Accept",
+        # a field past csv's field limit, which csv.reader refuses
+        "married," + "1" * 140_000 + ",30,Accept",
+    ], ids=["quoted-comma-and-newline", "crlf", "cr-inside-a-line", "nul",
+            "over-the-field-limit"])
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 7, 4096])
+    def test_unusual_record_mid_file(self, credit_schema, line, chunk_rows):
+        # the record ends the second chunk; the rows after it, among them a
+        # blank line and a bad one, keep their numbers, or reading stops at
+        # the record csv.reader cannot read: Python 3.10's csv refuses the
+        # NUL, 3.11's reads it
+        rows = ["married,100,30,Accept"] * (2 * chunk_rows + 5)
+        rows[0] = "widowed,100,30,Accept"
+        rows[2 * chunk_rows - 1] = line
+        rows[2 * chunk_rows + 1] = ""
+        rows[-1] = "married,lots,30,Accept"
+        text = "marital_status,salary,age,status\n" + "\n".join(rows) + "\n"
+        expected = _per_row_reference(text, credit_schema)
+        assert len(expected) >= 2 * chunk_rows
+        assert expected[0].startswith("row 1: value 'widowed' not declared")
+        assert _chunked(text, credit_schema, chunk_rows) == expected
 
     def test_parse_csv_table_and_first_error(self, edge_schema):
         text = _edge_csv()
