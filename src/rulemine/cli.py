@@ -21,12 +21,16 @@ import csv
 import gc
 import io
 import os
+import shutil
+import struct
 import sys
-from contextlib import closing, nullcontext
+import tempfile
+from contextlib import closing, nullcontext, suppress
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
-from .errors import ConfigError, RulemineError
+from .errors import ConfigError, DataError, RulemineError
 from .evaluation import evaluate, mine_greedy_baseline
 from .miner import MinerConfig, mine
 from .model_io import ModelArtifact, load_model, save_model
@@ -35,9 +39,12 @@ from .schema import (
     encode,
     load_schema,
     parse_csv,
+    Part,
     read_chunks,
     read_json,
+    read_part,
     save_schema,
+    split_csv,
     stratified_split,
     write_json,
 )
@@ -148,7 +155,22 @@ def _csv_line(fields: list) -> str:
     return buf.getvalue()
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on; 1 where the platform
+    cannot say (no ``os.sched_getaffinity``), so predict forks on Linux
+    alone."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+# a child's output lines, ERROR lines, default rows and chunks, after its lines
+_COUNTS = struct.Struct("<4q")
+
+
 def cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
+    """Score ``--input``, in one part per usable CPU where ``split_csv`` can
+    cut it (see ``_score_parts``), with the output of one reader."""
     _refuse_overwrite({"--model": args.model, "--input": args.input}, {"--out": args.out})
     artifact = load_model(args.model)
     schema = artifact.schema
@@ -162,12 +184,11 @@ def cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
     ]
     # reads and matches the header now, so a bad one stops before --out opens
     chunks = read_chunks(args.input, schema, labels=False)
+    parts = split_csv(args.input, usable_cpus())
 
-    total = errors = defaults = 0
-    # the input closes however this ends, an --out that cannot be opened too
-    with closing(chunks), (open(args.out, "w", encoding="utf-8", newline="") if args.out
-                           else nullcontext(sys.stdout)) as out_fh:
-        out_fh.write(_csv_line(["prediction", "fired_rule", "rule"]))
+    def score(chunks, write, counts: list[int]) -> None:
+        """Write the output lines of ``chunks``, adding to ``counts`` as
+        each chunk is written."""
         for raw, bad in chunks:
             fired: list[int] = []
             if len(raw):
@@ -175,17 +196,124 @@ def cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
             lines = list(map(outcomes.__getitem__, fired))
             for position, exc in bad:
                 lines.insert(position, _csv_line(["ERROR", "-", str(exc)]))
-            out_fh.write("".join(lines))
-            total += len(lines)
-            errors += len(bad)
-            defaults += fired.count(0)
+            write("".join(lines))
+            for i, n in enumerate((len(lines), len(bad), fired.count(0), 1)):
+                counts[i] += n
 
+    counts = [0, 0, 0, 0]  # output lines, ERROR lines, default rows, chunks
+    # the input closes however this ends, an --out that cannot be opened too
+    with closing(chunks), (open(args.out, "w", encoding="utf-8", newline="") if args.out
+                           else nullcontext(sys.stdout)) as out_fh:
+        out_fh.write(_csv_line(["prediction", "fired_rule", "rule"]))
+        if len(parts) == 1:
+            score(chunks, out_fh.write, counts)
+        else:
+            _score_parts(score, args.input, schema, parts, chunks, out_fh, counts)
+
+    total, errors, defaults, _ = counts
     if total == 0:
         print("error: input contains no data rows", file=sys.stderr)
         return EXIT_DATA, ""
     scored = total - errors
     print(f"scored {scored} rows, {errors} ERROR, {defaults} default", file=sys.stderr)
     return (EXIT_OK if scored > 0 else EXIT_DATA), ""
+
+
+def _score_parts(score, path: str, schema, parts: list[Part], chunks, out_fh,
+                 counts: list[int]) -> None:
+    """Score each part of ``path`` after the first in a forked child, and the
+    first in this process; then copy out each child's lines in order. From
+    the first part whose reader fails on, ``chunks``, the reader of the
+    whole file, scores the rest. No child outlives this call."""
+    for stream in (out_fh, sys.stdout, sys.stderr):
+        stream.flush()  # or each child holds a copy of what they buffer
+    children: list[tuple[int, io.BufferedRandom]] = []  # (pid, file) per forked part
+    running: set[int] = set()  # the children not yet reaped
+    try:
+        for part in parts[1:]:
+            try:
+                children.append(_fork_part(score, path, schema, part))
+            except OSError:  # no process or file to spare: the parent reads on
+                break
+            running.add(children[-1][0])
+        done = 0  # the parts whose lines are written
+        # a part whose reader fails is read again by the reader of the whole
+        # file, which fails at the same point after the same lines
+        with suppress(DataError):
+            score(read_part(path, schema, parts[0], labels=False), out_fh.write, counts)
+            done = 1
+            for pid, tmp in children:
+                code = _exit_code(pid)
+                running.discard(pid)
+                if code != 0:
+                    break
+                _copy_part(tmp, out_fh, counts)
+                done += 1
+        if done < len(parts):
+            _kill(running)
+            next(islice(chunks, counts[3], counts[3]), None)  # passes those written
+            score(chunks, out_fh.write, counts)
+    finally:
+        _kill(running)
+        for _, tmp in children:
+            tmp.close()
+
+
+def _fork_part(score, path: str, schema, part: Part) -> tuple[int, io.BufferedRandom]:
+    """Fork a child that scores ``part`` of ``path`` into an unnamed
+    temporary file, its counts after its lines; return (its pid, the file).
+    The child writes to no other stream and leaves through ``os._exit``
+    alone: 0 once the part is read, 1 on any exception."""
+    tmp = tempfile.TemporaryFile()
+    try:
+        pid = os.fork()
+    except BaseException:
+        tmp.close()
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            sink = io.TextIOWrapper(tmp, encoding="utf-8", newline="")
+            counts = [0, 0, 0, 0]
+            score(read_part(path, schema, part, labels=False), sink.write, counts)
+            sink.flush()
+            tmp.write(_COUNTS.pack(*counts))
+            tmp.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid, tmp
+
+
+def _exit_code(pid: int) -> int:
+    """Wait for child ``pid`` to end; its exit code, or -1 where it is
+    already reaped (as when SIGCHLD is ignored)."""
+    try:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError:
+        return -1
+
+
+def _copy_part(tmp: io.BufferedRandom, out_fh, counts: list[int]) -> None:
+    """Write a child's lines to ``out_fh`` and add its counts to ``counts``."""
+    end = tmp.seek(-_COUNTS.size, os.SEEK_END)
+    for i, n in enumerate(_COUNTS.unpack(tmp.read())):
+        counts[i] += n
+    tmp.truncate(end)
+    tmp.seek(0)
+    with io.TextIOWrapper(tmp, encoding="utf-8", newline="") as lines:
+        shutil.copyfileobj(lines, out_fh, 1 << 20)
+
+
+def _kill(running: set[int]) -> None:
+    """Kill and reap every child in ``running``."""
+    import signal  # here, as every command pays for what cli imports at load
+
+    while running:
+        pid = running.pop()
+        with suppress(ProcessLookupError):  # reaped already, as when SIGCHLD is ignored
+            os.kill(pid, signal.SIGKILL)
+        _exit_code(pid)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> tuple[int, str]:

@@ -10,15 +10,19 @@ metric works across mixed attribute kinds.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import json
 import math
+import os
+import stat
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Generator, Mapping, Sequence
+from typing import Generator, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -409,7 +413,9 @@ def read_chunks(
     Each chunk is ``(raw, errors)``: ``raw`` holds the chunk's rows that pass
     every check, and ``errors`` the DataError of each row that fails one,
     with the row's position among the chunk's data rows, in row order. Blank
-    lines are skipped but still counted in the 1-based row numbers. With
+    lines are skipped but still counted in the 1-based row numbers and in
+    the chunks: every chunk but the last holds ``CHUNK_ROWS`` CSV records,
+    and one of blank lines alone comes as an empty chunk. With
     ``labels``, the header must have the class column, whose labels are
     checked and converted into ``raw.y``; without, the column may be present
     and is not read, and each chunk's ``y`` is empty.
@@ -429,10 +435,11 @@ def read_chunks(
     return chunks
 
 
-def _open_chunks(source, schema, labels):
+def _open_chunks(source, schema, labels, first_row=1, limit=math.inf):
     """read_chunks' generator: None once the header is matched, then the
-    chunks. The input stays open from the header on, so closing or dropping
-    the generator closes a file it opened."""
+    chunks, at most ``limit`` of them, numbering the rows from ``first_row``.
+    The input stays open from the header on, so closing or dropping the
+    generator closes a file it opened."""
     try:
         fh = (open(source, "r", encoding="utf-8", newline="")
               if isinstance(source, (str, Path)) else nullcontext(source))
@@ -454,17 +461,17 @@ def _open_chunks(source, schema, labels):
             raise SchemaError("CSV is empty (no header row)")
         predictor_pos, class_pos = read_header(header, schema, labels)
         yield None
-        yield from _chunks(reader, schema, predictor_pos, class_pos, len(header))
+        yield from _chunks(reader, schema, predictor_pos, class_pos, len(header),
+                           first_row, limit)
 
 
-def _chunks(reader, schema, predictor_pos, class_pos, width):
+def _chunks(reader, schema, predictor_pos, class_pos, width, first, limit):
     lookups = [{v: i for i, v in enumerate(a.values)} if a.kind == NOMINAL else None
                for a in schema.attributes]
     label_lookup = {v: i for i, v in enumerate(schema.class_labels)}
     blank = [""] * width
-    first = 1
     failure = None
-    while failure is None:
+    while failure is None and limit > 0:
         lines: list[list[str]] = []
         try:
             # extend keeps the lines it appended before the reader raised
@@ -473,12 +480,14 @@ def _chunks(reader, schema, predictor_pos, class_pos, width):
             failure = exc
         if not lines:
             break
+        limit -= 1
         rows = [fields for fields in lines if fields]
         numbers = [n for n, fields in enumerate(lines, first) if fields]
         first += len(lines)
         del lines
         m = len(rows)
-        if m == 0:
+        if m == 0:  # blank lines alone still make a chunk, as split_csv counts them
+            yield RawDataset(schema, np.empty((0, len(lookups))), np.empty(0, np.int64)), []
             continue
         # a row of the wrong width goes in as empty fields, which fail in every
         # predictor column: no nominal value is empty, and float("") raises
@@ -524,6 +533,122 @@ def _floats(column: Sequence[str]) -> list[float]:
             return out
         except ValueError:
             out.append(math.nan)
+
+
+class Part(NamedTuple):
+    """One part of a CSV file as ``split_csv`` cuts it: the byte offsets of
+    its first line and past its last (the first part starts at the header;
+    the last one's ``stop`` is None, the end of the file), the number of its
+    first data row, and its number of ``CHUNK_ROWS``-line chunks (None for
+    the last part: all that remain)."""
+
+    start: int
+    stop: int | None
+    first_row: int
+    chunks: int | None
+
+
+# split_csv scans its file this many bytes at a time
+_SCAN_BYTES = 1 << 20
+# split_csv gives each part about this many whole chunks or more: a forked
+# reader of fewer saves no more than its fork and its copy-on-write page
+# faults cost (2 CPUs: a 20,000-row credit3 predict took 7% longer in 2
+# parts, a 40,000-row one 9% less time)
+_PART_CHUNKS = 4
+# read_part checks this many bytes past its part's end for one that is not
+# UTF-8: far more than the 8 KB a text file decodes at once, so a reader of
+# the whole file never decodes a byte there with the part's last line
+_LOOKAHEAD_BYTES = 1 << 20
+
+
+def split_csv(path: str | Path, parts: int) -> list[Part]:
+    """Cut a header-first CSV file into up to ``parts`` parts of whole
+    ``CHUNK_ROWS``-line chunks, with about as many rows each and about
+    ``_PART_CHUNKS`` chunks or more in each, for readers that each read one
+    part with ``read_part``.
+
+    Every cut lies before the file's first ``"`` or ``\\r`` byte: up to there
+    each ``\\n`` ends one CSV record, a blank line included, so a cut after
+    the line end that closes a whole chunk is a chunk boundary of a reader of
+    the whole file. A cut that would lie past that byte is left out. Only a
+    regular file is cut, as a pipe cannot be read twice; otherwise, or where
+    the file cannot be scanned, the one part is the whole file. The file is
+    scanned in blocks, so memory stays flat.
+    """
+    whole = [Part(0, None, 1, None)]
+    rows = CHUNK_ROWS  # at call time, so that a patched value counts
+    try:
+        if parts < 2 or not stat.S_ISREG(os.stat(path).st_mode):
+            return whole
+        with open(path, "rb") as fh:
+            blocks = []  # (byte offset, line ends before it) of each block
+            offset = ends = 0
+            plain = None  # the line ends before the first '"' or '\r'
+            while block := fh.read(_SCAN_BYTES):
+                blocks.append((offset, ends))
+                if plain is None:
+                    found = [i for i in (block.find(b'"'), block.find(b"\r")) if i >= 0]
+                    if found:
+                        plain = ends + block.count(b"\n", 0, min(found))
+                        if plain <= rows * _PART_CHUNKS:  # no part before it
+                            return whole
+                # numpy counts a block's line ends 3 times as fast as bytes.count
+                ends += int(np.count_nonzero(np.frombuffer(block, np.uint8) == 10))
+                offset += len(block)
+            # data rows: line end 0 closes the header, line end k data row k
+            total = ends - 1
+            parts = min(parts, total // (rows * _PART_CHUNKS))
+            if parts < 2:
+                return whole
+            limit = total if plain is None else plain - 1
+            cuts = [c for c in (round(i * total / parts / rows) * rows for i in range(1, parts))
+                    if c <= limit]
+            if not cuts:
+                return whole
+            stops = []
+            for cut in cuts:
+                start, before = next(b for b in reversed(blocks) if b[1] <= cut)
+                fh.seek(start)
+                newlines = np.flatnonzero(np.frombuffer(fh.read(_SCAN_BYTES), np.uint8) == 10)
+                stops.append(start + int(newlines[cut - before]) + 1)
+    except OSError:
+        return whole
+    firsts = [0, *cuts]
+    counts = [(b - a) // rows for a, b in zip(firsts, cuts)] + [None]
+    return [Part(start, stop, first + 1, count) for start, stop, first, count
+            in zip([0, *stops], [*stops, None], firsts, counts)]
+
+
+def read_part(
+    path: str | Path, schema: AttributeSchema, part: Part, labels: bool = True
+) -> Iterator[tuple[RawDataset, list[tuple[int, DataError]]]]:
+    """The chunks of one part of a CSV file that ``split_csv`` cut, as
+    ``read_chunks`` gives them for the whole file: the header is matched,
+    then the part's lines are read from its own offset and numbered from its
+    first row. A line that cannot be read in its last chunk raises as it
+    would in the whole file, after that chunk.
+
+    A part that ends before the file does also raises the DataError of a
+    byte that is not UTF-8 within ``_LOOKAHEAD_BYTES`` past its end: a
+    reader of the whole file may decode such a byte in one block with the
+    part's last lines, and then stop before them.
+    """
+    with open(path, "rb") as raw:
+        # the first part starts at the header; a later one takes a copy of it
+        header = [raw.readline().decode("utf-8")] if part.start else []
+        raw.seek(part.start)
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as stream:
+            chunks = _open_chunks(chain(header, stream), schema, labels, part.first_row,
+                                  math.inf if part.chunks is None else part.chunks)
+            next(chunks)  # matches the header
+            yield from chunks
+            if part.stop is not None:
+                raw.seek(part.stop)
+                ahead = raw.read(_LOOKAHEAD_BYTES)
+                try:
+                    codecs.utf_8_decode(ahead, "strict", len(ahead) < _LOOKAHEAD_BYTES)
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"cannot read input CSV: {exc}") from exc
 
 
 def parse_csv(source, schema: AttributeSchema) -> RawDataset:

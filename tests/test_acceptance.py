@@ -215,7 +215,7 @@ def test_criterion_8_determinism(capsys, tmp_path):
         "max_attempts_per_class": 2,
         "lvq": {"centroid_count": 6, "max_epochs": 15},
         "pso": {"swarm_size": 10, "max_iterations": 25, "stagnation_limit": 10},
-    }))
+    }), encoding="utf-8")
     base = ["train", "--data", str(tmp_path / "d.csv"),
             "--schema", str(tmp_path / "d.schema.json"),
             "--config", str(config_path), "--seed", "2"]
@@ -223,7 +223,7 @@ def test_criterion_8_determinism(capsys, tmp_path):
     assert cli.main(base + ["--out", str(tmp_path / "m2.json")]) == 0
     identical = (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
-    report = json.loads((tmp_path / "m1.report.json").read_text())
+    report = json.loads((tmp_path / "m1.report.json").read_text(encoding="utf-8"))
     logs = report["mining"]["swarm_logs"]
     monotone = len(logs) > 0 and all(
         all(a <= b for a, b in zip(log["best_fitness_trace"],

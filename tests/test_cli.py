@@ -11,6 +11,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -32,6 +33,7 @@ from rulemine.schema import (
     encode,
     parse_csv,
     read_header,
+    split_csv,
     stratified_split,
 )
 
@@ -674,12 +676,14 @@ class TestPredict:
         assert captured.out.splitlines()[1].startswith("ERROR,-,row 1:")
         assert captured.err == "scored 0 rows, 2 ERROR, 0 default\n"
 
+    @pytest.mark.parametrize("parts", [1, 2, 3])
     @pytest.mark.parametrize("labeled", [False, True])
     def test_chunked_output_matches_per_row_oracle(
-        self, workdir, capsys, tmp_path, monkeypatch, labeled
+        self, workdir, capsys, tmp_path, monkeypatch, labeled, parts
     ):
         monkeypatch.setattr(rulemine.schema, "CHUNK_ROWS", 7)
-        header, *rows = (workdir / "frag.csv").read_text(encoding="utf-8").splitlines()[:61]
+        monkeypatch.setattr(cli, "usable_cpus", lambda: parts)
+        header, *rows = (workdir / "frag.csv").read_text(encoding="utf-8").splitlines()[:101]
         if not labeled:
             header = header.rsplit(",", 1)[0]
             rows = [row.rsplit(",", 1)[0] for row in rows]
@@ -696,15 +700,158 @@ class TestPredict:
             rows.insert(i, "")
         points = tmp_path / "points.csv"
         points.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert len(split_csv(points, parts)) == parts
 
         code = cli.main(["predict", "--model", str(workdir / "fmodel.json"),
                          "--input", str(points)])
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         assert code == 0
-        got = [csv_fields(line) for line in out.splitlines()[1:]]
+        got = [csv_fields(line) for line in captured.out.splitlines()[1:]]
         expected = _per_row_oracle(workdir / "fmodel.json", header, rows)
         assert sum(line[0] == "ERROR" for line in expected) == 20
         assert got == expected
+        defaults = sum(line[1] == "default" for line in expected)
+        assert captured.err == f"scored {len(expected) - 20} rows, 20 ERROR, {defaults} default\n"
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("parts, where", [
+        (2, "last"), (3, "last"), (3, "first-of-part-1"), (3, "first-of-part-2"),
+        (3, "part-0"),
+    ])
+    @pytest.mark.parametrize("line", [
+        b"sector_a,band_1,0.\xe9",              # a byte that is not UTF-8
+        b"sector_a,band_1," + b"1" * 140_000,     # past csv's field limit
+    ], ids=["latin1-byte", "huge-field"])
+    def test_unreadable_line_in_a_part_reads_as_one_reader(
+        self, workdir, capsys, tmp_path, monkeypatch, parts, where, line
+    ):
+        # the reader of a failed part is replaced by one reader of the whole
+        # file, so the lines before the failure, the error and the exit code
+        # are those of a run in one part: a byte that is not UTF-8 stops the
+        # reader at the start of the 8 KB block it is decoded in
+        monkeypatch.setattr(rulemine.schema, "CHUNK_ROWS", 7)
+        header, *rows = (workdir / "frag.csv").read_bytes().splitlines()
+        rows = (rows * 3)[:600]
+        points = tmp_path / "points.csv"
+        points.write_bytes(b"\n".join([header, *rows]) + b"\n")
+        cut = split_csv(points, parts)
+        number = {"last": len(rows), "first-of-part-1": cut[1].first_row,
+                  "first-of-part-2": cut[-1].first_row, "part-0": 5}[where]
+        rows[number - 1] = line
+        points.write_bytes(b"\n".join([header, *rows]) + b"\n")
+        assert len(split_csv(points, parts)) == parts
+        argv = ["predict", "--model", str(workdir / "fmodel.json"), "--input", str(points)]
+        runs = []
+        for n in (1, parts):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: n)
+            code = cli.main(argv)
+            runs.append((code, *capsys.readouterr()))
+        assert runs[0][0] == cli.EXIT_DATA
+        assert runs[0][2].startswith("error: cannot read input CSV: ")
+        assert runs[1] == runs[0]
+        _assert_no_child_left()
+
+    def test_a_part_left_without_a_child_is_read_by_the_parent(
+        self, workdir, capsys, tmp_path, monkeypatch
+    ):
+        # with no process to spare, the second fork fails: the parent copies
+        # the first child's lines and reads the last part itself
+        monkeypatch.setattr(rulemine.schema, "CHUNK_ROWS", 7)
+        header, *rows = (workdir / "frag.csv").read_text(encoding="utf-8").splitlines()
+        points = tmp_path / "points.csv"
+        points.write_text("\n".join([header, *rows * 3]) + "\n", encoding="utf-8")
+        argv = ["predict", "--model", str(workdir / "fmodel.json"), "--input", str(points)]
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+        one = (cli.main(argv), *capsys.readouterr())
+        fork, forks = os.fork, []
+
+        def one_fork():
+            if forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forks.append(fork())
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", one_fork)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+        assert (cli.main(argv), *capsys.readouterr()) == one
+        assert one[0] == 0 and len(forks) == 1
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", ["quote", "crlf", "fifo"])
+    def test_inputs_that_are_never_split(self, workdir, capsys, tmp_path, monkeypatch, kind):
+        # before a quote or a carriage return a line end may not end a
+        # record, and a pipe cannot be read twice
+        monkeypatch.setattr(rulemine.schema, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+
+        def fork():
+            raise AssertionError("predict forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        header, *rows = (workdir / "frag.csv").read_text(encoding="utf-8").splitlines()[:61]
+        end = "\r\n" if kind == "crlf" else "\n"
+        if kind == "quote":
+            rows[2] = '"' + rows[2].replace(",", '",', 1)
+        text = end.join([header, *rows]) + end
+        points = tmp_path / "points.csv"
+        writer = None
+        if kind == "fifo":
+            os.mkfifo(points)
+            writer = threading.Thread(target=points.write_text, args=(text,),
+                                      kwargs={"encoding": "utf-8"})
+            writer.start()
+        else:
+            points.write_text(text, encoding="utf-8", newline="")
+        try:
+            code = cli.main(["predict", "--model", str(workdir / "fmodel.json"),
+                             "--input", str(points)])
+        finally:
+            if writer is not None:
+                writer.join(timeout=60)
+                assert not writer.is_alive()
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 61
+
+    @pytest.mark.parametrize("at", ["first-chunk", "copy"])
+    def test_closed_stdout_leaves_no_child(self, workdir, tmp_path, monkeypatch, at):
+        # stdout goes away while part 0 is scored, with the children still
+        # at work, or while the first child's lines are copied out
+        monkeypatch.setattr(rulemine.schema, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+        header, *rows = (workdir / "frag.csv").read_text(encoding="utf-8").splitlines()
+        points = tmp_path / "points.csv"
+        points.write_text("\n".join([header, *rows * 3]) + "\n", encoding="utf-8")
+
+        class ClosedStdout(io.StringIO):
+            def write(self, text):
+                # a chunk is 7 lines; a child's lines come in one write
+                if (self.tell() > 0) if at == "first-chunk" else (len(text) > 2000):
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        args = cli.build_parser().parse_args(
+            ["predict", "--model", str(workdir / "fmodel.json"), "--input", str(points)])
+        with contextlib.redirect_stdout(ClosedStdout()), pytest.raises(BrokenPipeError):
+            cli.cmd_predict(args)
+        _assert_no_child_left()
+
+    def test_split_input_in_a_subprocess(self, workdir, capsys, tmp_path, monkeypatch):
+        # over 8 x 4,096 rows: two parts at the default chunk size, so the
+        # program forks a child where it may use 2 CPUs or more
+        header, *rows = (workdir / "frag.csv").read_text(encoding="utf-8").splitlines()
+        points = tmp_path / "points.csv"
+        points.write_text("\n".join([header, *rows * 165]) + "\n", encoding="utf-8")
+        assert len(split_csv(points, 2)) == 2
+        argv = ["predict", "--model", str(workdir / "fmodel.json"), "--input", str(points)]
+        env = {**os.environ, "PYTHONPATH": str(Path(rulemine.__file__).parents[1]),
+               "PYTHONIOENCODING": "utf-8"}
+        proc = subprocess.run([sys.executable, "-m", "rulemine.cli", *argv],
+                              capture_output=True, env=env, timeout=120)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+        dest = tmp_path / "one.csv"
+        assert cli.main([*argv, "--out", str(dest)]) == proc.returncode == 0
+        assert proc.stdout == dest.read_bytes()
+        assert proc.stderr.decode("utf-8") == capsys.readouterr().err
 
     def test_bad_header_writes_nothing(self, workdir, capsys, tmp_path):
         points = tmp_path / "points.csv"
@@ -756,6 +903,12 @@ class TestPredict:
         errors = sum(line[0] == "ERROR" for line in expected)
         assert 0 < errors < len(expected)
         assert captured.err.startswith(f"scored {len(expected) - errors} rows, {errors} ERROR,")
+
+
+def _assert_no_child_left():
+    """Every child this process forked is reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _per_row_oracle(model_path, header, rows):

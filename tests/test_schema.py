@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rulemine.schema import (
     Attribute,
     AttributeSchema,
     ColumnLayout,
+    Part,
     RawDataset,
     coerce_row,
     encode,
@@ -19,8 +21,10 @@ from rulemine.schema import (
     parse_csv,
     read_chunks,
     read_header,
+    read_part,
     save_schema,
     scale_numeric,
+    split_csv,
     stratified_split,
     unscale_numeric,
 )
@@ -173,25 +177,32 @@ def _per_row_reference(text, schema, labels=True):
 def _chunked(text, schema, chunk_rows, labels=True):
     """read_chunks' rows in input order, in _per_row_reference's form, read
     ``chunk_rows`` lines at a time."""
-    out = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rulemine.schema, "CHUNK_ROWS", chunk_rows)
-        try:
-            for raw, errors in read_chunks(io.StringIO(text), schema, labels=labels):
-                assert raw.rows.dtype == np.float64
-                assert raw.rows.shape[1] == len(schema.attributes)
-                # one int64 label per row, or none at all when the class
-                # column is not read
-                assert raw.y.dtype == np.int64
-                assert raw.y.shape == ((len(raw),) if labels else (0,))
-                classes = raw.y.tolist() or [None] * len(raw)
-                rows = [(tuple(v.hex() for v in row), c)
-                        for row, c in zip(raw.rows.tolist(), classes)]
-                for position, exc in errors:
-                    rows.insert(position, str(exc))
-                out.extend(rows)
-        except DataError as exc:
-            out.append(str(exc))
+        return _rows_of(lambda: read_chunks(io.StringIO(text), schema, labels=labels),
+                        schema, labels)
+
+
+def _rows_of(read, schema, labels):
+    """The rows of the chunks ``read()`` gives, in input order, in
+    _per_row_reference's form; the DataError that ends them comes last."""
+    out = []
+    try:
+        for raw, errors in read():
+            assert raw.rows.dtype == np.float64
+            assert raw.rows.shape[1] == len(schema.attributes)
+            # one int64 label per row, or none at all when the class
+            # column is not read
+            assert raw.y.dtype == np.int64
+            assert raw.y.shape == ((len(raw),) if labels else (0,))
+            classes = raw.y.tolist() or [None] * len(raw)
+            rows = [(tuple(v.hex() for v in row), c)
+                    for row, c in zip(raw.rows.tolist(), classes)]
+            for position, exc in errors:
+                rows.insert(position, str(exc))
+            out.extend(rows)
+    except DataError as exc:
+        out.append(str(exc))
     return out
 
 
@@ -348,6 +359,107 @@ class TestColumnReaderMatchesPerRowCheck:
         # chunks are first drawn
         with pytest.raises(SchemaError, match="missing column 'age'"):
             read_chunks(io.StringIO("marital_status,salary,status\n"), credit_schema)
+
+
+def _split(path, chunk_rows, parts):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rulemine.schema, "CHUNK_ROWS", chunk_rows)
+        return split_csv(path, parts)
+
+
+def _read_parts(path, schema, chunk_rows, cut, labels=True):
+    """The rows of each part in ``cut``, read by read_part, in
+    _per_row_reference's form, one list per part."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rulemine.schema, "CHUNK_ROWS", chunk_rows)
+        return [_rows_of(lambda: read_part(path, schema, part, labels), schema, labels)
+                for part in cut]
+
+
+class TestSplitCsv:
+    """split_csv cuts a file into parts of whole chunks that read_part reads
+    one at a time; together they read as read_chunks reads the whole file."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 5])
+    @pytest.mark.parametrize("parts", [2, 3, 5])
+    @pytest.mark.parametrize("labels", [True, False])
+    def test_parts_read_as_the_whole_file(self, edge_schema, tmp_path, chunk_rows, parts,
+                                          labels):
+        # a byte-order mark, blank lines, wrong widths and every row error
+        text = _edge_csv()
+        path = tmp_path / "edge.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        cut = _split(path, chunk_rows, parts)
+        assert len(cut) == parts
+        data = path.read_bytes()
+        for part, after in zip(cut, cut[1:]):
+            assert part.stop == after.start and data[part.stop - 1:part.stop] == b"\n"
+            # a part starts on the line after its rows before it and the header
+            assert data[:after.start].count(b"\n") == after.first_row
+            assert (after.first_row - 1) % chunk_rows == 0
+            assert after.first_row - part.first_row == part.chunks * chunk_rows
+        assert cut[0].start == 0 and cut[-1].stop is None and cut[-1].chunks is None
+        expected = _per_row_reference(text, edge_schema, labels)
+        parts = _read_parts(path, edge_schema, chunk_rows, cut, labels)
+        assert [row for got in parts for row in got] == expected
+
+    @pytest.mark.parametrize("line, step", [
+        ("married," + "1" * 140_000 + ",30,Accept", 50),   # past csv's field limit
+        ("m\udce9rried,100,30,Accept", 5),                 # a byte that is not UTF-8
+    ], ids=["over-the-field-limit", "not-utf-8"])
+    def test_no_part_reads_on_where_the_whole_file_stops(self, credit_schema, tmp_path,
+                                                         line, step):
+        # a reader of the whole file stops at a line it cannot read, or, at
+        # a byte that is not UTF-8, at the start of the 8 KB block it
+        # decodes that byte in: some part fails too, and the parts before it
+        # read no line the whole file's reader does not give (read_part
+        # checks the bytes past a part's end for that)
+        rows = ["married,100,30,Accept"] * 900
+        cut = _split(self._write(tmp_path, rows), 50, 3)
+        assert [part.first_row for part in cut] == [1, 301, 601]
+        # the lines about each cut and the 8 KB after it
+        numbers = [n for part in cut[1:] for n in range(part.first_row - 3,
+                                                        min(part.first_row + 380, 900), step)]
+        for number in [1, *numbers, 900]:
+            bad = rows.copy()
+            bad[number - 1] = line
+            path = self._write(tmp_path, bad)
+            whole = _rows_of(lambda: read_chunks(path, credit_schema), credit_schema, True)
+            assert whole[-1].startswith("cannot read input CSV")
+            parts = _read_parts(path, credit_schema, 50, _split(path, 50, 3))
+            failed = next(k for k, got in enumerate(parts) if isinstance(got[-1], str))
+            before = [row for got in parts[:failed] for row in got]
+            assert before == whole[:len(before)], number
+
+    @pytest.mark.parametrize("text, parts, cuts", [
+        # a quote or carriage return before the first cut leaves the file whole
+        ('"married",100,30,Accept\n' + "\n" * 1000, 2, []),
+        ("married,100,30,Accept\r\n" * 1000, 2, []),
+        # after one, the cuts before it stay
+        ("\n" * 849 + '"married",100,30,Accept\n' + "\n" * 750, 4, [400, 800]),
+        # no part of fewer than 4 whole chunks
+        ("\n" * 1000, 5, [500]),
+        ("\n" * 799, 2, []),
+        ("\n" * 1000, 1, []),
+    ], ids=["quote", "crlf", "quote-later", "four-chunks-a-part", "under-two-parts",
+            "one-part"])
+    def test_where_it_cuts(self, tmp_path, text, parts, cuts):
+        path = tmp_path / "cut.csv"
+        path.write_bytes(b"marital_status,salary,age,status\n" + text.encode())
+        got = _split(path, 100, parts)
+        assert [part.first_row - 1 for part in got[1:]] == cuts
+
+    def test_a_pipe_is_never_cut(self, tmp_path):
+        fifo = tmp_path / "rows.csv"
+        os.mkfifo(fifo)  # split_csv would block in open() if it read the pipe
+        assert split_csv(fifo, 4) == [Part(0, None, 1, None)]
+
+    @staticmethod
+    def _write(tmp_path, rows):
+        path = tmp_path / "rows.csv"
+        text = "marital_status,salary,age,status\n" + "\n".join(rows) + "\n"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        return path
 
 
 class TestSchemaJson:
