@@ -30,7 +30,7 @@ from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
-from .errors import ConfigError, DataError, RulemineError
+from .errors import ConfigError, RulemineError
 from .evaluation import evaluate, mine_greedy_baseline
 from .miner import MinerConfig, mine
 from .model_io import ModelArtifact, load_model, save_model
@@ -164,8 +164,8 @@ def usable_cpus() -> int:
     return 1
 
 
-# a child's output lines, ERROR lines, default rows and chunks, after its lines
-_COUNTS = struct.Struct("<4q")
+# a child's output lines, ERROR lines and default rows, after its lines
+_COUNTS = struct.Struct("<3q")
 
 
 def cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
@@ -182,9 +182,9 @@ def cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
         _csv_line([labels[rule.class_index], i, render_rule(rule, schema, ranges)])
         for i, rule in enumerate(rule_list.rules, start=1)
     ]
-    # reads and matches the header now, so a bad one stops before --out opens
-    chunks = read_chunks(args.input, schema, labels=False)
     parts = split_csv(args.input, usable_cpus())
+    # reads and matches the header now, so a bad one stops before --out opens
+    chunks = read_chunks(args.input, schema, labels=False, pause=parts[0].chunks)
 
     def score(chunks, write, counts: list[int]) -> None:
         """Write the output lines of ``chunks``, adding to ``counts`` as
@@ -197,20 +197,17 @@ def cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
             for position, exc in bad:
                 lines.insert(position, _csv_line(["ERROR", "-", str(exc)]))
             write("".join(lines))
-            for i, n in enumerate((len(lines), len(bad), fired.count(0), 1)):
+            for i, n in enumerate((len(lines), len(bad), fired.count(0))):
                 counts[i] += n
 
-    counts = [0, 0, 0, 0]  # output lines, ERROR lines, default rows, chunks
+    counts = [0, 0, 0]  # output lines, ERROR lines, default rows
     # the input closes however this ends, an --out that cannot be opened too
     with closing(chunks), (open(args.out, "w", encoding="utf-8", newline="") if args.out
                            else nullcontext(sys.stdout)) as out_fh:
         out_fh.write(_csv_line(["prediction", "fired_rule", "rule"]))
-        if len(parts) == 1:
-            score(chunks, out_fh.write, counts)
-        else:
-            _score_parts(score, args.input, schema, parts, chunks, out_fh, counts)
+        _score_parts(score, args.input, schema, parts, chunks, out_fh, counts)
 
-    total, errors, defaults, _ = counts
+    total, errors, defaults = counts
     if total == 0:
         print("error: input contains no data rows", file=sys.stderr)
         return EXIT_DATA, ""
@@ -222,9 +219,10 @@ def cmd_predict(args: argparse.Namespace) -> tuple[int, str]:
 def _score_parts(score, path: str, schema, parts: list[Part], chunks, out_fh,
                  counts: list[int]) -> None:
     """Score each part of ``path`` after the first in a forked child, and the
-    first in this process; then copy out each child's lines in order. From
-    the first part whose reader fails on, ``chunks``, the reader of the
-    whole file, scores the rest. No child outlives this call."""
+    first in this process from ``chunks``, the reader of the whole file,
+    which pauses after it; then copy out each child's lines in order. From
+    the first child that fails or was not forked, ``chunks`` reads on past
+    the parts copied. No child outlives this call."""
     for stream in (out_fh, sys.stdout, sys.stderr):
         stream.flush()  # or each child holds a copy of what they buffer
     children: list[tuple[int, io.BufferedRandom]] = []  # (pid, file) per forked part
@@ -236,23 +234,20 @@ def _score_parts(score, path: str, schema, parts: list[Part], chunks, out_fh,
             except OSError:  # no process or file to spare: the parent reads on
                 break
             running.add(children[-1][0])
-        done = 0  # the parts whose lines are written
-        # a part whose reader fails is read again by the reader of the whole
-        # file, which fails at the same point after the same lines
-        with suppress(DataError):
-            score(read_part(path, schema, parts[0], labels=False), out_fh.write, counts)
-            done = 1
-            for pid, tmp in children:
-                code = _exit_code(pid)
-                running.discard(pid)
-                if code != 0:
-                    break
-                _copy_part(tmp, out_fh, counts)
-                done += 1
+        score(iter(chunks.__next__, None), out_fh.write, counts)
+        done = 1  # the parts whose lines are written
+        for pid, tmp in children:
+            code = _exit_code(pid)
+            running.discard(pid)
+            if code != 0:
+                break
+            _copy_part(tmp, out_fh, counts)
+            done += 1
         if done < len(parts):
+            # the whole file's reader fails where a part's did, after the same lines
             _kill(running)
-            next(islice(chunks, counts[3], counts[3]), None)  # passes those written
-            score(chunks, out_fh.write, counts)
+            skip = sum(part.chunks for part in parts[1:done])  # the parts copied
+            score(islice(chunks, skip, None), out_fh.write, counts)
     finally:
         _kill(running)
         for _, tmp in children:
@@ -274,7 +269,7 @@ def _fork_part(score, path: str, schema, part: Part) -> tuple[int, io.BufferedRa
         status = 1
         try:
             sink = io.TextIOWrapper(tmp, encoding="utf-8", newline="")
-            counts = [0, 0, 0, 0]
+            counts = [0, 0, 0]
             score(read_part(path, schema, part, labels=False), sink.write, counts)
             sink.flush()
             tmp.write(_COUNTS.pack(*counts))

@@ -402,8 +402,8 @@ CHUNK_ROWS = 4096
 
 
 def read_chunks(
-    source, schema: AttributeSchema, labels: bool = True
-) -> Generator[tuple[RawDataset, list[tuple[int, DataError]]], None, None]:
+    source, schema: AttributeSchema, labels: bool = True, pause: int | None = None
+) -> Generator[tuple[RawDataset, list[tuple[int, DataError]]] | None, None, None]:
     """Read a header-first CSV ``CHUNK_ROWS`` lines at a time.
 
     ``source`` is a path, opened as UTF-8, or an iterable of text lines. The
@@ -429,17 +429,20 @@ def read_chunks(
     that fails there (a wrong width, a padded or undeclared value or label, a
     field that is no finite number) goes through ``coerce_row`` on its own,
     which converts it after all (``" married"``) or raises its exact error.
+
+    With ``pause``, None comes once after that many chunks, unless a line
+    among them cannot be read and raises there; past it the chunks read on.
     """
-    chunks = _open_chunks(source, schema, labels)
+    chunks = _open_chunks(source, schema, labels, pause=pause)
     next(chunks)  # opens the input and matches its header
     return chunks
 
 
-def _open_chunks(source, schema, labels, first_row=1, limit=math.inf):
+def _open_chunks(source, schema, labels, first_row=1, pause=None):
     """read_chunks' generator: None once the header is matched, then the
-    chunks, at most ``limit`` of them, numbering the rows from ``first_row``.
-    The input stays open from the header on, so closing or dropping the
-    generator closes a file it opened."""
+    chunks, numbering the rows from ``first_row``, with None after the first
+    ``pause``. The input stays open from the header on, so closing or
+    dropping the generator closes a file it opened."""
     try:
         fh = (open(source, "r", encoding="utf-8", newline="")
               if isinstance(source, (str, Path)) else nullcontext(source))
@@ -462,16 +465,19 @@ def _open_chunks(source, schema, labels, first_row=1, limit=math.inf):
         predictor_pos, class_pos = read_header(header, schema, labels)
         yield None
         yield from _chunks(reader, schema, predictor_pos, class_pos, len(header),
-                           first_row, limit)
+                           first_row, pause)
 
 
-def _chunks(reader, schema, predictor_pos, class_pos, width, first, limit):
+def _chunks(reader, schema, predictor_pos, class_pos, width, first, pause):
     lookups = [{v: i for i, v in enumerate(a.values)} if a.kind == NOMINAL else None
                for a in schema.attributes]
     label_lookup = {v: i for i, v in enumerate(schema.class_labels)}
     blank = [""] * width
     failure = None
-    while failure is None and limit > 0:
+    drawn = 0  # the chunks yielded: a failure among them ends the loop before a pause
+    while failure is None:
+        if drawn == pause:
+            yield None
         lines: list[list[str]] = []
         try:
             # extend keeps the lines it appended before the reader raised
@@ -480,7 +486,7 @@ def _chunks(reader, schema, predictor_pos, class_pos, width, first, limit):
             failure = exc
         if not lines:
             break
-        limit -= 1
+        drawn += 1
         rows = [fields for fields in lines if fields]
         numbers = [n for n, fields in enumerate(lines, first) if fields]
         first += len(lines)
@@ -564,8 +570,8 @@ _LOOKAHEAD_BYTES = 1 << 20
 def split_csv(path: str | Path, parts: int) -> list[Part]:
     """Cut a header-first CSV file into up to ``parts`` parts of whole
     ``CHUNK_ROWS``-line chunks, with about as many rows each and about
-    ``_PART_CHUNKS`` chunks or more in each, for readers that each read one
-    part with ``read_part``.
+    ``_PART_CHUNKS`` chunks or more in each: the first for ``read_chunks``
+    to pause after, each later one for ``read_part``.
 
     Every cut lies before the file's first ``"`` or ``\\r`` byte: up to there
     each ``\\n`` ends one CSV record, a blank line included, so a cut after
@@ -622,11 +628,11 @@ def split_csv(path: str | Path, parts: int) -> list[Part]:
 def read_part(
     path: str | Path, schema: AttributeSchema, part: Part, labels: bool = True
 ) -> Iterator[tuple[RawDataset, list[tuple[int, DataError]]]]:
-    """The chunks of one part of a CSV file that ``split_csv`` cut, as
-    ``read_chunks`` gives them for the whole file: the header is matched,
-    then the part's lines are read from its own offset and numbered from its
-    first row. A line that cannot be read in its last chunk raises as it
-    would in the whole file, after that chunk.
+    """The chunks of a part after the first of a CSV file that ``split_csv``
+    cut, as ``read_chunks`` gives them for the whole file: the header is
+    matched, then the part's lines are read from its own offset and numbered
+    from its first row. A line that cannot be read in its last chunk raises
+    as it would in the whole file, after that chunk.
 
     A part that ends before the file does also raises the DataError of a
     byte that is not UTF-8 within ``_LOOKAHEAD_BYTES`` past its end: a
@@ -634,14 +640,12 @@ def read_part(
     part's last lines, and then stop before them.
     """
     with open(path, "rb") as raw:
-        # the first part starts at the header; a later one takes a copy of it
-        header = [raw.readline().decode("utf-8")] if part.start else []
+        header = raw.readline().decode("utf-8")
         raw.seek(part.start)
         with io.TextIOWrapper(raw, encoding="utf-8", newline="") as stream:
-            chunks = _open_chunks(chain(header, stream), schema, labels, part.first_row,
-                                  math.inf if part.chunks is None else part.chunks)
+            chunks = _open_chunks(chain([header], stream), schema, labels, part.first_row, part.chunks)
             next(chunks)  # matches the header
-            yield from chunks
+            yield from iter(chunks.__next__, None)  # up to the pause at the part's end
             if part.stop is not None:
                 raw.seek(part.stop)
                 ahead = raw.read(_LOOKAHEAD_BYTES)

@@ -683,6 +683,7 @@ class TestPredict:
     ):
         monkeypatch.setattr(rulemine.schema, "CHUNK_ROWS", 7)
         monkeypatch.setattr(cli, "usable_cpus", lambda: parts)
+        part_reads = _parent_part_reads(monkeypatch)
         header, *rows = (workdir / "frag.csv").read_text(encoding="utf-8").splitlines()[:101]
         if not labeled:
             header = header.rsplit(",", 1)[0]
@@ -712,11 +713,12 @@ class TestPredict:
         assert got == expected
         defaults = sum(line[1] == "default" for line in expected)
         assert captured.err == f"scored {len(expected) - 20} rows, 20 ERROR, {defaults} default\n"
+        assert part_reads == []  # the parent reads --input once, through one reader
         _assert_no_child_left()
 
     @pytest.mark.parametrize("parts, where", [
         (2, "last"), (3, "last"), (3, "first-of-part-1"), (3, "first-of-part-2"),
-        (3, "part-0"),
+        (3, "part-0"), (3, "last-of-part-0"),
     ])
     @pytest.mark.parametrize("line", [
         b"sector_a,band_1,0.\xe9",              # a byte that is not UTF-8
@@ -736,11 +738,13 @@ class TestPredict:
         points.write_bytes(b"\n".join([header, *rows]) + b"\n")
         cut = split_csv(points, parts)
         number = {"last": len(rows), "first-of-part-1": cut[1].first_row,
-                  "first-of-part-2": cut[-1].first_row, "part-0": 5}[where]
+                  "first-of-part-2": cut[-1].first_row, "part-0": 5,
+                  "last-of-part-0": cut[1].first_row - 1}[where]
         rows[number - 1] = line
         points.write_bytes(b"\n".join([header, *rows]) + b"\n")
         assert len(split_csv(points, parts)) == parts
         argv = ["predict", "--model", str(workdir / "fmodel.json"), "--input", str(points)]
+        part_reads = _parent_part_reads(monkeypatch)
         runs = []
         for n in (1, parts):
             monkeypatch.setattr(cli, "usable_cpus", lambda: n)
@@ -749,6 +753,7 @@ class TestPredict:
         assert runs[0][0] == cli.EXIT_DATA
         assert runs[0][2].startswith("error: cannot read input CSV: ")
         assert runs[1] == runs[0]
+        assert part_reads == []
         _assert_no_child_left()
 
     def test_a_part_left_without_a_child_is_read_by_the_parent(
@@ -903,6 +908,19 @@ class TestPredict:
         errors = sum(line[0] == "ERROR" for line in expected)
         assert 0 < errors < len(expected)
         assert captured.err.startswith(f"scored {len(expected) - errors} rows, {errors} ERROR,")
+
+
+def _parent_part_reads(monkeypatch):
+    """A list of the arguments of each ``cli.read_part`` call in this
+    process: a forked child records its calls in its own copy of it."""
+    calls, read_part = [], cli.read_part
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return read_part(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_part", record)
+    return calls
 
 
 def _assert_no_child_left():

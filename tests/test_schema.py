@@ -368,17 +368,24 @@ def _split(path, chunk_rows, parts):
 
 
 def _read_parts(path, schema, chunk_rows, cut, labels=True):
-    """The rows of each part in ``cut``, read by read_part, in
-    _per_row_reference's form, one list per part."""
+    """The rows of each part in ``cut``, in _per_row_reference's form, one
+    list per part: the first read as predict reads it, by read_chunks up to
+    its pause, and each later one by read_part."""
+    def first():
+        chunks = read_chunks(path, schema, labels, pause=cut[0].chunks)
+        return iter(chunks.__next__, None)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(rulemine.schema, "CHUNK_ROWS", chunk_rows)
-        return [_rows_of(lambda: read_part(path, schema, part, labels), schema, labels)
-                for part in cut]
+        return [_rows_of(first, schema, labels)] + [
+            _rows_of(lambda: read_part(path, schema, part, labels), schema, labels)
+            for part in cut[1:]]
 
 
 class TestSplitCsv:
-    """split_csv cuts a file into parts of whole chunks that read_part reads
-    one at a time; together they read as read_chunks reads the whole file."""
+    """split_csv cuts a file into parts of whole chunks: read_chunks pausing
+    after the first and read_part on each later one read them as read_chunks
+    reads the whole file."""
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 5])
     @pytest.mark.parametrize("parts", [2, 3, 5])
